@@ -113,33 +113,46 @@ impl LevelSnapshot {
     }
 }
 
-/// Lazily-populated per-object derived state for one query.
-pub struct DominanceCache {
-    /// `U_Q` per object.
-    dist_q: Vec<Option<Arc<DistanceDistribution>>>,
-    /// `U_q` for every query instance, per object.
-    per_q: Vec<Option<Arc<Vec<DistanceDistribution>>>>,
-    /// min/mean/max of `U_Q`, per object.
-    agg: Vec<Option<AggStats>>,
-    /// min/mean/max of each `U_q`, per object.
-    per_q_agg: Vec<Option<Arc<Vec<AggStats>>>>,
-    /// Quantised instance masses, per object.
-    quanta: Vec<Option<Arc<Vec<u64>>>>,
+/// The derived state of one object, created on the object's first lookup.
+#[derive(Default)]
+struct Memo {
+    /// `U_Q`.
+    dist_q: Option<Arc<DistanceDistribution>>,
+    /// `U_q` for every query instance.
+    per_q: Option<Arc<Vec<DistanceDistribution>>>,
+    /// min/mean/max of `U_Q`.
+    agg: Option<AggStats>,
+    /// min/mean/max of each `U_q`.
+    per_q_agg: Option<Arc<Vec<AggStats>>>,
+    /// Quantised instance masses.
+    quanta: Option<Arc<Vec<u64>>>,
     /// Distance-space image of the instances w.r.t. the query hull, plus an
     /// R-tree over it (for the §5.1.2 range-query network construction).
-    mapped: Vec<Option<Arc<MappedInstances>>>,
-    /// Indices of instances lying inside `CH(Q)`, per object (the geometric
+    mapped: Option<Arc<MappedInstances>>,
+    /// Indices of instances lying inside `CH(Q)` (the geometric
     /// early-reject of the P-SD check).
-    in_hull: Vec<Option<Arc<Vec<usize>>>>,
-    /// Per-object level snapshots (group MBRs + masses + caps for every
-    /// R-tree level), per object.
-    levels: Vec<Option<Arc<LevelSnapshot>>>,
-    /// Optimistic/pessimistic bounds on the whole `U_Q`, per object per
-    /// clamped level (lazily sized to the snapshot's level count).
-    bounds_whole: Vec<Vec<Option<Arc<BoundPair>>>>,
+    in_hull: Option<Arc<Vec<usize>>>,
+    /// Level snapshot (group MBRs + masses + caps for every R-tree level).
+    levels: Option<Arc<LevelSnapshot>>,
+    /// Optimistic/pessimistic bounds on the whole `U_Q`, per clamped level
+    /// (lazily sized to the snapshot's level count).
+    bounds_whole: Vec<Option<Arc<BoundPair>>>,
     /// Optimistic/pessimistic bounds on each `U_q` (query-instance order),
-    /// per object per clamped level.
-    bounds_instance: Vec<Vec<Option<Arc<Vec<BoundPair>>>>>,
+    /// per clamped level.
+    bounds_instance: Vec<Option<Arc<Vec<BoundPair>>>>,
+}
+
+/// Lazily-populated per-object derived state for one query.
+///
+/// The state lives in one [`Memo`] per object the query actually touches,
+/// found through an id-indexed table of memo indices: creating the cache
+/// zero-fills that table only, so a query pays for the objects it visits,
+/// not for the size of the database.
+pub struct DominanceCache {
+    /// Object id → 1 + its memo's index in `memos`; 0 = not touched yet.
+    index: Vec<usize>,
+    /// Memos in first-touch order.
+    memos: Vec<Memo>,
     /// Snapshot-scoped warm view, consulted only on the miss path of the
     /// snapshot-pure getters (`quanta`, `level_snapshot`, level bounds) so
     /// the legacy per-query hit/miss counters keep their exact semantics.
@@ -157,18 +170,30 @@ impl DominanceCache {
     /// of rebuilding locally. `None` is the plain cold cache.
     pub fn with_warm(n: usize, warm: Option<WarmView>) -> Self {
         DominanceCache {
-            dist_q: vec![None; n],
-            per_q: vec![None; n],
-            agg: vec![None; n],
-            per_q_agg: vec![None; n],
-            quanta: vec![None; n],
-            mapped: vec![None; n],
-            in_hull: vec![None; n],
-            levels: vec![None; n],
-            bounds_whole: vec![Vec::new(); n],
-            bounds_instance: vec![Vec::new(); n],
+            index: vec![0; n],
+            memos: Vec::new(),
             warm,
         }
+    }
+
+    /// The memo of `id`, if the query touched it.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range, like indexing the database.
+    fn memo(&self, id: usize) -> Option<&Memo> {
+        match self.index[id] {
+            0 => None,
+            k => Some(&self.memos[k - 1]),
+        }
+    }
+
+    /// The memo of `id`, created empty on first touch.
+    fn memo_mut(&mut self, id: usize) -> &mut Memo {
+        if self.index[id] == 0 {
+            self.memos.push(Memo::default());
+            self.index[id] = self.memos.len();
+        }
+        &mut self.memos[self.index[id] - 1]
     }
 
     /// The warm view this cache resolves snapshot-pure misses through, if
@@ -186,7 +211,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<DistanceDistribution> {
-        if let Some(d) = &self.dist_q[id] {
+        if let Some(d) = self.memo(id).and_then(|m| m.dist_q.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(d);
@@ -196,7 +221,7 @@ impl DominanceCache {
         let obj = db.object(id);
         stats.instance_comparisons += (obj.len() * query.len()) as u64;
         let d = Arc::new(DistanceDistribution::between_ref(obj, query.object()));
-        self.dist_q[id] = Some(Arc::clone(&d));
+        self.memo_mut(id).dist_q = Some(Arc::clone(&d));
         d
     }
 
@@ -210,7 +235,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<DistanceDistribution>> {
-        if let Some(d) = &self.per_q[id] {
+        if let Some(d) = self.memo(id).and_then(|m| m.per_q.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(d);
@@ -227,7 +252,7 @@ impl DominanceCache {
                 .map(|q| DistanceDistribution::to_instance_ref(obj, &q.point))
                 .collect::<Vec<_>>(),
         );
-        self.per_q[id] = Some(Arc::clone(&d));
+        self.memo_mut(id).per_q = Some(Arc::clone(&d));
         d
     }
 
@@ -240,7 +265,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> AggStats {
-        if let Some(a) = self.agg[id] {
+        if let Some(a) = self.memo(id).and_then(|m| m.agg) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return a;
@@ -249,7 +274,7 @@ impl DominanceCache {
         metrics.incr(Counter::CacheMisses);
         let d = self.dist_q(db, query, id, stats, metrics);
         let a = (d.min(), d.mean(), d.max());
-        self.agg[id] = Some(a);
+        self.memo_mut(id).agg = Some(a);
         a
     }
 
@@ -262,7 +287,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<AggStats>> {
-        if let Some(a) = &self.per_q_agg[id] {
+        if let Some(a) = self.memo(id).and_then(|m| m.per_q_agg.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(a);
@@ -276,7 +301,7 @@ impl DominanceCache {
                 .map(|d| (d.min(), d.mean(), d.max()))
                 .collect::<Vec<_>>(),
         );
-        self.per_q_agg[id] = Some(Arc::clone(&a));
+        self.memo_mut(id).per_q_agg = Some(Arc::clone(&a));
         a
     }
 
@@ -288,7 +313,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<u64>> {
-        if let Some(q) = &self.quanta[id] {
+        if let Some(q) = self.memo(id).and_then(|m| m.quanta.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(q);
@@ -301,7 +326,7 @@ impl DominanceCache {
             // quantise the borrowed slice directly, no gather needed.
             None => Arc::new(quantize(db.object(id).probs())),
         };
-        self.quanta[id] = Some(Arc::clone(&q));
+        self.memo_mut(id).quanta = Some(Arc::clone(&q));
         q
     }
 
@@ -316,7 +341,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<MappedInstances> {
-        if let Some(m) = &self.mapped[id] {
+        if let Some(m) = self.memo(id).and_then(|m| m.mapped.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(m);
@@ -341,7 +366,7 @@ impl DominanceCache {
             .collect();
         let tree = RTree::bulk_load(8, entries);
         let m = Arc::new((points, tree));
-        self.mapped[id] = Some(Arc::clone(&m));
+        self.memo_mut(id).mapped = Some(Arc::clone(&m));
         m
     }
 
@@ -357,7 +382,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<LevelSnapshot> {
-        if let Some(s) = &self.levels[id] {
+        if let Some(s) = self.memo(id).and_then(|m| m.levels.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(s);
@@ -371,7 +396,7 @@ impl DominanceCache {
             Some(w) => w.level_snapshot(db, id, &quanta, metrics),
             None => Arc::new(build_level_snapshot(db, id, &quanta)),
         };
-        self.levels[id] = Some(Arc::clone(&s));
+        self.memo_mut(id).levels = Some(Arc::clone(&s));
         s
     }
 
@@ -395,7 +420,7 @@ impl DominanceCache {
     ) -> Arc<BoundPair> {
         let snap = self.level_snapshot(db, id, stats, metrics);
         let idx = snap.clamped(level);
-        let slot = &mut self.bounds_whole[id];
+        let slot = &mut self.memo_mut(id).bounds_whole;
         if slot.is_empty() {
             slot.resize_with(snap.num_levels(), || None);
         }
@@ -410,7 +435,7 @@ impl DominanceCache {
             Some(w) => w.bounds_whole(query, id, &snap, level, metrics),
             None => Arc::new(build_bounds_whole(query, snap.level(level))),
         };
-        self.bounds_whole[id][idx] = Some(Arc::clone(&b));
+        self.memo_mut(id).bounds_whole[idx] = Some(Arc::clone(&b));
         b
     }
 
@@ -429,7 +454,7 @@ impl DominanceCache {
     ) -> Arc<Vec<BoundPair>> {
         let snap = self.level_snapshot(db, id, stats, metrics);
         let idx = snap.clamped(level);
-        let slot = &mut self.bounds_instance[id];
+        let slot = &mut self.memo_mut(id).bounds_instance;
         if slot.is_empty() {
             slot.resize_with(snap.num_levels(), || None);
         }
@@ -444,7 +469,7 @@ impl DominanceCache {
             Some(w) => w.bounds_instance(query, id, &snap, level, metrics),
             None => Arc::new(build_bounds_instance(query, snap.level(level))),
         };
-        self.bounds_instance[id][idx] = Some(Arc::clone(&b));
+        self.memo_mut(id).bounds_instance[idx] = Some(Arc::clone(&b));
         b
     }
 
@@ -459,7 +484,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<usize>> {
-        if let Some(l) = &self.in_hull[id] {
+        if let Some(l) = self.memo(id).and_then(|m| m.in_hull.as_ref()) {
             stats.cache_hits += 1;
             metrics.incr(Counter::CacheHits);
             return Arc::clone(l);
@@ -480,7 +505,7 @@ impl DominanceCache {
             .map(|(i, _)| i)
             .collect();
         let list = Arc::new(list);
-        self.in_hull[id] = Some(Arc::clone(&list));
+        self.memo_mut(id).in_hull = Some(Arc::clone(&list));
         list
     }
 }

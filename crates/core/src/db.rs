@@ -12,6 +12,7 @@
 //! the coordinates.
 
 use crate::index::{shard_stats_of, IndexStats, SpatialIndex};
+use crate::local::LocalTrees;
 use osd_rtree::{Entry, RTree};
 use osd_uncertain::{epoch, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
 use std::sync::Arc;
@@ -41,8 +42,8 @@ pub const DEFAULT_LOCAL_FANOUT: usize = 4;
 #[derive(Debug, Clone)]
 pub struct FlatDatabase {
     store: Arc<InstanceStore>,
-    /// Local instance trees, indexed by store row.
-    local: Vec<RTree<usize>>,
+    /// Local instance trees, by logical id.
+    local: LocalTrees,
     /// Global object-MBR tree; payloads are logical ids, live entries only.
     global: RTree<usize>,
     /// Logical id → store row (`None` = tombstone).
@@ -141,10 +142,11 @@ impl FlatDatabase {
             return Err(DbError::Empty);
         }
         let dim = store.dim();
-        let local: Vec<RTree<usize>> = store
-            .iter()
-            .map(|o| RTree::bulk_load_rows(local_fanout, dim, o.coords()))
-            .collect();
+        let local = LocalTrees::new(
+            store
+                .iter()
+                .map(|o| RTree::bulk_load_rows(local_fanout, dim, o.coords())),
+        );
         let global_entries: Vec<Entry<usize>> = store
             .iter()
             .enumerate()
@@ -229,9 +231,9 @@ impl FlatDatabase {
     /// # Panics
     /// Panics if `id` is tombstoned or out of range.
     pub fn local_tree(&self, id: usize) -> &RTree<usize> {
-        match self.row_of(id) {
-            Ok(row) => &self.local[row],
-            Err(e) => Self::invalid(e),
+        match self.local.get(id) {
+            Some(tree) => tree,
+            None => Self::invalid(DbError::Dead { object: id }),
         }
     }
 
@@ -335,7 +337,7 @@ impl FlatDatabase {
         let removed = self.global.remove_item(&mbr, |&x| x == id);
         debug_assert!(removed.is_some(), "live id {id} must be in the global tree");
         epoch::remove(&mut self.store, row);
-        self.local.remove(row);
+        self.local.set(id, None);
         self.ext.remove(row);
         self.slot[id] = None;
         for s in self.slot.iter_mut().flatten() {
@@ -374,7 +376,14 @@ impl FlatDatabase {
         let removed = self.global.remove_item(&old_mbr, |&x| x == id);
         debug_assert!(removed.is_some(), "live id {id} must be in the global tree");
         let view = self.store.object(row);
-        self.local[row] = RTree::bulk_load_rows(self.local_fanout, view.dim(), view.coords());
+        self.local.set(
+            id,
+            Some(RTree::bulk_load_rows(
+                self.local_fanout,
+                view.dim(),
+                view.coords(),
+            )),
+        );
         self.global.insert(view.mbr().clone(), id);
         self.epochs.record(Change::Updated(id));
         Ok(())

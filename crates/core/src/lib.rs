@@ -73,6 +73,7 @@ pub mod index;
 #[cfg(feature = "strict-invariants")]
 pub mod invariants;
 pub mod knnc;
+mod local;
 pub mod nnc;
 pub mod ops;
 pub mod publish;

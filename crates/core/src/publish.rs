@@ -7,10 +7,22 @@
 //! as they like; they never observe a partially-applied mutation and never
 //! block a writer. Writers [`publish`](PublishedIndex::publish): clone the
 //! current snapshot *outside* any lock readers touch, mutate the private
-//! clone, and atomically swap it in. The columnar store is shared
-//! structurally between consecutive snapshots (`Arc`-backed copy-on-write
-//! via `osd_uncertain::epoch`), so a snapshot clone is cheap until the
-//! mutation actually touches the instance data.
+//! clone, and atomically swap it in.
+//!
+//! Consecutive snapshots share everything a mutation does not change, so
+//! a publish costs in proportion to the change, plus a few flat copies:
+//!
+//! * **Shared:** every local R-tree but the touched object's (held by id
+//!   in `Arc`-shared chunks; a write copies one chunk of pointers), and
+//!   every global R-tree node off the touched root-to-leaf paths
+//!   (`RTree::insert` / `remove_item` path-copy; a clone is O(1)).
+//! * **Copied once per publish:** the columnar store, by the single
+//!   copy-on-write splice of `osd_uncertain::epoch` — the largest
+//!   remaining cost — and the `slot`/`ext` id maps and the bounded epoch
+//!   log, which are flat integer arrays.
+//!
+//! The displaced snapshot is dropped after the swap releases the lock,
+//! and frees only what the new snapshot does not share.
 //!
 //! One writer at a time: publishes serialise on a writer mutex, so the
 //! epoch sequence is linear and `changes_since` deltas compose.
@@ -34,8 +46,9 @@ const MUTATION_TRACE_EVENTS: usize = 16;
 #[derive(Debug)]
 pub struct PublishedIndex<D> {
     /// The current snapshot. The lock is held only for the duration of an
-    /// `Arc` clone (readers) or an `Arc` store (the publishing writer) —
-    /// never across a query or a mutation.
+    /// `Arc` clone (readers) or an `Arc` swap (the publishing writer) —
+    /// never across a query, a mutation, or the drop of a displaced
+    /// snapshot.
     current: RwLock<Arc<D>>,
     /// Serialises writers so snapshot construction happens off every
     /// reader-visible lock.
@@ -149,7 +162,15 @@ impl<D: SpatialIndex + Clone> PublishedIndex<D> {
         let out = out.inspect(|_| {
             let span = trace.open("swap");
             let epoch = next.epoch();
-            *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+            let next = Arc::new(next);
+            let displaced = {
+                let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+                std::mem::replace(&mut *current, next)
+            };
+            // Drop the old snapshot (whatever the new one does not share)
+            // after releasing the lock every `pin()` needs, but still inside
+            // the `swap` span.
+            drop(displaced);
             trace.attr(span, "epoch", AttrValue::U64(epoch));
             trace.close(span);
         });

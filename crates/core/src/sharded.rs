@@ -35,6 +35,7 @@
 
 use crate::db::{DbError, DEFAULT_GLOBAL_FANOUT, DEFAULT_LOCAL_FANOUT};
 use crate::index::{shard_stats_of, IndexStats, SpatialIndex};
+use crate::local::LocalTrees;
 use osd_geom::Mbr;
 use osd_rtree::{str_partition, Entry, RTree};
 use osd_uncertain::{epoch, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
@@ -81,8 +82,8 @@ pub struct ShardedDatabase {
     /// Shard-major permutation of the input store (or the input `Arc`
     /// itself when the permutation is the identity).
     store: Arc<InstanceStore>,
-    /// Local instance trees, indexed by permuted row.
-    local: Vec<RTree<usize>>,
+    /// Local instance trees, by logical id.
+    local: LocalTrees,
     shards: Vec<Shard>,
     /// Logical id → permuted row (`None` = tombstone).
     slot: Vec<Option<usize>>,
@@ -161,10 +162,15 @@ impl ShardedDatabase {
         for (row, &id) in ext.iter().enumerate() {
             slot[id] = Some(row);
         }
-        let local: Vec<RTree<usize>> = store
-            .iter()
-            .map(|o| RTree::bulk_load_rows(cfg.local_fanout, dim, o.coords()))
-            .collect();
+        // Build the local trees in row (STR) order, so the trees of the
+        // objects in one global-tree leaf lie close together in memory,
+        // then file them by id.
+        let mut by_id: Vec<Option<RTree<usize>>> = (0..ext.len()).map(|_| None).collect();
+        for (row, &id) in ext.iter().enumerate() {
+            let tree = RTree::bulk_load_rows(cfg.local_fanout, dim, store.object(row).coords());
+            by_id[id] = Some(tree);
+        }
+        let local = LocalTrees::new(by_id.into_iter().flatten());
         let mut shards = Vec::with_capacity(groups.len());
         let mut lo = 0;
         for group in &groups {
@@ -298,7 +304,7 @@ impl ShardedDatabase {
             .any(|s| s.tree.remove_item(&mbr, |&x| x == id).is_some());
         debug_assert!(removed, "live id {id} must be in some shard tree");
         epoch::remove(&mut self.store, row);
-        self.local.remove(row);
+        self.local.set(id, None);
         self.ext.remove(row);
         self.slot[id] = None;
         for s in self.slot.iter_mut().flatten() {
@@ -350,7 +356,14 @@ impl ShardedDatabase {
             .any(|s| s.tree.remove_item(&old_mbr, |&x| x == id).is_some());
         debug_assert!(removed, "live id {id} must be in some shard tree");
         let view = self.store.object(row);
-        self.local[row] = RTree::bulk_load_rows(self.local_fanout, view.dim(), view.coords());
+        self.local.set(
+            id,
+            Some(RTree::bulk_load_rows(
+                self.local_fanout,
+                view.dim(),
+                view.coords(),
+            )),
+        );
         let mbr = view.mbr().clone();
         let shard = self.choose_shard(&mbr);
         self.shards[shard].tree.insert(mbr, id);
@@ -427,7 +440,10 @@ impl SpatialIndex for ShardedDatabase {
     }
 
     fn local_tree(&self, id: usize) -> &RTree<usize> {
-        &self.local[self.row_of(id)]
+        match self.local.get(id) {
+            Some(tree) => tree,
+            None => crate::db::FlatDatabase::invalid(DbError::Dead { object: id }),
+        }
     }
 
     fn shard_count(&self) -> usize {

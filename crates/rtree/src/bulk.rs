@@ -8,6 +8,7 @@
 
 use crate::node::{Child, Entry, Node, RTree};
 use osd_geom::Mbr;
+use std::sync::Arc;
 
 impl<T> RTree<T> {
     /// Builds a tree from `entries` using STR packing.
@@ -33,7 +34,7 @@ impl<T> RTree<T> {
                 });
             Child {
                 mbr,
-                node: Box::new(Node::Leaf(group)),
+                node: Arc::new(Node::Leaf(group)),
             }
         });
 
@@ -49,7 +50,7 @@ impl<T> RTree<T> {
                     });
                 Child {
                     mbr,
-                    node: Box::new(Node::Inner(group)),
+                    node: Arc::new(Node::Inner(group)),
                 }
             });
         }

@@ -1,42 +1,50 @@
 //! Entry deletion with Guttman-style tree condensation.
 //!
 //! Underfull nodes (below half fan-out) are dissolved and their entries
-//! reinserted; a root left with a single child is collapsed.
+//! reinserted; a root left with a single child is collapsed. Like
+//! insertion, deletion is path-copying: the search is read-only, and only
+//! the nodes on the path to the removed entry are copied.
 
-use crate::node::{Entry, Node, RTree};
+use crate::node::{Child, Entry, Node, RTree};
 use osd_geom::Mbr;
+use std::sync::Arc;
 
-impl<T> RTree<T> {
+impl<T: Clone> RTree<T> {
     /// Removes one entry whose MBR intersects `mbr` and whose item matches
     /// `pred`, returning it. The tree is condensed afterwards: underfull
     /// nodes are dissolved and their entries reinserted.
+    ///
+    /// A miss copies nothing; a hit copies the nodes on the path to the
+    /// removed entry (plus the reinsertion paths of any orphans). Clones of
+    /// the tree taken earlier are unaffected.
     pub fn remove_item(&mut self, mbr: &Mbr, pred: impl Fn(&T) -> bool) -> Option<T> {
         let min_fill = (self.max_entries / 2).max(1);
-        let mut root = self.root.take()?;
         let mut orphans: Vec<Entry<T>> = Vec::new();
-        let removed = remove_rec(&mut root.node, mbr, &pred, min_fill, &mut orphans);
-        if removed.is_none() {
-            debug_assert!(orphans.is_empty());
-            self.root = Some(root);
-            return None;
-        }
+        let (node, removed) = remove_rec(
+            &self.root.as_ref()?.node,
+            mbr,
+            &pred,
+            min_fill,
+            &mut orphans,
+        )?;
         self.len -= 1;
 
         // Re-tighten or drop the root.
-        if root.node.slot_count() == 0 {
-            self.root = None;
+        self.root = if node.slot_count() == 0 {
+            None
         } else {
             // Collapse chains of single-child inner nodes.
-            while let Node::Inner(cs) = root.node.as_mut() {
-                if cs.len() != 1 {
-                    break;
-                }
-                let Some(only) = cs.pop() else { break };
-                root = only;
+            let mut node = Arc::new(node);
+            while let Node::Inner(cs) = node.as_ref() {
+                let [only] = cs.as_slice() else { break };
+                let next = Arc::clone(&only.node);
+                node = next;
             }
-            root.mbr = root.node.mbr();
-            self.root = Some(root);
-        }
+            Some(Child {
+                mbr: node.mbr(),
+                node,
+            })
+        };
 
         // Reinsert orphaned entries (len was adjusted once for the removal;
         // insert() will re-count the orphans, so pre-subtract them).
@@ -48,58 +56,61 @@ impl<T> RTree<T> {
         if let Err(e) = self.validate_structure() {
             debug_assert!(false, "R-tree invariant broken after removal: {e}");
         }
-        removed
+        Some(removed)
     }
 }
 
-/// Removes a matching entry below `node`; underfull descendants are
-/// dissolved into `orphans`. Returns the removed item.
-fn remove_rec<T>(
-    node: &mut Node<T>,
+/// Removes a matching entry below `node` without touching it: returns a
+/// copy of `node` with the entry gone (and the removed item), or `None` if
+/// no entry matched. Underfull descendants on the copied path are
+/// dissolved into `orphans`.
+fn remove_rec<T: Clone>(
+    node: &Node<T>,
     mbr: &Mbr,
     pred: &impl Fn(&T) -> bool,
     min_fill: usize,
     orphans: &mut Vec<Entry<T>>,
-) -> Option<T> {
+) -> Option<(Node<T>, T)> {
     match node {
         Node::Leaf(entries) => {
             let idx = entries
                 .iter()
                 .position(|e| e.mbr.intersects(mbr) && pred(&e.item))?;
-            Some(entries.remove(idx).item)
+            let mut entries = entries.clone();
+            let removed = entries.remove(idx).item;
+            Some((Node::Leaf(entries), removed))
         }
         Node::Inner(children) => {
-            let mut removed = None;
-            let mut hit_child = None;
-            for (i, c) in children.iter_mut().enumerate() {
-                if c.mbr.intersects(mbr) {
-                    if let Some(item) = remove_rec(&mut c.node, mbr, pred, min_fill, orphans) {
-                        removed = Some(item);
-                        hit_child = Some(i);
-                        break;
-                    }
+            let (i, child, removed) = children.iter().enumerate().find_map(|(i, c)| {
+                if !c.mbr.intersects(mbr) {
+                    return None;
                 }
-            }
-            let i = hit_child?;
-            if children[i].node.slot_count() < min_fill {
+                let (child, removed) = remove_rec(&c.node, mbr, pred, min_fill, orphans)?;
+                Some((i, child, removed))
+            })?;
+            let mut children = children.clone();
+            if child.slot_count() < min_fill {
                 // Dissolve the underfull child: all its remaining entries
                 // become orphans to reinsert.
-                let child = children.remove(i);
-                collect_entries(*child.node, orphans);
+                children.remove(i);
+                collect_entries(&child, orphans);
             } else {
-                children[i].mbr = children[i].node.mbr();
+                children[i] = Child {
+                    mbr: child.mbr(),
+                    node: Arc::new(child),
+                };
             }
-            removed
+            Some((Node::Inner(children), removed))
         }
     }
 }
 
-fn collect_entries<T>(node: Node<T>, out: &mut Vec<Entry<T>>) {
+fn collect_entries<T: Clone>(node: &Node<T>, out: &mut Vec<Entry<T>>) {
     match node {
-        Node::Leaf(entries) => out.extend(entries),
+        Node::Leaf(entries) => out.extend(entries.iter().cloned()),
         Node::Inner(children) => {
             for c in children {
-                collect_entries(*c.node, out);
+                collect_entries(&c.node, out);
             }
         }
     }

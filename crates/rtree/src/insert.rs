@@ -1,40 +1,53 @@
 //! Incremental insertion (Guttman's algorithm with quadratic split).
+//!
+//! Insertion is path-copying: every node on the root-to-leaf path the new
+//! entry takes is copied, modified, and re-shared; every subtree off that
+//! path stays shared with the tree's clones.
 
 use crate::node::{Child, Entry, Node, RTree};
 use osd_geom::Mbr;
+use std::sync::Arc;
 
-impl<T> RTree<T> {
+impl<T: Clone> RTree<T> {
     /// Inserts an item with its bounding box.
+    ///
+    /// Copies the O(height) nodes on the insertion path (and any node a
+    /// split creates); clones of the tree taken earlier are unaffected.
     pub fn insert(&mut self, mbr: Mbr, item: T) {
         self.len += 1;
         let entry = Entry { mbr, item };
-        match self.root.take() {
-            None => {
-                let mbr = entry.mbr.clone();
-                self.root = Some(Child {
-                    mbr,
-                    node: Box::new(Node::Leaf(vec![entry])),
-                });
-            }
-            Some(mut root) => {
-                root.mbr.expand(&entry.mbr);
-                if let Some(split) = insert_rec(&mut root.node, entry, self.max_entries) {
+        self.root = Some(match self.root.take() {
+            None => Child {
+                mbr: entry.mbr.clone(),
+                node: Arc::new(Node::Leaf(vec![entry])),
+            },
+            Some(root) => {
+                let mut mbr = root.mbr;
+                mbr.expand(&entry.mbr);
+                let mut node = Node::clone(&root.node);
+                match insert_rec(&mut node, entry, self.max_entries) {
+                    None => Child {
+                        mbr,
+                        node: Arc::new(node),
+                    },
                     // Root overflowed: grow the tree by one level. The old
                     // root's box must be re-tightened — the split moved some
                     // of its entries into the new sibling.
-                    let mut old = root;
-                    old.mbr = old.node.mbr();
-                    let mut mbr = old.mbr.clone();
-                    mbr.expand(&split.mbr);
-                    self.root = Some(Child {
-                        mbr,
-                        node: Box::new(Node::Inner(vec![old, split])),
-                    });
-                } else {
-                    self.root = Some(root);
+                    Some(split) => {
+                        let old = Child {
+                            mbr: node.mbr(),
+                            node: Arc::new(node),
+                        };
+                        let mut mbr = old.mbr.clone();
+                        mbr.expand(&split.mbr);
+                        Child {
+                            mbr,
+                            node: Arc::new(Node::Inner(vec![old, split])),
+                        }
+                    }
                 }
             }
-        }
+        });
         #[cfg(feature = "strict-invariants")]
         if let Err(e) = self.validate_structure() {
             debug_assert!(false, "R-tree invariant broken after insert: {e}");
@@ -42,8 +55,10 @@ impl<T> RTree<T> {
     }
 }
 
-/// Recursive insertion; returns a new sibling child if `node` was split.
-fn insert_rec<T>(node: &mut Node<T>, entry: Entry<T>, cap: usize) -> Option<Child<T>> {
+/// Recursive insertion into `node`, a private copy the caller owns; the
+/// child the entry descends into is copied in turn. Returns a new sibling
+/// child if `node` was split.
+fn insert_rec<T: Clone>(node: &mut Node<T>, entry: Entry<T>, cap: usize) -> Option<Child<T>> {
     match node {
         Node::Leaf(entries) => {
             entries.push(entry);
@@ -55,7 +70,7 @@ fn insert_rec<T>(node: &mut Node<T>, entry: Entry<T>, cap: usize) -> Option<Chil
             *entries = a;
             Some(Child {
                 mbr: mbr_b,
-                node: Box::new(Node::Leaf(b)),
+                node: Arc::new(Node::Leaf(b)),
             })
         }
         Node::Inner(children) => {
@@ -69,10 +84,16 @@ fn insert_rec<T>(node: &mut Node<T>, entry: Entry<T>, cap: usize) -> Option<Chil
                     ei.total_cmp(&ej).then(vi.total_cmp(&vj))
                 })
                 .unwrap_or(0);
-            children[best].mbr.expand(&entry.mbr);
-            if let Some(split) = insert_rec(&mut children[best].node, entry, cap) {
+            let slot = &mut children[best];
+            slot.mbr.expand(&entry.mbr);
+            let mut child = Node::clone(&slot.node);
+            let split = insert_rec(&mut child, entry, cap);
+            if split.is_some() {
                 // Re-tighten the split child's box (the split moved entries out).
-                children[best].mbr = children[best].node.mbr();
+                slot.mbr = child.mbr();
+            }
+            slot.node = Arc::new(child);
+            if let Some(split) = split {
                 children.push(split);
                 if children.len() > cap {
                     let (a, b) = quadratic_split(std::mem::take(children), |c: &Child<T>| &c.mbr);
@@ -80,7 +101,7 @@ fn insert_rec<T>(node: &mut Node<T>, entry: Entry<T>, cap: usize) -> Option<Chil
                     *children = a;
                     return Some(Child {
                         mbr: mbr_b,
-                        node: Box::new(Node::Inner(b)),
+                        node: Arc::new(Node::Inner(b)),
                     });
                 }
             }

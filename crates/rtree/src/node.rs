@@ -9,8 +9,16 @@
 //! `osd-core` can drive their own best-first traversals with
 //! dominance-based pruning (Algorithm 1) and run the level-by-level
 //! pruning/validation of §5.1.2 against node MBRs.
+//!
+//! **Persistence.** Child nodes are shared behind `Arc`s, so cloning a tree
+//! is O(1) (the root slot) and a clone shares every node with its source.
+//! [`RTree::insert`] and [`RTree::remove_item`] never write to a node they
+//! did not create: they copy the nodes on the root-to-leaf paths they
+//! change and leave every other subtree shared. A clone taken before a
+//! mutation — a pinned snapshot — therefore never observes it.
 
 use osd_geom::{Mbr, Point};
+use std::sync::Arc;
 
 /// A leaf entry: a payload together with its bounding box.
 ///
@@ -28,8 +36,9 @@ pub struct Entry<T> {
 pub struct Child<T> {
     /// Bounding box of the whole subtree.
     pub mbr: Mbr,
-    /// The subtree.
-    pub node: Box<Node<T>>,
+    /// The subtree, shared with every clone of the tree that has not
+    /// rewritten the path to it.
+    pub node: Arc<Node<T>>,
 }
 
 /// An R-tree node.
@@ -116,7 +125,9 @@ impl<T> Node<T> {
 ///
 /// Built either by [`RTree::bulk_load`] (Sort-Tile-Recursive packing, the
 /// way the experiment datasets are indexed) or incrementally with
-/// [`RTree::insert`] (Guttman-style with quadratic split).
+/// [`RTree::insert`] (Guttman-style with quadratic split). `clone` is
+/// O(1): the clone shares every node, and later mutations of either tree
+/// copy only the paths they change.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     pub(crate) root: Option<Child<T>>,

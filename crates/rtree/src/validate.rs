@@ -194,6 +194,7 @@ mod tests {
     use super::*;
     use crate::node::{Child, Entry};
     use osd_geom::Point;
+    use std::sync::Arc;
 
     fn pt(x: f64, y: f64) -> Point {
         Point::new(vec![x, y])
@@ -278,20 +279,20 @@ mod tests {
         // two-level child.
         let leaf = |i: usize| Child {
             mbr: Mbr::from_point(&pt(i as f64, 0.0)),
-            node: Box::new(Node::Leaf(vec![Entry {
+            node: Arc::new(Node::Leaf(vec![Entry {
                 mbr: Mbr::from_point(&pt(i as f64, 0.0)),
                 item: i,
             }])),
         };
         let deep = Child {
             mbr: Mbr::from_point(&pt(1.0, 0.0)),
-            node: Box::new(Node::Inner(vec![leaf(1)])),
+            node: Arc::new(Node::Inner(vec![leaf(1)])),
         };
         let root_node = Node::Inner(vec![leaf(0), deep]);
         let t = RTree {
             root: Some(Child {
                 mbr: root_node.mbr(),
-                node: Box::new(root_node),
+                node: Arc::new(root_node),
             }),
             max_entries: 4,
             len: 2,
@@ -308,7 +309,7 @@ mod tests {
         let t = RTree {
             root: Some(Child {
                 mbr: Node::Leaf(es.clone()).mbr(),
-                node: Box::new(Node::Leaf(es)),
+                node: Arc::new(Node::Leaf(es)),
             }),
             max_entries: 4,
             len: 9,

@@ -1,6 +1,7 @@
 //! Property tests for `RTree::remove_item` condensation: random remove
 //! sequences must leave a tree that is structurally valid and
-//! query-equivalent to a tree bulk-rebuilt from the survivors.
+//! query-equivalent to a tree bulk-rebuilt from the survivors. Mutating a
+//! clone must never show through to the tree it was cloned from.
 //!
 //! Run with `--features strict-invariants` to additionally audit the tree
 //! after every internal mutation step (the delete path self-validates).
@@ -23,6 +24,18 @@ fn point_tree(points: &[(f64, f64)], fanout: usize) -> RTree<usize> {
         })
         .collect();
     RTree::bulk_load(fanout, entries)
+}
+
+/// Sorted item set of a tree.
+fn sorted_items(t: &RTree<usize>) -> Vec<usize> {
+    let mut items: Vec<usize> = t.items().into_iter().copied().collect();
+    items.sort_unstable();
+    items
+}
+
+/// `nearest` answer as comparable bits: (item, distance bits).
+fn nearest_bits(t: &RTree<usize>, q: &Point) -> Option<(usize, u64)> {
+    t.nearest(q).map(|(&item, d)| (item, d.to_bits()))
 }
 
 fn survivor_tree(points: &[(f64, f64)], alive: &[usize], fanout: usize) -> RTree<usize> {
@@ -141,5 +154,55 @@ proptest! {
         t.validate_structure().map_err(|e| {
             TestCaseError::fail(format!("invalid after refill: {e}"))
         })?;
+    }
+
+    /// Persistence: a seeded sequence of inserts and removals applied to a
+    /// clone leaves the original's items, structure check and `nearest`
+    /// answers unchanged after every step, while the clone keeps matching
+    /// a tree bulk-rebuilt from its own live items.
+    #[test]
+    fn prop_mutating_a_clone_leaves_the_original_intact(
+        pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 2..60),
+        ops in prop::collection::vec((0usize..2, 0usize..1000, 0.0f64..100.0, 0.0f64..100.0), 1..50),
+        qx in -10.0f64..110.0, qy in -10.0f64..110.0,
+        fanout in 2usize..7,
+    ) {
+        let original = point_tree(&pts, fanout);
+        let q = pt(qx, qy);
+        let items_before = sorted_items(&original);
+        let structure_before = original.validate_structure();
+        let nearest_before = nearest_bits(&original, &q);
+
+        let mut clone = original.clone();
+        let mut all = pts.clone();
+        let mut alive: Vec<usize> = (0..pts.len()).collect();
+        for &(kind, pick, x, y) in &ops {
+            if kind == 0 || alive.len() <= 1 {
+                let id = all.len();
+                all.push((x, y));
+                clone.insert(Mbr::from_point(&pt(x, y)), id);
+                alive.push(id);
+            } else {
+                let victim = alive[pick % alive.len()];
+                let target = Mbr::from_point(&pt(all[victim].0, all[victim].1));
+                prop_assert_eq!(clone.remove_item(&target, |&x| x == victim), Some(victim));
+                alive.retain(|&x| x != victim);
+            }
+
+            prop_assert_eq!(sorted_items(&original), items_before.clone());
+            prop_assert_eq!(original.len(), pts.len());
+            prop_assert_eq!(original.validate_structure(), structure_before.clone());
+            prop_assert_eq!(nearest_bits(&original, &q), nearest_before);
+
+            clone.validate_structure().map_err(|e| {
+                TestCaseError::fail(format!("clone invalid after a mutation: {e}"))
+            })?;
+            let rebuilt = survivor_tree(&all, &alive, fanout);
+            prop_assert_eq!(sorted_items(&clone), sorted_items(&rebuilt));
+            prop_assert_eq!(
+                clone.nearest(&q).map(|(_, d)| d.to_bits()),
+                rebuilt.nearest(&q).map(|(_, d)| d.to_bits())
+            );
+        }
     }
 }

@@ -28,6 +28,12 @@ done
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== osdbench unit tests (benchmark builds against crates/*) =="
+# The benchmark is a workspace of its own, so the workspace gates above
+# never compile it; this builds it against the current public API of
+# crates/* and runs its statistics + BENCHMARK.json catalogue tests.
+cargo test -q --offline --manifest-path osdbench/Cargo.toml
+
 echo "== cargo test --features strict-invariants =="
 cargo test -q --features strict-invariants
 cargo test -q -p osd-core --features strict-invariants

@@ -1,0 +1,158 @@
+//! Structural sharing between published snapshots: a publish copies only
+//! what its mutation changes. After `update(id, ..)` on a flat and on a
+//! sharded [`PublishedIndex`]:
+//!
+//! * every other live object's local R-tree is the *same allocation* in the
+//!   old and the new pinned snapshot, and `id`'s is not;
+//! * every shard tree that never held `id` is shared whole, and inside the
+//!   tree(s) that did, every top-level subtree whose items the update left
+//!   alone is shared, while a subtree holding `id` is a fresh copy;
+//! * the old pinned snapshot still answers bit-identically.
+
+// Integration test: aborts are intentional.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use osd_core::{
+    nn_candidates, FilterConfig, FlatDatabase, Operator, PreparedQuery, PublishedIndex,
+    ShardConfig, ShardedDatabase, SpatialIndex,
+};
+use osd_geom::Point;
+use osd_rtree::{Node, RTree};
+use osd_uncertain::UncertainObject;
+
+/// Global fan-out small enough that every tree has inner levels below an
+/// inner root.
+const GLOBAL_FANOUT: usize = 4;
+
+/// A three-instance object near `(x, y)`.
+fn object(x: f64, y: f64) -> UncertainObject {
+    UncertainObject::uniform(vec![
+        Point::new(vec![x, y]),
+        Point::new(vec![x + 1.0, y + 1.0]),
+        Point::new(vec![x + 0.5, y + 2.0]),
+    ])
+}
+
+/// A 28 × 16 grid of well-separated objects.
+fn grid() -> Vec<UncertainObject> {
+    (0..448)
+        .map(|k| object((k % 28) as f64 * 10.0, (k / 28) as f64 * 10.0))
+        .collect()
+}
+
+/// `(id, min_dist bits)` of a P-SD NNC query, plus its cost counters.
+fn answer(db: &dyn SpatialIndex, q: &PreparedQuery) -> (Vec<(usize, u64)>, osd_core::Stats) {
+    let r = nn_candidates(db, q, Operator::PSd, &FilterConfig::all());
+    let ids = r
+        .candidates
+        .iter()
+        .map(|c| (c.id, c.min_dist.to_bits()))
+        .collect();
+    (ids, r.stats)
+}
+
+fn items(node: &Node<usize>) -> Vec<usize> {
+    let mut items = Vec::new();
+    node.collect_items(&mut items);
+    let mut items: Vec<usize> = items.into_iter().copied().collect();
+    items.sort_unstable();
+    items
+}
+
+/// The root's child subtrees (an inner root is required).
+fn top_level(tree: &RTree<usize>) -> Vec<&Node<usize>> {
+    match tree.root() {
+        Some(Node::Inner(cs)) => cs.iter().map(|c| c.node.as_ref()).collect(),
+        other => panic!("expected an inner root, got {other:?}"),
+    }
+}
+
+/// Asserts the sharing contract of one global (or shard) tree across an
+/// update of `id`: a tree that never held `id` is shared whole; otherwise
+/// every top-level subtree that keeps its exact item set without holding
+/// `id` is shared, and every subtree holding `id` is a fresh copy.
+/// Returns how many top-level subtrees are shared.
+fn assert_tree_shared(old: &RTree<usize>, new: &RTree<usize>, id: usize) -> usize {
+    let (before, after) = (top_level(old), top_level(new));
+    let holds = |n: &Node<usize>| items(n).binary_search(&id).is_ok();
+    if !before.iter().chain(&after).any(|n| holds(n)) {
+        assert!(
+            std::ptr::eq(old.root().unwrap(), new.root().unwrap()),
+            "a tree the update never touched must be shared whole"
+        );
+        return before.len();
+    }
+    let mut shared = 0;
+    for b in &after {
+        let same = before.iter().find(|a| items(a) == items(b));
+        if holds(b) {
+            assert!(
+                !before.iter().any(|a| std::ptr::eq(*a, *b)),
+                "a subtree on {id}'s insert path was shared"
+            );
+        } else if let Some(a) = same {
+            assert!(std::ptr::eq(*a, *b), "an untouched subtree was copied");
+            shared += 1;
+        }
+    }
+    shared
+}
+
+/// Publishes an update of `id` that nudges the object within its grid
+/// cell, then checks local trees, global trees and the old snapshot.
+fn check_update_shares<D: SpatialIndex + Clone>(db: D, id: usize) {
+    let published = PublishedIndex::new(db);
+    let query = PreparedQuery::new(object(42.0, 57.0));
+    let old = published.pin();
+    let before = answer(&*old, &query);
+
+    let moved = object((id % 28) as f64 * 10.0 + 0.25, (id / 28) as f64 * 10.0);
+    published.update(id, moved).expect("live id updates");
+    let new = published.pin();
+    assert_eq!(new.epoch(), old.epoch() + 1);
+
+    for other in (0..old.len()).filter(|&o| o != id) {
+        assert!(
+            std::ptr::eq(old.local_tree(other), new.local_tree(other)),
+            "local tree of untouched object {other} was copied"
+        );
+    }
+    assert!(
+        !std::ptr::eq(old.local_tree(id), new.local_tree(id)),
+        "the updated object's local tree must be rebuilt"
+    );
+
+    assert_eq!(old.shard_count(), new.shard_count());
+    let shared: usize = (0..old.shard_count())
+        .map(|s| assert_tree_shared(old.shard_tree(s), new.shard_tree(s), id))
+        .sum();
+    assert!(shared > 0, "no top-level subtree was shared");
+
+    assert_eq!(
+        answer(&*old, &query),
+        before,
+        "the pinned snapshot changed under a publish"
+    );
+}
+
+#[test]
+fn flat_publish_shares_untouched_trees() {
+    let db = FlatDatabase::with_fanouts(grid(), GLOBAL_FANOUT, 4);
+    for id in [0, 137, 300, 447] {
+        check_update_shares(db.clone(), id);
+    }
+}
+
+#[test]
+fn sharded_publish_shares_untouched_trees() {
+    let cfg = ShardConfig {
+        shards: 4,
+        global_fanout: GLOBAL_FANOUT,
+        local_fanout: 4,
+    };
+    let db = ShardedDatabase::try_with_config(grid(), cfg).expect("grid builds");
+    assert!(db.shard_count() > 1);
+    for id in [0, 137, 300, 447] {
+        check_update_shares(db.clone(), id);
+    }
+}
