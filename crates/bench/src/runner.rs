@@ -29,7 +29,7 @@ pub fn run_cell(bench: &Workbench, op: Operator, cfg: &FilterConfig) -> CellResu
     for q in &bench.queries {
         let res = nn_candidates(&bench.db, q, op, cfg);
         candidates += res.candidates.len();
-        total.absorb(&res.stats);
+        total.merge(&res.stats);
     }
     let elapsed = started.elapsed();
     aggregate(op, candidates, total, elapsed, bench.queries.len())

@@ -2,10 +2,10 @@
 
 use crate::args::{parse_operator, parse_query_spec, CliError, Flags, ProfileFormat, TraceFormat};
 use osd_core::{
-    batch_metrics, batch_stats, dominance_matrix, dominators_of_with, k_nn_candidates,
-    k_nn_candidates_scatter, nn_candidates, nn_candidates_scatter, ContinuousNnc, Database,
-    DbError, FilterConfig, FlightRecorder, PreparedQuery, ProgressiveNnc, PublishedIndex,
-    QueryEngine, QueryMetrics, Repair, ShardedDatabase, SpatialIndex, Stats, TraceData, WarmPool,
+    batch_metrics, batch_stats, dominance_matrix, dominators_of_with, k_nn_candidates_scatter,
+    ContinuousNnc, Database, DbError, FilterConfig, FlightRecorder, KnncResult, Operator,
+    PreparedQuery, ProgressiveNnc, PublishedIndex, QueryEngine, QueryMetrics, Repair,
+    ShardedDatabase, SpatialIndex, Stats, TraceData, WarmPool,
 };
 use osd_datagen::{
     generate_objects, gowalla_like, nba_like, read_objects_csv, write_objects_csv,
@@ -398,6 +398,9 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let data = flags.required("--data")?;
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
     let k: usize = flags.parsed_or("--k", 1)?;
+    if k == 0 {
+        return Err(CliError::BadArgument("--k must be at least 1".into()));
+    }
     let threads: usize = flags.parsed_or("--threads", 1)?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let progressive = flags.has("--progressive");
@@ -481,66 +484,109 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let db = build_index(objects, shards)?;
     let pq = PreparedQuery::new(query);
 
-    if progressive {
-        println!("{:>8} {:>12} {:>12}", "object", "min-dist", "elapsed");
-        let mut stream = ProgressiveNnc::new(&*db, &pq, op, &cfg);
-        while let Some(c) = stream.next_candidate() {
-            println!("{:>8} {:>12.3} {:>10.2?}", c.id, c.min_dist, c.elapsed);
-        }
-        let res = stream.into_result();
-        if let Some(fmt) = profile {
-            print!("{}", render_profile(fmt, &res.metrics, &res.stats));
-        }
-        if let Some(fmt) = trace_fmt {
-            let traces: Vec<&TraceData> = res.trace.as_ref().into_iter().collect();
-            emit_traces(fmt, &traces, flags)?;
-        }
-        return Ok(());
-    }
-    if k > 1 {
-        let res = if scatter {
-            k_nn_candidates_scatter(&*db, &pq, op, k, &cfg, threads)
-        } else {
-            k_nn_candidates(&*db, &pq, op, k, &cfg)
-        };
-        println!(
-            "{} {}-robust candidates under {}:",
-            res.candidates.len(),
-            k,
-            op.label()
-        );
-        for (c, dominators) in &res.candidates {
-            println!(
-                "  object {:>6}  min-dist {:>10.3}  dominators {}",
-                c.id, c.min_dist, dominators
-            );
-        }
-        if let Some(fmt) = profile {
-            print!("{}", render_profile(fmt, &res.metrics, &res.stats));
-        }
-        if let Some(fmt) = trace_fmt {
-            let traces: Vec<&TraceData> = res.trace.as_ref().into_iter().collect();
-            emit_traces(fmt, &traces, flags)?;
-        }
+    let mode = if progressive {
+        QueryMode::Progressive
+    } else if scatter {
+        QueryMode::Scatter(threads)
     } else {
-        let res = if scatter {
-            nn_candidates_scatter(&*db, &pq, op, &cfg, threads)
-        } else {
-            nn_candidates(&*db, &pq, op, &cfg)
-        };
-        println!("{} candidates under {}:", res.candidates.len(), op.label());
-        for c in &res.candidates {
-            println!("  object {:>6}  min-dist {:>10.3}", c.id, c.min_dist);
-        }
-        if let Some(fmt) = profile {
-            print!("{}", render_profile(fmt, &res.metrics, &res.stats));
-        }
-        if let Some(fmt) = trace_fmt {
-            let traces: Vec<&TraceData> = res.trace.as_ref().into_iter().collect();
-            emit_traces(fmt, &traces, flags)?;
-        }
+        QueryMode::Drain
+    };
+    let res = run_query(&*db, &pq, op, k, &cfg, mode, &mut |line| println!("{line}"));
+    if let Some(fmt) = profile {
+        print!("{}", render_profile(fmt, &res.metrics, &res.stats));
+    }
+    if let Some(fmt) = trace_fmt {
+        let traces: Vec<&TraceData> = res.trace.as_ref().into_iter().collect();
+        emit_traces(fmt, &traces, flags)?;
     }
     Ok(())
+}
+
+/// How `osd query` runs a single query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QueryMode {
+    /// Stream each candidate the moment the traversal emits it.
+    Progressive,
+    /// Drain the traversal, then print the candidate list.
+    Drain,
+    /// Per-shard scatter over this many threads, then the gather pass.
+    Scatter(usize),
+}
+
+/// Runs one query with dominator budget `k` and hands its output lines to
+/// `emit`. Progressive and drained runs share one traversal loop; only
+/// the output format depends on `k`, which adds a dominator count per
+/// candidate when above 1.
+fn run_query(
+    db: &dyn SpatialIndex,
+    pq: &PreparedQuery,
+    op: Operator,
+    k: usize,
+    cfg: &FilterConfig,
+    mode: QueryMode,
+    emit: &mut dyn FnMut(String),
+) -> KnncResult {
+    let dominators_col = |d: usize| {
+        if k > 1 {
+            format!("  dominators {d}")
+        } else {
+            String::new()
+        }
+    };
+    let res = if let QueryMode::Scatter(threads) = mode {
+        k_nn_candidates_scatter(db, pq, op, k, cfg, threads)
+    } else {
+        let progressive = mode == QueryMode::Progressive;
+        if progressive {
+            emit(format!(
+                "{:>8} {:>12} {:>12}",
+                "object", "min-dist", "elapsed"
+            ));
+        }
+        let mut stream = ProgressiveNnc::with_k(db, pq, op, k, cfg, None);
+        let mut dominators = Vec::new();
+        while let Some(c) = stream.next_candidate() {
+            let d = stream.dominators();
+            if progressive {
+                emit(format!(
+                    "{:>8} {:>12.3} {:>10.2?}{}",
+                    c.id,
+                    c.min_dist,
+                    c.elapsed,
+                    dominators_col(d)
+                ));
+            }
+            dominators.push(d);
+        }
+        let res = stream.into_result();
+        KnncResult {
+            candidates: res.candidates.into_iter().zip(dominators).collect(),
+            stats: res.stats,
+            metrics: res.metrics,
+            trace: res.trace,
+        }
+    };
+    if mode != QueryMode::Progressive {
+        let robust = if k > 1 {
+            format!(" {k}-robust")
+        } else {
+            String::new()
+        };
+        emit(format!(
+            "{}{robust} candidates under {}:",
+            res.candidates.len(),
+            op.label()
+        ));
+        for (c, d) in &res.candidates {
+            emit(format!(
+                "  object {:>6}  min-dist {:>10.3}{}",
+                c.id,
+                c.min_dist,
+                dominators_col(*d)
+            ));
+        }
+    }
+    res
 }
 
 /// `osd trace`: inspect a flight-recorder file written by
@@ -1103,7 +1149,7 @@ mod tests {
 
     #[test]
     fn profile_renders_all_phases_and_legacy_counters() {
-        use osd_core::Operator;
+        use osd_core::nn_candidates;
         let out = tmp("profile.csv");
         cmd_gen(&flags(&[
             "--out",
@@ -1190,6 +1236,86 @@ mod tests {
         .unwrap();
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&qfile).ok();
+    }
+
+    #[test]
+    fn query_rejects_k_zero() {
+        let out = tmp("kzero.csv");
+        cmd_gen(&flags(&["--out", &out, "--n", "10", "--dim", "2"])).unwrap();
+        let err = cmd_query(&flags(&[
+            "--data",
+            &out,
+            "--query",
+            "5000,5000",
+            "--k",
+            "0",
+        ]))
+        .unwrap_err();
+        std::fs::remove_file(&out).ok();
+        assert!(matches!(err, CliError::BadArgument(_)), "got {err:?}");
+        assert!(err.to_string().contains("--k"), "got {err}");
+    }
+
+    #[test]
+    fn progressive_query_streams_k_robust_candidates() {
+        use osd_core::k_nn_candidates;
+        let out = tmp("progk.csv");
+        cmd_gen(&flags(&[
+            "--out",
+            &out,
+            "--dataset",
+            "anti",
+            "--n",
+            "60",
+            "--m",
+            "3",
+            "--dim",
+            "2",
+        ]))
+        .unwrap();
+        let base = ["--data", &out, "--query", "5000,5000", "--progressive"];
+        cmd_query(&flags(&[&base[..], &["--k", "3"]].concat())).unwrap();
+        let objects = read_objects_csv(Path::new(&out)).unwrap();
+        std::fs::remove_file(&out).ok();
+        let db = Database::try_new(objects).unwrap();
+        let pq = PreparedQuery::new(parse_query_spec("5000,5000").unwrap());
+        let cfg = FilterConfig::all();
+        let expected = k_nn_candidates(&db, &pq, Operator::PSd, 3, &cfg);
+        assert!(
+            expected.candidates.iter().any(|&(_, d)| d > 0),
+            "the fixture must exercise non-zero dominator counts"
+        );
+        let mut lines = Vec::new();
+        let res = run_query(
+            &db,
+            &pq,
+            Operator::PSd,
+            3,
+            &cfg,
+            QueryMode::Progressive,
+            &mut |l| lines.push(l),
+        );
+        assert_eq!(res.ids(), expected.ids(), "the k-robust set, not plain NNC");
+        assert_eq!(res.stats, expected.stats);
+        // A header, then one streamed row per candidate ending in its count.
+        assert_eq!(lines.len(), expected.candidates.len() + 1);
+        assert!(lines[0].contains("elapsed"));
+        for (line, (c, d)) in lines[1..].iter().zip(&expected.candidates) {
+            assert!(line.trim_start().starts_with(&c.id.to_string()), "{line}");
+            assert!(line.ends_with(&format!("dominators {d}")), "{line}");
+        }
+        // At k = 1 the stream is NNC's, without a dominator column.
+        let mut nnc_lines = Vec::new();
+        run_query(
+            &db,
+            &pq,
+            Operator::PSd,
+            1,
+            &cfg,
+            QueryMode::Progressive,
+            &mut |l| nnc_lines.push(l),
+        );
+        assert!(nnc_lines.iter().all(|l| !l.contains("dominators")));
     }
 
     #[test]

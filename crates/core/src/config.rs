@@ -186,12 +186,6 @@ impl Stats {
         self.cache_hits += cache_hits;
         self.cache_misses += cache_misses;
     }
-
-    /// Adds another counter set into this one (alias of [`Stats::merge`],
-    /// kept for the established call sites).
-    pub fn absorb(&mut self, other: &Stats) {
-        self.merge(other);
-    }
 }
 
 #[cfg(test)]
@@ -232,34 +226,6 @@ mod tests {
                 "scalar() must not change the §5.1 switches"
             );
         }
-    }
-
-    #[test]
-    fn stats_absorb() {
-        let mut a = Stats {
-            instance_comparisons: 1,
-            dominance_checks: 2,
-            flow_runs: 3,
-            mbr_checks: 4,
-            rtree_nodes_visited: 5,
-            cache_hits: 6,
-            cache_misses: 7,
-        };
-        let b = Stats {
-            instance_comparisons: 10,
-            dominance_checks: 20,
-            flow_runs: 30,
-            mbr_checks: 40,
-            rtree_nodes_visited: 50,
-            cache_hits: 60,
-            cache_misses: 70,
-        };
-        a.absorb(&b);
-        assert_eq!(a.instance_comparisons, 11);
-        assert_eq!(a.mbr_checks, 44);
-        assert_eq!(a.rtree_nodes_visited, 55);
-        assert_eq!(a.cache_hits, 66);
-        assert_eq!(a.cache_misses, 77);
     }
 
     #[test]

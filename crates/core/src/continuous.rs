@@ -242,6 +242,7 @@ impl ContinuousNnc {
                 &w_mbr,
                 self.query.mbr(),
                 self.op,
+                1,
                 self.cfg.mbr_validation,
                 &mut ctx.stats,
             ) {

@@ -6,29 +6,22 @@
 //! any `k − 1` candidates are taken away (sold out, offline, …), the NN
 //! under every covered function is still inside the set.
 //!
-//! Correctness of the traversal argument extends from Algorithm 1: objects
-//! arrive in non-decreasing true `δ_min(V, Q)`, so every dominator of `V`
-//! either precedes `V` or ties it; by transitivity, a preceding object that
-//! was itself excluded (≥ k dominators) contributes its own dominators, all
-//! of which also dominate `V` — hence counting dominators among *kept*
-//! candidates suffices (the classic k-skyband argument).
+//! The search is Algorithm 1's traversal with a dominator budget of `k`
+//! ([`ProgressiveNnc::with_k`](crate::ProgressiveNnc::with_k), whose module
+//! doc carries the k-skyband correctness argument), and scatter mode uses
+//! the same gather pass as NNC. This module holds the result type, its
+//! entry points and the brute-force oracle.
 
 use crate::config::{FilterConfig, Stats};
 use crate::ctx::CheckCtx;
 #[cfg(test)]
 use crate::db::Database;
 use crate::index::SpatialIndex;
-use crate::nnc::Candidate;
+use crate::nnc::{run_with, scatter_with, Candidate, NncResult};
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
-use crate::warm::{WarmPool, WarmView};
-use osd_geom::{mbr_dominates, mbr_dominates_strict};
-use osd_obs::{AttrValue, Counter, Phase, PhaseTimer, QueryMetrics, SpanId, Stopwatch, TraceData};
-use osd_rtree::Node;
-use std::borrow::{Borrow, Cow};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
+use crate::warm::WarmPool;
+use osd_obs::{QueryMetrics, TraceData};
 
 /// Result of a k-robust candidate computation.
 #[derive(Debug)]
@@ -51,49 +44,19 @@ impl KnncResult {
     pub fn ids(&self) -> Vec<usize> {
         self.candidates.iter().map(|(c, _)| c.id).collect()
     }
-}
 
-enum Slot<'a> {
-    /// A tree node tagged with its source shard (0 on a flat database).
-    Node(&'a Node<usize>, usize),
-    Object(usize),
-}
-
-struct HeapItem<'a> {
-    key: f64,
-    slot: Slot<'a>,
-}
-
-impl HeapItem<'_> {
-    /// Tie-break rank at equal keys: nodes before objects, then lower
-    /// object id (same contract — and rationale — as the NNC heap).
-    fn rank(&self) -> (u8, usize) {
-        match self.slot {
-            Slot::Node(..) => (0, 0),
-            Slot::Object(id) => (1, id),
+    /// Pairs a drained traversal's candidates with their dominator counts.
+    /// At `k = 1` no counts are recorded: no candidate has a kept
+    /// dominator.
+    fn from_run((res, dominators): (NncResult, Vec<usize>)) -> Self {
+        debug_assert!(dominators.is_empty() || dominators.len() == res.candidates.len());
+        let dominators = dominators.into_iter().chain(std::iter::repeat(0));
+        KnncResult {
+            candidates: res.candidates.into_iter().zip(dominators).collect(),
+            stats: res.stats,
+            metrics: res.metrics,
+            trace: res.trace,
         }
-    }
-}
-
-impl PartialEq for HeapItem<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        // Defined via `Ord::cmp` so `==` agrees with the total order even
-        // for NaN/±0.0 keys.
-        self.cmp(other).is_eq()
-    }
-}
-impl Eq for HeapItem<'_> {}
-impl PartialOrd for HeapItem<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.rank().cmp(&self.rank()))
     }
 }
 
@@ -126,7 +89,7 @@ pub fn k_nn_candidates(
     k: usize,
     cfg: &FilterConfig,
 ) -> KnncResult {
-    k_nn_with(db, query, op, k, cfg, None)
+    KnncResult::from_run(run_with(db, query, op, k, cfg, None))
 }
 
 /// [`k_nn_candidates`] resolving snapshot-pure cache misses through
@@ -143,169 +106,20 @@ pub fn k_nn_candidates_warm(
     cfg: &FilterConfig,
     warm: &WarmPool,
 ) -> KnncResult {
-    k_nn_with(db, query, op, k, cfg, Some(warm.view_for(db, query)))
-}
-
-fn k_nn_with(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    k: usize,
-    cfg: &FilterConfig,
-    warm: Option<WarmView>,
-) -> KnncResult {
-    assert!(k >= 1, "k must be at least 1");
-    let prepare = PhaseTimer::start(Phase::Prepare);
-    let mut ctx = CheckCtx::with_warm(db, query, *cfg, warm);
-    let prep = ctx.trace.open("prepare");
-    let mut kept: Vec<(Candidate, usize)> = Vec::new();
-    // MBR of each kept candidate, cached at emission for entry pruning
-    // (`Arc`ed so a warm run shares the snapshot-scoped copy).
-    let mut kept_mbrs: Vec<Arc<osd_geom::Mbr>> = Vec::new();
-
-    let mut heap = BinaryHeap::new();
-    // Seed every shard root — one best-first descent of the whole forest
-    // (see `ProgressiveNnc::new` for the shared-bound rationale).
-    for shard in 0..db.shard_count() {
-        if let Some(root) = db.shard_tree(shard).root() {
-            heap.push(HeapItem {
-                key: root.mbr().min_dist2(query.mbr()),
-                slot: Slot::Node(root, shard),
-            });
-        }
-    }
-    let strict = !matches!(op, Operator::FPlusSd | Operator::FSd);
-    ctx.metrics.incr_by(Counter::HeapPushes, heap.len() as u64);
-    ctx.metrics.heap_depth(heap.len() as u64);
-    if prep != SpanId::NONE {
-        ctx.trace
-            .attr(prep, "shards", AttrValue::U64(db.shard_count() as u64));
-        ctx.trace
-            .attr(prep, "seeds", AttrValue::U64(heap.len() as u64));
-        ctx.trace.attr(prep, "k", AttrValue::U64(k as u64));
-    }
-    ctx.trace.close(prep);
-    ctx.metrics.record(prepare);
-    let start = Stopwatch::start();
-
-    while let Some(HeapItem { key, slot }) = heap.pop() {
-        match slot {
-            Slot::Object(v) => {
-                let mut dominators = 0usize;
-                let kept_ids: Vec<usize> = kept.iter().map(|(c, _)| c.id).collect();
-                for u in kept_ids {
-                    if ctx.dominates(op, u, v) {
-                        dominators += 1;
-                        if dominators >= k {
-                            break;
-                        }
-                    }
-                }
-                if dominators < k {
-                    kept.push((
-                        Candidate {
-                            id: v,
-                            min_dist: key.max(0.0).sqrt(),
-                            elapsed: start.elapsed(),
-                        },
-                        dominators,
-                    ));
-                    let mbr = match ctx.cache.warm() {
-                        Some(w) => w.object_mbr(db, v, &mut ctx.metrics),
-                        None => Arc::new(db.object(v).mbr().clone()),
-                    };
-                    kept_mbrs.push(mbr);
-                    ctx.metrics.candidate_emitted(op.label());
-                    if ctx.trace.is_active() {
-                        let event = ctx.trace.instant("candidate");
-                        ctx.trace.attr(event, "id", AttrValue::U64(v as u64));
-                        ctx.trace
-                            .attr(event, "min_dist", AttrValue::F64(key.max(0.0).sqrt()));
-                        ctx.trace
-                            .attr(event, "dominators", AttrValue::U64(dominators as u64));
-                    }
-                }
-            }
-            Slot::Node(node, shard) => {
-                let timer = PhaseTimer::start(Phase::RtreeDescent);
-                let span = ctx.trace.open("rtree-descent");
-                if span != SpanId::NONE {
-                    ctx.trace.attr(span, "shard", AttrValue::U64(shard as u64));
-                    ctx.trace.attr(span, "key", AttrValue::F64(key));
-                }
-                ctx.stats.rtree_nodes_visited += 1;
-                ctx.metrics.incr(Counter::RtreeNodeVisits);
-                ctx.metrics.shard_visit(shard);
-                if !entry_pruned(&mut ctx, &kept_mbrs, k, strict, &node.mbr()) {
-                    let depth_before = heap.len();
-                    // per-shard descent: begin
-                    match node {
-                        Node::Leaf(entries) => {
-                            for e in entries {
-                                if !entry_pruned(&mut ctx, &kept_mbrs, k, strict, &e.mbr) {
-                                    let key = object_min_dist2(db, query, e.item, &mut ctx);
-                                    heap.push(HeapItem {
-                                        key,
-                                        slot: Slot::Object(e.item),
-                                    });
-                                }
-                            }
-                        }
-                        Node::Inner(children) => {
-                            for c in children {
-                                if !entry_pruned(&mut ctx, &kept_mbrs, k, strict, &c.mbr) {
-                                    heap.push(HeapItem {
-                                        key: c.mbr.min_dist2(query.mbr()),
-                                        slot: Slot::Node(&c.node, shard),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    // per-shard descent: end
-                    let pushed = (heap.len() - depth_before) as u64;
-                    ctx.metrics.incr_by(Counter::HeapPushes, pushed);
-                    ctx.metrics.heap_depth(heap.len() as u64);
-                    ctx.trace.attr(span, "pushed", AttrValue::U64(pushed));
-                } else {
-                    ctx.trace.attr(
-                        span,
-                        "pruned",
-                        AttrValue::Str(Cow::Borrowed("mbr-dominated")),
-                    );
-                }
-                ctx.trace.close(span);
-                ctx.metrics.record(timer);
-            }
-        }
-    }
-    if let Some(w) = ctx.cache.warm() {
-        w.record_gauges(&mut ctx.metrics);
-    }
-    let mut trace = ctx.trace.finish();
-    if let Some(t) = trace.as_mut() {
-        t.label = Cow::Borrowed(op.label());
-    }
-    KnncResult {
-        candidates: kept,
-        stats: ctx.stats,
-        metrics: ctx.metrics,
-        trace,
-    }
+    let view = warm.view_for(db, query);
+    KnncResult::from_run(run_with(db, query, op, k, cfg, Some(view)))
 }
 
 /// Scatter-gather k-NNC over a sharded index: each shard runs the full
-/// k-skyband search independently (up to `threads` scoped workers), then a
-/// sequential gather re-filters the union in `(δ_min, id)` order,
-/// recounting dominators among the globally kept candidates.
+/// k-skyband search independently (up to `threads` scoped workers), then
+/// the gather pass shared with
+/// [`nn_candidates_scatter`](crate::nn_candidates_scatter) re-filters the
+/// union in `(δ_min, id)` order, recounting dominators among the globally
+/// kept candidates.
 ///
 /// Identical candidate set (ids, `min_dist` bits, order, dominator counts)
-/// to [`k_nn_candidates`] over the same index: a union candidate with ≥ k
-/// same-shard kept dominators would — by the distributed k-skyband
-/// argument — also have ≥ k globally kept dominators, so per-shard
-/// exclusion never removes a global candidate; the gather recount then
-/// applies exactly the merged traversal's keep test. Traversal counters
-/// differ (no shared prune bound across the independent descents).
+/// to [`k_nn_candidates`] over the same index. Traversal counters differ
+/// (no shared prune bound across the independent descents).
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -317,80 +131,7 @@ pub fn k_nn_candidates_scatter(
     cfg: &FilterConfig,
     threads: usize,
 ) -> KnncResult {
-    assert!(k >= 1, "k must be at least 1");
-    let shards = db.shard_count();
-    if shards <= 1 {
-        return k_nn_candidates(db, query, op, k, cfg);
-    }
-    let parts = crate::nnc::scatter_over_shards(db, threads, |shard| {
-        k_nn_candidates(&crate::index::ShardSlice::new(db, shard), query, op, k, cfg)
-    });
-    let mut union: Vec<Candidate> = parts
-        .iter()
-        .flat_map(|r| r.candidates.iter().map(|(c, _)| c.clone()))
-        .collect();
-    union.sort_by(|a, b| a.min_dist.total_cmp(&b.min_dist).then(a.id.cmp(&b.id)));
-    let mut ctx = CheckCtx::new(db, query, *cfg);
-    // Scatter parts appear in the gather trace as one point event each —
-    // same folding as `nn_candidates_scatter`.
-    for (shard, r) in parts.iter().enumerate() {
-        if !ctx.trace.is_active() {
-            break;
-        }
-        let event = ctx.trace.instant("scatter-part");
-        ctx.trace.attr(event, "shard", AttrValue::U64(shard as u64));
-        ctx.trace.attr(
-            event,
-            "candidates",
-            AttrValue::U64(r.candidates.len() as u64),
-        );
-        if let Some(t) = &r.trace {
-            ctx.trace.attr(event, "part_ns", AttrValue::U64(t.total_ns));
-        }
-    }
-    let gather = ctx.trace.open("gather");
-    let union_len = union.len();
-    let mut kept: Vec<(Candidate, usize)> = Vec::with_capacity(union.len());
-    for c in union {
-        let mut dominators = 0usize;
-        for (kc, _) in &kept {
-            if ctx.dominates(op, kc.id, c.id) {
-                dominators += 1;
-                if dominators >= k {
-                    break;
-                }
-            }
-        }
-        if dominators < k {
-            ctx.metrics.candidate_emitted(op.label());
-            kept.push((c, dominators));
-        }
-    }
-    if gather != SpanId::NONE {
-        ctx.trace
-            .attr(gather, "union", AttrValue::U64(union_len as u64));
-        ctx.trace
-            .attr(gather, "kept", AttrValue::U64(kept.len() as u64));
-    }
-    ctx.trace.close(gather);
-    let mut stats = Stats::default();
-    let mut metrics = QueryMetrics::new();
-    for r in &parts {
-        stats.merge(&r.stats);
-        metrics.merge(&r.metrics);
-    }
-    stats.merge(&ctx.stats);
-    metrics.merge(&ctx.metrics);
-    let mut trace = ctx.trace.finish();
-    if let Some(t) = trace.as_mut() {
-        t.label = Cow::Borrowed(op.label());
-    }
-    KnncResult {
-        candidates: kept,
-        stats,
-        metrics,
-        trace,
-    }
+    KnncResult::from_run(scatter_with(db, query, op, k, cfg, threads, None))
 }
 
 /// Brute-force oracle: objects dominated by fewer than `k` others.
@@ -411,68 +152,6 @@ pub fn k_nn_candidates_bruteforce(
             dominators < k
         })
         .collect()
-}
-
-/// Subtree pruning: discard when at least `k` kept candidates MBR-dominate
-/// the entry (every object inside then has ≥ k dominators). `kept_mbrs`
-/// holds the kept candidates' MBRs, cached at emission.
-fn entry_pruned<M: Borrow<osd_geom::Mbr>>(
-    ctx: &mut CheckCtx<'_>,
-    kept_mbrs: &[M],
-    k: usize,
-    strict: bool,
-    e_mbr: &osd_geom::Mbr,
-) -> bool {
-    if !ctx.cfg.mbr_validation {
-        return false;
-    }
-    let mut dominators = 0usize;
-    for u_mbr in kept_mbrs {
-        let u_mbr = u_mbr.borrow();
-        ctx.stats.mbr_checks += 1;
-        let dominated = if strict {
-            mbr_dominates_strict(u_mbr, e_mbr, ctx.query.mbr())
-        } else {
-            mbr_dominates(u_mbr, e_mbr, ctx.query.mbr())
-        };
-        if dominated {
-            dominators += 1;
-            if dominators >= k {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Exact squared `δ_min(V, Q)` — same kernel/scalar split (and the same
-/// bit-identity argument) as [`crate::nnc::ProgressiveNnc`]'s helper.
-fn object_min_dist2(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    v: usize,
-    ctx: &mut CheckCtx<'_>,
-) -> f64 {
-    let tree = db.local_tree(v);
-    let mut best = f64::INFINITY;
-    let mut visits = 0u64;
-    if ctx.cfg.kernels {
-        ctx.stats.instance_comparisons += query.len() as u64;
-        if let Some(d2) = tree.min_dist2_multi(query.instance_points(), &mut visits) {
-            let d = d2.sqrt();
-            best = d * d;
-        }
-    } else {
-        for q in query.instance_points() {
-            ctx.stats.instance_comparisons += 1;
-            if let Some((_, d)) = tree.nearest_counting(q, &mut visits) {
-                best = best.min(d * d);
-            }
-        }
-    }
-    ctx.stats.rtree_nodes_visited += visits;
-    ctx.metrics.incr_by(Counter::RtreeNodeVisits, visits);
-    best
 }
 
 #[cfg(test)]
@@ -502,14 +181,53 @@ mod tests {
         )
     }
 
+    /// Thirty seeded two-instance objects in a 100 × 100 square, indexed
+    /// with small fanouts (4, 2) so the traversal descends several levels,
+    /// and a two-instance query at the centre.
+    fn random_db() -> (Database, PreparedQuery) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(77);
+        let objects: Vec<UncertainObject> = (0..30)
+            .map(|_| {
+                let cx = rng.gen_range(0.0..100.0);
+                let cy = rng.gen_range(0.0..100.0);
+                obj(&[
+                    (cx, cy),
+                    (cx + rng.gen_range(0.0..5.0), cy + rng.gen_range(0.0..5.0)),
+                ])
+            })
+            .collect();
+        let db = Database::with_fanouts(objects, 4, 2);
+        let q = PreparedQuery::new(obj(&[(50.0, 50.0), (52.0, 48.0)]));
+        (db, q)
+    }
+
     #[test]
     fn k1_equals_nnc() {
-        let db = line_db();
-        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
-        for op in Operator::ALL {
-            let k1 = k_nn_candidates(&db, &q, op, 1, &FilterConfig::all());
-            let nnc = nn_candidates(&db, &q, op, &FilterConfig::all());
-            assert_eq!(k1.ids(), nnc.ids(), "k=1 must equal NNC for {op:?}");
+        let line = (line_db(), PreparedQuery::new(obj(&[(0.0, 0.0)])));
+        for (name, (db, q)) in [("line", line), ("random", random_db())] {
+            for (rung, cfg) in FilterConfig::ablation_ladder() {
+                for op in Operator::ALL {
+                    let k1 = k_nn_candidates(&db, &q, op, 1, &cfg);
+                    let nnc = nn_candidates(&db, &q, op, &cfg);
+                    let ctx = format!("{name} {rung} {op:?}");
+                    assert_eq!(k1.ids(), nnc.ids(), "k=1 ids must equal NNC: {ctx}");
+                    let k1_bits: Vec<u64> = k1
+                        .candidates
+                        .iter()
+                        .map(|(c, _)| c.min_dist.to_bits())
+                        .collect();
+                    let nnc_bits: Vec<u64> = nnc
+                        .candidates
+                        .iter()
+                        .map(|c| c.min_dist.to_bits())
+                        .collect();
+                    assert_eq!(k1_bits, nnc_bits, "k=1 min_dist bits: {ctx}");
+                    assert!(k1.candidates.iter().all(|&(_, d)| d == 0), "{ctx}");
+                    assert_eq!(k1.stats, nnc.stats, "k=1 Stats must equal NNC: {ctx}");
+                }
+            }
         }
     }
 
@@ -528,21 +246,7 @@ mod tests {
 
     #[test]
     fn matches_bruteforce_on_random_data() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(77);
-        let objects: Vec<UncertainObject> = (0..30)
-            .map(|_| {
-                let cx = rng.gen_range(0.0..100.0);
-                let cy = rng.gen_range(0.0..100.0);
-                obj(&[
-                    (cx, cy),
-                    (cx + rng.gen_range(0.0..5.0), cy + rng.gen_range(0.0..5.0)),
-                ])
-            })
-            .collect();
-        let db = Database::with_fanouts(objects, 4, 2);
-        let q = PreparedQuery::new(obj(&[(50.0, 50.0), (52.0, 48.0)]));
+        let (db, q) = random_db();
         for op in Operator::ALL {
             for k in [1usize, 2, 3, 5] {
                 let mut algo = k_nn_candidates(&db, &q, op, k, &FilterConfig::all()).ids();

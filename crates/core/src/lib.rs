@@ -39,7 +39,8 @@
 //! * [`CheckCtx`] — the per-query check environment every operator runs
 //!   against;
 //! * [`nn_candidates`] / [`ProgressiveNnc`] — Algorithm 1 (batch and
-//!   progressive);
+//!   progressive); [`k_nn_candidates`] runs the same traversal with a
+//!   dominator budget `k` (NNC is `k = 1`);
 //! * [`PublishedIndex`] — epoch-published snapshot chain for concurrent
 //!   readers over a mutating index (insert/delete/update via the
 //!   [`SpatialIndex`] `try_*` family);

@@ -1,4 +1,4 @@
-//! Algorithm 1: NN-candidate computation.
+//! Algorithm 1: NN-candidate computation, and its k-skyband extension.
 //!
 //! Objects are visited in non-decreasing order of their **actual** minimal
 //! distance `δ_min(V, Q)` via a best-first traversal of the global R-tree
@@ -10,6 +10,15 @@
 //! suffices; together with transitivity (Theorem 9) this makes the result
 //! exact. Entries (subtrees) are discarded wholesale when a current
 //! candidate MBR-dominates their MBR (Theorem 4 cover validation).
+//!
+//! The same traversal computes the k-robust candidates `NNC_k`
+//! ([`crate::k_nn_candidates`]) with a dominator budget of `k`: an arrival
+//! is kept while fewer than `k` kept candidates dominate it, and an entry
+//! is discarded once `k` kept candidates MBR-dominate it. NNC is `k = 1`,
+//! where the first dominator found rejects. Counting *kept* dominators
+//! suffices by the classic k-skyband argument: every dominator of `V`
+//! precedes or ties it, and a preceding object that was itself excluded
+//! (≥ k dominators) passes its own dominators on to `V` by transitivity.
 //!
 //! The traversal is **progressive**: candidates are final the moment they
 //! are emitted, so callers can consume them one by one (Figure 14) or
@@ -127,7 +136,7 @@ pub fn nn_candidates(
     op: Operator,
     cfg: &FilterConfig,
 ) -> NncResult {
-    run_with(db, query, op, cfg, None)
+    run_with(db, query, op, 1, cfg, None).0
 }
 
 /// [`nn_candidates`] resolving snapshot-pure cache misses through `warm`
@@ -141,19 +150,28 @@ pub fn nn_candidates_warm(
     cfg: &FilterConfig,
     warm: &WarmPool,
 ) -> NncResult {
-    run_with(db, query, op, cfg, Some(warm.view_for(db, query)))
+    run_with(db, query, op, 1, cfg, Some(warm.view_for(db, query))).0
 }
 
-fn run_with(
+/// Drains a traversal with dominator budget `k`. The second half holds
+/// each candidate's kept-dominator count; it is recorded only for
+/// `k > 1`, since at `k = 1` every count is 0.
+pub(crate) fn run_with(
     db: &dyn SpatialIndex,
     query: &PreparedQuery,
     op: Operator,
+    k: usize,
     cfg: &FilterConfig,
     warm: Option<WarmView>,
-) -> NncResult {
-    let mut progressive = ProgressiveNnc::with_warm(db, query, op, cfg, warm);
-    while progressive.next_candidate().is_some() {}
-    progressive.into_result()
+) -> (NncResult, Vec<usize>) {
+    let mut progressive = ProgressiveNnc::with_k(db, query, op, k, cfg, warm);
+    let mut dominators = Vec::new();
+    while progressive.next_candidate().is_some() {
+        if k > 1 {
+            dominators.push(progressive.dominators());
+        }
+    }
+    (progressive.into_result(), dominators)
 }
 
 /// Scatter-gather NNC over a sharded index: each shard is searched
@@ -177,7 +195,7 @@ pub fn nn_candidates_scatter(
     cfg: &FilterConfig,
     threads: usize,
 ) -> NncResult {
-    scatter_with(db, query, op, cfg, threads, None)
+    scatter_with(db, query, op, 1, cfg, threads, None).0
 }
 
 /// [`nn_candidates_scatter`] with warm-cache resolution: the query's warm
@@ -193,27 +211,50 @@ pub fn nn_candidates_scatter_warm(
     threads: usize,
     warm: &WarmPool,
 ) -> NncResult {
-    scatter_with(db, query, op, cfg, threads, Some(warm.view_for(db, query)))
+    let view = warm.view_for(db, query);
+    scatter_with(db, query, op, 1, cfg, threads, Some(view)).0
 }
 
-fn scatter_with(
+/// Scatter-gather with dominator budget `k`: one traversal per shard, then
+/// [`gather`]. Returns dominator counts as [`run_with`] does; on a
+/// one-shard index it *is* [`run_with`].
+pub(crate) fn scatter_with(
     db: &dyn SpatialIndex,
     query: &PreparedQuery,
     op: Operator,
+    k: usize,
     cfg: &FilterConfig,
     threads: usize,
     warm: Option<WarmView>,
-) -> NncResult {
-    let shards = db.shard_count();
-    if shards <= 1 {
-        return run_with(db, query, op, cfg, warm);
+) -> (NncResult, Vec<usize>) {
+    if db.shard_count() <= 1 {
+        return run_with(db, query, op, k, cfg, warm);
     }
     let parts = scatter_over_shards(db, threads, |shard| {
-        run_with(&ShardSlice::new(db, shard), query, op, cfg, warm.clone())
+        run_with(&ShardSlice::new(db, shard), query, op, k, cfg, warm.clone()).0
     });
-    // Gather: sort the union by (δ_min, id) — the merged traversal's
-    // emission order — and keep exactly the candidates no kept
-    // predecessor dominates.
+    gather(db, query, op, k, cfg, warm, &parts)
+}
+
+/// The gather pass: sorts the union of the per-shard candidate sets by
+/// `(δ_min, id)` — the merged traversal's emission order — and applies
+/// the traversal's own keep test, so a union candidate is kept while
+/// fewer than `k` kept predecessors dominate it.
+///
+/// Per-shard exclusion never removes a global candidate: an object with
+/// ≥ `k` kept dominators in its shard also has ≥ `k` globally kept
+/// dominators (the distributed k-skyband argument, transitivity again),
+/// so the recount yields exactly the merged traversal's candidates and
+/// dominator counts. Counts are returned as [`run_with`] does.
+fn gather(
+    db: &dyn SpatialIndex,
+    query: &PreparedQuery,
+    op: Operator,
+    k: usize,
+    cfg: &FilterConfig,
+    warm: Option<WarmView>,
+    parts: &[NncResult],
+) -> (NncResult, Vec<usize>) {
     let mut union: Vec<Candidate> = parts
         .iter()
         .flat_map(|r| r.candidates.iter().cloned())
@@ -241,17 +282,15 @@ fn scatter_with(
     let gather = ctx.trace.open("gather");
     let union_len = union.len();
     let mut kept: Vec<Candidate> = Vec::with_capacity(union.len());
+    let mut dominators = Vec::new();
     for c in union {
-        let mut dominated = false;
-        for k in &kept {
-            if ctx.dominates(op, k.id, c.id) {
-                dominated = true;
-                break;
-            }
-        }
-        if !dominated {
+        let count = kept_dominators(&mut ctx, op, k, &kept, c.id);
+        if count < k {
             ctx.metrics.candidate_emitted(op.label());
             kept.push(c);
+            if k > 1 {
+                dominators.push(count);
+            }
         }
     }
     if gather != SpanId::NONE {
@@ -264,7 +303,7 @@ fn scatter_with(
     let mut stats = Stats::default();
     let mut metrics = QueryMetrics::new();
     let mut objects_checked = 0;
-    for r in &parts {
+    for r in parts {
         stats.merge(&r.stats);
         metrics.merge(&r.metrics);
         objects_checked += r.objects_checked;
@@ -275,13 +314,37 @@ fn scatter_with(
     if let Some(t) = trace.as_mut() {
         t.label = Cow::Borrowed(op.label());
     }
-    NncResult {
+    let result = NncResult {
         candidates: kept,
         stats,
         objects_checked,
         metrics,
         trace,
+    };
+    (result, dominators)
+}
+
+/// The keep test of the traversal and the gather: how many of the `kept`
+/// candidates dominate `v`, counted in emission order and capped at `k`.
+/// `v` is kept iff the count is below `k`; at `k = 1` the first dominator
+/// found rejects it.
+fn kept_dominators(
+    ctx: &mut CheckCtx<'_>,
+    op: Operator,
+    k: usize,
+    kept: &[Candidate],
+    v: usize,
+) -> usize {
+    let mut count = 0;
+    for u in kept {
+        if ctx.dominates(op, u.id, v) {
+            count += 1;
+            if count == k {
+                break;
+            }
+        }
     }
+    count
 }
 
 /// Runs `work` for every shard id, fanned out over up to `threads` scoped
@@ -331,11 +394,18 @@ pub(crate) fn scatter_over_shards<R: Send>(
 ///
 /// Also an [`Iterator`] over [`Candidate`]s, so the traversal composes with
 /// adapters: `ProgressiveNnc::new(..).take(3)` yields the first three
-/// candidates without finishing the query.
+/// candidates without finishing the query. [`Self::with_k`] starts the
+/// k-robust traversal instead (`NNC_k`; the other constructors use
+/// `k = 1`).
 pub struct ProgressiveNnc<'a> {
     op: Operator,
+    /// Dominator budget: an object is emitted while fewer than `k` emitted
+    /// candidates dominate it.
+    k: usize,
     heap: BinaryHeap<HeapItem<'a>>,
     candidates: Vec<Candidate>,
+    /// Kept dominators of the most recently emitted candidate.
+    last_dominators: usize,
     /// MBR of each emitted candidate, cached at emission so entry pruning
     /// reads a contiguous list instead of chasing the store per check.
     /// `Arc`ed so a warm run shares the snapshot-scoped copy instead of
@@ -366,6 +436,24 @@ impl<'a> ProgressiveNnc<'a> {
         cfg: &FilterConfig,
         warm: Option<WarmView>,
     ) -> Self {
+        Self::with_k(db, query, op, 1, cfg, warm)
+    }
+
+    /// Starts a k-robust traversal: it emits every object dominated by
+    /// fewer than `k` other objects, in the same order as
+    /// [`crate::k_nn_candidates`]. `k = 1` is [`Self::with_warm`].
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn with_k(
+        db: &'a dyn SpatialIndex,
+        query: &'a PreparedQuery,
+        op: Operator,
+        k: usize,
+        cfg: &FilterConfig,
+        warm: Option<WarmView>,
+    ) -> Self {
+        assert!(k >= 1, "k must be at least 1");
         let timer = PhaseTimer::start(Phase::Prepare);
         let mut ctx = CheckCtx::with_warm(db, query, *cfg, warm);
         let prep = ctx.trace.open("prepare");
@@ -395,13 +483,18 @@ impl<'a> ProgressiveNnc<'a> {
             ctx.trace
                 .attr(prep, "seeds", AttrValue::U64(heap.len() as u64));
             ctx.trace.attr(prep, "epoch", AttrValue::U64(db.epoch()));
+            if k > 1 {
+                ctx.trace.attr(prep, "k", AttrValue::U64(k as u64));
+            }
         }
         ctx.trace.close(prep);
         ctx.metrics.record(timer);
         ProgressiveNnc {
             op,
+            k,
             heap,
             candidates: Vec::new(),
+            last_dominators: 0,
             cand_mbrs: Vec::new(),
             ctx,
             objects_checked: 0,
@@ -412,6 +505,12 @@ impl<'a> ProgressiveNnc<'a> {
     /// Candidates emitted so far.
     pub fn emitted(&self) -> &[Candidate] {
         &self.candidates
+    }
+
+    /// How many earlier candidates dominate the most recently emitted one
+    /// (below `k`, so always 0 for an NNC traversal).
+    pub fn dominators(&self) -> usize {
+        self.last_dominators
     }
 
     /// Cost counters accumulated so far (readable mid-traversal).
@@ -458,13 +557,16 @@ impl<'a> ProgressiveNnc<'a> {
             match slot {
                 Slot::Object(v) => {
                     self.objects_checked += 1;
-                    if !self.dominated(v) {
+                    let dominators =
+                        kept_dominators(&mut self.ctx, self.op, self.k, &self.candidates, v);
+                    if dominators < self.k {
                         let c = Candidate {
                             id: v,
                             min_dist: key.max(0.0).sqrt(),
                             elapsed: self.start.elapsed(),
                         };
                         self.candidates.push(c.clone());
+                        self.last_dominators = dominators;
                         let mbr = match self.ctx.cache.warm() {
                             Some(w) => w.object_mbr(self.ctx.db, v, &mut self.ctx.metrics),
                             None => Arc::new(self.ctx.db.object(v).mbr().clone()),
@@ -477,6 +579,13 @@ impl<'a> ProgressiveNnc<'a> {
                             self.ctx
                                 .trace
                                 .attr(event, "min_dist", AttrValue::F64(c.min_dist));
+                            if self.k > 1 {
+                                self.ctx.trace.attr(
+                                    event,
+                                    "dominators",
+                                    AttrValue::U64(dominators as u64),
+                                );
+                            }
                         }
                         return Some(c);
                     }
@@ -544,19 +653,6 @@ impl<'a> ProgressiveNnc<'a> {
         None
     }
 
-    /// Whether any current candidate dominates object `v`.
-    fn dominated(&mut self, v: usize) -> bool {
-        // Iterate over ids (cheap copy) because the dominance check needs
-        // mutable access to the cache.
-        for idx in 0..self.candidates.len() {
-            let u = self.candidates[idx].id;
-            if self.ctx.dominates(self.op, u, v) {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Exact squared `δ_min(V, Q)` via the object's local R-tree.
     fn object_min_dist2(&mut self, v: usize) -> f64 {
         object_min_dist2(
@@ -576,6 +672,7 @@ impl<'a> ProgressiveNnc<'a> {
             e_mbr,
             self.ctx.query.mbr(),
             self.op,
+            self.k,
             self.ctx.cfg.mbr_validation,
             &mut self.ctx.stats,
         )
@@ -624,10 +721,15 @@ pub(crate) fn object_min_dist2(
     best
 }
 
-/// Entry-level pruning: discard a subtree (or object) when some MBR in
-/// `cand_mbrs` fully dominates `e_mbr` w.r.t. the query MBR (Theorem 4).
-/// The strict operators use the strict MBR test so that a pruned subtree
-/// can never contain a distribution-equal twin of a candidate.
+/// Entry-level pruning: discard a subtree (or object) once `k` MBRs in
+/// `cand_mbrs` fully dominate `e_mbr` w.r.t. the query MBR (Theorem 4) —
+/// every object inside then has at least `k` dominators. The strict
+/// operators use the strict MBR test so that a pruned subtree can never
+/// contain a distribution-equal twin of a candidate.
+///
+/// With MBR validation disabled (the BF-style ablations) the strict
+/// operators never prune entries, to keep the measured work faithful to
+/// the unfiltered algorithm; F-SD and F⁺-SD keep pruning, at every `k`.
 ///
 /// Shared by the traversal's entry pruning and the continuous repair
 /// pre-filter so both apply the exact same gate. Generic over the MBR
@@ -638,16 +740,15 @@ pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
     e_mbr: &Mbr,
     query_mbr: &Mbr,
     op: Operator,
+    k: usize,
     mbr_validation: bool,
     stats: &mut Stats,
 ) -> bool {
     if !mbr_validation && op != Operator::FPlusSd && op != Operator::FSd {
-        // With validation disabled (BF-style ablations) entries are
-        // never pruned for the strict operators, to keep the measured
-        // work faithful to the unfiltered algorithm.
         return false;
     }
     let strict = !matches!(op, Operator::FPlusSd | Operator::FSd);
+    let mut dominators = 0;
     for u_mbr in cand_mbrs {
         let u_mbr = u_mbr.borrow();
         stats.mbr_checks += 1;
@@ -657,7 +758,10 @@ pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
             mbr_dominates(u_mbr, e_mbr, query_mbr)
         };
         if dominated {
-            return true;
+            dominators += 1;
+            if dominators == k {
+                return true;
+            }
         }
     }
     false

@@ -82,7 +82,8 @@ proptest! {
     }
 
     /// k-NNC over a sharded index matches the flat baseline — ids, bits,
-    /// order and dominator counts — for both execution strategies.
+    /// order and dominator counts — for every operator and both execution
+    /// strategies.
     #[test]
     fn prop_knnc_sharded_matches_flat(
         (objects, query, shards) in db_strategy(),
@@ -92,7 +93,7 @@ proptest! {
         let sharded = ShardedDatabase::new(objects, shards);
         let pq = PreparedQuery::new(query);
         let cfg = FilterConfig::all();
-        for op in [Operator::SSd, Operator::PSd] {
+        for op in Operator::ALL {
             let base = knnc_fingerprint(&k_nn_candidates(&flat, &pq, op, k, &cfg));
             let merged = knnc_fingerprint(&k_nn_candidates(&sharded, &pq, op, k, &cfg));
             prop_assert_eq!(&merged, &base, "merged {:?} k={} @ {} shards", op, k, shards);

@@ -102,6 +102,11 @@ for key in '"enabled": true' '"prepare"' '"rtree-descent"' '"level-prune"' \
   grep -qF "$key" "$SMOKE_DIR/profile.out" \
     || { echo "profile smoke: missing $key"; exit 1; }
 done
+# k-NNC runs the same traversal, so it records the same snapshot gauges.
+cargo run -q -p osd-cli --bin osd -- query --data "$SMOKE_DIR/smoke.csv" \
+  --query "5000,5000;5100,5100" --op psd --k 2 --profile=json > "$SMOKE_DIR/profile-k2.out"
+grep -qF '"live_objects": 60' "$SMOKE_DIR/profile-k2.out" \
+  || { echo "profile smoke: --k 2 must report \"live_objects\": 60"; exit 1; }
 
 echo "== osd query --trace=chrome smoke (trace-event schema) =="
 # The Chrome trace export must be loadable by chrome://tracing: a JSON
