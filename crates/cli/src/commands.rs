@@ -3,9 +3,9 @@
 use crate::args::{parse_operator, parse_query_spec, CliError, Flags, ProfileFormat, TraceFormat};
 use osd_core::{
     batch_metrics, batch_stats, dominance_matrix, dominators_of_with, k_nn_candidates_scatter,
-    ContinuousNnc, Database, DbError, FilterConfig, FlightRecorder, KnncResult, Operator,
-    PreparedQuery, ProgressiveNnc, PublishedIndex, QueryEngine, QueryMetrics, Repair,
-    ShardedDatabase, SpatialIndex, Stats, TraceData, WarmPool,
+    ContinuousNnc, FilterConfig, FlightRecorder, KnncResult, Operator, PreparedQuery,
+    ProgressiveNnc, PublishedIndex, QueryEngine, QueryMetrics, Repair, ShardedDatabase,
+    SpatialIndex, Stats, TraceData, WarmPool,
 };
 use osd_datagen::{
     generate_objects, gowalla_like, nba_like, read_objects_csv, write_objects_csv,
@@ -75,76 +75,13 @@ fn emit_traces(format: TraceFormat, traces: &[&TraceData], flags: &Flags) -> Res
     Ok(())
 }
 
-/// Builds the index behind the CLI: a flat [`Database`] for `--shards 1`
-/// (the default), an STR-tiled [`ShardedDatabase`] otherwise. Returned
-/// boxed so every downstream path runs against `&dyn SpatialIndex`.
+/// Builds the index behind the CLI: `shards` STR tiles, where the default
+/// `--shards 1` is the flat layout (one global R-tree).
 fn build_index(
     objects: Vec<osd_uncertain::UncertainObject>,
     shards: usize,
-) -> Result<Box<dyn SpatialIndex>, CliError> {
-    if shards <= 1 {
-        Database::try_new(objects)
-            .map(|db| Box::new(db) as Box<dyn SpatialIndex>)
-            .map_err(|e| CliError::Data(e.to_string()))
-    } else {
-        ShardedDatabase::try_new(objects, shards)
-            .map(|db| Box::new(db) as Box<dyn SpatialIndex>)
-            .map_err(|e| CliError::Data(e.to_string()))
-    }
-}
-
-/// An epoch-published index behind the mutation subcommands: the two
-/// concrete layouts wrapped so the rest of the code dispatches once.
-/// (A `Box<dyn …>` will not do here — [`PublishedIndex`] needs `Clone`
-/// snapshots, which is not object-safe.)
-enum Published {
-    Flat(PublishedIndex<Database>),
-    Sharded(PublishedIndex<ShardedDatabase>),
-}
-
-impl Published {
-    fn build(
-        objects: Vec<osd_uncertain::UncertainObject>,
-        shards: usize,
-    ) -> Result<Self, CliError> {
-        if shards <= 1 {
-            Database::try_new(objects)
-                .map(|db| Published::Flat(PublishedIndex::new(db)))
-                .map_err(|e| CliError::Data(e.to_string()))
-        } else {
-            ShardedDatabase::try_new(objects, shards)
-                .map(|db| Published::Sharded(PublishedIndex::new(db)))
-                .map_err(|e| CliError::Data(e.to_string()))
-        }
-    }
-
-    fn pin(&self) -> std::sync::Arc<dyn SpatialIndex> {
-        match self {
-            Published::Flat(p) => p.pin(),
-            Published::Sharded(p) => p.pin(),
-        }
-    }
-
-    fn insert(&self, object: osd_uncertain::UncertainObject) -> Result<usize, DbError> {
-        match self {
-            Published::Flat(p) => p.insert(object),
-            Published::Sharded(p) => p.insert(object),
-        }
-    }
-
-    fn delete(&self, id: usize) -> Result<(), DbError> {
-        match self {
-            Published::Flat(p) => p.delete(id),
-            Published::Sharded(p) => p.delete(id),
-        }
-    }
-
-    fn update(&self, id: usize, object: osd_uncertain::UncertainObject) -> Result<(), DbError> {
-        match self {
-            Published::Flat(p) => p.update(id, object),
-            Published::Sharded(p) => p.update(id, object),
-        }
-    }
+) -> Result<ShardedDatabase, CliError> {
+    ShardedDatabase::try_new(objects, shards).map_err(|e| CliError::Data(e.to_string()))
 }
 
 /// One line of an `--ops` script.
@@ -253,7 +190,7 @@ pub fn cmd_mutate(flags: &Flags) -> Result<(), CliError> {
     // deleted rows away, so surviving objects are re-emitted from here.
     let mut shadow: Vec<Option<osd_uncertain::UncertainObject>> =
         objects.iter().cloned().map(Some).collect();
-    let published = Published::build(objects, shards)?;
+    let published = PublishedIndex::new(build_index(objects, shards)?);
 
     for (i, op) in ops.into_iter().enumerate() {
         let label = op.label();
@@ -327,7 +264,7 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
         )));
     }
     let ops = read_ops_file(Path::new(ops_file), dim)?;
-    let published = Published::build(objects, shards)?;
+    let published = PublishedIndex::new(build_index(objects, shards)?);
 
     let snap = published.pin();
     let mut handle = ContinuousNnc::new(&*snap, PreparedQuery::new(query), op, FilterConfig::all());
@@ -442,7 +379,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         let queries = read_query_file(Path::new(file), dim)?;
         let db = build_index(objects, shards)?;
         let pool = WarmPool::new();
-        let mut engine = QueryEngine::with_config(&*db, op, cfg).with_reorder(reorder);
+        let mut engine = QueryEngine::with_config(&db, op, cfg).with_reorder(reorder);
         if warm {
             engine = engine.with_warm(&pool);
         }
@@ -491,7 +428,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     } else {
         QueryMode::Drain
     };
-    let res = run_query(&*db, &pq, op, k, &cfg, mode, &mut |line| println!("{line}"));
+    let res = run_query(&db, &pq, op, k, &cfg, mode, &mut |line| println!("{line}"));
     if let Some(fmt) = profile {
         print!("{}", render_profile(fmt, &res.metrics, &res.stats));
     }
@@ -757,7 +694,7 @@ pub fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
                 db.len()
             )));
         }
-        let doms = dominators_of_with(&*db, &pq, op, v, &cfg, Some(&pool));
+        let doms = dominators_of_with(&db, &pq, op, v, &cfg, Some(&pool));
         let ws = pool.stats();
         println!(
             "warm: {} hit(s), {} miss(es), {} eviction(s), {} resident byte(s)",
@@ -787,7 +724,7 @@ pub fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
                 db.len()
             )));
         }
-        let m = dominance_matrix(&*db, &pq, op, &cfg);
+        let m = dominance_matrix(&db, &pq, op, &cfg);
         println!(
             "dominance matrix under {} (row dominates column; '#' = dominates):",
             op.label()
@@ -958,6 +895,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use osd_core::Database;
 
     fn flags(kv: &[&str]) -> Flags {
         Flags::new(kv.iter().map(|s| s.to_string()).collect())
@@ -1488,11 +1426,20 @@ mod tests {
         // 20 seeds + 1 insert - 1 delete survive.
         let survivors = read_objects_csv(Path::new(&rewritten)).unwrap();
         assert_eq!(survivors.len(), 20);
-        // Sharded layout takes the same script.
-        cmd_mutate(&flags(&["--data", &out, "--ops", &ops, "--shards", "3"])).unwrap();
+        // The sharded layout takes the same script to the same survivors.
+        let sharded = tmp("mutate-out-sharded.csv");
+        cmd_mutate(&flags(&[
+            "--data", &out, "--ops", &ops, "--shards", "3", "--out", &sharded,
+        ]))
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&sharded).unwrap(),
+            std::fs::read(&rewritten).unwrap()
+        );
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&ops).ok();
         std::fs::remove_file(&rewritten).ok();
+        std::fs::remove_file(&sharded).ok();
     }
 
     #[test]

@@ -1,69 +1,49 @@
-//! The object database: `n + 1` R-trees as in §6, over a columnar store.
+//! The flat object database: §6's `n + 1` R-trees — one global R-tree
+//! over the object MBRs (driving Algorithm 1's best-first search) plus one
+//! local R-tree per object (fan-out 4 in the paper) — over a columnar
+//! [`InstanceStore`] snapshot shared behind an `Arc`.
 //!
-//! A global R-tree organises the objects' MBRs (driving the best-first NNC
-//! search of Algorithm 1); each object keeps a small local R-tree over its
-//! instances (fan-out 4 in the paper), supplying nearest/furthest-neighbour
-//! primitives and the node partitions of the level-by-level techniques.
-//!
-//! Instance data lives in one flat [`InstanceStore`] snapshot behind an
-//! `Arc`: the database is a thin index over it, [`Database::object`] hands
-//! out zero-copy [`ObjectRef`] views, and cloning the snapshot for another
-//! reader (or another thread) is a reference-count bump, never a copy of
-//! the coordinates.
+//! That is exactly a one-tile STR partition, so [`FlatDatabase`] is a
+//! stateless front over a one-shard [`ShardedDatabase`], the single index
+//! implementation: its constructors build `ShardConfig { shards: 1, .. }`
+//! and every other method forwards.
 
-use crate::index::{shard_stats_of, IndexStats, SpatialIndex};
-use crate::local::LocalTrees;
-use osd_rtree::{Entry, RTree};
-use osd_uncertain::{epoch, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
+use crate::index::{IndexStats, SpatialIndex};
+use crate::sharded::{invalid, ShardConfig, ShardedDatabase};
+use osd_rtree::RTree;
+use osd_uncertain::{Change, InstanceStore, ObjectRef, UncertainObject};
 use std::sync::Arc;
 
 // `DbError` lives with the `SpatialIndex` trait (whose default mutators
-// return it) and is re-exported here, its historical home.
+// return it) and is re-exported here, its historical home; so are the
+// default fan-outs, which live with the index implementation.
 pub use crate::index::DbError;
-
-/// Default fan-out of the global R-tree.
-pub const DEFAULT_GLOBAL_FANOUT: usize = 32;
-/// Fan-out of the per-object local R-trees (matches the paper's setting).
-pub const DEFAULT_LOCAL_FANOUT: usize = 4;
+pub use crate::sharded::{DEFAULT_GLOBAL_FANOUT, DEFAULT_LOCAL_FANOUT};
 
 /// A set of multi-instance objects indexed for NN-candidate search with
 /// **one** global R-tree — the flat (unsharded) [`SpatialIndex`] layout.
 ///
-/// Instance data is held in an `Arc<InstanceStore>` snapshot; the database
-/// itself only owns the index structures. For the space-partitioned
-/// alternative see [`ShardedDatabase`](crate::ShardedDatabase).
-///
-/// Mutations go through the epoch seam (`uncertain::epoch`): every
-/// insert/delete/update builds the next snapshot copy-on-write and bumps
-/// the epoch. Ids are logical and never reused — a delete compacts the
-/// object's rows out of the columns (later rows shift down by one) and
-/// leaves a tombstone in the id space, so `len()` (id-space size) and
-/// `live_len()` (row count) diverge after the first delete.
+/// A one-shard [`ShardedDatabase`] under the historical constructors: the
+/// identity STR order reuses the store `Arc` uncopied and bulk-loads the
+/// one global tree over the objects in id order. Mutations, epochs and
+/// tombstones behave exactly as documented on [`ShardedDatabase`].
 #[derive(Debug, Clone)]
-pub struct FlatDatabase {
-    store: Arc<InstanceStore>,
-    /// Local instance trees, by logical id.
-    local: LocalTrees,
-    /// Global object-MBR tree; payloads are logical ids, live entries only.
-    global: RTree<usize>,
-    /// Logical id → store row (`None` = tombstone).
-    slot: Vec<Option<usize>>,
-    /// Store row → logical id.
-    ext: Vec<usize>,
-    /// Fan-out for local trees rebuilt on update.
-    local_fanout: usize,
-    /// Published-mutation log; its length is the snapshot epoch.
-    epochs: EpochLog,
-}
+pub struct FlatDatabase(ShardedDatabase);
 
 /// The historical name of [`FlatDatabase`] — the default database layout.
 pub type Database = FlatDatabase;
 
+/// The one-shard layout with the given fan-outs.
+fn one_shard(global_fanout: usize, local_fanout: usize) -> ShardConfig {
+    ShardConfig {
+        shards: 1,
+        global_fanout,
+        local_fanout,
+    }
+}
+
 impl FlatDatabase {
     /// Indexes `objects` with default fan-outs.
-    ///
-    /// A thin panicking front over [`Database::try_new`] for trusted,
-    /// programmatic data; `#[track_caller]` points the panic at the caller.
     ///
     /// # Panics
     /// Panics if `objects` is empty or dimensionalities are inconsistent.
@@ -72,7 +52,7 @@ impl FlatDatabase {
     pub fn new(objects: Vec<UncertainObject>) -> Self {
         match Self::try_new(objects) {
             Ok(db) => db,
-            Err(e) => Self::invalid(e),
+            Err(e) => invalid(e),
         }
     }
 
@@ -86,9 +66,6 @@ impl FlatDatabase {
 
     /// Indexes `objects` with explicit global/local R-tree fan-outs.
     ///
-    /// A thin panicking front over [`Database::try_with_fanouts`];
-    /// `#[track_caller]` points the panic at the caller.
-    ///
     /// # Panics
     /// Panics if `objects` is empty or dimensionalities are inconsistent.
     /// Use [`Database::try_with_fanouts`] for untrusted data.
@@ -100,7 +77,7 @@ impl FlatDatabase {
     ) -> Self {
         match Self::try_with_fanouts(objects, global_fanout, local_fanout) {
             Ok(db) => db,
-            Err(e) => Self::invalid(e),
+            Err(e) => invalid(e),
         }
     }
 
@@ -113,18 +90,8 @@ impl FlatDatabase {
         global_fanout: usize,
         local_fanout: usize,
     ) -> Result<Self, DbError> {
-        if objects.is_empty() {
-            return Err(DbError::Empty);
-        }
-        let store = InstanceStore::from_objects(&objects).map_err(|e| {
-            // The store reports the mismatch; find which input tripped it.
-            let object = objects
-                .iter()
-                .position(|o| o.dim() != objects[0].dim())
-                .unwrap_or(0);
-            DbError::from_store(e, object)
-        })?;
-        Self::from_store(Arc::new(store), global_fanout, local_fanout)
+        ShardedDatabase::try_with_config(objects, one_shard(global_fanout, local_fanout))
+            .map(FlatDatabase)
     }
 
     /// Indexes an existing columnar snapshot directly — no instance data is
@@ -138,64 +105,12 @@ impl FlatDatabase {
         global_fanout: usize,
         local_fanout: usize,
     ) -> Result<Self, DbError> {
-        if store.is_empty() {
-            return Err(DbError::Empty);
-        }
-        let dim = store.dim();
-        let local = LocalTrees::new(
-            store
-                .iter()
-                .map(|o| RTree::bulk_load_rows(local_fanout, dim, o.coords())),
-        );
-        let global_entries: Vec<Entry<usize>> = store
-            .iter()
-            .enumerate()
-            .map(|(id, o)| Entry {
-                mbr: o.mbr().clone(),
-                item: id,
-            })
-            .collect();
-        let global = RTree::bulk_load(global_fanout, global_entries);
-        let n = store.len();
-        Ok(FlatDatabase {
-            store,
-            local,
-            global,
-            slot: (0..n).map(Some).collect(),
-            ext: (0..n).collect(),
-            local_fanout,
-            epochs: EpochLog::default(),
-        })
-    }
-
-    /// The store row holding live object `id`.
-    ///
-    /// # Errors
-    /// [`DbError::Dead`] if `id` is tombstoned or out of range.
-    fn row_of(&self, id: usize) -> Result<usize, DbError> {
-        self.slot
-            .get(id)
-            .copied()
-            .flatten()
-            .ok_or(DbError::Dead { object: id })
-    }
-
-    /// Aborts a panicking constructor with the invariant violation `e`.
-    ///
-    /// The panicking constructors stay the ergonomic path for trusted,
-    /// programmatic data; the `try_*` variants are the fallible path. This
-    /// is the single place this crate's `clippy::panic` policy is waived to
-    /// honour that contract (mirroring `UncertainObject`).
-    #[cold]
-    #[track_caller]
-    #[allow(clippy::panic)]
-    pub(crate) fn invalid(e: DbError) -> ! {
-        panic!("{e}")
+        ShardedDatabase::from_store(store, one_shard(global_fanout, local_fanout)).map(FlatDatabase)
     }
 
     /// Size of the logical id space (live objects + tombstones).
     pub fn len(&self) -> usize {
-        self.slot.len()
+        self.0.len()
     }
 
     /// Never true: databases are non-empty by construction.
@@ -205,256 +120,131 @@ impl FlatDatabase {
 
     /// Dimensionality of the instance space.
     pub fn dim(&self) -> usize {
-        self.store.dim()
+        self.0.dim()
     }
 
-    /// The columnar instance snapshot this database indexes. Cloning the
-    /// `Arc` shares the allocation with zero copies.
+    /// The columnar instance snapshot this database indexes.
     pub fn store(&self) -> &Arc<InstanceStore> {
-        &self.store
+        self.0.store()
     }
 
-    /// Zero-copy view of live object `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is tombstoned or out of range.
+    /// Zero-copy view of live object `id` (panics if `id` is not live).
     pub fn object(&self, id: usize) -> ObjectRef<'_> {
-        match self.row_of(id) {
-            Ok(row) => self.store.object(row),
-            Err(e) => Self::invalid(e),
-        }
+        self.0.object(id)
     }
 
-    /// Local R-tree over the instances of live object `id` (payload =
-    /// instance index).
-    ///
-    /// # Panics
-    /// Panics if `id` is tombstoned or out of range.
+    /// Local R-tree over the instances of live object `id` (panics if `id`
+    /// is not live).
     pub fn local_tree(&self, id: usize) -> &RTree<usize> {
-        match self.local.get(id) {
-            Some(tree) => tree,
-            None => Self::invalid(DbError::Dead { object: id }),
-        }
+        self.0.local_tree(id)
     }
 
-    /// The global R-tree over object MBRs (payload = object id).
-    pub fn global_tree(&self) -> &RTree<usize> {
-        &self.global
-    }
-
-    /// Appends a new object, indexing it incrementally (local R-tree built
-    /// by bulk load, global R-tree by insertion). Returns the new object id.
-    ///
-    /// # Panics
-    /// Panics if the object's dimensionality differs from the database's.
-    /// Use [`Database::try_insert_object`] for untrusted data.
+    /// As [`ShardedDatabase::insert_object`]: appends an object and
+    /// returns its id.
     #[track_caller]
     pub fn insert_object(&mut self, object: UncertainObject) -> usize {
-        self.insert_object_with_fanout(object, DEFAULT_LOCAL_FANOUT)
+        self.0.insert_object(object)
     }
 
-    /// As [`Database::insert_object`] with an explicit local fan-out.
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch.
-    #[track_caller]
-    pub fn insert_object_with_fanout(
-        &mut self,
-        object: UncertainObject,
-        local_fanout: usize,
-    ) -> usize {
-        match self.try_insert_object_with_fanout(object, local_fanout) {
-            Ok(id) => id,
-            Err(e) => Self::invalid(e),
-        }
-    }
-
-    /// Fallible variant of [`Database::insert_object`].
-    ///
-    /// # Errors
-    /// [`DbError::DimensionMismatch`] if the object's dimensionality
-    /// differs from the database's.
-    pub fn try_insert_object(&mut self, object: UncertainObject) -> Result<usize, DbError> {
-        self.try_insert_object_with_fanout(object, DEFAULT_LOCAL_FANOUT)
-    }
-
-    /// Fallible variant of [`Database::insert_object_with_fanout`].
-    ///
-    /// If the snapshot is currently shared (other `Arc` holders exist), the
-    /// columns are cloned once before the append — copy-on-write; existing
-    /// readers keep the old snapshot unchanged.
+    /// As [`ShardedDatabase::try_insert_object`].
     ///
     /// # Errors
     /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
-    pub fn try_insert_object_with_fanout(
-        &mut self,
-        object: UncertainObject,
-        local_fanout: usize,
-    ) -> Result<usize, DbError> {
-        let id = self.slot.len();
-        let row =
-            epoch::append(&mut self.store, &object).map_err(|e| DbError::from_store(e, id))?;
-        debug_assert_eq!(row, self.ext.len(), "appends land at the store tail");
-        let view = self.store.object(row);
-        self.local.push(RTree::bulk_load_rows(
-            local_fanout,
-            view.dim(),
-            view.coords(),
-        ));
-        self.global.insert(view.mbr().clone(), id);
-        self.slot.push(Some(row));
-        self.ext.push(id);
-        self.epochs.record(Change::Inserted(id));
-        Ok(id)
+    pub fn try_insert_object(&mut self, object: UncertainObject) -> Result<usize, DbError> {
+        self.0.try_insert_object(object)
     }
 
-    /// Deletes live object `id`: its rows are compacted out of the
-    /// columnar snapshot (copy-on-write — pinned readers keep the old
-    /// snapshot), its global-tree entry is removed with condensation, and
-    /// its id is tombstoned, never to be reused.
-    ///
-    /// # Panics
-    /// Panics if `id` is not live or the delete would empty the database.
-    /// Use [`Database::try_delete_object`] for untrusted input.
+    /// As [`ShardedDatabase::delete_object`]: deletes live object `id`.
     #[track_caller]
     pub fn delete_object(&mut self, id: usize) {
-        if let Err(e) = self.try_delete_object(id) {
-            Self::invalid(e)
-        }
+        self.0.delete_object(id);
     }
 
-    /// Fallible variant of [`Database::delete_object`].
+    /// As [`ShardedDatabase::try_delete_object`].
     ///
     /// # Errors
-    /// [`DbError::Dead`] if `id` is tombstoned or out of range;
-    /// [`DbError::Empty`] when the delete would leave no live objects.
+    /// [`DbError::Dead`] if `id` is not live; [`DbError::Empty`] when the
+    /// delete would leave no live objects.
     pub fn try_delete_object(&mut self, id: usize) -> Result<(), DbError> {
-        let row = self.row_of(id)?;
-        if self.store.len() == 1 {
-            return Err(DbError::Empty);
-        }
-        let mbr = self.store.object(row).mbr().clone();
-        let removed = self.global.remove_item(&mbr, |&x| x == id);
-        debug_assert!(removed.is_some(), "live id {id} must be in the global tree");
-        epoch::remove(&mut self.store, row);
-        self.local.set(id, None);
-        self.ext.remove(row);
-        self.slot[id] = None;
-        for s in self.slot.iter_mut().flatten() {
-            if *s > row {
-                *s -= 1;
-            }
-        }
-        self.epochs.record(Change::Deleted(id));
-        Ok(())
+        self.0.try_delete_object(id)
     }
 
-    /// Replaces live object `id` in place (same logical id): the rows are
-    /// respliced in the snapshot (copy-on-write), the local tree rebuilt,
-    /// and the global-tree entry removed with condensation and
-    /// re-inserted under the new MBR.
-    ///
-    /// # Panics
-    /// Panics if `id` is not live or dimensionalities mismatch. Use
-    /// [`Database::try_update_object`] for untrusted input.
+    /// As [`ShardedDatabase::update_object`]: replaces live object `id`
+    /// in place.
     #[track_caller]
     pub fn update_object(&mut self, id: usize, object: UncertainObject) {
-        if let Err(e) = self.try_update_object(id, object) {
-            Self::invalid(e)
-        }
+        self.0.update_object(id, object);
     }
 
-    /// Fallible variant of [`Database::update_object`].
+    /// As [`ShardedDatabase::try_update_object`].
     ///
     /// # Errors
-    /// [`DbError::Dead`] if `id` is tombstoned or out of range;
+    /// [`DbError::Dead`] if `id` is not live;
     /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
     pub fn try_update_object(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
-        let row = self.row_of(id)?;
-        let old_mbr = self.store.object(row).mbr().clone();
-        epoch::replace(&mut self.store, row, &object).map_err(|e| DbError::from_store(e, id))?;
-        let removed = self.global.remove_item(&old_mbr, |&x| x == id);
-        debug_assert!(removed.is_some(), "live id {id} must be in the global tree");
-        let view = self.store.object(row);
-        self.local.set(
-            id,
-            Some(RTree::bulk_load_rows(
-                self.local_fanout,
-                view.dim(),
-                view.coords(),
-            )),
-        );
-        self.global.insert(view.mbr().clone(), id);
-        self.epochs.record(Change::Updated(id));
-        Ok(())
+        self.0.try_update_object(id, object)
     }
 }
 
 impl SpatialIndex for FlatDatabase {
     fn len(&self) -> usize {
-        self.slot.len()
+        self.0.len()
     }
 
     fn epoch(&self) -> u64 {
-        self.epochs.epoch()
+        self.0.epoch()
     }
 
     fn live_len(&self) -> usize {
-        self.store.len()
+        self.0.live_len()
     }
 
     fn is_live(&self, id: usize) -> bool {
-        self.slot.get(id).copied().flatten().is_some()
+        self.0.is_live(id)
     }
 
     fn changes_since(&self, since: u64) -> Option<Vec<Change>> {
-        self.epochs.changes_since(since)
+        self.0.changes_since(since)
     }
 
     fn try_insert(&mut self, object: UncertainObject) -> Result<usize, DbError> {
-        self.try_insert_object(object)
+        self.0.try_insert(object)
     }
 
     fn try_delete(&mut self, id: usize) -> Result<(), DbError> {
-        self.try_delete_object(id)
+        self.0.try_delete(id)
     }
 
     fn try_update(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
-        self.try_update_object(id, object)
+        self.0.try_update(id, object)
     }
 
     fn dim(&self) -> usize {
-        self.store.dim()
+        self.0.dim()
     }
 
     fn store(&self) -> &Arc<InstanceStore> {
-        &self.store
+        self.0.store()
     }
 
     fn object(&self, id: usize) -> ObjectRef<'_> {
-        FlatDatabase::object(self, id)
+        self.0.object(id)
     }
 
     fn local_tree(&self, id: usize) -> &RTree<usize> {
-        FlatDatabase::local_tree(self, id)
+        self.0.local_tree(id)
     }
 
     fn shard_count(&self) -> usize {
-        1
+        self.0.shard_count()
     }
 
     fn shard_tree(&self, shard: usize) -> &RTree<usize> {
-        assert_eq!(shard, 0, "a flat database has exactly one shard");
-        &self.global
+        self.0.shard_tree(shard)
     }
 
     fn index_stats(&self) -> IndexStats {
-        let stats = shard_stats_of(self, &self.global);
-        IndexStats {
-            objects: stats.objects,
-            instances: stats.instances,
-            shards: vec![stats],
-        }
+        self.0.index_stats()
     }
 }
 
@@ -481,7 +271,7 @@ mod tests {
         assert_eq!(db.dim(), 2);
         assert_eq!(db.local_tree(0).len(), 2);
         assert_eq!(db.local_tree(1).len(), 3);
-        assert_eq!(db.global_tree().len(), 2);
+        assert_eq!(db.shard_tree(0).len(), 2);
     }
 
     #[test]
@@ -558,15 +348,26 @@ mod tests {
 
     #[test]
     fn insert_object_extends_all_indexes() {
-        let mut db = Database::new(vec![obj(&[(0.0, 0.0), (1.0, 1.0)])]);
-        let id = db.insert_object(obj(&[(5.0, 5.0), (6.0, 6.0), (7.0, 5.0)]));
+        let mut db = Database::with_fanouts(
+            vec![obj(&[(0.0, 0.0), (1.0, 1.0)])],
+            DEFAULT_GLOBAL_FANOUT,
+            2,
+        );
+        let pts: Vec<(f64, f64)> = (0..12)
+            .map(|i| (5.0 + f64::from(i % 4) * 0.5, 5.0 + f64::from(i / 4)))
+            .collect();
+        let id = db.insert_object(obj(&pts));
         assert_eq!(id, 1);
         assert_eq!(db.len(), 2);
-        assert_eq!(db.local_tree(1).len(), 3);
-        assert_eq!(db.global_tree().len(), 2);
+        assert_eq!(db.local_tree(1).len(), 12);
+        // The new local tree is built at the database's local fan-out.
+        let rows = db.object(1);
+        let expected = RTree::bulk_load_rows(2, rows.dim(), rows.coords());
+        assert_eq!(db.local_tree(1).height(), expected.height());
+        assert_eq!(db.shard_tree(0).len(), 2);
         // The global tree can find the new object by proximity.
         let hits = db
-            .global_tree()
+            .shard_tree(0)
             .range_intersecting(&Mbr::new(vec![4.0, 4.0], vec![8.0, 8.0]));
         assert!(hits.into_iter().any(|&h| h == 1));
     }
@@ -610,9 +411,9 @@ mod tests {
         assert_eq!(db.object(2).row(0), &[9.0, 9.0]);
         assert_eq!(db.local_tree(2).len(), 2);
         // The global tree no longer serves the deleted id.
-        assert_eq!(db.global_tree().len(), 2);
+        assert_eq!(db.shard_tree(0).len(), 2);
         let hits = db
-            .global_tree()
+            .shard_tree(0)
             .range_intersecting(&Mbr::new(vec![4.0, 4.0], vec![6.0, 6.0]));
         assert!(hits.is_empty());
         // Ids are never reused: the next insert gets a fresh id.
@@ -635,11 +436,11 @@ mod tests {
         assert_eq!(db.object(1).row(0), &[5.0, 5.0]);
         // The global tree serves the new MBR, not the old one.
         let hits = db
-            .global_tree()
+            .shard_tree(0)
             .range_intersecting(&Mbr::new(vec![19.0, 19.0], vec![23.0, 23.0]));
         assert!(hits.into_iter().any(|&h| h == 0));
         let old = db
-            .global_tree()
+            .shard_tree(0)
             .range_intersecting(&Mbr::new(vec![0.0, 0.0], vec![1.0, 1.0]));
         assert!(old.is_empty());
     }

@@ -1,13 +1,13 @@
 //! The [`SpatialIndex`] trait: what the dominance search needs from a
 //! database, abstracted over its physical layout.
 //!
-//! Two implementations exist:
-//!
-//! * [`FlatDatabase`](crate::FlatDatabase) — one global R-tree over every
-//!   object MBR (the §6 layout; the default);
-//! * [`ShardedDatabase`](crate::ShardedDatabase) — the columnar store is
-//!   space-partitioned into STR tiles, each tile owning its own global
-//!   R-tree over a contiguous span of the (permuted) store.
+//! One implementation exists, [`ShardedDatabase`](crate::ShardedDatabase):
+//! the columnar store space-partitioned into STR tiles, each tile owning
+//! its own global R-tree. With one tile it is §6's flat layout — one
+//! global R-tree over every object MBR — which
+//! [`FlatDatabase`](crate::FlatDatabase) (alias `Database`, the default)
+//! fronts. [`ShardSlice`] views one shard of any index as a one-shard
+//! index for the scatter path.
 //!
 //! The search algorithms ([`nn_candidates`](crate::nn_candidates),
 //! [`k_nn_candidates`](crate::k_nn_candidates), the caches and the check
@@ -247,7 +247,7 @@ pub trait SpatialIndex: Send + Sync {
 }
 
 /// Computes the [`ShardStats`] of one global tree over the objects it
-/// indexes (shared by both concrete databases).
+/// indexes (shared by the database and [`ShardSlice`]).
 pub(crate) fn shard_stats_of(index: &dyn SpatialIndex, tree: &RTree<usize>) -> ShardStats {
     let mut instances = 0;
     let mut approx_bytes = 0;

@@ -28,11 +28,12 @@
 //!
 //! * [`SpatialIndex`] — what the search needs from a database, abstracted
 //!   over its physical layout;
-//! * [`Database`] / [`FlatDatabase`] — objects indexed by a global R-tree
-//!   plus per-object local R-trees (§6's n+1-tree layout);
-//! * [`ShardedDatabase`] — the store space-partitioned into STR tiles,
-//!   one global R-tree per tile, searched scatter-gather with a shared
-//!   prune bound;
+//! * [`ShardedDatabase`] — the index: per-object local R-trees plus the
+//!   store space-partitioned into STR tiles, one global R-tree per tile,
+//!   searched as one merged forest with a shared prune bound or
+//!   scatter-gather;
+//! * [`Database`] / [`FlatDatabase`] — its one-shard configuration: a
+//!   global R-tree plus per-object local R-trees (§6's n+1-tree layout);
 //! * [`PreparedQuery`] — the query with its convex hull cached;
 //! * [`Operator`] / [`dominates`] — the five dominance checks with the
 //!   §5.1 filtering techniques, switchable via [`FilterConfig`];

@@ -862,7 +862,7 @@ mod tests {
     #[test]
     fn nodes_pop_before_objects_at_equal_keys() {
         let db = line_db();
-        let root = db.global_tree().root().unwrap();
+        let root = db.shard_tree(0).root().unwrap();
         let node = HeapItem {
             key: 1.0,
             slot: Slot::Node(root, 0),

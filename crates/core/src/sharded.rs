@@ -1,45 +1,60 @@
-//! [`ShardedDatabase`]: the columnar store space-partitioned into STR
-//! tiles, each tile owning its own global R-tree over a contiguous span.
+//! [`ShardedDatabase`]: the index — §6's `n + 1` R-trees over a
+//! columnar store, with the object set space-partitioned into STR tiles,
+//! each tile owning its own global R-tree.
 //!
-//! The flat layout keeps one global R-tree over every object MBR. At
-//! million-object scale that tree's upper levels become a serial
-//! bottleneck and the columnar store a single cache-hostile span. The
-//! sharded layout instead
+//! The paper's index is one global R-tree over every object MBR plus one
+//! local R-tree per object. At million-object scale that global tree's
+//! upper levels become a serial bottleneck and the columnar store a
+//! single cache-hostile span. This layout instead
 //!
 //! 1. runs the Sort-Tile-Recursive slicing of the bulk loader **once at
 //!    the object-MBR level** ([`osd_rtree::str_partition`]) to cut the
 //!    object set into `shards` spatially coherent tiles,
-//! 2. **permutes the columnar store shard-major** so each tile owns a
-//!    contiguous sub-span of the coordinate/probability columns (readers
-//!    of one shard touch one contiguous memory range), and
+//! 2. **permutes the columnar store shard-major** so each tile's objects
+//!    occupy one contiguous run of rows right after the build (readers of
+//!    one shard touch one contiguous memory range), and
 //! 3. bulk-loads one **global R-tree per tile** whose payloads are the
 //!    *logical* (pre-permutation) object ids.
 //!
 //! Object ids stay logical everywhere: `object(id)` resolves through the
 //! `slot` map to the permuted row, and shard-tree payloads carry logical
 //! ids, so NNC results are directly comparable with — and bit-identical
-//! to — the flat layout's (`tests/shard_identity.rs`).
+//! to — any other tiling of the same data (`tests/shard_identity.rs`).
 //!
-//! **One-shard degeneracy.** With `shards <= 1` the STR partition returns
-//! the identity order; the builder detects any identity permutation and
-//! reuses the base `Arc<InstanceStore>` without copying, and the single
-//! shard tree is bulk-loaded exactly like the flat global tree — one
-//! shard is the flat database, bit for bit.
+//! **One shard is the flat layout.** With `shards <= 1` the STR order is
+//! the identity: the base `Arc<InstanceStore>` is reused uncopied and the
+//! one tree is bulk-loaded over the objects in id order — the paper's
+//! global R-tree. [`FlatDatabase`](crate::FlatDatabase) is this
+//! configuration behind the historical constructors; this module is the
+//! only place an index is built or mutated.
 //!
-//! **Inserts after sharding.** [`ShardedDatabase::try_insert_object`]
-//! appends to the store (copy-on-write) and routes the new object to the
-//! shard whose tree MBR needs the least volume enlargement (ties: smaller
-//! volume, then lower shard id) — classic R-tree subtree choice, lifted to
-//! shard granularity. The contiguous-span property describes the initial
-//! bulk build only; inserted rows live at the store's tail.
+//! **Inserts** append to the store (copy-on-write) and go to the shard
+//! whose tree MBR needs the least volume enlargement (ties: smaller
+//! volume, then lower shard id) — R-tree subtree choice at shard
+//! granularity. The contiguous runs describe the bulk build only.
 
-use crate::db::{DbError, DEFAULT_GLOBAL_FANOUT, DEFAULT_LOCAL_FANOUT};
-use crate::index::{shard_stats_of, IndexStats, SpatialIndex};
+use crate::index::{shard_stats_of, DbError, IndexStats, SpatialIndex};
 use crate::local::LocalTrees;
 use osd_geom::Mbr;
 use osd_rtree::{str_partition, Entry, RTree};
 use osd_uncertain::{epoch, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
 use std::sync::Arc;
+
+/// Default fan-out of the global (per-shard) R-trees.
+pub const DEFAULT_GLOBAL_FANOUT: usize = 32;
+/// Fan-out of the per-object local R-trees (matches the paper's setting).
+pub const DEFAULT_LOCAL_FANOUT: usize = 4;
+
+/// Aborts a panicking constructor or mutator with the invariant violation
+/// `e` — the ergonomic path for trusted data (`try_*` is the fallible
+/// one), and the single place this crate waives its `clippy::panic`
+/// policy (mirroring `UncertainObject`).
+#[cold]
+#[track_caller]
+#[allow(clippy::panic)]
+pub(crate) fn invalid(e: DbError) -> ! {
+    panic!("{e}")
+}
 
 /// Layout parameters of a [`ShardedDatabase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,18 +80,18 @@ impl ShardConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Shard {
-    /// Global R-tree of this tile; payloads are logical object ids.
-    tree: RTree<usize>,
-    /// Contiguous row span `[lo, hi)` of the permuted store covered by the
-    /// initial bulk build (later inserts live at the store's tail;
-    /// deletes shrink the spans so they keep tiling the surviving rows).
-    span: (usize, usize),
-}
-
 /// A set of multi-instance objects indexed as STR tiles, each with its own
-/// global R-tree over a contiguous span of the shard-major-permuted store.
+/// global R-tree, over a shard-major-permuted columnar store.
+///
+/// Instance data is held in an `Arc<InstanceStore>` snapshot; the database
+/// itself only owns the index structures.
+///
+/// Mutations go through the epoch seam (`uncertain::epoch`): every
+/// insert/delete/update builds the next snapshot copy-on-write and bumps
+/// the epoch. Ids are logical and never reused — a delete compacts the
+/// object's rows out of the columns (later rows shift down by one) and
+/// leaves a tombstone in the id space, so `len()` (id-space size) and
+/// `live_len()` (row count) diverge after the first delete.
 #[derive(Debug, Clone)]
 pub struct ShardedDatabase {
     /// Shard-major permutation of the input store (or the input `Arc`
@@ -84,11 +99,14 @@ pub struct ShardedDatabase {
     store: Arc<InstanceStore>,
     /// Local instance trees, by logical id.
     local: LocalTrees,
-    shards: Vec<Shard>,
+    /// One global R-tree per tile; payloads are logical object ids, live
+    /// entries only.
+    shards: Vec<RTree<usize>>,
     /// Logical id → permuted row (`None` = tombstone).
     slot: Vec<Option<usize>>,
     /// Permuted row → logical id.
     ext: Vec<usize>,
+    /// Fan-out of the local trees built on insert and update.
     local_fanout: usize,
     /// Published-mutation log; its length is the snapshot epoch.
     epochs: EpochLog,
@@ -105,7 +123,7 @@ impl ShardedDatabase {
     pub fn new(objects: Vec<UncertainObject>, shards: usize) -> Self {
         match Self::try_new(objects, shards) {
             Ok(db) => db,
-            Err(e) => crate::db::FlatDatabase::invalid(e),
+            Err(e) => invalid(e),
         }
     }
 
@@ -129,6 +147,7 @@ impl ShardedDatabase {
             return Err(DbError::Empty);
         }
         let store = InstanceStore::from_objects(&objects).map_err(|e| {
+            // The store reports the mismatch; find which input tripped it.
             let object = objects
                 .iter()
                 .position(|o| o.dim() != objects[0].dim())
@@ -138,9 +157,10 @@ impl ShardedDatabase {
         Self::from_store(Arc::new(store), cfg)
     }
 
-    /// Shards an existing columnar snapshot. When the STR order turns out
+    /// Indexes an existing columnar snapshot. When the STR order turns out
     /// to be the identity permutation (always the case for `shards <= 1`),
-    /// the snapshot `Arc` is reused without copying.
+    /// the snapshot `Arc` is reused without copying — the database shares
+    /// the allocation with every other holder of the `Arc`.
     ///
     /// # Errors
     /// [`DbError::Empty`] if the store holds no objects.
@@ -171,22 +191,19 @@ impl ShardedDatabase {
             by_id[id] = Some(tree);
         }
         let local = LocalTrees::new(by_id.into_iter().flatten());
-        let mut shards = Vec::with_capacity(groups.len());
-        let mut lo = 0;
-        for group in &groups {
-            let hi = lo + group.len();
-            let entries: Vec<Entry<usize>> = (lo..hi)
-                .map(|row| Entry {
-                    mbr: store.object(row).mbr().clone(),
-                    item: ext[row],
-                })
-                .collect();
-            shards.push(Shard {
-                tree: RTree::bulk_load(cfg.global_fanout, entries),
-                span: (lo, hi),
-            });
-            lo = hi;
-        }
+        let shards = groups
+            .iter()
+            .map(|group| {
+                let entries: Vec<Entry<usize>> = group
+                    .iter()
+                    .map(|&id| Entry {
+                        mbr: mbrs[id].clone(),
+                        item: id,
+                    })
+                    .collect();
+                RTree::bulk_load(cfg.global_fanout, entries)
+            })
+            .collect();
         Ok(ShardedDatabase {
             store,
             local,
@@ -198,12 +215,6 @@ impl ShardedDatabase {
         })
     }
 
-    /// The row span `[lo, hi)` of the permuted store covered by shard
-    /// `shard`'s initial bulk build, shrunk as deletes compact rows out.
-    pub fn shard_span(&self, shard: usize) -> (usize, usize) {
-        self.shards[shard].span
-    }
-
     /// The permuted row holding live logical object `id`.
     ///
     /// # Panics
@@ -211,7 +222,7 @@ impl ShardedDatabase {
     pub fn row_of(&self, id: usize) -> usize {
         match self.row_of_checked(id) {
             Ok(row) => row,
-            Err(e) => crate::db::FlatDatabase::invalid(e),
+            Err(e) => invalid(e),
         }
     }
 
@@ -237,16 +248,16 @@ impl ShardedDatabase {
     pub fn insert_object(&mut self, object: UncertainObject) -> usize {
         match self.try_insert_object(object) {
             Ok(id) => id,
-            Err(e) => crate::db::FlatDatabase::invalid(e),
+            Err(e) => invalid(e),
         }
     }
 
     /// Fallible variant of [`ShardedDatabase::insert_object`].
     ///
     /// If the snapshot is currently shared, the columns are cloned once
-    /// before the append (copy-on-write). The new object's permuted row
-    /// equals its logical id (both are appended at the tail), so existing
-    /// spans and the slot/ext maps stay consistent.
+    /// before the append (copy-on-write); existing readers keep the old
+    /// snapshot unchanged. The new object's local tree is bulk-loaded at
+    /// the configured local fan-out.
     ///
     /// # Errors
     /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
@@ -265,15 +276,15 @@ impl ShardedDatabase {
         self.ext.push(id);
         self.slot.push(Some(row));
         let shard = self.choose_shard(&mbr);
-        self.shards[shard].tree.insert(mbr, id);
+        self.shards[shard].insert(mbr, id);
         self.epochs.record(Change::Inserted(id));
         Ok(id)
     }
 
     /// Deletes live object `id`: its rows are compacted out of the
-    /// permuted snapshot (copy-on-write), the owning shard's tree entry
-    /// is removed with condensation, and every shard span covering a
-    /// later row shrinks so the spans keep tiling the surviving rows.
+    /// permuted snapshot (copy-on-write — pinned readers keep the old
+    /// snapshot), the owning shard's tree entry is removed with
+    /// condensation, and its id is tombstoned, never to be reused.
     ///
     /// # Panics
     /// Panics if `id` is not live or the delete would empty the database.
@@ -281,7 +292,7 @@ impl ShardedDatabase {
     #[track_caller]
     pub fn delete_object(&mut self, id: usize) {
         if let Err(e) = self.try_delete_object(id) {
-            crate::db::FlatDatabase::invalid(e)
+            invalid(e)
         }
     }
 
@@ -296,13 +307,7 @@ impl ShardedDatabase {
             return Err(DbError::Empty);
         }
         let mbr = self.store.object(row).mbr().clone();
-        // Every live id lives in exactly one shard tree; condense the
-        // owner (remove_item leaves non-owning trees untouched).
-        let removed = self
-            .shards
-            .iter_mut()
-            .any(|s| s.tree.remove_item(&mbr, |&x| x == id).is_some());
-        debug_assert!(removed, "live id {id} must be in some shard tree");
+        self.remove_from_shards(&mbr, id);
         epoch::remove(&mut self.store, row);
         self.local.set(id, None);
         self.ext.remove(row);
@@ -311,16 +316,6 @@ impl ShardedDatabase {
             if *s > row {
                 *s -= 1;
             }
-        }
-        for shard in &mut self.shards {
-            let (lo, hi) = shard.span;
-            shard.span = if row < lo {
-                (lo - 1, hi - 1)
-            } else if row < hi {
-                (lo, hi - 1)
-            } else {
-                (lo, hi)
-            };
         }
         self.epochs.record(Change::Deleted(id));
         Ok(())
@@ -337,7 +332,7 @@ impl ShardedDatabase {
     #[track_caller]
     pub fn update_object(&mut self, id: usize, object: UncertainObject) {
         if let Err(e) = self.try_update_object(id, object) {
-            crate::db::FlatDatabase::invalid(e)
+            invalid(e)
         }
     }
 
@@ -350,11 +345,7 @@ impl ShardedDatabase {
         let row = self.row_of_checked(id)?;
         let old_mbr = self.store.object(row).mbr().clone();
         epoch::replace(&mut self.store, row, &object).map_err(|e| DbError::from_store(e, id))?;
-        let removed = self
-            .shards
-            .iter_mut()
-            .any(|s| s.tree.remove_item(&old_mbr, |&x| x == id).is_some());
-        debug_assert!(removed, "live id {id} must be in some shard tree");
+        self.remove_from_shards(&old_mbr, id);
         let view = self.store.object(row);
         self.local.set(
             id,
@@ -366,9 +357,19 @@ impl ShardedDatabase {
         );
         let mbr = view.mbr().clone();
         let shard = self.choose_shard(&mbr);
-        self.shards[shard].tree.insert(mbr, id);
+        self.shards[shard].insert(mbr, id);
         self.epochs.record(Change::Updated(id));
         Ok(())
+    }
+
+    /// Removes live `id` (indexed under `mbr`) from the one shard tree
+    /// holding it, with condensation; the other trees stay untouched.
+    fn remove_from_shards(&mut self, mbr: &Mbr, id: usize) {
+        let removed = self
+            .shards
+            .iter_mut()
+            .any(|tree| tree.remove_item(mbr, |&x| x == id).is_some());
+        debug_assert!(removed, "live id {id} must be in some shard tree");
     }
 
     /// The shard whose tree MBR needs the least volume enlargement to
@@ -376,8 +377,8 @@ impl ShardedDatabase {
     fn choose_shard(&self, mbr: &Mbr) -> usize {
         let mut best = 0;
         let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for (i, shard) in self.shards.iter().enumerate() {
-            let key = match shard.tree.mbr() {
+        for (i, tree) in self.shards.iter().enumerate() {
+            let key = match tree.mbr() {
                 Some(current) => {
                     let grown = current.union(mbr).volume();
                     (grown - current.volume(), current.volume())
@@ -442,7 +443,7 @@ impl SpatialIndex for ShardedDatabase {
     fn local_tree(&self, id: usize) -> &RTree<usize> {
         match self.local.get(id) {
             Some(tree) => tree,
-            None => crate::db::FlatDatabase::invalid(DbError::Dead { object: id }),
+            None => invalid(DbError::Dead { object: id }),
         }
     }
 
@@ -451,14 +452,14 @@ impl SpatialIndex for ShardedDatabase {
     }
 
     fn shard_tree(&self, shard: usize) -> &RTree<usize> {
-        &self.shards[shard].tree
+        &self.shards[shard]
     }
 
     fn index_stats(&self) -> IndexStats {
         let shards: Vec<_> = self
             .shards
             .iter()
-            .map(|s| shard_stats_of(self, &s.tree))
+            .map(|tree| shard_stats_of(self, tree))
             .collect();
         IndexStats {
             objects: self.live_len(),
@@ -491,6 +492,24 @@ mod tests {
             .collect()
     }
 
+    /// The build-time layout: in shard order, each shard tree's ids occupy
+    /// one contiguous run of rows, and the runs tile the store.
+    fn assert_shard_major(db: &ShardedDatabase) {
+        let mut lo = 0;
+        for s in 0..db.shard_count() {
+            let mut rows: Vec<usize> = db
+                .shard_tree(s)
+                .items()
+                .into_iter()
+                .map(|&id| db.row_of(id))
+                .collect();
+            rows.sort_unstable();
+            assert_eq!(rows, (lo..lo + rows.len()).collect::<Vec<_>>(), "shard {s}");
+            lo += rows.len();
+        }
+        assert_eq!(lo, db.live_len());
+    }
+
     #[test]
     fn one_shard_reuses_the_flat_snapshot_arc() {
         let flat = Database::new(grid(25));
@@ -500,7 +519,7 @@ mod tests {
         // Identity permutation: the snapshot is shared, not copied.
         assert!(Arc::ptr_eq(sharded.store(), flat.store()));
         assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.shard_span(0), (0, 25));
+        assert_shard_major(&sharded);
         for id in 0..25 {
             assert_eq!(sharded.row_of(id), id);
         }
@@ -527,15 +546,8 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..40).collect::<Vec<_>>());
-        // Spans tile the permuted store contiguously.
-        let mut lo = 0;
-        for s in 0..sharded.shard_count() {
-            let (a, b) = sharded.shard_span(s);
-            assert_eq!(a, lo);
-            assert_eq!(b - a, sharded.shard_tree(s).len());
-            lo = b;
-        }
-        assert_eq!(lo, 40);
+        // Each shard owns one contiguous run of the permuted store.
+        assert_shard_major(&sharded);
     }
 
     #[test]
@@ -634,10 +646,10 @@ mod tests {
     }
 
     #[test]
-    fn delete_condenses_owner_and_shrinks_spans() {
+    fn delete_condenses_the_owning_shard() {
         let mut sharded = ShardedDatabase::new(grid(24), 4);
+        assert_shard_major(&sharded);
         let before_live = sharded.live_len();
-        let row = sharded.row_of(7);
         sharded.delete_object(7);
         assert_eq!(sharded.len(), 24);
         assert_eq!(sharded.live_len(), before_live - 1);
@@ -650,21 +662,12 @@ mod tests {
         seen.sort_unstable();
         let want: Vec<usize> = (0..24).filter(|&i| i != 7).collect();
         assert_eq!(seen, want);
-        // Spans still tile the compacted row space contiguously.
-        let mut lo = 0;
-        for s in 0..sharded.shard_count() {
-            let (a, b) = sharded.shard_span(s);
-            assert_eq!(a, lo);
-            lo = b;
-        }
-        assert_eq!(lo, sharded.live_len());
         // Every survivor resolves to its original bits.
         for id in want {
             let x = (id % 10) as f64 * 3.0;
             let y = (id / 10) as f64 * 3.0;
             assert_eq!(sharded.object(id).row(0), &[x, y], "object {id}");
         }
-        let _ = row;
     }
 
     #[test]
@@ -691,6 +694,7 @@ mod tests {
     #[test]
     fn interleaved_mutations_keep_epoch_log_consistent() {
         let mut sharded = ShardedDatabase::new(grid(9), 3);
+        assert_shard_major(&sharded);
         sharded.delete_object(2);
         let id = sharded.insert_object(obj(&[(40.0, 40.0)]));
         assert_eq!(id, 9, "tombstoned ids are never reused");
@@ -708,15 +712,12 @@ mod tests {
             sharded.try_delete_object(2).unwrap_err(),
             DbError::Dead { object: 2 }
         );
-        // Deleting a tail insert leaves the bulk spans untouched.
-        let spans: Vec<_> = (0..sharded.shard_count())
-            .map(|s| sharded.shard_span(s))
-            .collect();
+        // Deleting a tail insert leaves every bulk-built row in place.
+        let bulk: Vec<usize> = (0..9).filter(|&i| i != 2).collect();
+        let rows: Vec<usize> = bulk.iter().map(|&i| sharded.row_of(i)).collect();
         sharded.delete_object(9);
-        let after: Vec<_> = (0..sharded.shard_count())
-            .map(|s| sharded.shard_span(s))
-            .collect();
-        assert_eq!(spans, after);
+        let after: Vec<usize> = bulk.iter().map(|&i| sharded.row_of(i)).collect();
+        assert_eq!(rows, after);
         sharded.store().validate().unwrap();
     }
 

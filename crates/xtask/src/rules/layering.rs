@@ -35,12 +35,26 @@ const LAYERS: &[(&str, u8)] = &[
 /// Crates nothing may depend on: the binary leaves and the facade.
 const LEAVES: &[&str] = &["osd-cli", "osd-bench", "osd"];
 
-/// The `SpatialIndex` trait module: the abstraction every query operator
-/// compiles against. It layers *below* the concrete indexes inside
-/// osd-core, so it must never reach up into them.
-const TRAIT_MODULE: &str = "crates/core/src/index.rs";
-/// The concrete implementation modules the trait module may not import.
-const INDEX_IMPLS: &[&str] = &["db", "sharded"];
+/// Intra-crate layering of the index modules inside osd-core, bottom up:
+/// `index` (the `SpatialIndex` trait every query operator compiles
+/// against) → `sharded` (the one index implementation) → `db` (the flat
+/// one-shard front). Each entry is a module file, the sibling modules its
+/// non-test code may not reference, and why.
+const INDEX_LAYERS: &[(&str, &[&str], &str)] = &[
+    (
+        "crates/core/src/index.rs",
+        &["db", "sharded"],
+        "the trait layer must stay implementation-agnostic — move shared code \
+         into index.rs or depend on the trait instead",
+    ),
+    (
+        "crates/core/src/sharded.rs",
+        &["db"],
+        "`db` is the one-shard front above the single index implementation — \
+         move shared code into sharded.rs or index.rs instead of growing a second \
+         implementation there",
+    ),
+];
 
 fn level(name: &str) -> Option<u8> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|(_, l)| *l)
@@ -97,39 +111,38 @@ pub(super) fn crate_layering(ws: &Workspace, out: &mut Vec<Violation>) {
             push(out, file, t.line, "crate-layering", msg);
         }
     }
-    // Intra-crate layering of the index abstraction: the trait module
-    // (`core::index`) sits below the concrete indexes; `crate::db` /
-    // `crate::sharded` references from it invert that edge (test modules
-    // exercise the concrete types and are exempt).
+    // Intra-crate layering of the index modules: `crate::X` / `super::X`
+    // references up the stack invert it (test modules exercise the
+    // concrete types and are exempt).
     for file in &ws.files {
-        if file.path.to_string_lossy() != TRAIT_MODULE {
+        let path = file.path.to_string_lossy();
+        let Some(&(_, banned, why)) = INDEX_LAYERS.iter().find(|(p, _, _)| *p == path) else {
             continue;
-        }
+        };
         for p in 0..file.sig.len() {
             let Some(t) = file.sig_tok(p) else { break };
             if !(t.is_ident("crate") || t.is_ident("super")) || file.is_test_code(p) {
                 continue;
             }
-            let reaches = file.sig_tok(p + 1).is_some_and(|n| n.is_punct("::"))
-                && file
-                    .sig_tok(p + 2)
-                    .is_some_and(|n| INDEX_IMPLS.iter().any(|m| n.is_ident(m)));
-            if reaches {
-                let module = file
-                    .sig_tok(p + 2)
-                    .map_or(String::new(), |n| n.text.clone());
-                push(
-                    out,
-                    file,
-                    t.line,
-                    "crate-layering",
-                    format!(
-                        "the SpatialIndex trait module imports `crate::{module}`; the trait \
-                         layer must stay implementation-agnostic — move shared code into \
-                         index.rs or depend on the trait instead"
-                    ),
-                );
+            if !file.sig_tok(p + 1).is_some_and(|n| n.is_punct("::")) {
+                continue;
             }
+            let Some(module) = file
+                .sig_tok(p + 2)
+                .filter(|n| banned.iter().any(|m| n.is_ident(m)))
+            else {
+                continue;
+            };
+            push(
+                out,
+                file,
+                t.line,
+                "crate-layering",
+                format!(
+                    "`{}::{}` reaches up the index layering; {why}",
+                    t.text, module.text
+                ),
+            );
         }
     }
 }
@@ -380,12 +393,48 @@ mod tests {
             "pub trait SpatialIndex {}\n#[cfg(test)]\nmod tests {\n    use crate::db::Database;\n}\n",
         );
         let ok_other = file(
-            "crates/core/src/sharded.rs",
+            "crates/core/src/nnc.rs",
             FileOrigin::LibSrc,
             "osd-core",
             "use crate::db::DbError;\n",
         );
         assert!(run_layering(&ws(vec![m], vec![ok_test, ok_other])).is_empty());
+    }
+
+    #[test]
+    fn index_implementation_may_not_import_the_flat_front() {
+        let core = || {
+            manifest(
+                "crates/core/Cargo.toml",
+                "[package]\nname = \"osd-core\"\n[dependencies]\nosd-geom = {}\n",
+            )
+        };
+        let bad = file(
+            "crates/core/src/sharded.rs",
+            FileOrigin::LibSrc,
+            "osd-core",
+            "use crate::index::DbError;\nfn f() { super::db::FlatDatabase::new(vec![]); }\n",
+        );
+        let v = run_layering(&ws(vec![core()], vec![bad]));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("one-shard front"), "{}", v[0].msg);
+        assert_eq!(v[0].line, 2);
+
+        // Its tests may compare against the front, and the front may
+        // build on the implementation.
+        let ok_test = file(
+            "crates/core/src/sharded.rs",
+            FileOrigin::LibSrc,
+            "osd-core",
+            "use crate::index::DbError;\n#[cfg(test)]\nmod tests {\n    use crate::db::Database;\n}\n",
+        );
+        let ok_front = file(
+            "crates/core/src/db.rs",
+            FileOrigin::LibSrc,
+            "osd-core",
+            "use crate::sharded::{invalid, ShardedDatabase};\n",
+        );
+        assert!(run_layering(&ws(vec![core()], vec![ok_test, ok_front])).is_empty());
     }
 
     #[test]

@@ -226,12 +226,16 @@ static RULES: [Rule; 17] = [
         id: "crate-layering",
         summary: "crate dependencies and osd_* imports must follow the layering DAG",
         scope: "every Cargo.toml [dependencies] section and every osd_* path in scanned \
-                source (test code may additionally use dev-dependencies)",
+                source (test code may additionally use dev-dependencies), plus non-test \
+                crate::/super:: paths in core/src/index.rs and core/src/sharded.rs",
         intent: "the workspace layers as geom/flow/obs → rtree/uncertain → \
                  datagen/nnfuncs/nncore → core → cli/bench/facade. A library crate reaching \
                  a leaf (cli/bench) or skipping upward (geom importing core) creates cycles \
                  the build may tolerate today and a refactor breaks tomorrow; the DAG is \
-                 enforced on both the manifests and the import graph.",
+                 enforced on both the manifests and the import graph. Inside osd-core the \
+                 index modules layer the same way: index.rs (the trait) may not import \
+                 db/sharded, and sharded.rs (the one implementation) may not import db \
+                 (its one-shard front).",
         waiver: "acceptable only during a staged refactor that temporarily inverts an edge; \
                  the waiver must name the PR that removes it.",
         run: Run::Workspace(layering::crate_layering),
