@@ -9,7 +9,7 @@
 //!   alongside query latency;
 //! * **scan** — a distance-accumulation sweep over every instance, once
 //!   through the boxed `Instance`/`Point` representation (one heap box per
-//!   point) and once through the contiguous coordinate column
+//!   point) and once through each object's contiguous coordinate rows
 //!   (`chunks_exact` + `dist2_slice`). Both run the identical float fold,
 //!   so the sums must agree bit-for-bit — asserted, not assumed;
 //! * **filter phase** — end-to-end NNC latency per query on the
@@ -102,11 +102,14 @@ fn sweep_boxed(objects: &[UncertainObject], q: &Point) -> f64 {
     acc
 }
 
-/// The columnar sweep: the identical fold over the flat coordinate column.
+/// The columnar sweep: the identical fold over each object's contiguous
+/// coordinate rows, objects in row order.
 fn sweep_columnar(store: &InstanceStore, q: &Point) -> f64 {
     let mut acc = 0.0f64;
-    for row in store.coords().chunks_exact(store.dim()) {
-        acc += dist2_slice(row, q.coords());
+    for object in store.iter() {
+        for row in object.coords().chunks_exact(store.dim()) {
+            acc += dist2_slice(row, q.coords());
+        }
     }
     acc
 }

@@ -62,8 +62,14 @@ fn deterministic_given_seed() {
     let a = build(DatasetId::Gw, &tiny());
     let b = build(DatasetId::Gw, &tiny());
     assert_eq!(a.db.len(), b.db.len());
-    assert_eq!(a.db.store().coords(), b.db.store().coords());
-    assert_eq!(a.db.store().probs(), b.db.store().probs());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let (sa, sb) = (a.db.store(), b.db.store());
+    assert_eq!((sa.len(), sa.rows()), (sb.len(), sb.rows()));
+    for (x, y) in sa.iter().zip(sb.iter()) {
+        assert_eq!(x.id(), y.id());
+        assert_eq!(bits(x.coords()), bits(y.coords()), "object {}", x.id());
+        assert_eq!(bits(x.probs()), bits(y.probs()), "object {}", x.id());
+    }
     // Same workload ⇒ identical candidate counts.
     let ra = run_cell(&a, Operator::SsSd, &FilterConfig::all());
     let rb = run_cell(&b, Operator::SsSd, &FilterConfig::all());

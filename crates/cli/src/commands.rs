@@ -186,8 +186,9 @@ pub fn cmd_mutate(flags: &Flags) -> Result<(), CliError> {
         .map(osd_uncertain::UncertainObject::dim)
         .ok_or_else(|| CliError::Data(format!("{data}: dataset is empty")))?;
     let ops = read_ops_file(Path::new(ops_file), dim)?;
-    // Shadow copy of the logical id space, for `--out`: the store compacts
-    // deleted rows away, so surviving objects are re-emitted from here.
+    // Shadow copy of the logical id space, for `--out`: store rows follow
+    // the shard layout, not ids, so surviving objects are re-emitted from
+    // here in id order.
     let mut shadow: Vec<Option<osd_uncertain::UncertainObject>> =
         objects.iter().cloned().map(Some).collect();
     let published = PublishedIndex::new(build_index(objects, shards)?);

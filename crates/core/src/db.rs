@@ -331,7 +331,7 @@ mod tests {
         ]);
         let snapshot = Arc::clone(db.store());
         // Views index the same allocation as the snapshot clone.
-        let base = snapshot.coords().as_ptr();
+        let base = snapshot.object(0).coords().as_ptr();
         assert!(std::ptr::eq(base, db.object(0).coords().as_ptr()));
         assert_eq!(db.object(1).len(), 2);
         assert_eq!(db.object(1).row(1), &[6.0, 6.0]);
@@ -400,11 +400,12 @@ mod tests {
             obj(&[(9.0, 9.0), (9.5, 9.0)]),
         ]);
         db.delete_object(1);
-        // Id space keeps the tombstone; the row space compacts.
+        // Id space and store rows keep the tombstone; the live count drops.
         assert_eq!(db.len(), 3);
         assert_eq!(db.live_len(), 2);
         assert_eq!(db.tombstone_count(), 1);
         assert!(db.is_live(0) && !db.is_live(1) && db.is_live(2));
+        assert_eq!((db.store().rows(), db.store().instance_count()), (3, 4));
         db.store().validate().unwrap();
         // Survivors are addressable under their old ids, bits unchanged.
         assert_eq!(db.object(0).row(1), &[1.0, 1.0]);

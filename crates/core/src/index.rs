@@ -189,9 +189,9 @@ pub trait SpatialIndex: Send + Sync {
         Err(DbError::Immutable)
     }
 
-    /// Publishes a delete: the object's rows are compacted out of the
-    /// store, its global-tree entry condensed away, and its id
-    /// tombstoned (never reused).
+    /// Publishes a delete: the object's store row is tombstoned (its
+    /// instances compacted out of that row's chunk), its global-tree entry
+    /// condensed away, and its id tombstoned (never reused).
     ///
     /// # Errors
     /// [`DbError::Immutable`] for read-only layouts (the default);

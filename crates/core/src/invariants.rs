@@ -16,7 +16,6 @@
 
 use crate::config::FilterConfig;
 use crate::ctx::CheckCtx;
-use crate::db::Database;
 use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
@@ -41,13 +40,13 @@ pub fn transitivity_spot_check(
             }
         }
     }
-    for u in 0..n {
-        for v in 0..n {
-            if u == v || !dom[u][v] {
+    for (u, from_u) in dom.iter().enumerate() {
+        for (v, from_v) in dom.iter().enumerate() {
+            if u == v || !from_u[v] {
                 continue;
             }
-            for w in 0..n {
-                if w != u && w != v && dom[v][w] && !dom[u][w] {
+            for (w, (&vw, &uw)) in from_v.iter().zip(from_u).enumerate() {
+                if w != u && w != v && vw && !uw {
                     return Err((u, v, w));
                 }
             }
@@ -86,6 +85,7 @@ pub fn irreflexivity_spot_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Database;
     use osd_geom::Point;
     use osd_uncertain::UncertainObject;
 

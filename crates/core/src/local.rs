@@ -5,13 +5,12 @@
 //! chunk behind an `Arc`, each tree behind an `Arc` of its own. Cloning
 //! the table (every publish clones the index) bumps one count per chunk,
 //! not one per object; a mutation copies only the chunk holding the id it
-//! touches, and the copy shares every other tree in it. Keying by logical
-//! id rather than store row keeps a delete just as local: the row
-//! compaction that shifts every later row never reaches this table, and a
-//! tombstoned id keeps an empty slot.
+//! touches, and the copy shares every other tree in it. A tombstoned id
+//! keeps an empty slot. The columnar store chunks its rows the same way.
 //!
-//! Like the global R-trees, a chunk is copied unconditionally on write
-//! (no `Arc::make_mut`), so a pinned snapshot never observes a mutation.
+//! Like the global R-trees and the store's chunks, a chunk is copied
+//! unconditionally on write (no `Arc::make_mut`), so a pinned snapshot
+//! never observes a mutation.
 
 use osd_rtree::RTree;
 use std::sync::Arc;

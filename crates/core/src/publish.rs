@@ -13,12 +13,13 @@
 //! a publish costs in proportion to the change, plus a few flat copies:
 //!
 //! * **Shared:** every local R-tree but the touched object's (held by id
-//!   in `Arc`-shared chunks; a write copies one chunk of pointers), and
-//!   every global R-tree node off the touched root-to-leaf paths
-//!   (`RTree::insert` / `remove_item` path-copy; a clone is O(1)).
-//! * **Copied once per publish:** the columnar store, by the single
-//!   copy-on-write splice of `osd_uncertain::epoch` — the largest
-//!   remaining cost — and the `slot`/`ext` id maps and the bounded epoch
+//!   in `Arc`-shared chunks; a write copies one chunk of pointers), every
+//!   global R-tree node off the touched root-to-leaf paths
+//!   (`RTree::insert` / `remove_item` path-copy; a clone is O(1)), and
+//!   every chunk of the columnar store but the one holding the touched
+//!   row (`osd_uncertain::epoch` clones the chunk table, one count bump
+//!   per 256 rows, and the write copies 256 rows).
+//! * **Copied once per publish:** the `slot` id map and the bounded epoch
 //!   log, which are flat integer arrays.
 //!
 //! The displaced snapshot is dropped after the swap releases the lock,

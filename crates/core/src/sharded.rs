@@ -28,10 +28,12 @@
 //! configuration behind the historical constructors; this module is the
 //! only place an index is built or mutated.
 //!
-//! **Inserts** append to the store (copy-on-write) and go to the shard
-//! whose tree MBR needs the least volume enlargement (ties: smaller
-//! volume, then lower shard id) — R-tree subtree choice at shard
+//! **Inserts** append a row to the store (copying its last chunk) and go
+//! to the shard whose tree MBR needs the least volume enlargement (ties:
+//! smaller volume, then lower shard id) — R-tree subtree choice at shard
 //! granularity. The contiguous runs describe the bulk build only.
+//! **Deletes** tombstone the object's row; store rows never move, so no
+//! other id's row changes.
 
 use crate::index::{shard_stats_of, DbError, IndexStats, SpatialIndex};
 use crate::local::LocalTrees;
@@ -87,11 +89,12 @@ impl ShardConfig {
 /// itself only owns the index structures.
 ///
 /// Mutations go through the epoch seam (`uncertain::epoch`): every
-/// insert/delete/update builds the next snapshot copy-on-write and bumps
-/// the epoch. Ids are logical and never reused — a delete compacts the
-/// object's rows out of the columns (later rows shift down by one) and
-/// leaves a tombstone in the id space, so `len()` (id-space size) and
-/// `live_len()` (row count) diverge after the first delete.
+/// insert/delete/update builds the next snapshot copy-on-write, copying
+/// the one store chunk it touches, and bumps the epoch. Ids are logical
+/// and never reused — a delete tombstones the object's store row (its
+/// instances are compacted out of that chunk) and its id, so `len()`
+/// (id-space size) and `live_len()` (live objects) diverge after the
+/// first delete.
 #[derive(Debug, Clone)]
 pub struct ShardedDatabase {
     /// Shard-major permutation of the input store (or the input `Arc`
@@ -102,10 +105,10 @@ pub struct ShardedDatabase {
     /// One global R-tree per tile; payloads are logical object ids, live
     /// entries only.
     shards: Vec<RTree<usize>>,
-    /// Logical id → permuted row (`None` = tombstone).
+    /// Logical id → store row (`None` = tombstone). Store rows are
+    /// stable, so an entry is written once on build or insert and cleared
+    /// on delete; no other mutation touches it.
     slot: Vec<Option<usize>>,
-    /// Permuted row → logical id.
-    ext: Vec<usize>,
     /// Fan-out of the local trees built on insert and update.
     local_fanout: usize,
     /// Published-mutation log; its length is the snapshot epoch.
@@ -157,10 +160,12 @@ impl ShardedDatabase {
         Self::from_store(Arc::new(store), cfg)
     }
 
-    /// Indexes an existing columnar snapshot. When the STR order turns out
-    /// to be the identity permutation (always the case for `shards <= 1`),
-    /// the snapshot `Arc` is reused without copying — the database shares
-    /// the allocation with every other holder of the `Arc`.
+    /// Indexes the live objects of an existing columnar snapshot; logical
+    /// id `k` is its `k`-th live object in row order. When the STR order
+    /// turns out to be the identity on the store's rows (always the case
+    /// for `shards <= 1` over a store without tombstones), the snapshot
+    /// `Arc` is reused without copying — the database shares the
+    /// allocation with every other holder of the `Arc`.
     ///
     /// # Errors
     /// [`DbError::Empty`] if the store holds no objects.
@@ -169,24 +174,27 @@ impl ShardedDatabase {
             return Err(DbError::Empty);
         }
         let dim = store.dim();
-        let mbrs: Vec<Mbr> = store.iter().map(|o| o.mbr().clone()).collect();
+        let (rows, mbrs): (Vec<usize>, Vec<Mbr>) =
+            store.iter().map(|o| (o.id(), o.mbr().clone())).unzip();
         let groups = str_partition(&mbrs, cfg.shards);
-        let ext: Vec<usize> = groups.iter().flatten().copied().collect();
-        let identity = ext.iter().enumerate().all(|(row, &id)| row == id);
+        // ids[r] is the logical id of the object that lands in row r.
+        let ids: Vec<usize> = groups.iter().flatten().copied().collect();
+        let order: Vec<usize> = ids.iter().map(|&id| rows[id]).collect();
+        let identity = order.iter().enumerate().all(|(r, &row)| r == row);
         let store = if identity {
             store
         } else {
-            Arc::new(store.permuted(&ext))
+            Arc::new(store.permuted(&order))
         };
-        let mut slot = vec![None; ext.len()];
-        for (row, &id) in ext.iter().enumerate() {
+        let mut slot = vec![None; ids.len()];
+        for (row, &id) in ids.iter().enumerate() {
             slot[id] = Some(row);
         }
         // Build the local trees in row (STR) order, so the trees of the
         // objects in one global-tree leaf lie close together in memory,
         // then file them by id.
-        let mut by_id: Vec<Option<RTree<usize>>> = (0..ext.len()).map(|_| None).collect();
-        for (row, &id) in ext.iter().enumerate() {
+        let mut by_id: Vec<Option<RTree<usize>>> = (0..ids.len()).map(|_| None).collect();
+        for (row, &id) in ids.iter().enumerate() {
             let tree = RTree::bulk_load_rows(cfg.local_fanout, dim, store.object(row).coords());
             by_id[id] = Some(tree);
         }
@@ -209,7 +217,6 @@ impl ShardedDatabase {
             local,
             shards,
             slot,
-            ext,
             local_fanout: cfg.local_fanout,
             epochs: EpochLog::default(),
         })
@@ -254,10 +261,10 @@ impl ShardedDatabase {
 
     /// Fallible variant of [`ShardedDatabase::insert_object`].
     ///
-    /// If the snapshot is currently shared, the columns are cloned once
-    /// before the append (copy-on-write); existing readers keep the old
-    /// snapshot unchanged. The new object's local tree is bulk-loaded at
-    /// the configured local fan-out.
+    /// The object takes a new store row; only the store's last chunk is
+    /// copied, and existing readers keep the old snapshot unchanged. The
+    /// new object's local tree is bulk-loaded at the configured local
+    /// fan-out.
     ///
     /// # Errors
     /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
@@ -265,7 +272,6 @@ impl ShardedDatabase {
         let id = self.slot.len();
         let row =
             epoch::append(&mut self.store, &object).map_err(|e| DbError::from_store(e, id))?;
-        debug_assert_eq!(row, self.ext.len(), "appends land at the store tail");
         let view = self.store.object(row);
         let mbr = view.mbr().clone();
         self.local.push(RTree::bulk_load_rows(
@@ -273,7 +279,6 @@ impl ShardedDatabase {
             view.dim(),
             view.coords(),
         ));
-        self.ext.push(id);
         self.slot.push(Some(row));
         let shard = self.choose_shard(&mbr);
         self.shards[shard].insert(mbr, id);
@@ -281,10 +286,10 @@ impl ShardedDatabase {
         Ok(id)
     }
 
-    /// Deletes live object `id`: its rows are compacted out of the
-    /// permuted snapshot (copy-on-write — pinned readers keep the old
-    /// snapshot), the owning shard's tree entry is removed with
-    /// condensation, and its id is tombstoned, never to be reused.
+    /// Deletes live object `id`: its store row is tombstoned (copying one
+    /// chunk — pinned readers keep the old snapshot), the owning shard's
+    /// tree entry is removed with condensation, and its id is tombstoned,
+    /// never to be reused. No other id's row changes.
     ///
     /// # Panics
     /// Panics if `id` is not live or the delete would empty the database.
@@ -310,21 +315,15 @@ impl ShardedDatabase {
         self.remove_from_shards(&mbr, id);
         epoch::remove(&mut self.store, row);
         self.local.set(id, None);
-        self.ext.remove(row);
         self.slot[id] = None;
-        for s in self.slot.iter_mut().flatten() {
-            if *s > row {
-                *s -= 1;
-            }
-        }
         self.epochs.record(Change::Deleted(id));
         Ok(())
     }
 
-    /// Replaces live object `id` in place (same logical id): the rows are
-    /// respliced in the snapshot (copy-on-write), the local tree rebuilt,
-    /// and the global entry re-routed to the shard whose tree MBR needs
-    /// the least enlargement — the same rule as insert.
+    /// Replaces live object `id` in place (same logical id and row): its
+    /// chunk of the snapshot is rebuilt (copy-on-write), its local tree
+    /// rebuilt, and the global entry re-routed to the shard whose tree MBR
+    /// needs the least enlargement — the same rule as insert.
     ///
     /// # Panics
     /// Panics if `id` is not live or dimensionalities mismatch. Use
@@ -719,6 +718,24 @@ mod tests {
         let after: Vec<usize> = bulk.iter().map(|&i| sharded.row_of(i)).collect();
         assert_eq!(rows, after);
         sharded.store().validate().unwrap();
+    }
+
+    #[test]
+    fn from_store_indexes_the_live_objects_of_a_store_with_tombstones() {
+        let objects = grid(12);
+        let mut db = ShardedDatabase::new(objects.clone(), 1);
+        db.delete_object(4);
+        let rebuilt =
+            ShardedDatabase::from_store(Arc::clone(db.store()), ShardConfig::with_shards(3))
+                .unwrap();
+        rebuilt.store().validate().unwrap();
+        assert_eq!((rebuilt.len(), rebuilt.live_len()), (11, 11));
+        // Logical id k is the k-th live object, in row order.
+        let live: Vec<&UncertainObject> =
+            (0..12).filter(|&i| i != 4).map(|i| &objects[i]).collect();
+        for (id, o) in live.into_iter().enumerate() {
+            assert_eq!(rebuilt.object(id).row(0), o.instances()[0].point.coords());
+        }
     }
 
     #[test]

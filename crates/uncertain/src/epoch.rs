@@ -8,9 +8,11 @@
 //! mutation. The builders are the only sanctioned `Arc::make_mut` sites
 //! in the workspace (xtask rule `no-raw-cow-outside-epoch`), so every
 //! mutation path is forced through this module and inherits its
-//! semantics: if the head `Arc` is uniquely owned the columns are edited
-//! in place (no copy), otherwise the store is cloned once and readers
-//! keep the old allocation.
+//! semantics: if the head `Arc` is uniquely owned the store is edited in
+//! place, otherwise the store's chunk table is cloned first (one count
+//! bump per chunk of 256 rows) and readers keep the old table. Either way
+//! the store itself copies only the one chunk the write touches, so pinned
+//! readers share every other chunk with the new snapshot.
 //!
 //! [`EpochLog`] is the version counter that rides next to the chain
 //! head: each publish bumps the epoch and records what changed
@@ -142,9 +144,10 @@ pub fn touched_ids(changes: &[Change]) -> Vec<usize> {
 }
 
 /// Builds the next snapshot with one appended object, returning its row
-/// (== its logical id for a flat store that has never compacted).
+/// (a new row past every existing one; rows are never reused).
 ///
-/// Copy-on-write: edits in place iff `head` is uniquely owned.
+/// Copy-on-write: clones the chunk table iff `head` is shared; copies the
+/// last chunk (or opens a new one).
 ///
 /// # Errors
 /// [`StoreError::DimensionMismatch`] if the object's dimensionality
@@ -163,30 +166,30 @@ pub fn append(
     Arc::make_mut(head).push_object(object)
 }
 
-/// Builds the next snapshot with the object at `row` spliced out
-/// (tombstone compaction: later rows shift down by one).
+/// Builds the next snapshot with the object at `row` removed: the row
+/// becomes a tombstone and only its chunk is copied and compacted. Every
+/// other row keeps its place.
 ///
 /// # Panics
-/// Panics if `row` is out of bounds.
+/// Panics if `row` is out of bounds or already removed.
 pub fn remove(head: &mut Arc<InstanceStore>, row: usize) {
-    assert!(row < head.len(), "object row out of bounds");
     Arc::make_mut(head).remove_object(row);
 }
 
-/// Builds the next snapshot with the object at `row` replaced in place.
+/// Builds the next snapshot with the object at `row` replaced in place,
+/// copying only its chunk.
 ///
 /// # Errors
 /// [`StoreError::DimensionMismatch`] if the object's dimensionality
 /// differs from the store's; the snapshot is unchanged.
 ///
 /// # Panics
-/// Panics if `row` is out of bounds.
+/// Panics if `row` is out of bounds or removed.
 pub fn replace(
     head: &mut Arc<InstanceStore>,
     row: usize,
     object: &UncertainObject,
 ) -> Result<(), StoreError> {
-    assert!(row < head.len(), "object row out of bounds");
     if object.dim() != head.dim() {
         return Err(StoreError::DimensionMismatch {
             expected: head.dim(),
@@ -230,9 +233,19 @@ mod tests {
         assert_eq!(Arc::as_ptr(&h), before);
         assert_eq!(h.len(), 2);
         h.validate().unwrap();
-        replace(&mut h, 0, &obj(-3.0, -3.0)).unwrap();
-        assert_eq!(h.object(0).row(0), &[-3.0, -3.0]);
+        // Rows are stable: row 0 is a tombstone, row 1 is where it was.
+        assert!(h.get(0).is_none());
+        replace(&mut h, 1, &obj(-3.0, -3.0)).unwrap();
+        assert_eq!(h.object(1).row(0), &[-3.0, -3.0]);
         h.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds or removed")]
+    fn remove_rejects_a_removed_row() {
+        let mut h = head();
+        remove(&mut h, 1);
+        remove(&mut h, 1);
     }
 
     #[test]

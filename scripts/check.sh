@@ -34,6 +34,10 @@ echo "== osdbench unit tests (benchmark builds against crates/*) =="
 # crates/* and runs its statistics + BENCHMARK.json catalogue tests.
 cargo test -q --offline --manifest-path osdbench/Cargo.toml
 
+echo "== cargo clippy -p osd-core --features strict-invariants (-D warnings) =="
+# The audit layer compiles code the default build never sees; lint it too.
+cargo clippy -p osd-core --all-targets --features strict-invariants -- -D warnings
+
 echo "== cargo test --features strict-invariants =="
 cargo test -q --features strict-invariants
 cargo test -q -p osd-core --features strict-invariants

@@ -8,6 +8,13 @@
 //!   tree(s) that did, every top-level subtree whose items the update left
 //!   alone is shared, while a subtree holding `id` is a fresh copy;
 //! * the old pinned snapshot still answers bit-identically.
+//!
+//! The instance store is shared the same way, in chunks of 256 rows. After
+//! an insert, a delete and an update on an index of more than three chunks,
+//! every live object outside the written chunk has the *same* coordinate
+//! allocation in the old and the new snapshot, every object inside it
+//! (the touched one included) has a fresh copy, and the old snapshot still
+//! answers bit-identically.
 
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -155,4 +162,98 @@ fn sharded_publish_shares_untouched_trees() {
     for id in [0, 137, 300, 447] {
         check_update_shares(db.clone(), id);
     }
+}
+
+/// Rows per store chunk: a write copies exactly the chunk it touches.
+const STORE_CHUNK: usize = 256;
+
+/// A 30 × 30 grid: 900 objects, three full store chunks and part of a
+/// fourth.
+fn big_grid() -> Vec<UncertainObject> {
+    (0..900)
+        .map(|k| object((k % 30) as f64 * 10.0, (k / 30) as f64 * 10.0))
+        .collect()
+}
+
+/// The store chunk holding live `id`'s row.
+fn chunk_of(db: &dyn SpatialIndex, id: usize) -> usize {
+    db.object(id).id() / STORE_CHUNK
+}
+
+/// Asserts the store-sharing contract between two snapshots around one
+/// write to store chunk `written`: every id live in both snapshots shares
+/// its coordinate rows iff its row lies outside `written`.
+fn assert_store_shared(old: &dyn SpatialIndex, new: &dyn SpatialIndex, written: usize) {
+    for id in (0..old.len()).filter(|&id| old.is_live(id) && new.is_live(id)) {
+        let (a, b) = (old.object(id), new.object(id));
+        assert_eq!(a.id(), b.id(), "rows are stable");
+        let same = std::ptr::eq(a.coords().as_ptr(), b.coords().as_ptr());
+        if chunk_of(old, id) == written {
+            assert!(!same, "object {id} in the written chunk was not copied");
+        } else {
+            assert!(same, "object {id} outside the written chunk was copied");
+        }
+    }
+}
+
+/// Publishes an insert, a delete of `victim` and an update of `moved`,
+/// checking store sharing and the old snapshot's answers after each.
+fn check_store_shares<D: SpatialIndex + Clone>(db: D, victim: usize, moved: usize) {
+    assert!(db.store().rows() > 3 * STORE_CHUNK);
+    let published = PublishedIndex::new(db);
+    let query = PreparedQuery::new(object(42.0, 57.0));
+
+    // Insert: the new row lands in the last, partly filled chunk.
+    let old = published.pin();
+    let before = answer(&*old, &query);
+    let id = published.insert(object(55.0, 55.0)).expect("insert");
+    let new = published.pin();
+    let written = chunk_of(&*new, id);
+    assert_eq!(written, old.store().rows() / STORE_CHUNK);
+    assert_store_shared(&*old, &*new, written);
+    assert_eq!(answer(&*old, &query), before, "insert changed the old pin");
+
+    // Delete: the victim's chunk is copied, its row tombstoned.
+    let old = published.pin();
+    let before = answer(&*old, &query);
+    let written = chunk_of(&*old, victim);
+    published.delete(victim).expect("delete");
+    let new = published.pin();
+    assert!(!new.is_live(victim));
+    assert_eq!(new.store().rows(), old.store().rows());
+    assert_store_shared(&*old, &*new, written);
+    assert_eq!(answer(&*old, &query), before, "delete changed the old pin");
+
+    // Update: the touched object gets fresh rows, with its chunk-mates.
+    let old = published.pin();
+    let before = answer(&*old, &query);
+    let written = chunk_of(&*old, moved);
+    published
+        .update(moved, object(43.0, 58.0))
+        .expect("live id updates");
+    let new = published.pin();
+    assert!(!std::ptr::eq(
+        old.object(moved).coords().as_ptr(),
+        new.object(moved).coords().as_ptr()
+    ));
+    assert_store_shared(&*old, &*new, written);
+    assert_eq!(answer(&*old, &query), before, "update changed the old pin");
+}
+
+#[test]
+fn flat_publish_copies_one_store_chunk() {
+    let db = FlatDatabase::with_fanouts(big_grid(), GLOBAL_FANOUT, 4);
+    check_store_shares(db, 300, 600);
+}
+
+#[test]
+fn sharded_publish_copies_one_store_chunk() {
+    let cfg = ShardConfig {
+        shards: 4,
+        global_fanout: GLOBAL_FANOUT,
+        local_fanout: 4,
+    };
+    let db = ShardedDatabase::try_with_config(big_grid(), cfg).expect("grid builds");
+    assert!(db.shard_count() > 1);
+    check_store_shares(db, 300, 600);
 }

@@ -26,6 +26,8 @@ use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
 use osd_geom::{dist_slice, Mbr};
 use osd_uncertain::{DistanceDistribution, InstanceStore};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A randomized A-N (anti-correlated) workload: the store is exercised on
 /// the same data family as the paper's evaluation.
@@ -42,6 +44,46 @@ fn an_objects(n: usize, instances: usize, seed: u64) -> Vec<UncertainObject> {
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Checks `store` row by row against a model of its rows (`None` marks a
+/// removed row): liveness, coordinate, probability and MBR bits, the live
+/// count, row-order iteration and `validate()`.
+fn assert_matches_model(
+    store: &InstanceStore,
+    model: &[Option<UncertainObject>],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(store.validate(), Ok(()));
+    prop_assert_eq!(store.rows(), model.len());
+    prop_assert_eq!(store.len(), model.iter().flatten().count());
+    for (row, want) in model.iter().enumerate() {
+        match (store.get(row), want) {
+            (None, None) => {}
+            (Some(view), Some(o)) => {
+                let coords: Vec<f64> = o
+                    .instances()
+                    .iter()
+                    .flat_map(|i| i.point.coords().iter().copied())
+                    .collect();
+                let probs: Vec<f64> = o.instances().iter().map(|i| i.prob).collect();
+                prop_assert_eq!(bits(view.coords()), bits(&coords), "row {}", row);
+                prop_assert_eq!(bits(view.probs()), bits(&probs), "row {}", row);
+                prop_assert_eq!(bits(view.mbr().lo()), bits(o.mbr().lo()), "row {}", row);
+                prop_assert_eq!(bits(view.mbr().hi()), bits(o.mbr().hi()), "row {}", row);
+            }
+            (got, _) => prop_assert!(
+                false,
+                "row {} live in store: {}, in model: {}",
+                row,
+                got.is_some(),
+                want.is_some()
+            ),
+        }
+    }
+    let live: Vec<usize> = store.iter().map(|o| o.id()).collect();
+    let want: Vec<usize> = (0..model.len()).filter(|&r| model[r].is_some()).collect();
+    prop_assert_eq!(live, want);
+    Ok(())
 }
 
 proptest! {
@@ -146,7 +188,60 @@ proptest! {
         }
     }
 
-    /// Incremental growth: `push_object` extends the columns exactly as a
+    /// Seeded random push / remove / replace sequences, long enough to
+    /// cross chunk boundaries, agree with a row model after every step
+    /// batch; a clone taken partway through never changes afterwards.
+    #[test]
+    fn prop_mutations_match_a_row_model(seed in 0u64..1_000) {
+        // Two instance counts, so replacements grow and shrink rows.
+        let mut pool = an_objects(300, 2, seed);
+        pool.extend(an_objects(300, 5, seed + 1));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model: Vec<Option<UncertainObject>> =
+            pool[..400].iter().cloned().map(Some).collect();
+        let mut store = InstanceStore::from_objects(&pool[..400]).unwrap();
+        let mut pinned = None;
+        for step in 0..600 {
+            let live = model.iter().flatten().count();
+            let op = rng.gen_range(0..3u32);
+            let object = &pool[rng.gen_range(0..pool.len())];
+            let mut live_row = || loop {
+                let row = rng.gen_range(0..model.len());
+                if model[row].is_some() {
+                    break row;
+                }
+            };
+            match op {
+                0 => {
+                    let row = store.push_object(object).unwrap();
+                    prop_assert_eq!(row, model.len());
+                    model.push(Some(object.clone()));
+                }
+                1 if live > 1 => {
+                    let row = live_row();
+                    store.remove_object(row);
+                    model[row] = None;
+                }
+                _ => {
+                    let row = live_row();
+                    store.replace_object(row, object).unwrap();
+                    model[row] = Some(object.clone());
+                }
+            }
+            if step % 100 == 99 {
+                assert_matches_model(&store, &model)?;
+            }
+            if step == 300 {
+                pinned = Some((store.clone(), model.clone()));
+            }
+        }
+        prop_assert!(model.len() > 512, "the sequence must reach a third chunk");
+        assert_matches_model(&store, &model)?;
+        let (old, old_model) = pinned.unwrap();
+        assert_matches_model(&old, &old_model)?;
+    }
+
+    /// Incremental growth: `push_object` leaves every row exactly as a
     /// from-scratch build over the concatenated object list would.
     #[test]
     fn prop_push_object_matches_from_scratch_build(
@@ -161,9 +256,19 @@ proptest! {
         prop_assert_eq!(id, n);
         let scratch = InstanceStore::from_objects(&objects).unwrap();
         prop_assert_eq!(grown.validate(), Ok(()));
-        prop_assert_eq!(bits(grown.coords()), bits(scratch.coords()));
-        prop_assert_eq!(bits(grown.probs()), bits(scratch.probs()));
-        for idx in 0..scratch.len() {
+        prop_assert_eq!(
+            (grown.len(), grown.rows(), grown.instance_count()),
+            (scratch.len(), scratch.rows(), scratch.instance_count())
+        );
+        for idx in 0..scratch.rows() {
+            prop_assert_eq!(
+                bits(grown.object(idx).coords()),
+                bits(scratch.object(idx).coords())
+            );
+            prop_assert_eq!(
+                bits(grown.object(idx).probs()),
+                bits(scratch.object(idx).probs())
+            );
             prop_assert_eq!(
                 bits(grown.object(idx).mbr().lo()),
                 bits(scratch.object(idx).mbr().lo())
