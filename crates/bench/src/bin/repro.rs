@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|scale|mutate|trace|warm|all> [options]
+//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|warm|all> [options]
 //!   --paper-scale      Table 2 defaults (n=100k, m_d=40, 100 queries)
 //!   --n <N>            object count override
 //!   --md <M>           instances per object override
@@ -39,7 +39,6 @@ fn main() {
     let mut json: Option<String> = None;
     let mut smoke = false;
     let mut shards = 8usize;
-    let mut n_explicit = false;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -52,7 +51,6 @@ fn main() {
             }
             "--n" => {
                 scale.n = next_val(&args, &mut i);
-                n_explicit = true;
             }
             "--md" => {
                 scale.m_d = next_val(&args, &mut i);
@@ -141,20 +139,8 @@ fn main() {
             };
             kernels(&scale, smoke, json);
         }
-        "scale" => {
-            // Like kernels: smoke runs are assertion-only and never
-            // clobber the measured artifact unless a path was given.
-            let json = match (&json, smoke) {
-                (Some(path), _) => Some(path.as_str()),
-                (None, false) => Some("BENCH_scale.json"),
-                (None, true) => None,
-            };
-            let ns: Vec<usize> = if n_explicit { vec![scale.n] } else { vec![] };
-            let threads = if threads > 1 { threads } else { shards };
-            osd_bench::scale::scale(&ns, shards, threads, smoke, json);
-        }
         "mutate" => {
-            // Like kernels/scale: smoke runs are assertion-only and never
+            // Like kernels: smoke runs are assertion-only and never
             // clobber the measured artifact unless a path was given.
             let json = match (&json, smoke) {
                 (Some(path), _) => Some(path.as_str()),
@@ -164,7 +150,7 @@ fn main() {
             osd_bench::mutate::mutate(shards, threads.max(2), smoke, json);
         }
         "warm" => {
-            // Like kernels/scale/mutate: smoke runs are assertion-only and
+            // Like kernels/mutate: smoke runs are assertion-only and
             // never clobber the measured artifact unless a path was given.
             let json = match (&json, smoke) {
                 (Some(path), _) => Some(path.as_str()),
@@ -174,7 +160,7 @@ fn main() {
             osd_bench::warm::warm(shards, smoke, json);
         }
         "trace" => {
-            // Like kernels/scale/mutate: smoke runs are assertion-only and
+            // Like kernels/mutate: smoke runs are assertion-only and
             // never clobber the measured artifact unless a path was given.
             let json = match (&json, smoke) {
                 (Some(path), _) => Some(path.as_str()),
@@ -213,7 +199,7 @@ fn next_val(args: &[String], i: &mut usize) -> usize {
 
 fn usage() {
     eprintln!(
-        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|scale|mutate|trace|warm|all> \
+        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|warm|all> \
          [--paper-scale] [--n N] [--md M] [--mq M] [--queries Q] \
          [--param md|hd|mq|hq|n|d] [--out-dir DIR] [--threads T] \
          [--threads-list 1,2,4,8] [--shards S] [--json PATH] [--smoke]"

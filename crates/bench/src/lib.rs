@@ -26,7 +26,6 @@ pub mod mutate;
 pub mod params;
 pub mod profile;
 pub mod runner;
-pub mod scale;
 pub mod storage;
 pub mod throughput;
 pub mod trace;
@@ -42,7 +41,6 @@ pub use profile::{measure_profile, profile, ProfileReport};
 pub use runner::{
     print_table, run_all_ops, run_all_ops_parallel, run_cell, run_cell_parallel, CellResult, Report,
 };
-pub use scale::{measure_point, scale, ScalePoint, ScaleReport};
 pub use storage::{measure_storage, storage, StorageReport};
 pub use throughput::{
     host_cpus, measure, phase_medians, throughput, ThroughputPoint, ThroughputReport,

@@ -198,7 +198,7 @@ pub fn measure_warm(scale: &Scale, shards: usize, repeats: usize, op: Operator) 
         .all(|(c, w)| fingerprint(c) == fingerprint(w));
     let stats = pool.stats();
 
-    // Sharded cross-validation: same contract through scatter-gather.
+    // Sharded cross-validation: same contract through the merged forest.
     let sdb = ShardedDatabase::new(objects.clone(), shards);
     let s_cold = QueryEngine::with_config(&sdb, op, cfg).run_batch(&queries, 1);
     let s_pool = WarmPool::new();

@@ -44,6 +44,14 @@ pub fn parse_query_spec(spec: &str) -> Result<UncertainObject, CliError> {
             group.split(',').map(|c| c.trim().parse::<f64>()).collect();
         let coords = coords
             .map_err(|_| CliError::BadArgument(format!("instance {}: {:?}", i + 1, group)))?;
+        // `f64::from_str` accepts `nan` and `inf`, which `Point` rejects.
+        if coords.iter().any(|c| !c.is_finite()) {
+            return Err(CliError::BadArgument(format!(
+                "instance {}: non-finite coordinate in {:?}",
+                i + 1,
+                group
+            )));
+        }
         if coords.is_empty() {
             return Err(CliError::BadArgument(format!(
                 "instance {} is empty",
@@ -243,6 +251,16 @@ mod tests {
         assert!(parse_query_spec("").is_err());
         assert!(parse_query_spec("1,2;x,4").is_err());
         assert!(parse_query_spec("1,2;3").is_err()); // mixed dims
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for spec in ["nan,1", "inf,1", "1,-inf", "1,2;3,nan"] {
+            match parse_query_spec(spec) {
+                Err(CliError::BadArgument(m)) => assert!(m.contains("non-finite"), "{spec}: {m}"),
+                other => panic!("{spec}: expected BadArgument, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::args::{parse_operator, parse_query_spec, CliError, Flags, ProfileFormat, TraceFormat};
 use osd_core::{
-    batch_metrics, batch_stats, dominance_matrix, dominators_of_with, k_nn_candidates_scatter,
-    ContinuousNnc, FilterConfig, FlightRecorder, KnncResult, Operator, PreparedQuery,
-    ProgressiveNnc, PublishedIndex, QueryEngine, QueryMetrics, Repair, ShardedDatabase,
-    SpatialIndex, Stats, TraceData, WarmPool,
+    batch_metrics, batch_stats, dominance_matrix, dominators_of_with, ContinuousNnc, FilterConfig,
+    FlightRecorder, KnncResult, Operator, PreparedQuery, ProgressiveNnc, PublishedIndex,
+    QueryEngine, QueryMetrics, Repair, ShardedDatabase, SpatialIndex, Stats, TraceData, WarmPool,
 };
 use osd_datagen::{
     generate_objects, gowalla_like, nba_like, read_objects_csv, write_objects_csv,
@@ -321,8 +320,7 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
 /// query (`--query "x,y;…"`) or of a whole batch (`--queries FILE`, one
 /// spec per line, spread over `--threads N` worker threads). `--shards N`
 /// space-partitions the store into N STR tiles (results are bit-identical
-/// to the flat index); `--scatter` switches the single-query path from the
-/// merged-forest traversal to per-shard scatter-gather over `--threads`.
+/// to the flat index).
 ///
 /// Batch mode runs warm by default — one snapshot-scoped cache shared by
 /// all queries — and dispatches in Morton order for locality; results are
@@ -342,16 +340,10 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let threads: usize = flags.parsed_or("--threads", 1)?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let progressive = flags.has("--progressive");
-    let scatter = flags.has("--scatter");
     let warm = flags.warm()?;
     let reorder = !flags.has("--no-reorder");
     let profile = flags.profile()?;
     let trace_fmt = flags.trace()?;
-    if progressive && scatter {
-        return Err(CliError::BadArgument(
-            "--progressive and --scatter are mutually exclusive".into(),
-        ));
-    }
     // Tracing is pure observability: candidates and counters are
     // bit-identical with or without it.
     let cfg = if trace_fmt.is_some() {
@@ -422,14 +414,9 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let db = build_index(objects, shards)?;
     let pq = PreparedQuery::new(query);
 
-    let mode = if progressive {
-        QueryMode::Progressive
-    } else if scatter {
-        QueryMode::Scatter(threads)
-    } else {
-        QueryMode::Drain
-    };
-    let res = run_query(&db, &pq, op, k, &cfg, mode, &mut |line| println!("{line}"));
+    let res = run_query(&db, &pq, op, k, &cfg, progressive, &mut |line| {
+        println!("{line}")
+    });
     if let Some(fmt) = profile {
         print!("{}", render_profile(fmt, &res.metrics, &res.stats));
     }
@@ -440,28 +427,18 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// How `osd query` runs a single query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryMode {
-    /// Stream each candidate the moment the traversal emits it.
-    Progressive,
-    /// Drain the traversal, then print the candidate list.
-    Drain,
-    /// Per-shard scatter over this many threads, then the gather pass.
-    Scatter(usize),
-}
-
 /// Runs one query with dominator budget `k` and hands its output lines to
-/// `emit`. Progressive and drained runs share one traversal loop; only
-/// the output format depends on `k`, which adds a dominator count per
-/// candidate when above 1.
+/// `emit`: streamed as the traversal emits each candidate when
+/// `progressive`, otherwise as one list after the traversal drains. Both
+/// share one traversal loop; `k` above 1 adds a dominator count per
+/// candidate.
 fn run_query(
     db: &dyn SpatialIndex,
     pq: &PreparedQuery,
     op: Operator,
     k: usize,
     cfg: &FilterConfig,
-    mode: QueryMode,
+    progressive: bool,
     emit: &mut dyn FnMut(String),
 ) -> KnncResult {
     let dominators_col = |d: usize| {
@@ -471,40 +448,35 @@ fn run_query(
             String::new()
         }
     };
-    let res = if let QueryMode::Scatter(threads) = mode {
-        k_nn_candidates_scatter(db, pq, op, k, cfg, threads)
-    } else {
-        let progressive = mode == QueryMode::Progressive;
+    if progressive {
+        emit(format!(
+            "{:>8} {:>12} {:>12}",
+            "object", "min-dist", "elapsed"
+        ));
+    }
+    let mut stream = ProgressiveNnc::with_k(db, pq, op, k, cfg, None);
+    let mut dominators = Vec::new();
+    while let Some(c) = stream.next_candidate() {
+        let d = stream.dominators();
         if progressive {
             emit(format!(
-                "{:>8} {:>12} {:>12}",
-                "object", "min-dist", "elapsed"
+                "{:>8} {:>12.3} {:>10.2?}{}",
+                c.id,
+                c.min_dist,
+                c.elapsed,
+                dominators_col(d)
             ));
         }
-        let mut stream = ProgressiveNnc::with_k(db, pq, op, k, cfg, None);
-        let mut dominators = Vec::new();
-        while let Some(c) = stream.next_candidate() {
-            let d = stream.dominators();
-            if progressive {
-                emit(format!(
-                    "{:>8} {:>12.3} {:>10.2?}{}",
-                    c.id,
-                    c.min_dist,
-                    c.elapsed,
-                    dominators_col(d)
-                ));
-            }
-            dominators.push(d);
-        }
-        let res = stream.into_result();
-        KnncResult {
-            candidates: res.candidates.into_iter().zip(dominators).collect(),
-            stats: res.stats,
-            metrics: res.metrics,
-            trace: res.trace,
-        }
+        dominators.push(d);
+    }
+    let res = stream.into_result();
+    let res = KnncResult {
+        candidates: res.candidates.into_iter().zip(dominators).collect(),
+        stats: res.stats,
+        metrics: res.metrics,
+        trace: res.trace,
     };
-    if mode != QueryMode::Progressive {
+    if !progressive {
         let robust = if k > 1 {
             format!(" {k}-robust")
         } else {
@@ -846,7 +818,7 @@ USAGE:
   osd gen   --out data.csv [--dataset anti|indep|gw|nba] [--n N] [--m M]
             [--dim D] [--edge H] [--seed S]
   osd query --data data.csv --query \"x,y;x,y;…\" [--op ssd|sssd|psd|fsd|f+sd]
-            [--k K] [--progressive] [--shards N] [--scatter] [--threads N]
+            [--k K] [--progressive] [--shards N]
             [--profile[=json|prom]] [--trace[=text|chrome]]
             [--recorder FILE] [--slow-ms MS]
   osd query --data data.csv --queries queries.txt [--op …] [--threads N]
@@ -867,9 +839,10 @@ USAGE:
              after every published epoch)
 
 `--shards N` space-partitions the store into N STR tiles, each with its own
-global R-tree; candidates are bit-identical to the flat index. `--scatter`
-runs one independent descent per shard (fanned over --threads) instead of
-the merged shared-bound traversal.
+global R-tree; all tile roots are searched as one forest with a shared prune
+bound, so candidates are bit-identical to the flat index. `--threads N`
+applies to batch mode (`--queries`) only: it spreads the queries over N
+worker threads.
 
 Batch mode (`--queries`) runs warm by default: one snapshot-scoped cache is
 shared by every query, and queries are dispatched in Morton (locality)
@@ -1087,6 +1060,16 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_dataset_coordinate_reported_not_panicked() {
+        let out = tmp("nan.csv");
+        std::fs::write(&out, "object_id,weight,coords...\n1,1,1,1\n2,1,nan,5\n").unwrap();
+        let err = cmd_query(&flags(&["--data", &out, "--query", "1,1"])).unwrap_err();
+        std::fs::remove_file(&out).ok();
+        assert!(matches!(err, CliError::Data(_)), "got {err:?}");
+        assert!(err.to_string().contains("line 3"), "got {err}");
+    }
+
+    #[test]
     fn profile_renders_all_phases_and_legacy_counters() {
         use osd_core::nn_candidates;
         let out = tmp("profile.csv");
@@ -1225,15 +1208,9 @@ mod tests {
             "the fixture must exercise non-zero dominator counts"
         );
         let mut lines = Vec::new();
-        let res = run_query(
-            &db,
-            &pq,
-            Operator::PSd,
-            3,
-            &cfg,
-            QueryMode::Progressive,
-            &mut |l| lines.push(l),
-        );
+        let res = run_query(&db, &pq, Operator::PSd, 3, &cfg, true, &mut |l| {
+            lines.push(l)
+        });
         assert_eq!(res.ids(), expected.ids(), "the k-robust set, not plain NNC");
         assert_eq!(res.stats, expected.stats);
         // A header, then one streamed row per candidate ending in its count.
@@ -1245,15 +1222,9 @@ mod tests {
         }
         // At k = 1 the stream is NNC's, without a dominator column.
         let mut nnc_lines = Vec::new();
-        run_query(
-            &db,
-            &pq,
-            Operator::PSd,
-            1,
-            &cfg,
-            QueryMode::Progressive,
-            &mut |l| nnc_lines.push(l),
-        );
+        run_query(&db, &pq, Operator::PSd, 1, &cfg, true, &mut |l| {
+            nnc_lines.push(l)
+        });
         assert!(nnc_lines.iter().all(|l| !l.contains("dominators")));
     }
 
@@ -1279,14 +1250,10 @@ mod tests {
             v.extend_from_slice(extra);
             flags(&v)
         };
-        // Merged traversal, scatter-gather, k-robust scatter, progressive.
+        // Merged traversal, k-robust, progressive.
         cmd_query(&with(&[])).unwrap();
-        cmd_query(&with(&["--scatter", "--threads", "3"])).unwrap();
-        cmd_query(&with(&["--scatter", "--k", "2"])).unwrap();
+        cmd_query(&with(&["--k", "2"])).unwrap();
         cmd_query(&with(&["--progressive"])).unwrap();
-        // --progressive and --scatter together is an error.
-        let err = cmd_query(&with(&["--progressive", "--scatter"])).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"));
         // Batch mode and explain accept --shards too.
         let qfile = tmp("shards-queries.txt");
         std::fs::write(&qfile, "5000,5000\n2000,8000\n").unwrap();

@@ -8,9 +8,12 @@
 //!
 //! The full query is equivalent to filtering all live objects in
 //! `(δ_min, id)` order, keeping each object iff no kept predecessor
-//! dominates it (the gather pass of
-//! [`nn_candidates_scatter`](crate::nn_candidates_scatter) is literally
-//! this filter). The repair reproduces that filter incrementally:
+//! dominates it. That order is Algorithm 1's emission order, and checking
+//! predecessors only is enough: a dominator never follows the object it
+//! dominates (the statistic rule on `min`, Theorem 11), and an object
+//! whose dominator was itself excluded is dominated by that dominator's
+//! kept dominator (transitivity, Theorem 9). The repair reproduces that
+//! filter incrementally:
 //!
 //! * **Deleting a non-candidate changes nothing.** A non-candidate `v` is
 //!   dominated by some kept `u`; anything `v` dominates is also dominated

@@ -29,9 +29,7 @@
 use crate::config::{FilterConfig, Stats};
 use crate::db::Database;
 use crate::index::SpatialIndex;
-use crate::nnc::{
-    nn_candidates, nn_candidates_scatter, nn_candidates_scatter_warm, nn_candidates_warm, NncResult,
-};
+use crate::nnc::{nn_candidates, nn_candidates_warm, NncResult};
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::WarmPool;
@@ -108,21 +106,6 @@ impl<'a> QueryEngine<'a> {
         match self.warm {
             Some(pool) => nn_candidates_warm(self.db, query, self.op, &self.cfg, pool),
             None => nn_candidates(self.db, query, self.op, &self.cfg),
-        }
-    }
-
-    /// Runs one NNC query scatter-gather over a sharded index: each shard
-    /// is searched independently across up to `threads` scoped workers and
-    /// the union is re-filtered sequentially — same candidates as
-    /// [`QueryEngine::run`], different traversal counters (see
-    /// [`nn_candidates_scatter`](crate::nn_candidates_scatter)). On a
-    /// one-shard index this is exactly [`QueryEngine::run`].
-    pub fn run_scatter(&self, query: &PreparedQuery, threads: usize) -> NncResult {
-        match self.warm {
-            Some(pool) => {
-                nn_candidates_scatter_warm(self.db, query, self.op, &self.cfg, threads, pool)
-            }
-            None => nn_candidates_scatter(self.db, query, self.op, &self.cfg, threads),
         }
     }
 
@@ -304,7 +287,6 @@ pub fn record_batch(recorder: &mut FlightRecorder, results: &[NncResult]) {
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Database>();
 const _: () = assert_send_sync::<crate::ShardedDatabase>();
-const _: () = assert_send_sync::<crate::ShardSlice<'static>>();
 const _: () = assert_send_sync::<PreparedQuery>();
 const _: () = assert_send_sync::<crate::DominanceCache>();
 const _: () = assert_send_sync::<NncResult>();

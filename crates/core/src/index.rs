@@ -6,8 +6,7 @@
 //! its own global R-tree. With one tile it is §6's flat layout — one
 //! global R-tree over every object MBR — which
 //! [`FlatDatabase`](crate::FlatDatabase) (alias `Database`, the default)
-//! fronts. [`ShardSlice`] views one shard of any index as a one-shard
-//! index for the scatter path.
+//! fronts.
 //!
 //! The search algorithms ([`nn_candidates`](crate::nn_candidates),
 //! [`k_nn_candidates`](crate::k_nn_candidates), the caches and the check
@@ -31,8 +30,8 @@ use std::sync::Arc;
 /// Why an index could not be built or mutated.
 ///
 /// Lives with the trait (not a concrete layout) because the
-/// [`SpatialIndex`] default mutators return it; `crate::db` re-exports it
-/// from its historical home.
+/// [`SpatialIndex`] mutators return it; `crate::db` re-exports it from its
+/// historical home.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
     /// No objects were supplied.
@@ -52,9 +51,6 @@ pub enum DbError {
         /// The offending logical object id.
         object: usize,
     },
-    /// The index layout does not support mutation (e.g. a read-only
-    /// shard slice).
-    Immutable,
 }
 
 impl fmt::Display for DbError {
@@ -74,7 +70,6 @@ impl fmt::Display for DbError {
                 f,
                 "object {object} is not live (deleted, or never inserted)"
             ),
-            DbError::Immutable => write!(f, "this index layout does not support mutation"),
         }
     }
 }
@@ -149,19 +144,13 @@ pub trait SpatialIndex: Send + Sync {
 
     /// Epoch of the current snapshot: the number of mutations ever
     /// published. A never-mutated index reports 0.
-    fn epoch(&self) -> u64 {
-        0
-    }
+    fn epoch(&self) -> u64;
 
     /// Number of *live* objects (`len()` minus tombstones).
-    fn live_len(&self) -> usize {
-        self.len()
-    }
+    fn live_len(&self) -> usize;
 
     /// Whether logical id `id` currently denotes a live object.
-    fn is_live(&self, id: usize) -> bool {
-        id < self.len()
-    }
+    fn is_live(&self, id: usize) -> bool;
 
     /// Number of tombstoned (deleted) ids in the logical id space.
     fn tombstone_count(&self) -> usize {
@@ -171,49 +160,31 @@ pub trait SpatialIndex: Send + Sync {
     /// The mutations published after epoch `since`, oldest first, or
     /// `None` when the delta is no longer reconstructible (the reader
     /// fell behind the retained change window and must refresh fully).
-    fn changes_since(&self, since: u64) -> Option<Vec<Change>> {
-        if since == self.epoch() {
-            Some(Vec::new())
-        } else {
-            None
-        }
-    }
+    fn changes_since(&self, since: u64) -> Option<Vec<Change>>;
 
     /// Publishes an insert, returning the new object's logical id.
     ///
     /// # Errors
-    /// [`DbError::Immutable`] for read-only layouts (the default);
     /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
-    fn try_insert(&mut self, object: UncertainObject) -> Result<usize, DbError> {
-        let _ = object;
-        Err(DbError::Immutable)
-    }
+    fn try_insert(&mut self, object: UncertainObject) -> Result<usize, DbError>;
 
     /// Publishes a delete: the object's store row is tombstoned (its
     /// instances compacted out of that row's chunk), its global-tree entry
     /// condensed away, and its id tombstoned (never reused).
     ///
     /// # Errors
-    /// [`DbError::Immutable`] for read-only layouts (the default);
     /// [`DbError::Dead`] if `id` is not live; [`DbError::Empty`] when the
     /// delete would leave the index empty.
-    fn try_delete(&mut self, id: usize) -> Result<(), DbError> {
-        let _ = id;
-        Err(DbError::Immutable)
-    }
+    fn try_delete(&mut self, id: usize) -> Result<(), DbError>;
 
     /// Publishes an update: the object is replaced in place under the
     /// same logical id, and its index entries are re-routed like an
     /// insert.
     ///
     /// # Errors
-    /// [`DbError::Immutable`] for read-only layouts (the default);
     /// [`DbError::Dead`] if `id` is not live;
     /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
-    fn try_update(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
-        let _ = (id, object);
-        Err(DbError::Immutable)
-    }
+    fn try_update(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError>;
 
     /// Dimensionality of the instance space.
     fn dim(&self) -> usize;
@@ -246,113 +217,6 @@ pub trait SpatialIndex: Send + Sync {
     fn index_stats(&self) -> IndexStats;
 }
 
-/// Computes the [`ShardStats`] of one global tree over the objects it
-/// indexes (shared by the database and [`ShardSlice`]).
-pub(crate) fn shard_stats_of(index: &dyn SpatialIndex, tree: &RTree<usize>) -> ShardStats {
-    let mut instances = 0;
-    let mut approx_bytes = 0;
-    for &id in tree.items() {
-        let view = index.object(id);
-        instances += view.len();
-        approx_bytes += view.approx_bytes();
-    }
-    ShardStats {
-        objects: tree.len(),
-        instances,
-        tree_nodes: tree.node_count(),
-        tree_height: tree.height(),
-        approx_bytes,
-    }
-}
-
-/// A single shard of a sharded index, viewed *as* a [`SpatialIndex`] — the
-/// adapter behind the scatter execution path: each worker runs the full
-/// sequential search against one `ShardSlice` and the union is merged.
-///
-/// The slice deliberately reports the **whole** index's `len()` and serves
-/// every object id: ids stay logical (per-query caches size to the full
-/// database and shard-local results speak the global id space, so the
-/// gather step can merge them without translation). Only the *global-tree
-/// view* is narrowed — `shard_count()` is 1 and `shard_tree(0)` is the
-/// base's tree for this shard, so a search over the slice visits exactly
-/// this shard's objects.
-#[derive(Clone, Copy)]
-pub struct ShardSlice<'a> {
-    base: &'a dyn SpatialIndex,
-    shard: usize,
-}
-
-impl<'a> ShardSlice<'a> {
-    /// Views shard `shard` of `base` as a one-shard index.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn new(base: &'a dyn SpatialIndex, shard: usize) -> Self {
-        assert!(
-            shard < base.shard_count(),
-            "shard {shard} out of range (index has {})",
-            base.shard_count()
-        );
-        ShardSlice { base, shard }
-    }
-}
-
-impl SpatialIndex for ShardSlice<'_> {
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.base.epoch()
-    }
-
-    fn live_len(&self) -> usize {
-        self.base.live_len()
-    }
-
-    fn is_live(&self, id: usize) -> bool {
-        self.base.is_live(id)
-    }
-
-    fn changes_since(&self, since: u64) -> Option<Vec<Change>> {
-        self.base.changes_since(since)
-    }
-
-    fn dim(&self) -> usize {
-        self.base.dim()
-    }
-
-    fn store(&self) -> &Arc<InstanceStore> {
-        self.base.store()
-    }
-
-    fn object(&self, id: usize) -> ObjectRef<'_> {
-        self.base.object(id)
-    }
-
-    fn local_tree(&self, id: usize) -> &RTree<usize> {
-        self.base.local_tree(id)
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_tree(&self, shard: usize) -> &RTree<usize> {
-        assert_eq!(shard, 0, "a shard slice has exactly one shard");
-        self.base.shard_tree(self.shard)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        let stats = shard_stats_of(self, self.base.shard_tree(self.shard));
-        IndexStats {
-            objects: stats.objects,
-            instances: stats.instances,
-            shards: vec![stats],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,28 +244,5 @@ mod tests {
         assert_eq!(stats.shards[0].instances, 5);
         assert!(stats.shards[0].tree_nodes >= 1);
         assert!(stats.shards[0].approx_bytes > 0);
-    }
-
-    #[test]
-    fn shard_slice_narrows_only_the_tree_view() {
-        let db = Database::new(vec![
-            obj(&[(0.0, 0.0)]),
-            obj(&[(9.0, 9.0)]),
-            obj(&[(4.0, 4.0)]),
-        ]);
-        let slice = ShardSlice::new(&db, 0);
-        // Ids stay logical: every object is addressable through the slice.
-        assert_eq!(slice.len(), 3);
-        assert_eq!(slice.object(2).row(0), &[4.0, 4.0]);
-        assert_eq!(slice.shard_count(), 1);
-        assert_eq!(slice.shard_tree(0).len(), 3);
-        assert!(Arc::ptr_eq(slice.store(), db.store()));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_slice_rejects_bad_shard() {
-        let db = Database::new(vec![obj(&[(0.0, 0.0)])]);
-        let _ = ShardSlice::new(&db, 1);
     }
 }

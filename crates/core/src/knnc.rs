@@ -8,16 +8,15 @@
 //!
 //! The search is Algorithm 1's traversal with a dominator budget of `k`
 //! ([`ProgressiveNnc::with_k`](crate::ProgressiveNnc::with_k), whose module
-//! doc carries the k-skyband correctness argument), and scatter mode uses
-//! the same gather pass as NNC. This module holds the result type, its
-//! entry points and the brute-force oracle.
+//! doc carries the k-skyband correctness argument). This module holds the
+//! result type, its entry points and the brute-force oracle.
 
 use crate::config::{FilterConfig, Stats};
 use crate::ctx::CheckCtx;
 #[cfg(test)]
 use crate::db::Database;
 use crate::index::SpatialIndex;
-use crate::nnc::{run_with, scatter_with, Candidate, NncResult};
+use crate::nnc::{run_with, Candidate, NncResult};
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::WarmPool;
@@ -108,30 +107,6 @@ pub fn k_nn_candidates_warm(
 ) -> KnncResult {
     let view = warm.view_for(db, query);
     KnncResult::from_run(run_with(db, query, op, k, cfg, Some(view)))
-}
-
-/// Scatter-gather k-NNC over a sharded index: each shard runs the full
-/// k-skyband search independently (up to `threads` scoped workers), then
-/// the gather pass shared with
-/// [`nn_candidates_scatter`](crate::nn_candidates_scatter) re-filters the
-/// union in `(δ_min, id)` order, recounting dominators among the globally
-/// kept candidates.
-///
-/// Identical candidate set (ids, `min_dist` bits, order, dominator counts)
-/// to [`k_nn_candidates`] over the same index. Traversal counters differ
-/// (no shared prune bound across the independent descents).
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn k_nn_candidates_scatter(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    k: usize,
-    cfg: &FilterConfig,
-    threads: usize,
-) -> KnncResult {
-    KnncResult::from_run(scatter_with(db, query, op, k, cfg, threads, None))
 }
 
 /// Brute-force oracle: objects dominated by fewer than `k` others.
@@ -270,22 +245,6 @@ mod tests {
                 "NNC_k must grow with k"
             );
             prev = ids;
-        }
-    }
-
-    #[test]
-    fn scatter_on_flat_database_matches_merged() {
-        let db = line_db();
-        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
-        for k in [1usize, 2, 4] {
-            let merged = k_nn_candidates(&db, &q, Operator::SSd, k, &FilterConfig::all());
-            let scattered =
-                k_nn_candidates_scatter(&db, &q, Operator::SSd, k, &FilterConfig::all(), 4);
-            assert_eq!(merged.ids(), scattered.ids(), "k = {k}");
-            assert_eq!(
-                merged.stats, scattered.stats,
-                "k = {k} (one shard: same path)"
-            );
         }
     }
 

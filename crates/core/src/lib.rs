@@ -30,8 +30,7 @@
 //!   over its physical layout;
 //! * [`ShardedDatabase`] — the index: per-object local R-trees plus the
 //!   store space-partitioned into STR tiles, one global R-tree per tile,
-//!   searched as one merged forest with a shared prune bound or
-//!   scatter-gather;
+//!   searched as one merged forest with a shared prune bound;
 //! * [`Database`] / [`FlatDatabase`] — its one-shard configuration: a
 //!   global R-tree plus per-object local R-trees (§6's n+1-tree layout);
 //! * [`PreparedQuery`] — the query with its convex hull cached;
@@ -91,15 +90,9 @@ pub use ctx::CheckCtx;
 pub use db::{Database, DbError, FlatDatabase};
 pub use engine::{batch_metrics, batch_stats, record_batch, QueryEngine};
 pub use explain::{dominance_matrix, dominators_of, dominators_of_with};
-pub use index::{IndexStats, ShardSlice, ShardStats, SpatialIndex};
-pub use knnc::{
-    k_nn_candidates, k_nn_candidates_bruteforce, k_nn_candidates_scatter, k_nn_candidates_warm,
-    KnncResult,
-};
-pub use nnc::{
-    nn_candidates, nn_candidates_scatter, nn_candidates_scatter_warm, nn_candidates_warm,
-    Candidate, NncResult, ProgressiveNnc,
-};
+pub use index::{IndexStats, ShardStats, SpatialIndex};
+pub use knnc::{k_nn_candidates, k_nn_candidates_bruteforce, k_nn_candidates_warm, KnncResult};
+pub use nnc::{nn_candidates, nn_candidates_warm, Candidate, NncResult, ProgressiveNnc};
 pub use ops::{
     dominates, enclosing_ball, f_plus_sd, f_sd, p_sd, peer_network_flow, s_sd, sphere_validate,
     ss_sd, Operator,

@@ -28,7 +28,7 @@ use crate::config::{FilterConfig, Stats};
 use crate::ctx::CheckCtx;
 #[cfg(test)]
 use crate::db::Database;
-use crate::index::{ShardSlice, SpatialIndex};
+use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::{WarmPool, WarmView};
@@ -174,158 +174,8 @@ pub(crate) fn run_with(
     (progressive.into_result(), dominators)
 }
 
-/// Scatter-gather NNC over a sharded index: each shard is searched
-/// independently (fanned out over up to `threads` scoped worker threads),
-/// then the per-shard candidate sets are merged by a sequential gather
-/// pass that re-filters the union in `(δ_min, id)` order.
-///
-/// The candidate set — ids, `min_dist` bits and order — is identical to
-/// [`nn_candidates`] over the same index: a union candidate survives the
-/// gather filter exactly when no globally kept candidate dominates it,
-/// which by transitivity of the dominance operators is the same test the
-/// merged traversal applies at emission. Traversal *counters* differ — the
-/// per-shard descents don't share a prune bound, which is precisely the
-/// overhead the merged traversal avoids (measured by `repro scale`).
-///
-/// On a one-shard index this is exactly [`nn_candidates`].
-pub fn nn_candidates_scatter(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    cfg: &FilterConfig,
-    threads: usize,
-) -> NncResult {
-    scatter_with(db, query, op, 1, cfg, threads, None).0
-}
-
-/// [`nn_candidates_scatter`] with warm-cache resolution: the query's warm
-/// view is resolved once and shared by every per-shard worker and the
-/// gather pass (all shard slices of an index share its store snapshot, so
-/// one view serves them all). Same bit-identity contract as
-/// [`nn_candidates_warm`].
-pub fn nn_candidates_scatter_warm(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    cfg: &FilterConfig,
-    threads: usize,
-    warm: &WarmPool,
-) -> NncResult {
-    let view = warm.view_for(db, query);
-    scatter_with(db, query, op, 1, cfg, threads, Some(view)).0
-}
-
-/// Scatter-gather with dominator budget `k`: one traversal per shard, then
-/// [`gather`]. Returns dominator counts as [`run_with`] does; on a
-/// one-shard index it *is* [`run_with`].
-pub(crate) fn scatter_with(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    k: usize,
-    cfg: &FilterConfig,
-    threads: usize,
-    warm: Option<WarmView>,
-) -> (NncResult, Vec<usize>) {
-    if db.shard_count() <= 1 {
-        return run_with(db, query, op, k, cfg, warm);
-    }
-    let parts = scatter_over_shards(db, threads, |shard| {
-        run_with(&ShardSlice::new(db, shard), query, op, k, cfg, warm.clone()).0
-    });
-    gather(db, query, op, k, cfg, warm, &parts)
-}
-
-/// The gather pass: sorts the union of the per-shard candidate sets by
-/// `(δ_min, id)` — the merged traversal's emission order — and applies
-/// the traversal's own keep test, so a union candidate is kept while
-/// fewer than `k` kept predecessors dominate it.
-///
-/// Per-shard exclusion never removes a global candidate: an object with
-/// ≥ `k` kept dominators in its shard also has ≥ `k` globally kept
-/// dominators (the distributed k-skyband argument, transitivity again),
-/// so the recount yields exactly the merged traversal's candidates and
-/// dominator counts. Counts are returned as [`run_with`] does.
-fn gather(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    k: usize,
-    cfg: &FilterConfig,
-    warm: Option<WarmView>,
-    parts: &[NncResult],
-) -> (NncResult, Vec<usize>) {
-    let mut union: Vec<Candidate> = parts
-        .iter()
-        .flat_map(|r| r.candidates.iter().cloned())
-        .collect();
-    union.sort_by(|a, b| a.min_dist.total_cmp(&b.min_dist).then(a.id.cmp(&b.id)));
-    let mut ctx = CheckCtx::with_warm(db, query, *cfg, warm);
-    // The gather trace summarises each scatter part as one point event
-    // (per-shard interior spans live in the parts, which are folded away
-    // here — the merged traversal is the path that yields full depth).
-    for (shard, r) in parts.iter().enumerate() {
-        if !ctx.trace.is_active() {
-            break;
-        }
-        let event = ctx.trace.instant("scatter-part");
-        ctx.trace.attr(event, "shard", AttrValue::U64(shard as u64));
-        ctx.trace.attr(
-            event,
-            "candidates",
-            AttrValue::U64(r.candidates.len() as u64),
-        );
-        if let Some(t) = &r.trace {
-            ctx.trace.attr(event, "part_ns", AttrValue::U64(t.total_ns));
-        }
-    }
-    let gather = ctx.trace.open("gather");
-    let union_len = union.len();
-    let mut kept: Vec<Candidate> = Vec::with_capacity(union.len());
-    let mut dominators = Vec::new();
-    for c in union {
-        let count = kept_dominators(&mut ctx, op, k, &kept, c.id);
-        if count < k {
-            ctx.metrics.candidate_emitted(op.label());
-            kept.push(c);
-            if k > 1 {
-                dominators.push(count);
-            }
-        }
-    }
-    if gather != SpanId::NONE {
-        ctx.trace
-            .attr(gather, "union", AttrValue::U64(union_len as u64));
-        ctx.trace
-            .attr(gather, "kept", AttrValue::U64(kept.len() as u64));
-    }
-    ctx.trace.close(gather);
-    let mut stats = Stats::default();
-    let mut metrics = QueryMetrics::new();
-    let mut objects_checked = 0;
-    for r in parts {
-        stats.merge(&r.stats);
-        metrics.merge(&r.metrics);
-        objects_checked += r.objects_checked;
-    }
-    stats.merge(&ctx.stats);
-    metrics.merge(&ctx.metrics);
-    let mut trace = ctx.trace.finish();
-    if let Some(t) = trace.as_mut() {
-        t.label = Cow::Borrowed(op.label());
-    }
-    let result = NncResult {
-        candidates: kept,
-        stats,
-        objects_checked,
-        metrics,
-        trace,
-    };
-    (result, dominators)
-}
-
-/// The keep test of the traversal and the gather: how many of the `kept`
-/// candidates dominate `v`, counted in emission order and capped at `k`.
+/// The keep test of the traversal: how many of the `kept` candidates
+/// dominate `v`, counted in emission order and capped at `k`.
 /// `v` is kept iff the count is below `k`; at `k = 1` the first dominator
 /// found rejects it.
 fn kept_dominators(
@@ -345,48 +195,6 @@ fn kept_dominators(
         }
     }
     count
-}
-
-/// Runs `work` for every shard id, fanned out over up to `threads` scoped
-/// worker threads (dynamic claiming, results in shard order). With one
-/// worker the loop runs inline on the caller's thread.
-pub(crate) fn scatter_over_shards<R: Send>(
-    db: &dyn SpatialIndex,
-    threads: usize,
-    work: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let shards = db.shard_count();
-    let workers = threads.max(1).min(shards.max(1));
-    if workers <= 1 {
-        return (0..shards).map(work).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= shards {
-                            break;
-                        }
-                        claimed.push((i, work(i)));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => indexed.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A resumable Algorithm-1 traversal that emits candidates one at a time —
@@ -873,20 +681,5 @@ mod tests {
         };
         // Greater pops first from `BinaryHeap`.
         assert_eq!(node.cmp(&object), Ordering::Greater);
-    }
-
-    #[test]
-    fn scatter_on_flat_database_matches_merged() {
-        let db = line_db();
-        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
-        for op in Operator::ALL {
-            let merged = nn_candidates(&db, &q, op, &FilterConfig::all());
-            let scattered = nn_candidates_scatter(&db, &q, op, &FilterConfig::all(), 4);
-            assert_eq!(merged.ids(), scattered.ids(), "{op:?}");
-            assert_eq!(
-                merged.stats, scattered.stats,
-                "{op:?} (one shard: same path)"
-            );
-        }
     }
 }

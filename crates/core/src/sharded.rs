@@ -35,7 +35,7 @@
 //! **Deletes** tombstone the object's row; store rows never move, so no
 //! other id's row changes.
 
-use crate::index::{shard_stats_of, DbError, IndexStats, SpatialIndex};
+use crate::index::{DbError, IndexStats, ShardStats, SpatialIndex};
 use crate::local::LocalTrees;
 use osd_geom::Mbr;
 use osd_rtree::{str_partition, Entry, RTree};
@@ -465,6 +465,25 @@ impl SpatialIndex for ShardedDatabase {
             instances: self.store.instance_count(),
             shards,
         }
+    }
+}
+
+/// Computes the [`ShardStats`] of one shard's global tree over the objects
+/// it indexes.
+fn shard_stats_of(db: &ShardedDatabase, tree: &RTree<usize>) -> ShardStats {
+    let mut instances = 0;
+    let mut approx_bytes = 0;
+    for &id in tree.items() {
+        let view = db.object(id);
+        instances += view.len();
+        approx_bytes += view.approx_bytes();
+    }
+    ShardStats {
+        objects: tree.len(),
+        instances,
+        tree_nodes: tree.node_count(),
+        tree_height: tree.height(),
+        approx_bytes,
     }
 }
 

@@ -450,8 +450,7 @@ impl WarmCache {
 }
 
 /// A per-query window into a [`WarmCache`]: the cache plus the query's
-/// resolved bound table. Cloning is two `Arc` bumps, so a batch worker
-/// can thread one view through an entire scatter-gather run.
+/// resolved bound table. Cloning is two `Arc` bumps.
 #[derive(Debug, Clone)]
 pub struct WarmView {
     cache: Arc<WarmCache>,

@@ -116,12 +116,19 @@ pub fn read_objects_csv(path: &Path) -> Result<Vec<UncertainObject>, DataError> 
             .trim()
             .parse()
             .map_err(|_| DataError::Parse(lineno + 1, format!("bad weight {:?}", fields[1])))?;
+        // `f64::from_str` accepts `nan` and `inf`, which `Point` rejects.
         let coords: Result<Vec<f64>, DataError> = fields[2..]
             .iter()
-            .map(|f| {
-                f.trim()
-                    .parse::<f64>()
-                    .map_err(|_| DataError::Parse(lineno + 1, format!("bad coordinate {f:?}")))
+            .map(|f| match f.trim().parse::<f64>() {
+                Ok(c) if c.is_finite() => Ok(c),
+                Ok(_) => Err(DataError::Parse(
+                    lineno + 1,
+                    format!("non-finite coordinate {f:?}"),
+                )),
+                Err(_) => Err(DataError::Parse(
+                    lineno + 1,
+                    format!("bad coordinate {f:?}"),
+                )),
             })
             .collect();
         groups
@@ -211,6 +218,23 @@ mod tests {
                 assert!(msg.contains("bad object id"));
             }
             other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_parse_errors() {
+        for bad in ["nan", "inf", "-inf"] {
+            let path = tmp(&format!("nonfinite-{bad}.csv"));
+            std::fs::write(&path, format!("object_id,weight,coords...\n2,1,{bad},5\n")).unwrap();
+            let err = read_objects_csv(&path).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            match err {
+                DataError::Parse(line, msg) => {
+                    assert_eq!(line, 2, "{bad}");
+                    assert!(msg.contains("non-finite coordinate"), "{bad}: {msg}");
+                }
+                other => panic!("{bad}: expected parse error, got {other}"),
+            }
         }
     }
 

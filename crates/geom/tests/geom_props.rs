@@ -18,12 +18,34 @@ fn mbr2() -> impl Strategy<Value = Mbr> {
         .prop_map(|(x, y, w, h)| Mbr::new(vec![x, y], vec![x + w, y + h]))
 }
 
-/// Random point inside a box, parameterised by unit fractions.
-fn inside(m: &Mbr, fx: f64, fy: f64) -> Point {
-    Point::new(vec![
-        m.lo()[0] + fx * (m.hi()[0] - m.lo()[0]),
-        m.lo()[1] + fy * (m.hi()[1] - m.lo()[1]),
-    ])
+/// Highest dimensionality the d-generic MBR properties draw.
+const MAX_D: usize = 5;
+
+/// `count` boxes sharing one dimensionality `d ∈ 2..=MAX_D`, each drawn
+/// per dimension as a lower corner in `[0, 80)` and an extent in `[0, 20)`.
+fn mbrs_nd(count: usize) -> impl Strategy<Value = (usize, Vec<Mbr>)> {
+    let sides = prop::collection::vec((0.0f64..80.0, 0.0f64..20.0), MAX_D);
+    (2usize..=MAX_D, prop::collection::vec(sides, count)).prop_map(|(d, raw)| {
+        let boxes = raw
+            .iter()
+            .map(|sides| {
+                let (lo, hi): (Vec<f64>, Vec<f64>) =
+                    sides[..d].iter().map(|&(lo, w)| (lo, lo + w)).unzip();
+                Mbr::new(lo, hi)
+            })
+            .collect();
+        (d, boxes)
+    })
+}
+
+/// Random point inside a box, parameterised by one unit fraction per
+/// dimension (`f` may be longer than the box's dimensionality).
+fn inside(m: &Mbr, f: &[f64]) -> Point {
+    Point::new(
+        (0..m.dim())
+            .map(|i| m.lo()[i] + f[i] * (m.hi()[i] - m.lo()[i]))
+            .collect::<Vec<_>>(),
+    )
 }
 
 proptest! {
@@ -32,7 +54,7 @@ proptest! {
     /// Point-box distance bounds actually bound distances to points inside.
     #[test]
     fn prop_mbr_point_bounds(m in mbr2(), q in point2(), fx in 0.0f64..1.0, fy in 0.0f64..1.0) {
-        let p = inside(&m, fx, fy);
+        let p = inside(&m, &[fx, fy]);
         let d = q.dist(&p);
         prop_assert!(m.min_dist_point(&q) <= d + 1e-9);
         prop_assert!(m.max_dist_point(&q) >= d - 1e-9);
@@ -45,30 +67,31 @@ proptest! {
         fx1 in 0.0f64..1.0, fy1 in 0.0f64..1.0,
         fx2 in 0.0f64..1.0, fy2 in 0.0f64..1.0,
     ) {
-        let pa = inside(&a, fx1, fy1);
-        let pb = inside(&b, fx2, fy2);
+        let pa = inside(&a, &[fx1, fy1]);
+        let pb = inside(&b, &[fx2, fy2]);
         let d = pa.dist(&pb);
         prop_assert!(a.min_dist(&b) <= d + 1e-9);
         prop_assert!(a.max_dist(&b) >= d - 1e-9);
     }
 
-    /// The exact O(d) dominance test agrees with a sampled oracle: if it
-    /// claims dominance, no sampled (q, u, v) triple may contradict it; if
-    /// it denies dominance, the strict variant must deny it too.
+    /// The exact O(d) dominance test agrees with a sampled oracle in
+    /// d = 2..=5: if it claims dominance, no sampled (q, u, v) triple may
+    /// contradict it; if it denies dominance, the strict variant must deny
+    /// it too.
     #[test]
     fn prop_mbr_dominates_sound(
-        u in mbr2(), v in mbr2(), q in mbr2(),
-        samples in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0,
-                                          0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 32),
+        (_d, boxes) in mbrs_nd(3),
+        samples in prop::collection::vec(prop::collection::vec(0.0f64..1.0, 3 * MAX_D), 32),
     ) {
-        let dominated = mbr_dominates(&u, &v, &q);
-        let strictly = mbr_dominates_strict(&u, &v, &q);
+        let (u, v, q) = (&boxes[0], &boxes[1], &boxes[2]);
+        let dominated = mbr_dominates(u, v, q);
+        let strictly = mbr_dominates_strict(u, v, q);
         prop_assert!(!strictly || dominated, "strict must imply non-strict");
         if dominated {
-            for (a, b, c, d, e, f) in samples {
-                let qp = inside(&q, a, b);
-                let up = inside(&u, c, d);
-                let vp = inside(&v, e, f);
+            for f in samples {
+                let qp = inside(q, &f[..MAX_D]);
+                let up = inside(u, &f[MAX_D..2 * MAX_D]);
+                let vp = inside(v, &f[2 * MAX_D..]);
                 prop_assert!(
                     up.dist2(&qp) <= vp.dist2(&qp) + 1e-9,
                     "sampled triple contradicts mbr_dominates"
@@ -77,34 +100,36 @@ proptest! {
         }
     }
 
-    /// Dominance denial is witnessed: when the analytic test says no, there
-    /// is a *corner* configuration violating the condition (corners achieve
-    /// the extremal distances per dimension).
+    /// Dominance denial is witnessed in d = 2..=5 (after Emrich et al.,
+    /// *Complete and Sufficient Spatial Domination of Multidimensional
+    /// Rectangles*): when the analytic test says no, some q in the query
+    /// box violates maxdist(q, u) ≤ mindist(q, v). Both squared distances
+    /// are sums of per-dimension terms, and each term's gap peaks at one of
+    /// q's two ends or an interior breakpoint (u's midpoint, v's ends), so
+    /// the Cartesian product of those per-dimension sets (at most 5^d
+    /// points) must hold a witness.
     #[test]
-    fn prop_mbr_dominates_complete_on_corners(u in mbr2(), v in mbr2(), q in mbr2()) {
-        if !mbr_dominates(&u, &v, &q) {
-            // Search corner positions of q plus the per-dimension interior
-            // breakpoints; one must violate maxdist ≤ mindist.
-            let mut found = false;
-            let mut cands_per_dim: Vec<Vec<f64>> = Vec::new();
-            for i in 0..2 {
+    fn prop_mbr_dominates_complete_on_corners((d, boxes) in mbrs_nd(3)) {
+        let (u, v, q) = (&boxes[0], &boxes[1], &boxes[2]);
+        if !mbr_dominates(u, v, q) {
+            let mut witnesses: Vec<Vec<f64>> = vec![Vec::new()];
+            for i in 0..d {
                 let mut c = vec![q.lo()[i], q.hi()[i]];
                 for bp in [0.5 * (u.lo()[i] + u.hi()[i]), v.lo()[i], v.hi()[i]] {
                     if bp > q.lo()[i] && bp < q.hi()[i] {
                         c.push(bp);
                     }
                 }
-                cands_per_dim.push(c);
+                witnesses = witnesses
+                    .iter()
+                    .flat_map(|w| c.iter().map(move |&x| [w.as_slice(), &[x]].concat()))
+                    .collect();
             }
-            for &x in &cands_per_dim[0] {
-                for &y in &cands_per_dim[1] {
-                    let qp = Point::new(vec![x, y]);
-                    if u.max_dist2_point(&qp) > v.min_dist2_point(&qp) + 1e-12 {
-                        found = true;
-                    }
-                }
-            }
-            prop_assert!(found, "no witness for ¬mbr_dominates");
+            let found = witnesses.into_iter().any(|w| {
+                let qp = Point::new(w);
+                u.max_dist2_point(&qp) > v.min_dist2_point(&qp) + 1e-12
+            });
+            prop_assert!(found, "no witness for ¬mbr_dominates in d = {}", d);
         }
     }
 

@@ -349,7 +349,7 @@ pub fn seed() { let _roots: Vec<usize> = (0..4).collect(); }
 // per-shard descent: begin
 pub fn expand(xs: &[usize]) { let _c: Vec<usize> = xs.iter().copied().collect(); }
 // per-shard descent: end
-pub fn gather() { let _v: Vec<usize> = Vec::new(); }
+pub fn finish() { let _v: Vec<usize> = Vec::new(); }
 ";
         for path in ["crates/core/src/nnc.rs", "crates/core/src/knnc.rs"] {
             let v = check_src(path, src);

@@ -1,5 +1,5 @@
 //~ path: crates/core/src/knnc.rs
-fn gather(xs: &[f64]) -> Vec<f64> {
+fn copy_out(xs: &[f64]) -> Vec<f64> {
     xs
         .to_vec
         ()

@@ -62,12 +62,13 @@ echo "== repro kernels --smoke (bit-identity of the blocked kernels) =="
 # first divergence.
 cargo run -q -p osd-bench --bin repro -- kernels --smoke
 
-echo "== repro scale --smoke (sharded-index bit-identity) =="
-# The STR-sharded index is a pure layout change: flat, merged-forest and
-# scatter-gather candidates must be identical, and the merged traversal's
-# shared prune bound must never visit more nodes than the independent
-# per-shard descents. Assertion-only; never touches BENCH_scale.json.
-cargo run -q --release -p osd-bench --bin repro -- scale --smoke
+echo "== sharded-index bit-identity (USA surrogate, 8 tiles) =="
+# The STR-sharded index is a pure layout change: on a 2000-object USA
+# surrogate, whose shard trees have inner nodes, the merged-forest
+# traversal must emit the flat index's candidate ids and min_dist bits
+# for every operator, with and without the audit layer.
+cargo test -q --test pipeline usa_surrogate_sharded_matches_flat
+cargo test -q --features strict-invariants --test pipeline usa_surrogate_sharded_matches_flat
 
 echo "== repro mutate --smoke (epoch churn under concurrent readers) =="
 # The epoch-published store under churn: every mutation must publish

@@ -10,6 +10,8 @@
     clippy::panic
 )]
 
+use osd::core::{ShardedDatabase, SpatialIndex};
+use osd::datagen::semireal::{clustered_centers_2d, objects_from_centers};
 use osd::datagen::{
     generate_objects, generate_queries, gowalla_like, nba_like, CenterDistribution, SynthParams,
 };
@@ -101,6 +103,49 @@ fn clustered_2d_pipeline() {
         let (brute, _) = nn_candidates_bruteforce(&db, &pq, op, &FilterConfig::all());
         let brute: BTreeSet<usize> = brute.into_iter().collect();
         assert_eq!(sets[i], brute, "oracle mismatch for {op:?}");
+    }
+}
+
+/// The sharded bit-identity gate at a size where the shard trees have
+/// inner nodes: on the USA surrogate (2-d clustered centres, 4 instances
+/// per object) an 8-tile index searched as one merged forest emits the
+/// same candidate ids and `min_dist` bits as the flat index, for every
+/// operator. The shared prune bound then discards inner nodes across
+/// shards, which the few-object `shard_identity` properties never reach.
+#[test]
+fn usa_surrogate_sharded_matches_flat() {
+    const N: usize = 2_000;
+    const SHARDS: usize = 8;
+    let centers = clustered_centers_2d(N, 64, 0x0517);
+    let objects = objects_from_centers(&centers, 4, 400.0, 0x0517 ^ 0x33);
+    let query_centers: Vec<Vec<f64>> = centers.iter().step_by(N / 5).cloned().collect();
+    let queries = objects_from_centers(&query_centers, 3, 200.0, 0x9e37);
+
+    let flat = Database::new(objects.clone());
+    let sharded = ShardedDatabase::new(objects, SHARDS);
+    let stats = sharded.index_stats();
+    // STR packing may overshoot the requested tile count, never undershoot.
+    assert!(stats.shards.len() >= SHARDS, "{} tiles", stats.shards.len());
+    assert_eq!(stats.shards.iter().map(|s| s.objects).sum::<usize>(), N);
+    assert!(
+        stats.shards.iter().all(|s| s.tree_height >= Some(1)),
+        "every shard tree must have inner nodes"
+    );
+
+    let cfg = FilterConfig::all();
+    for q in queries {
+        let pq = PreparedQuery::new(q);
+        for op in Operator::ALL {
+            let bits = |r: &NncResult| -> Vec<(usize, u64)> {
+                r.candidates
+                    .iter()
+                    .map(|c| (c.id, c.min_dist.to_bits()))
+                    .collect()
+            };
+            let base = bits(&nn_candidates(&flat, &pq, op, &cfg));
+            let merged = bits(&nn_candidates(&sharded, &pq, op, &cfg));
+            assert_eq!(merged, base, "{op:?}: sharded diverged from flat");
+        }
     }
 }
 
