@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|warm|all> [options]
+//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|all> [options]
 //!   --paper-scale      Table 2 defaults (n=100k, m_d=40, 100 queries)
 //!   --n <N>            object count override
 //!   --md <M>           instances per object override
@@ -149,16 +149,6 @@ fn main() {
             };
             osd_bench::mutate::mutate(shards, threads.max(2), smoke, json);
         }
-        "warm" => {
-            // Like kernels/mutate: smoke runs are assertion-only and
-            // never clobber the measured artifact unless a path was given.
-            let json = match (&json, smoke) {
-                (Some(path), _) => Some(path.as_str()),
-                (None, false) => Some("BENCH_warm.json"),
-                (None, true) => None,
-            };
-            osd_bench::warm::warm(shards, smoke, json);
-        }
         "trace" => {
             // Like kernels/mutate: smoke runs are assertion-only and
             // never clobber the measured artifact unless a path was given.
@@ -199,7 +189,7 @@ fn next_val(args: &[String], i: &mut usize) -> usize {
 
 fn usage() {
     eprintln!(
-        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|warm|all> \
+        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|all> \
          [--paper-scale] [--n N] [--md M] [--mq M] [--queries Q] \
          [--param md|hd|mq|hq|n|d] [--out-dir DIR] [--threads T] \
          [--threads-list 1,2,4,8] [--shards S] [--json PATH] [--smoke]"

@@ -29,7 +29,6 @@ pub mod runner;
 pub mod storage;
 pub mod throughput;
 pub mod trace;
-pub mod warm;
 
 pub use datasets::{build, DatasetId, Workbench};
 pub use figures::{fig10, fig10_with_threads, fig11_13, fig12, fig14, fig16, SweepParam};
@@ -46,4 +45,3 @@ pub use throughput::{
     host_cpus, measure, phase_medians, throughput, ThroughputPoint, ThroughputReport,
 };
 pub use trace::{measure_trace, trace, TraceReport};
-pub use warm::{measure_warm, warm, WarmReport};

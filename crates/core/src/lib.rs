@@ -64,6 +64,7 @@
 
 pub mod brute;
 pub mod cache;
+mod chunked;
 pub mod config;
 pub mod continuous;
 pub mod ctx;
@@ -74,7 +75,6 @@ pub mod index;
 #[cfg(feature = "strict-invariants")]
 pub mod invariants;
 pub mod knnc;
-mod local;
 pub mod nnc;
 pub mod ops;
 pub mod publish;
@@ -102,4 +102,4 @@ pub use osd_uncertain::{Change, EpochLog};
 pub use publish::PublishedIndex;
 pub use query::PreparedQuery;
 pub use sharded::{ShardConfig, ShardedDatabase};
-pub use warm::{WarmCache, WarmPool, WarmStats, WarmView};
+pub use warm::{TableAudit, WarmAudit, WarmCache, WarmPool, WarmStats, WarmView};

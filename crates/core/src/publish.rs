@@ -12,15 +12,16 @@
 //! Consecutive snapshots share everything a mutation does not change, so
 //! a publish costs in proportion to the change, plus a few flat copies:
 //!
-//! * **Shared:** every local R-tree but the touched object's (held by id
-//!   in `Arc`-shared chunks; a write copies one chunk of pointers), every
+//! * **Shared:** every local R-tree but the touched object's, and every
+//!   entry of the `slot` id map but the touched id's (both held by id in
+//!   `Arc`-shared chunks; a write copies one chunk of 256), every
 //!   global R-tree node off the touched root-to-leaf paths
 //!   (`RTree::insert` / `remove_item` path-copy; a clone is O(1)), and
 //!   every chunk of the columnar store but the one holding the touched
 //!   row (`osd_uncertain::epoch` clones the chunk table, one count bump
 //!   per 256 rows, and the write copies 256 rows).
-//! * **Copied once per publish:** the `slot` id map and the bounded epoch
-//!   log, which are flat integer arrays.
+//! * **Copied once per publish:** the bounded epoch log, a flat array of
+//!   at most `DEFAULT_LOG_CAP` changes.
 //!
 //! The displaced snapshot is dropped after the swap releases the lock,
 //! and frees only what the new snapshot does not share.

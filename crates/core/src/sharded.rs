@@ -28,6 +28,12 @@
 //! configuration behind the historical constructors; this module is the
 //! only place an index is built or mutated.
 //!
+//! **Per-id tables.** The local R-trees and the `slot` map are
+//! `core::chunked::ChunkedVec`s, the one chunked table type of the index
+//! and its warm cache: cloning the index (every publish does) bumps one
+//! count per 256 ids, and a mutation copies only the chunk holding the id
+//! it writes.
+//!
 //! **Inserts** append a row to the store (copying its last chunk) and go
 //! to the shard whose tree MBR needs the least volume enlargement (ties:
 //! smaller volume, then lower shard id) — R-tree subtree choice at shard
@@ -35,8 +41,8 @@
 //! **Deletes** tombstone the object's row; store rows never move, so no
 //! other id's row changes.
 
+use crate::chunked::ChunkedVec;
 use crate::index::{DbError, IndexStats, ShardStats, SpatialIndex};
-use crate::local::LocalTrees;
 use osd_geom::Mbr;
 use osd_rtree::{str_partition, Entry, RTree};
 use osd_uncertain::{epoch, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
@@ -100,15 +106,17 @@ pub struct ShardedDatabase {
     /// Shard-major permutation of the input store (or the input `Arc`
     /// itself when the permutation is the identity).
     store: Arc<InstanceStore>,
-    /// Local instance trees, by logical id.
-    local: LocalTrees,
+    /// Local instance trees, by logical id (`None` = tombstone). A write
+    /// copies the one chunk holding the id; every other tree is shared.
+    local: ChunkedVec<Option<Arc<RTree<usize>>>>,
     /// One global R-tree per tile; payloads are logical object ids, live
     /// entries only.
     shards: Vec<RTree<usize>>,
     /// Logical id → store row (`None` = tombstone). Store rows are
     /// stable, so an entry is written once on build or insert and cleared
-    /// on delete; no other mutation touches it.
-    slot: Vec<Option<usize>>,
+    /// on delete; no other mutation touches it. Chunked like `local`, so a
+    /// publish copies one chunk of it, not all `n` entries.
+    slot: ChunkedVec<Option<usize>>,
     /// Fan-out of the local trees built on insert and update.
     local_fanout: usize,
     /// Published-mutation log; its length is the snapshot epoch.
@@ -187,18 +195,15 @@ impl ShardedDatabase {
             Arc::new(store.permuted(&order))
         };
         let mut slot = vec![None; ids.len()];
-        for (row, &id) in ids.iter().enumerate() {
-            slot[id] = Some(row);
-        }
         // Build the local trees in row (STR) order, so the trees of the
         // objects in one global-tree leaf lie close together in memory,
         // then file them by id.
-        let mut by_id: Vec<Option<RTree<usize>>> = (0..ids.len()).map(|_| None).collect();
+        let mut local = vec![None; ids.len()];
         for (row, &id) in ids.iter().enumerate() {
+            slot[id] = Some(row);
             let tree = RTree::bulk_load_rows(cfg.local_fanout, dim, store.object(row).coords());
-            by_id[id] = Some(tree);
+            local[id] = Some(Arc::new(tree));
         }
-        let local = LocalTrees::new(by_id.into_iter().flatten());
         let shards = groups
             .iter()
             .map(|group| {
@@ -214,9 +219,9 @@ impl ShardedDatabase {
             .collect();
         Ok(ShardedDatabase {
             store,
-            local,
+            local: ChunkedVec::from_fn(ids.len(), |id| local[id].take()),
             shards,
-            slot,
+            slot: ChunkedVec::from_fn(ids.len(), |id| slot[id]),
             local_fanout: cfg.local_fanout,
             epochs: EpochLog::default(),
         })
@@ -274,11 +279,11 @@ impl ShardedDatabase {
             epoch::append(&mut self.store, &object).map_err(|e| DbError::from_store(e, id))?;
         let view = self.store.object(row);
         let mbr = view.mbr().clone();
-        self.local.push(RTree::bulk_load_rows(
+        self.local.push(Some(Arc::new(RTree::bulk_load_rows(
             self.local_fanout,
             view.dim(),
             view.coords(),
-        ));
+        ))));
         self.slot.push(Some(row));
         let shard = self.choose_shard(&mbr);
         self.shards[shard].insert(mbr, id);
@@ -315,7 +320,7 @@ impl ShardedDatabase {
         self.remove_from_shards(&mbr, id);
         epoch::remove(&mut self.store, row);
         self.local.set(id, None);
-        self.slot[id] = None;
+        self.slot.set(id, None);
         self.epochs.record(Change::Deleted(id));
         Ok(())
     }
@@ -348,11 +353,11 @@ impl ShardedDatabase {
         let view = self.store.object(row);
         self.local.set(
             id,
-            Some(RTree::bulk_load_rows(
+            Some(Arc::new(RTree::bulk_load_rows(
                 self.local_fanout,
                 view.dim(),
                 view.coords(),
-            )),
+            ))),
         );
         let mbr = view.mbr().clone();
         let shard = self.choose_shard(&mbr);
@@ -440,7 +445,7 @@ impl SpatialIndex for ShardedDatabase {
     }
 
     fn local_tree(&self, id: usize) -> &RTree<usize> {
-        match self.local.get(id) {
+        match self.local.get(id).and_then(Option::as_deref) {
             Some(tree) => tree,
             None => invalid(DbError::Dead { object: id }),
         }

@@ -12,18 +12,39 @@
 //!   pointer reuse (ABA) while the cache is alive and forces the epoch
 //!   builders' `Arc::make_mut` down the clone path, so a published
 //!   successor snapshot can never alias the pinned pointer.
-//! * **Population.** Lock-free on read: a getter that finds its
-//!   [`OnceLock`] slot empty builds the entry *off-lock* and publishes it
-//!   with `set`, tolerating a lost race (the first published value wins;
-//!   the loser adopts it). The query path never blocks on another
-//!   builder.
+//! * **Layout.** Every per-id table — `quanta`, `levels`, `mbrs`, and the
+//!   `whole`/`instance` tables of each query — is a persistent
+//!   `core::chunked::ChunkedVec` of [`OnceLock`] slots, the same chunked
+//!   table the index keeps its local trees and `slot` map in.
+//! * **Population.** Lock-free on read: a getter that finds its slot
+//!   empty builds the entry *off-lock* and publishes it with `set`,
+//!   tolerating a lost race (the first published value wins; the loser
+//!   adopts it). The query path never blocks on another builder.
 //! * **Invalidation.** [`WarmPool::cache_for`] advances the cache to a
-//!   newer epoch through [`EpochLog::changes_since`]: entries of objects
-//!   untouched by the window are carried over (their derived state is
-//!   bit-identical by construction), touched ids are evicted. When the
-//!   log window is exhausted (`None`) — or the epoch regressed, i.e. the
-//!   pool was fed a snapshot from a different chain — the whole cache is
-//!   rebuilt, mirroring `ContinuousNnc`'s stale-window fallback.
+//!   newer epoch through [`EpochLog::changes_since`]. The successor clones
+//!   each table's chunk list and, for each touched id whose slot holds an
+//!   entry, copies that one chunk with the slot cleared; every other
+//!   chunk — the touched id's own when its slot is empty — is shared with
+//!   the old cache. The entries of untouched ids are bit-identical in both
+//!   epochs, so sharing them is the carry argument one level up. Evictions
+//!   and resident bytes are kept by subtracting the evicted entries, so an
+//!   advance costs O(touched + tables · n / [`CHUNK`]), not O(tables · n).
+//!   When the log window is exhausted (`None`) — or the snapshot is not a
+//!   successor (a same-or-higher epoch over a different store chain) —
+//!   the whole cache is rebuilt, mirroring `ContinuousNnc`'s stale-window
+//!   fallback. Chunks are never shared across ids or tables: a fresh
+//!   table allocates its own slots.
+//! * **Sealing.** A shared chunk may hold an *empty* slot of a touched
+//!   id, and both caches could fill it, each with its own epoch's value.
+//!   So the advance first seals the old cache: publishers hold
+//!   `publishing` shared, the seal takes it exclusively, and from then on
+//!   the old cache neither publishes nor serves a hit (a value read after
+//!   the seal may be its successor's) — its in-flight readers build
+//!   privately, bit-identically. At most one unsealed cache of a chain
+//!   writes the shared chunks: the pool's current one.
+//! * **Never backwards.** A snapshot older than the pool's current cache
+//!   (a straggler still pinning an old epoch) gets a private, uninstalled
+//!   blank cache; the pool keeps its epoch, entries and counters.
 //! * **Bit-identity.** Every entry is built by the same deterministic
 //!   constructor as the cold path (`build_level_snapshot`,
 //!   `build_bounds_*`, `quantize`), so a warm-served value is bit-for-bit
@@ -36,90 +57,159 @@
 //! content fingerprint ([`PreparedQuery::fingerprint`]); the table is
 //! resolved once per query into a [`WarmView`] and verified against the
 //! full coordinate/probability bit pattern, so a 64-bit fingerprint
-//! collision degrades to a private (unshared) table, never to wrong
-//! bounds.
+//! collision degrades to a private (unshared, uncounted) table, never to
+//! wrong bounds.
 //!
 //! One [`WarmPool`] must be fed snapshots of a single publish chain
 //! (structurally guaranteed when the pool rides a `PublishedIndex`);
 //! snapshots of unrelated indexes at coincidentally increasing epochs
 //! would otherwise be taken for successors. The fallback rules above make
-//! a mis-fed pool slow (full rebuilds), never wrong, as long as the two
-//! chains' logs do not splice (`changes_since` of an unrelated log
-//! answers `None` for a foreign epoch or describes different ids).
+//! a mis-fed pool slow (full rebuilds, private caches), never wrong, as
+//! long as the two chains' logs do not splice (`changes_since` of an
+//! unrelated log answers `None` for a foreign epoch or describes
+//! different ids).
+//!
+//! [`EpochLog::changes_since`]: osd_uncertain::EpochLog::changes_since
+//! [`CHUNK`]: osd_uncertain::CHUNK
 
 use crate::cache::{
     build_bounds_instance, build_bounds_whole, build_level_snapshot, BoundPair, LevelSnapshot,
 };
+use crate::chunked::ChunkedVec;
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
 use osd_geom::Mbr;
 use osd_obs::{Counter, QueryMetrics};
 use osd_uncertain::{quantize, touched_ids, InstanceStore};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// One lazily-published cache slot.
-type Slot<T> = OnceLock<Arc<T>>;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Per-level slot array of one object (sized `num_levels` on first touch).
-type LevelSlots<T> = Arc<[Slot<T>]>;
+type LevelSlots<T> = Arc<[OnceLock<Arc<T>>]>;
 
-/// Publishes `value` into `slot`, tolerating a lost race: the first
-/// published value wins and the loser adopts it. Returns the winning
-/// value and whether *this* call published it (the publisher owns the
-/// resident-bytes accounting).
-fn publish<T>(slot: &Slot<T>, value: Arc<T>) -> (Arc<T>, bool) {
-    match slot.set(Arc::clone(&value)) {
-        Ok(()) => (value, true),
-        Err(_) => (slot.get().map(Arc::clone).unwrap_or(value), false),
-    }
-}
+/// One warm table: a lazily published slot per logical id.
+type Table<V> = ChunkedVec<OnceLock<V>>;
 
-fn empty_slots<T>(n: usize) -> Box<[Slot<T>]> {
-    (0..n).map(|_| OnceLock::new()).collect()
-}
-
-/// Gets or installs the per-level slot array of one object.
-fn level_slots<T>(outer: &OnceLock<LevelSlots<T>>, num_levels: usize) -> LevelSlots<T> {
-    if let Some(s) = outer.get() {
-        return Arc::clone(s);
-    }
-    let fresh: LevelSlots<T> = (0..num_levels).map(|_| OnceLock::new()).collect();
-    match outer.set(Arc::clone(&fresh)) {
-        Ok(()) => fresh,
-        Err(_) => outer.get().map(Arc::clone).unwrap_or(fresh),
-    }
+fn empty_table<V>(n: usize) -> Table<V> {
+    ChunkedVec::from_fn(n, |_| OnceLock::new())
 }
 
 // ---- approximate resident sizes (gauge accounting, not allocator truth) ----
 
-fn quanta_bytes(q: &[u64]) -> u64 {
-    24 + 8 * q.len() as u64
+/// Entries and approximate bytes held by published values.
+#[derive(Debug, Clone, Copy, Default)]
+struct Weight {
+    entries: u64,
+    bytes: u64,
+}
+
+impl std::ops::AddAssign for Weight {
+    fn add_assign(&mut self, w: Weight) {
+        self.entries += w.entries;
+        self.bytes += w.bytes;
+    }
+}
+
+/// A value a warm slot can hold, with what it adds to the gauges.
+trait Resident: Clone {
+    fn weight(&self) -> Weight;
+}
+
+fn one(bytes: u64) -> Weight {
+    Weight { entries: 1, bytes }
 }
 
 fn mbr_bytes(m: &Mbr) -> u64 {
     16 * m.lo().len() as u64
 }
 
-fn snapshot_bytes(s: &LevelSnapshot) -> u64 {
-    let mut b = 48u64;
-    for idx in 1..=s.num_levels() {
-        let lg = s.level(idx);
-        b += 72;
-        for m in &lg.mbrs {
-            b += mbr_bytes(m) + 16;
-        }
+impl Resident for Arc<Vec<u64>> {
+    fn weight(&self) -> Weight {
+        one(24 + 8 * self.len() as u64)
     }
-    b
+}
+
+impl Resident for Arc<Mbr> {
+    fn weight(&self) -> Weight {
+        one(mbr_bytes(self))
+    }
+}
+
+impl Resident for Arc<LevelSnapshot> {
+    fn weight(&self) -> Weight {
+        let mut b = 48u64;
+        for idx in 1..=self.num_levels() {
+            let lg = self.level(idx);
+            b += 72;
+            for m in &lg.mbrs {
+                b += mbr_bytes(m) + 16;
+            }
+        }
+        one(b)
+    }
 }
 
 fn bound_pair_bytes(p: &BoundPair) -> u64 {
     64 + 16 * (p.0.support_size() + p.1.support_size()) as u64
 }
 
-fn bound_vec_bytes(v: &[BoundPair]) -> u64 {
-    24 + v.iter().map(bound_pair_bytes).sum::<u64>()
+impl Resident for Arc<BoundPair> {
+    fn weight(&self) -> Weight {
+        one(bound_pair_bytes(self))
+    }
+}
+
+impl Resident for Arc<Vec<BoundPair>> {
+    fn weight(&self) -> Weight {
+        one(24 + self.iter().map(bound_pair_bytes).sum::<u64>())
+    }
+}
+
+/// A per-level array holds what its filled slots hold (a fresh one,
+/// nothing).
+impl<T> Resident for LevelSlots<T>
+where
+    Arc<T>: Resident,
+{
+    fn weight(&self) -> Weight {
+        let mut w = Weight::default();
+        for v in self.iter().filter_map(OnceLock::get) {
+            w += v.weight();
+        }
+        w
+    }
+}
+
+/// `old`'s successor table over `n` ids: the chunk list cloned, each
+/// touched id's chunk copied with its slot cleared — only where that slot
+/// holds an entry — and new ids appended empty. Adds what it evicts to
+/// `evicted`.
+fn carry<V: Resident>(
+    old: &Table<V>,
+    touched: &[usize],
+    n: usize,
+    evicted: &mut Weight,
+) -> Table<V> {
+    let mut table = old.clone();
+    for &id in touched {
+        let Some(w) = table.get(id).and_then(OnceLock::get).map(Resident::weight) else {
+            continue;
+        };
+        *evicted += w;
+        table.set(id, OnceLock::new());
+    }
+    table.extend((table.len()..n).map(|_| OnceLock::new()));
+    table
+}
+
+/// Publishes `value` into a slot no other cache shares, tolerating a lost
+/// race: the first published value wins and the loser adopts it.
+fn adopt<V: Clone>(slot: &OnceLock<V>, value: V) -> V {
+    match slot.set(value.clone()) {
+        Ok(()) => value,
+        Err(_) => slot.get().cloned().unwrap_or(value),
+    }
 }
 
 /// Pool-level cumulative counters, for bench / CLI reporting.
@@ -146,8 +236,12 @@ pub struct QueryBounds {
     /// Exact coordinate/probability bit pattern of the owning query, used
     /// to verify fingerprint matches (collision ⇒ private table).
     key: Vec<u64>,
-    whole: Box<[OnceLock<LevelSlots<BoundPair>>]>,
-    instance: Box<[OnceLock<LevelSlots<Vec<BoundPair>>>]>,
+    whole: Table<LevelSlots<BoundPair>>,
+    instance: Table<LevelSlots<Vec<BoundPair>>>,
+    /// Entries published into this table (an advance drops a table it
+    /// empties); `None` for a private table, which the cache neither
+    /// counts nor carries.
+    entries: Option<AtomicU64>,
 }
 
 impl std::fmt::Debug for QueryBounds {
@@ -159,12 +253,29 @@ impl std::fmt::Debug for QueryBounds {
 }
 
 impl QueryBounds {
-    fn new(n: usize, key: Vec<u64>) -> Self {
+    fn new(n: usize, key: Vec<u64>, shared: bool) -> Self {
         QueryBounds {
             key,
-            whole: (0..n).map(|_| OnceLock::new()).collect(),
-            instance: (0..n).map(|_| OnceLock::new()).collect(),
+            whole: empty_table(n),
+            instance: empty_table(n),
+            entries: shared.then(|| AtomicU64::new(0)),
         }
+    }
+
+    /// This table's successor (see [`carry`]); `None` once it holds no
+    /// entry.
+    fn carry(&self, touched: &[usize], n: usize, evicted: &mut Weight) -> Option<QueryBounds> {
+        let mut gone = Weight::default();
+        let whole = carry(&self.whole, touched, n, &mut gone);
+        let instance = carry(&self.instance, touched, n, &mut gone);
+        *evicted += gone;
+        let left = self.entries.as_ref()?.load(Ordering::Relaxed) - gone.entries;
+        (left > 0).then(|| QueryBounds {
+            key: self.key.clone(),
+            whole,
+            instance,
+            entries: Some(AtomicU64::new(left)),
+        })
     }
 }
 
@@ -181,25 +292,83 @@ fn query_key(query: &PreparedQuery) -> Vec<u64> {
     key
 }
 
+/// One warm table's layout, as [`WarmCache::audit`] reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableAudit {
+    /// `"quanta"`, `"levels"`, `"mbrs"`, `"whole"` or `"instance"`.
+    pub table: &'static str,
+    /// The owning query's fingerprint, for `"whole"` and `"instance"`.
+    pub query: Option<u64>,
+    /// The address of each chunk allocation, in id order. Two live caches
+    /// share a chunk exactly when they list the same address for it.
+    pub chunks: Vec<usize>,
+    /// The ids whose slot holds an entry, ascending.
+    pub filled: Vec<usize>,
+}
+
+/// A from-scratch walk of a [`WarmCache`]: every table's layout plus the
+/// resident entries and bytes recounted slot by slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WarmAudit {
+    /// `quanta`, `levels`, `mbrs`, then `whole` and `instance` of each
+    /// query table in fingerprint order.
+    pub tables: Vec<TableAudit>,
+    /// Published entries (a bound table counts its filled levels).
+    pub entries: u64,
+    /// Approximate resident bytes, as [`WarmStats::resident_bytes`]
+    /// counts them.
+    pub resident_bytes: u64,
+}
+
+impl WarmAudit {
+    fn walk<V: Resident>(&mut self, table: &'static str, query: Option<u64>, t: &Table<V>) {
+        let mut filled = Vec::new();
+        for id in 0..t.len() {
+            if let Some(v) = t[id].get() {
+                filled.push(id);
+                let w = v.weight();
+                self.entries += w.entries;
+                self.resident_bytes += w.bytes;
+            }
+        }
+        let chunks = t
+            .chunks()
+            .iter()
+            .map(|c| Arc::as_ptr(c).cast::<()>() as usize)
+            .collect();
+        self.tables.push(TableAudit {
+            table,
+            query,
+            chunks,
+            filled,
+        });
+    }
+}
+
 /// A shared warm cache for one `(store pointer, epoch)` snapshot.
 ///
 /// See the module docs for the keying / population / invalidation
-/// protocol. All entry arrays are sized by the snapshot's logical id
-/// space (`db.len()`, tombstones included), matching `DominanceCache`.
+/// protocol. All tables are sized by the snapshot's logical id space
+/// (`db.len()`, tombstones included), matching `DominanceCache`.
 pub struct WarmCache {
     /// Pinned store snapshot: identity key half, ABA guard, and CoW
     /// forcing (a pinned refcount makes `Arc::make_mut` clone).
     store: Arc<InstanceStore>,
     epoch: u64,
-    quanta: Box<[Slot<Vec<u64>>]>,
-    levels: Box<[Slot<LevelSnapshot>]>,
-    mbrs: Box<[Slot<Mbr>]>,
+    quanta: Table<Arc<Vec<u64>>>,
+    levels: Table<Arc<LevelSnapshot>>,
+    mbrs: Table<Arc<Mbr>>,
     bounds: Mutex<BTreeMap<u64, Arc<QueryBounds>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Cumulative over the pool's lifetime (carried across advances).
     evictions: u64,
     resident_bytes: AtomicU64,
+    /// Set once, when a successor starts sharing this cache's chunks.
+    sealed: AtomicBool,
+    /// Held shared by every publish and exclusively by the seal, so no
+    /// publish straddles it.
+    publishing: RwLock<()>,
 }
 
 impl std::fmt::Debug for WarmCache {
@@ -215,17 +384,28 @@ impl WarmCache {
     /// A blank cache keyed to `db`'s current snapshot.
     fn blank(db: &dyn SpatialIndex) -> WarmCache {
         let n = db.len();
+        WarmCache::with_tables(db, empty_table(n), empty_table(n), empty_table(n))
+    }
+
+    fn with_tables(
+        db: &dyn SpatialIndex,
+        quanta: Table<Arc<Vec<u64>>>,
+        levels: Table<Arc<LevelSnapshot>>,
+        mbrs: Table<Arc<Mbr>>,
+    ) -> WarmCache {
         WarmCache {
             store: Arc::clone(db.store()),
             epoch: db.epoch(),
-            quanta: empty_slots(n),
-            levels: empty_slots(n),
-            mbrs: empty_slots(n),
+            quanta,
+            levels,
+            mbrs,
             bounds: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: 0,
             resident_bytes: AtomicU64::new(0),
+            sealed: AtomicBool::new(false),
+            publishing: RwLock::new(()),
         }
     }
 
@@ -269,49 +449,81 @@ impl WarmCache {
         }
     }
 
-    fn add_bytes(&self, b: u64) {
-        self.resident_bytes.fetch_add(b, Ordering::Relaxed);
+    /// Walks every slot of every table: the layout and the recounted
+    /// gauges. O(tables · n); [`WarmCache::resident_bytes`] and
+    /// [`WarmCache::evictions`] keep the same figures incrementally.
+    pub fn audit(&self) -> WarmAudit {
+        let mut audit = WarmAudit {
+            tables: Vec::new(),
+            entries: 0,
+            resident_bytes: 0,
+        };
+        audit.walk("quanta", None, &self.quanta);
+        audit.walk("levels", None, &self.levels);
+        audit.walk("mbrs", None, &self.mbrs);
+        let map = self.bounds.lock().unwrap_or_else(PoisonError::into_inner);
+        for (&fp, qb) in map.iter() {
+            audit.walk("whole", Some(fp), &qb.whole);
+            audit.walk("instance", Some(fp), &qb.instance);
+        }
+        audit
     }
 
-    fn quanta_entry(&self, db: &dyn SpatialIndex, id: usize) -> (Arc<Vec<u64>>, bool) {
-        if let Some(q) = self.quanta[id].get() {
-            return (Arc::clone(q), true);
-        }
-        let built = Arc::new(quantize(db.object(id).probs()));
-        let (v, published) = publish(&self.quanta[id], built);
-        if published {
-            self.add_bytes(quanta_bytes(&v));
-        }
-        (v, false)
+    /// The entry in `slot`, unless this cache is sealed: a value read
+    /// after the seal may be the successor's, built for a touched id.
+    fn lookup<V: Clone>(&self, slot: &OnceLock<V>) -> Option<V> {
+        let v = slot.get()?.clone();
+        // A successor publishes only after the seal's Release store (the
+        // pool mutex orders its creation after `seal`), and `get` acquires
+        // that publish, so a successor's value is always seen sealed.
+        (!self.sealed.load(Ordering::Acquire)).then_some(v)
     }
 
-    fn snapshot_entry(
+    /// Publishes `value` into `slot` and counts it (also into a query
+    /// table's `table` count) — unless this cache is sealed, when the value
+    /// stays private to the caller. A lost race adopts the winner.
+    fn publish<V: Resident>(&self, slot: &OnceLock<V>, value: V, table: Option<&AtomicU64>) -> V {
+        // The lock guards no data, so a poisoned one is still sound.
+        let _open = self
+            .publishing
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        // `seal` stores under the write lock, so the read lock orders it.
+        if self.sealed.load(Ordering::Relaxed) {
+            return value;
+        }
+        if slot.set(value.clone()).is_err() {
+            return slot.get().cloned().unwrap_or(value);
+        }
+        let w = value.weight();
+        self.resident_bytes.fetch_add(w.bytes, Ordering::Relaxed);
+        if let Some(t) = table {
+            t.fetch_add(w.entries, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// The entry of `slot`, built by `build` on a miss; `true` on a hit.
+    fn entry<V: Resident>(
         &self,
-        db: &dyn SpatialIndex,
-        id: usize,
-        quanta: &[u64],
-    ) -> (Arc<LevelSnapshot>, bool) {
-        if let Some(s) = self.levels[id].get() {
-            return (Arc::clone(s), true);
+        slot: &OnceLock<V>,
+        table: Option<&AtomicU64>,
+        build: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        match self.lookup(slot) {
+            Some(v) => (v, true),
+            None => (self.publish(slot, build(), table), false),
         }
-        let built = Arc::new(build_level_snapshot(db, id, quanta));
-        let (v, published) = publish(&self.levels[id], built);
-        if published {
-            self.add_bytes(snapshot_bytes(&v));
-        }
-        (v, false)
     }
 
-    fn mbr_entry(&self, db: &dyn SpatialIndex, id: usize) -> (Arc<Mbr>, bool) {
-        if let Some(m) = self.mbrs[id].get() {
-            return (Arc::clone(m), true);
-        }
-        let built = Arc::new(db.object(id).mbr().clone());
-        let (v, published) = publish(&self.mbrs[id], built);
-        if published {
-            self.add_bytes(mbr_bytes(&v));
-        }
-        (v, false)
+    /// Stops this cache publishing and serving hits, once every publish
+    /// in flight has landed.
+    fn seal(&self) {
+        let _closed = self
+            .publishing
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.sealed.store(true, Ordering::Release);
     }
 
     /// The bound table of `query`, shared across equal repeated queries.
@@ -326,125 +538,53 @@ impl WarmCache {
             if t.key == key {
                 return Arc::clone(t);
             }
-            return Arc::new(QueryBounds::new(n, key));
+            return Arc::new(QueryBounds::new(n, key, false));
         }
-        let t = Arc::new(QueryBounds::new(n, key));
+        let t = Arc::new(QueryBounds::new(n, key, true));
         map.insert(query.fingerprint(), Arc::clone(&t));
         t
     }
 
-    /// Entries currently published (used to count a full-rebuild
-    /// eviction).
-    fn resident_entries(&self) -> u64 {
-        let mut c = 0u64;
-        c += self.quanta.iter().filter(|s| s.get().is_some()).count() as u64;
-        c += self.levels.iter().filter(|s| s.get().is_some()).count() as u64;
-        c += self.mbrs.iter().filter(|s| s.get().is_some()).count() as u64;
-        let map = self.bounds.lock().unwrap_or_else(PoisonError::into_inner);
-        for qb in map.values() {
-            for outer in qb.whole.iter() {
-                if let Some(slots) = outer.get() {
-                    c += slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                }
-            }
-            for outer in qb.instance.iter() {
-                if let Some(slots) = outer.get() {
-                    c += slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                }
-            }
-        }
-        c
-    }
-
-    /// Advances `old` to `db`'s snapshot: incremental carry + targeted
+    /// Advances `old` to `db`'s snapshot: shared chunks plus targeted
     /// eviction when the epoch log covers the window, full rebuild
     /// otherwise.
     fn advance(old: &WarmCache, db: &dyn SpatialIndex) -> WarmCache {
-        let window = if db.epoch() > old.epoch {
+        let n = db.len();
+        let window = if db.epoch() > old.epoch && n >= old.quanta.len() {
             db.changes_since(old.epoch)
         } else {
-            // Epoch regressed (or a same-epoch snapshot with a different
-            // store pointer): not a successor of ours — start over.
+            // A same-epoch snapshot with a different store pointer: not a
+            // successor of ours — start over.
             None
         };
-        let mut next = WarmCache::blank(db);
-        next.hits = AtomicU64::new(old.hits());
-        next.misses = AtomicU64::new(old.misses());
         let Some(changes) = window else {
-            next.evictions = old.evictions + old.resident_entries();
+            let mut next = WarmCache::blank(db);
+            next.hits = AtomicU64::new(old.hits());
+            next.misses = AtomicU64::new(old.misses());
+            next.evictions = old.evictions + old.audit().entries;
             return next;
         };
+        // Sealing waits out every publish in flight, so the old cache's
+        // counters and slots read below are final.
+        old.seal();
         let touched = touched_ids(&changes);
-        let is_touched = |id: usize| touched.binary_search(&id).is_ok();
-        let n = next.quanta.len();
-        let mut evicted = 0u64;
-        let mut bytes = 0u64;
-        // Carry the snapshot-pure per-object entries of untouched ids.
-        for id in 0..old.quanta.len() {
-            let keep = id < n && !is_touched(id);
-            if let Some(v) = old.quanta[id].get() {
-                if keep && next.quanta[id].set(Arc::clone(v)).is_ok() {
-                    bytes += quanta_bytes(v);
-                } else {
-                    evicted += 1;
-                }
-            }
-            if let Some(v) = old.levels[id].get() {
-                if keep && next.levels[id].set(Arc::clone(v)).is_ok() {
-                    bytes += snapshot_bytes(v);
-                } else {
-                    evicted += 1;
-                }
-            }
-            if let Some(v) = old.mbrs[id].get() {
-                if keep && next.mbrs[id].set(Arc::clone(v)).is_ok() {
-                    bytes += mbr_bytes(v);
-                } else {
-                    evicted += 1;
-                }
-            }
-        }
-        // Carry per-query bound tables the same way: untouched objects
-        // keep their whole per-level slot array (values are bit-identical
-        // across the window), touched objects are dropped.
-        let old_map = old.bounds.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut new_map = BTreeMap::new();
-        for (fp, qb) in old_map.iter() {
-            let carried = QueryBounds::new(n, qb.key.clone());
-            let mut any = false;
-            for id in 0..qb.whole.len() {
-                let keep = id < n && !is_touched(id);
-                if let Some(slots) = qb.whole[id].get() {
-                    let filled = slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                    if keep && carried.whole[id].set(Arc::clone(slots)).is_ok() {
-                        for s in slots.iter().flat_map(|s| s.get()) {
-                            bytes += bound_pair_bytes(s);
-                        }
-                        any = any || filled > 0;
-                    } else {
-                        evicted += filled;
-                    }
-                }
-                if let Some(slots) = qb.instance[id].get() {
-                    let filled = slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                    if keep && carried.instance[id].set(Arc::clone(slots)).is_ok() {
-                        for s in slots.iter().flat_map(|s| s.get()) {
-                            bytes += bound_vec_bytes(s);
-                        }
-                        any = any || filled > 0;
-                    } else {
-                        evicted += filled;
-                    }
-                }
-            }
-            if any {
-                new_map.insert(*fp, Arc::new(carried));
-            }
-        }
-        drop(old_map);
-        next.evictions = old.evictions + evicted;
-        next.resident_bytes = AtomicU64::new(bytes);
-        next.bounds = Mutex::new(new_map);
+        let mut evicted = Weight::default();
+        let quanta = carry(&old.quanta, &touched, n, &mut evicted);
+        let levels = carry(&old.levels, &touched, n, &mut evicted);
+        let mbrs = carry(&old.mbrs, &touched, n, &mut evicted);
+        let bounds = old
+            .bounds
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter_map(|(&fp, qb)| Some((fp, Arc::new(qb.carry(&touched, n, &mut evicted)?))))
+            .collect();
+        let mut next = WarmCache::with_tables(db, quanta, levels, mbrs);
+        next.bounds = Mutex::new(bounds);
+        next.hits = AtomicU64::new(old.hits());
+        next.misses = AtomicU64::new(old.misses());
+        next.evictions = old.evictions + evicted.entries;
+        next.resident_bytes = AtomicU64::new(old.resident_bytes() - evicted.bytes);
         next
     }
 }
@@ -469,7 +609,7 @@ impl WarmView {
         &self.cache
     }
 
-    fn tally(&self, hit: bool, metrics: &mut QueryMetrics) {
+    fn tally<V>(&self, (v, hit): (V, bool), metrics: &mut QueryMetrics) -> V {
         if hit {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             metrics.incr(Counter::WarmHits);
@@ -477,6 +617,7 @@ impl WarmView {
             self.cache.misses.fetch_add(1, Ordering::Relaxed);
             metrics.incr(Counter::WarmMisses);
         }
+        v
     }
 
     /// Records the cache's eviction/resident gauges into `metrics`.
@@ -491,9 +632,10 @@ impl WarmView {
         id: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<u64>> {
-        let (v, hit) = self.cache.quanta_entry(db, id);
-        self.tally(hit, metrics);
-        v
+        let e = self.cache.entry(&self.cache.quanta[id], None, || {
+            Arc::new(quantize(db.object(id).probs()))
+        });
+        self.tally(e, metrics)
     }
 
     /// Warm level snapshot of object `id` (`quanta` is the caller's
@@ -506,9 +648,10 @@ impl WarmView {
         quanta: &[u64],
         metrics: &mut QueryMetrics,
     ) -> Arc<LevelSnapshot> {
-        let (v, hit) = self.cache.snapshot_entry(db, id, quanta);
-        self.tally(hit, metrics);
-        v
+        let e = self.cache.entry(&self.cache.levels[id], None, || {
+            Arc::new(build_level_snapshot(db, id, quanta))
+        });
+        self.tally(e, metrics)
     }
 
     /// Warm MBR of object `id` (the emission-time candidate MBR).
@@ -518,9 +661,31 @@ impl WarmView {
         id: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<Mbr> {
-        let (v, hit) = self.cache.mbr_entry(db, id);
-        self.tally(hit, metrics);
-        v
+        let e = self.cache.entry(&self.cache.mbrs[id], None, || {
+            Arc::new(db.object(id).mbr().clone())
+        });
+        self.tally(e, metrics)
+    }
+
+    /// The entry of a query-table `slot`: through the cache (counted,
+    /// sealable) for a shared table, adopted in place for a private one.
+    fn bound_entry<V: Resident>(&self, slot: &OnceLock<V>, build: impl FnOnce() -> V) -> (V, bool) {
+        match &self.bounds.entries {
+            Some(count) => self.cache.entry(slot, Some(count), build),
+            None => match slot.get() {
+                Some(v) => (v.clone(), true),
+                None => (adopt(slot, build()), false),
+            },
+        }
+    }
+
+    /// Gets or installs the per-level slot array of one object.
+    fn level_slots<T>(&self, outer: &OnceLock<LevelSlots<T>>, num_levels: usize) -> LevelSlots<T>
+    where
+        Arc<T>: Resident,
+    {
+        self.bound_entry(outer, || (0..num_levels).map(|_| OnceLock::new()).collect())
+            .0
     }
 
     /// Warm whole-`U_Q` bound pair of object `id` at `level`.
@@ -532,20 +697,11 @@ impl WarmView {
         level: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<BoundPair> {
-        let slots = level_slots(&self.bounds.whole[id], snap.num_levels());
-        let idx = snap.clamped(level);
-        if let Some(b) = slots[idx].get() {
-            let v = Arc::clone(b);
-            self.tally(true, metrics);
-            return v;
-        }
-        let built = Arc::new(build_bounds_whole(query, snap.level(level)));
-        let (v, published) = publish(&slots[idx], built);
-        if published {
-            self.cache.add_bytes(bound_pair_bytes(&v));
-        }
-        self.tally(false, metrics);
-        v
+        let slots = self.level_slots::<BoundPair>(&self.bounds.whole[id], snap.num_levels());
+        let e = self.bound_entry(&slots[snap.clamped(level)], || {
+            Arc::new(build_bounds_whole(query, snap.level(level)))
+        });
+        self.tally(e, metrics)
     }
 
     /// Warm per-`U_q` bound pairs of object `id` at `level`.
@@ -557,20 +713,12 @@ impl WarmView {
         level: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<BoundPair>> {
-        let slots = level_slots(&self.bounds.instance[id], snap.num_levels());
-        let idx = snap.clamped(level);
-        if let Some(b) = slots[idx].get() {
-            let v = Arc::clone(b);
-            self.tally(true, metrics);
-            return v;
-        }
-        let built = Arc::new(build_bounds_instance(query, snap.level(level)));
-        let (v, published) = publish(&slots[idx], built);
-        if published {
-            self.cache.add_bytes(bound_vec_bytes(&v));
-        }
-        self.tally(false, metrics);
-        v
+        let slots =
+            self.level_slots::<Vec<BoundPair>>(&self.bounds.instance[id], snap.num_levels());
+        let e = self.bound_entry(&slots[snap.clamped(level)], || {
+            Arc::new(build_bounds_instance(query, snap.level(level)))
+        });
+        self.tally(e, metrics)
     }
 }
 
@@ -578,8 +726,9 @@ impl WarmView {
 ///
 /// Holds at most one [`WarmCache`] — the one keyed to the newest snapshot
 /// it has been shown. [`WarmPool::cache_for`] swaps in an advanced cache
-/// when the snapshot moves; queries still running against the old
-/// snapshot keep their pinned `Arc<WarmCache>` and stay consistent.
+/// when the snapshot moves forward; queries still running against the old
+/// snapshot keep their pinned `Arc<WarmCache>` and stay consistent (a
+/// sealed cache builds privately, see the module docs).
 #[derive(Debug, Default)]
 pub struct WarmPool {
     current: Mutex<Option<Arc<WarmCache>>>,
@@ -594,12 +743,18 @@ impl WarmPool {
     }
 
     /// The cache keyed to `db`'s current snapshot, advancing (or
-    /// rebuilding — see the module docs' fallback rules) as needed.
+    /// rebuilding — see the module docs' fallback rules) as needed. A
+    /// snapshot older than the current cache gets a private blank cache:
+    /// the pool never moves backwards.
     pub fn cache_for(&self, db: &dyn SpatialIndex) -> Arc<WarmCache> {
         let mut cur = self.current.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(c) = cur.as_ref() {
             if c.matches(db) {
                 return Arc::clone(c);
+            }
+            if db.epoch() < c.epoch {
+                drop(cur);
+                return Arc::new(WarmCache::blank(db));
             }
         }
         let next = Arc::new(match cur.take() {
@@ -625,7 +780,10 @@ impl WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FilterConfig;
     use crate::db::Database;
+    use crate::nnc::{nn_candidates, nn_candidates_warm, NncResult};
+    use crate::ops::Operator;
     use crate::publish::PublishedIndex;
     use osd_geom::Point;
     use osd_uncertain::UncertainObject;
@@ -711,5 +869,65 @@ mod tests {
         let fresh = vb.quanta(&b, 0, &mut metrics);
         assert_eq!(fresh.len(), 3);
         assert_eq!(pool.stats().evictions, 1, "old entry counted as evicted");
+    }
+
+    fn answer(r: &NncResult) -> (Vec<(usize, u64)>, crate::config::Stats) {
+        let ids = r.candidates.iter().map(|c| (c.id, c.min_dist.to_bits()));
+        (ids.collect(), r.stats)
+    }
+
+    #[test]
+    fn an_older_snapshot_never_moves_the_pool_backwards() {
+        let objects = (0..8).map(|i| obj(2.0 * i as f64)).collect();
+        let idx = PublishedIndex::new(Database::new(objects));
+        let pool = idx.warm_pool();
+        let (q, op, cfg) = (query(), Operator::PSd, FilterConfig::all());
+        let snap0 = idx.pin();
+        let cold0 = answer(&nn_candidates(&*snap0, &q, op, &cfg));
+        nn_candidates_warm(&*snap0, &q, op, &cfg, pool);
+        idx.update(3, obj(0.5)).expect("update");
+        let snap1 = idx.pin();
+        nn_candidates_warm(&*snap1, &q, op, &cfg, pool);
+        let before = pool.stats();
+        assert_eq!(before.epoch, 1);
+        assert!(before.resident_bytes > 0, "entries were carried to e1");
+
+        // A straggler still pinning e0: answered cold-identically from a
+        // private cache, leaving the pool where it was.
+        let straggler = nn_candidates_warm(&*snap0, &q, op, &cfg, pool);
+        assert_eq!(answer(&straggler), cold0);
+        assert_eq!(pool.stats(), before, "the pool moved for a straggler");
+        assert!(!pool.cache_for(&*snap0).matches(&*snap1));
+
+        // The next e1 query is all hits: nothing was evicted or rebuilt.
+        nn_candidates_warm(&*snap1, &q, op, &cfg, pool);
+        let after = pool.stats();
+        assert_eq!((after.epoch, after.evictions), (1, before.evictions));
+        assert_eq!(after.misses, before.misses);
+        assert!(after.hits > before.hits);
+    }
+
+    #[test]
+    fn a_sealed_cache_neither_publishes_nor_serves() {
+        let idx = PublishedIndex::new(Database::new(vec![obj(1.0), obj(5.0)]));
+        let q = query();
+        let mut metrics = QueryMetrics::new();
+        let snap0 = idx.pin();
+        let v0 = idx.warm_pool().view_for(&*snap0, &q);
+        let carried = v0.quanta(&*snap0, 0, &mut metrics);
+        idx.update(1, obj(7.0)).expect("update");
+        let snap1 = idx.pin();
+        let v1 = idx.warm_pool().view_for(&*snap1, &q);
+        // Object 1's slot was empty: its chunk is shared, and the new
+        // cache fills it with the e1 value.
+        let new1 = v1.quanta(&*snap1, 1, &mut metrics);
+        let old1 = v0.quanta(&*snap0, 1, &mut metrics);
+        assert!(!Arc::ptr_eq(&new1, &old1), "e0 reader served an e1 entry");
+        assert_eq!(*old1, quantize(snap0.object(1).probs()));
+        // Nor does the sealed e0 cache publish what it builds, or serve
+        // even a carried entry.
+        assert!(!Arc::ptr_eq(&v0.quanta(&*snap0, 1, &mut metrics), &old1));
+        assert!(!Arc::ptr_eq(&v0.quanta(&*snap0, 0, &mut metrics), &carried));
+        assert!(Arc::ptr_eq(&v1.quanta(&*snap1, 0, &mut metrics), &carried));
     }
 }

@@ -66,7 +66,7 @@ pub use quantize::{quantize, SCALE};
 pub use stochastic::{
     stochastically_dominates, stochastically_dominates_counted, strictly_dominates, CDF_EPS,
 };
-pub use store::{InstanceRef, InstanceStore, ObjectRef, StoreError};
+pub use store::{InstanceRef, InstanceStore, ObjectRef, StoreError, CHUNK};
 pub use world::for_each_world;
 
 // Compile-time auto-trait surface: uncertain objects and their distance

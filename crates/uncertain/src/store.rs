@@ -48,9 +48,10 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Rows per chunk. A store clone costs `n / CHUNK` count bumps and a write
-/// copies one chunk of `CHUNK` rows; 256 matches the local-tree chunks of
-/// the index.
-const CHUNK: usize = 256;
+/// copies one chunk of `CHUNK` rows; 256 keeps both near `√n` for the
+/// index sizes of §6. The index's per-id tables (`osd_core`'s
+/// `ChunkedVec`) use the same chunk size.
+pub const CHUNK: usize = 256;
 
 /// Why an [`InstanceStore`] could not be built or extended.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -85,12 +85,16 @@ echo "== repro trace --smoke (tracer purity) =="
 # must record nothing. Assertion-only; never touches BENCH_trace.json.
 cargo run -q --release -p osd-bench --bin repro -- trace --smoke --n 300 --queries 6
 
-echo "== repro warm --smoke (warm-cache bit-identity & eviction) =="
+echo "== warm-cache bit-identity, eviction and sharing =="
 # The epoch-keyed warm cache is a pure memoisation layer: warm answers
 # must be bit-identical to cold (flat, sharded, and at every churn
 # epoch), a repeated workload must hit, and epoch invalidation must
-# evict touched entries. Assertion-only; never touches BENCH_warm.json.
-cargo run -q --release -p osd-bench --bin repro -- warm --smoke
+# evict touched entries. The roll-forward shares every untouched chunk,
+# keeps exact gauges, and never lets an old-epoch fill reach the new
+# cache, with and without the audit layer.
+cargo test -q --test warm_reuse
+cargo test -q --test warm_sharing
+cargo test -q --features obs,strict-invariants --test warm_sharing
 
 echo "== osd query --profile=json smoke (schema) =="
 # End-to-end observability check: a real query through the obs-enabled CLI

@@ -1,0 +1,413 @@
+//! Structural sharing of the warm cache's roll-forward. A publish moves the
+//! pool's [`WarmCache`] to the next epoch by cloning each table's chunk
+//! list and copying only the chunks it must evict from. After `update(id)`
+//! (or `delete(id)`) on a flat and on a sharded [`PublishedIndex`] of more
+//! than three chunks:
+//!
+//! * every chunk of every warm table except `id`'s is the *same
+//!   allocation* in the old and the new cache;
+//! * a table whose slot for `id` held an entry copies that one chunk and
+//!   clears the slot; a table whose slot was empty shares even that chunk;
+//! * every other id keeps exactly its entries.
+//!
+//! After an insert, the new id starts empty and every full chunk is shared.
+//!
+//! The gauges are kept incrementally — an advance subtracts what it
+//! evicts instead of recounting — so over a seeded 30-publish
+//! insert/delete/update script, the pool's `evictions` and
+//! `resident_bytes` must equal a from-scratch recount
+//! ([`WarmCache::audit`]) after every advance and every read.
+//!
+//! Last, a reader still on the old snapshot keeps filling entries after
+//! the advance while a reader on the new snapshot queries. The old cache is
+//! sealed by the advance, so no value built for a touched id at the old
+//! epoch ever appears in the new cache, and both readers answer
+//! bit-identically to cold runs on their own snapshots.
+
+// Integration test: aborts are intentional.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use osd_core::{
+    nn_candidates, nn_candidates_warm, FilterConfig, FlatDatabase, Operator, PreparedQuery,
+    ProgressiveNnc, PublishedIndex, QueryMetrics, ShardConfig, ShardedDatabase, SpatialIndex,
+    TableAudit, WarmAudit, WarmView,
+};
+use osd_geom::Point;
+use osd_uncertain::{quantize, UncertainObject, CHUNK};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier};
+
+const OP: Operator = Operator::PSd;
+
+/// A three-instance object near `(x, y)`.
+fn object(x: f64, y: f64) -> UncertainObject {
+    UncertainObject::uniform(vec![
+        Point::new(vec![x, y]),
+        Point::new(vec![x + 1.0, y + 1.0]),
+        Point::new(vec![x + 0.5, y + 2.0]),
+    ])
+}
+
+/// A four-instance object near `(x, y)`: its masses quantise differently
+/// from [`object`]'s.
+fn object4(x: f64, y: f64) -> UncertainObject {
+    UncertainObject::uniform(vec![
+        Point::new(vec![x, y]),
+        Point::new(vec![x + 1.5, y]),
+        Point::new(vec![x, y + 1.5]),
+        Point::new(vec![x + 1.0, y + 1.0]),
+    ])
+}
+
+/// A 30 × 30 grid: 900 objects, three full chunks and part of a fourth.
+fn big_grid() -> Vec<UncertainObject> {
+    (0..900)
+        .map(|k| object((k % 30) as f64 * 10.0, (k / 30) as f64 * 10.0))
+        .collect()
+}
+
+fn flat() -> FlatDatabase {
+    FlatDatabase::with_fanouts(big_grid(), 4, 4)
+}
+
+fn sharded() -> ShardedDatabase {
+    let cfg = ShardConfig {
+        shards: 4,
+        global_fanout: 4,
+        local_fanout: 4,
+    };
+    ShardedDatabase::try_with_config(big_grid(), cfg).expect("grid builds")
+}
+
+fn queries() -> Vec<PreparedQuery> {
+    [(42.0, 57.0), (200.0, 150.0), (120.0, 260.0)]
+        .into_iter()
+        .map(|(x, y)| PreparedQuery::new(object(x, y)))
+        .collect()
+}
+
+/// `(id, min_dist bits)` of a traversal's candidates.
+fn answer(c: impl IntoIterator<Item = osd_core::Candidate>) -> Vec<(usize, u64)> {
+    c.into_iter()
+        .map(|c| (c.id, c.min_dist.to_bits()))
+        .collect()
+}
+
+/// Every query answered warm through `published`'s pool; returns the
+/// candidate ids.
+fn warm_reads<D: SpatialIndex + Clone>(published: &PublishedIndex<D>) -> Vec<usize> {
+    let snap = published.pin();
+    let cfg = FilterConfig::all();
+    let mut hot = Vec::new();
+    for q in queries() {
+        let r = nn_candidates_warm(&*snap, &q, OP, &cfg, published.warm_pool());
+        hot.extend(r.candidates.iter().map(|c| c.id));
+    }
+    hot
+}
+
+type Tables<'a> = BTreeMap<(&'static str, Option<u64>), &'a TableAudit>;
+
+fn tables(a: &WarmAudit) -> Tables<'_> {
+    a.tables.iter().map(|t| ((t.table, t.query), t)).collect()
+}
+
+/// The pool's current cache audit, and the audit after publishing
+/// `mutate` (which rolls the pool forward).
+fn around<D: SpatialIndex + Clone>(
+    published: &PublishedIndex<D>,
+    mutate: impl FnOnce(&PublishedIndex<D>),
+) -> (WarmAudit, WarmAudit) {
+    let pool = published.warm_pool();
+    let before = pool.cache_for(&*published.pin()).audit();
+    mutate(published);
+    let snap = published.pin();
+    let after = pool.cache_for(&*snap);
+    assert_eq!(after.epoch(), snap.epoch());
+    (before, after.audit())
+}
+
+/// Asserts the sharing contract of an advance that evicted `id`, and
+/// returns how many tables shared `id`'s chunk because its slot was empty.
+fn assert_evicts_one(old: &WarmAudit, new: &WarmAudit, id: usize) -> usize {
+    let (old, new) = (tables(old), tables(new));
+    assert!(
+        new.keys().all(|k| old.contains_key(k)),
+        "an advance made a table"
+    );
+    let mut shared_empty = 0;
+    for (key, o) in &old {
+        let rest: Vec<usize> = o.filled.iter().copied().filter(|&f| f != id).collect();
+        let Some(t) = new.get(key) else {
+            assert!(rest.is_empty(), "{key:?}: a table with entries was dropped");
+            continue;
+        };
+        assert_eq!(t.filled, rest, "{key:?}: entries other than {id}'s changed");
+        assert_eq!(t.chunks.len(), o.chunks.len(), "{key:?}");
+        let held = o.filled.binary_search(&id).is_ok();
+        for (c, (a, b)) in o.chunks.iter().zip(&t.chunks).enumerate() {
+            if c != id / CHUNK {
+                assert_eq!(a, b, "{key:?}: chunk {c} without {id} was copied");
+            } else if held {
+                assert_ne!(a, b, "{key:?}: {id}'s entry was evicted in place");
+            } else {
+                assert_eq!(
+                    a, b,
+                    "{key:?}: {id}'s slot was empty, yet its chunk was copied"
+                );
+                shared_empty += 1;
+            }
+        }
+    }
+    shared_empty
+}
+
+/// Update and delete a warm id, update a cold one, and insert, checking
+/// the sharing contract after each.
+fn check_advance_shares<D: SpatialIndex + Clone>(db: D) {
+    let n = db.len();
+    assert!(n > 3 * CHUNK);
+    let published = PublishedIndex::new(db);
+    warm_reads(&published);
+    let audit = published.warm_pool().cache_for(&*published.pin()).audit();
+    let levels = tables(&audit)[&("levels", None)].filled.clone();
+    let warm = |k: usize| levels[k * levels.len() / 4];
+    // An id no table holds.
+    let cold = (0..n)
+        .rev()
+        .find(|id| audit.tables.iter().all(|t| !t.filled.contains(id)))
+        .expect("a cold id");
+
+    let id = warm(1);
+    let (old, new) = around(&published, |p| p.update(id, object(7.0, 7.0)).unwrap());
+    assert!(
+        assert_evicts_one(&old, &new, id) > 0,
+        "no table had an empty slot for {id}"
+    );
+    let (old, new) = around(&published, |p| p.update(cold, object(3.0, 3.0)).unwrap());
+    // Every table shares every chunk, `cold`'s included.
+    assert_eq!(assert_evicts_one(&old, &new, cold), old.tables.len());
+    warm_reads(&published);
+    let id = warm(2);
+    let (old, new) = around(&published, |p| p.delete(id).unwrap());
+    assert_evicts_one(&old, &new, id);
+
+    warm_reads(&published);
+    let mut inserted = 0;
+    let (old, new) = around(&published, |p| {
+        inserted = p.insert(object(45.0, 55.0)).unwrap();
+    });
+    assert_eq!(inserted, n);
+    let new = tables(&new);
+    for (key, o) in tables(&old) {
+        // An advance drops a query table that holds nothing.
+        let Some(t) = new.get(&key) else {
+            assert!(
+                o.filled.is_empty(),
+                "{key:?}: a table with entries was dropped"
+            );
+            continue;
+        };
+        assert_eq!(t.filled, o.filled, "{key:?}: an insert evicted");
+        let full = n / CHUNK;
+        assert_eq!(
+            t.chunks[..full],
+            o.chunks[..full],
+            "{key:?}: full chunk copied"
+        );
+        assert_eq!(t.chunks.len(), (n + 1).div_ceil(CHUNK));
+    }
+}
+
+#[test]
+fn flat_advance_shares_every_untouched_chunk() {
+    check_advance_shares(flat());
+}
+
+#[test]
+fn sharded_advance_shares_every_untouched_chunk() {
+    check_advance_shares(sharded());
+}
+
+/// Thirty seeded publishes, each followed by warm reads; after every
+/// advance and every read the incremental gauges equal a recount.
+fn check_gauges<D: SpatialIndex + Clone>(db: D, seed: u64) {
+    let published = PublishedIndex::new(db);
+    let pool = published.warm_pool();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut hot = warm_reads(&published);
+    let mut evicted = 0;
+    for step in 0..30 {
+        let before = pool.stats();
+        let snap = published.pin();
+        let live: Vec<usize> = (0..snap.len()).filter(|&id| snap.is_live(id)).collect();
+        // Half the deletes and updates hit an id the last reads used.
+        let hit = hot.iter().rev().copied().find(|&id| snap.is_live(id));
+        let target = match hit {
+            Some(id) if rng.gen_range(0..2) == 0 => id,
+            _ => live[rng.gen_range(0..live.len())],
+        };
+        let x = rng.gen_range(0.0..290.0);
+        let y = rng.gen_range(0.0..290.0);
+        let (old, new) = around(&published, |p| match rng.gen_range(0..3) {
+            0 => {
+                p.insert(object(x, y)).unwrap();
+            }
+            1 => p.delete(target).unwrap(),
+            _ => p.update(target, object(x, y)).unwrap(),
+        });
+        let after = pool.stats();
+        assert_eq!(
+            after.evictions - before.evictions,
+            old.entries - new.entries,
+            "step {step}: evictions drifted from the recount"
+        );
+        assert_eq!(
+            after.resident_bytes, new.resident_bytes,
+            "step {step}: resident bytes drifted from the recount"
+        );
+        evicted += old.entries - new.entries;
+        hot = warm_reads(&published);
+        let audit = pool.cache_for(&*published.pin()).audit();
+        assert_eq!(pool.stats().resident_bytes, audit.resident_bytes);
+    }
+    assert!(evicted > 0, "the script never evicted");
+}
+
+#[test]
+fn flat_gauges_match_a_recount() {
+    check_gauges(flat(), 0x5eed);
+}
+
+#[test]
+fn sharded_gauges_match_a_recount() {
+    check_gauges(sharded(), 0x5eed);
+}
+
+/// An old-snapshot reader fills entries after the advance, concurrently
+/// with a new-snapshot reader.
+fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
+    let published = PublishedIndex::new(db);
+    let pool = published.warm_pool();
+    let cfg = FilterConfig::all();
+    let q = PreparedQuery::new(object(42.0, 57.0));
+    let snap0 = published.pin();
+    nn_candidates_warm(&*snap0, &q, OP, &cfg, pool);
+    let old_cache = pool.cache_for(&*snap0);
+    // Touch two ids the cache holds and two whose slots are empty (their
+    // chunks stay shared with the old cache).
+    let audit = old_cache.audit();
+    let held = |id: &usize| audit.tables.iter().any(|t| t.filled.contains(id));
+    let levels = &tables(&audit)[&("levels", None)].filled;
+    // The empty ones come from chunks 2 and 3, apart from the held ones.
+    let empty = (2 * CHUNK..900).filter(|id| !held(id)).step_by(97).take(2);
+    assert!(levels.iter().all(|&id| id < 2 * CHUNK));
+    let touched: Vec<usize> = levels.iter().copied().take(2).chain(empty).collect();
+    assert_eq!(touched.len(), 4);
+    for &id in &touched {
+        let (x, y) = ((id % 30) as f64 * 10.0, (id / 30) as f64 * 10.0);
+        published.update(id, object4(x + 0.5, y)).unwrap();
+    }
+    let snap1 = published.pin();
+    let new_cache = pool.cache_for(&*snap1);
+    assert_eq!(new_cache.epoch(), snap0.epoch() + 4);
+    let cold0 = answer(ProgressiveNnc::new(&*snap0, &q, OP, &cfg));
+    let cold1 = answer(nn_candidates(&*snap1, &q, OP, &cfg).candidates);
+
+    // The old reader goes first once, then both run at once.
+    let mut old_built = Vec::new();
+    let old_fill = |built: &mut Vec<_>| {
+        let view = WarmView::new(Arc::clone(&old_cache), &q);
+        let mut m = QueryMetrics::new();
+        for &id in &touched {
+            let quanta = view.quanta(&*snap0, id, &mut m);
+            let level = view.level_snapshot(&*snap0, id, &quanta, &mut m);
+            assert_eq!(*quanta, quantize(snap0.object(id).probs()));
+            assert_eq!(
+                *view.object_mbr(&*snap0, id, &mut m),
+                *snap0.object(id).mbr()
+            );
+            built.push((quanta, level));
+        }
+        view
+    };
+    old_fill(&mut old_built);
+    let start = Barrier::new(2);
+    let (old_answers, new_answers) = std::thread::scope(|s| {
+        let old = s.spawn(|| {
+            let (mut built, mut answers) = (Vec::new(), Vec::new());
+            start.wait();
+            for _ in 0..20 {
+                let view = old_fill(&mut built);
+                let run = ProgressiveNnc::with_warm(&*snap0, &q, OP, &cfg, Some(view));
+                answers.push(answer(run));
+            }
+            (built, answers)
+        });
+        let new = s.spawn(|| {
+            let mut answers = Vec::new();
+            start.wait();
+            for _ in 0..20 {
+                let view = pool.view_for(&*snap1, &q);
+                let mut m = QueryMetrics::new();
+                for &id in &touched {
+                    let quanta = view.quanta(&*snap1, id, &mut m);
+                    assert_eq!(*quanta, quantize(snap1.object(id).probs()));
+                }
+                let r = nn_candidates_warm(&*snap1, &q, OP, &cfg, pool);
+                answers.push(answer(r.candidates));
+            }
+            answers
+        });
+        let (built, old_answers) = old.join().unwrap();
+        old_built.extend(built);
+        (old_answers, new.join().unwrap())
+    });
+    assert!(
+        old_answers.iter().all(|a| *a == cold0),
+        "e0 answer diverged"
+    );
+    assert!(
+        new_answers.iter().all(|a| *a == cold1),
+        "e1 answer diverged"
+    );
+
+    // Both tables are full now: the old one still serves only e0 values.
+    let old_view = WarmView::new(Arc::clone(&old_cache), &q);
+    let view = pool.view_for(&*snap1, &q);
+    assert!(Arc::ptr_eq(view.cache(), &new_cache));
+    let mut m = QueryMetrics::new();
+    for &id in &touched {
+        let quanta = old_view.quanta(&*snap0, id, &mut m);
+        assert_eq!(*quanta, quantize(snap0.object(id).probs()), "id {id}");
+    }
+    for &id in &touched {
+        let quanta = view.quanta(&*snap1, id, &mut m);
+        let level = view.level_snapshot(&*snap1, id, &quanta, &mut m);
+        assert_eq!(*quanta, quantize(snap1.object(id).probs()), "id {id}");
+        assert_eq!(
+            *view.object_mbr(&*snap1, id, &mut m),
+            *snap1.object(id).mbr()
+        );
+        for (q0, l0) in &old_built {
+            assert!(!Arc::ptr_eq(q0, &quanta), "e0 quanta of {id} at e1");
+            assert!(!Arc::ptr_eq(l0, &level), "e0 level snapshot of {id} at e1");
+        }
+    }
+    assert_eq!(
+        pool.stats().resident_bytes,
+        new_cache.audit().resident_bytes
+    );
+}
+
+#[test]
+fn flat_old_epoch_fills_never_reach_the_new_cache() {
+    check_old_epoch_fills(flat());
+}
+
+#[test]
+fn sharded_old_epoch_fills_never_reach_the_new_cache() {
+    check_old_epoch_fills(sharded());
+}
