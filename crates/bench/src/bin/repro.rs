@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|all> [options]
+//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|kernels|mutate|trace|all> [options]
 //!   --paper-scale      Table 2 defaults (n=100k, m_d=40, 100 queries)
 //!   --n <N>            object count override
 //!   --md <M>           instances per object override
@@ -15,8 +15,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use osd_bench::{
-    fig10_with_threads, fig11_13, fig12, fig14, fig16, kernels, motivation, profile, storage,
-    throughput, Report, Scale, SweepParam,
+    fig10_with_threads, fig11_13, fig12, fig14, fig16, kernels, motivation, throughput, Report,
+    Scale, SweepParam,
 };
 
 fn main() {
@@ -123,12 +123,6 @@ fn main() {
         "fig14" => fig14(&scale, &report),
         "motivation" => motivation(&scale, &report),
         "throughput" => throughput(&scale, &threads_list, json.as_deref()),
-        "profile" => profile(
-            &scale,
-            threads.max(2),
-            json.as_deref().unwrap_or("BENCH_obs.json"),
-        ),
-        "storage" => storage(&scale, 20, json.as_deref()),
         "kernels" => {
             // Smoke runs are assertion-only: never clobber the measured
             // artifact unless a path was asked for explicitly.
@@ -189,7 +183,7 @@ fn next_val(args: &[String], i: &mut usize) -> usize {
 
 fn usage() {
     eprintln!(
-        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|profile|storage|kernels|mutate|trace|all> \
+        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|kernels|mutate|trace|all> \
          [--paper-scale] [--n N] [--md M] [--mq M] [--queries Q] \
          [--param md|hd|mq|hq|n|d] [--out-dir DIR] [--threads T] \
          [--threads-list 1,2,4,8] [--shards S] [--json PATH] [--smoke]"

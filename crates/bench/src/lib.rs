@@ -24,9 +24,7 @@ pub mod kernels;
 pub mod motivation;
 pub mod mutate;
 pub mod params;
-pub mod profile;
 pub mod runner;
-pub mod storage;
 pub mod throughput;
 pub mod trace;
 
@@ -36,11 +34,9 @@ pub use kernels::{kernels, measure_kernels, KernelsReport};
 pub use motivation::motivation;
 pub use mutate::{measure_mutate, mutate, MutateReport};
 pub use params::{Scale, Sweeps};
-pub use profile::{measure_profile, profile, ProfileReport};
 pub use runner::{
     print_table, run_all_ops, run_all_ops_parallel, run_cell, run_cell_parallel, CellResult, Report,
 };
-pub use storage::{measure_storage, storage, StorageReport};
 pub use throughput::{
     host_cpus, measure, phase_medians, throughput, ThroughputPoint, ThroughputReport,
 };

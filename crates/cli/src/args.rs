@@ -1,7 +1,7 @@
 //! Argument handling for the `osd` CLI.
 
 use osd_core::Operator;
-use osd_geom::Point;
+use osd_geom::{Point, MAX_INPUT_COORD};
 use osd_uncertain::UncertainObject;
 use std::fmt;
 
@@ -44,10 +44,14 @@ pub fn parse_query_spec(spec: &str) -> Result<UncertainObject, CliError> {
             group.split(',').map(|c| c.trim().parse::<f64>()).collect();
         let coords = coords
             .map_err(|_| CliError::BadArgument(format!("instance {}: {:?}", i + 1, group)))?;
-        // `f64::from_str` accepts `nan` and `inf`, which `Point` rejects.
-        if coords.iter().any(|c| !c.is_finite()) {
+        // `f64::from_str` accepts `nan` and `inf`, which `Point` rejects,
+        // and finite values whose distances overflow to `inf`.
+        if coords
+            .iter()
+            .any(|c| !c.is_finite() || c.abs() > MAX_INPUT_COORD)
+        {
             return Err(CliError::BadArgument(format!(
-                "instance {}: non-finite coordinate in {:?}",
+                "instance {}: non-finite coordinate, or one beyond ±{MAX_INPUT_COORD:e}, in {:?}",
                 i + 1,
                 group
             )));
@@ -261,6 +265,19 @@ mod tests {
                 other => panic!("{spec}: expected BadArgument, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn rejects_coordinates_past_the_input_bound() {
+        // Distances from such a query overflow to `inf`, which used to
+        // panic the first distance distribution the query built.
+        for spec in ["1e308,1", "1,-1e151", "1,2;3,1e200"] {
+            match parse_query_spec(spec) {
+                Err(CliError::BadArgument(m)) => assert!(m.contains("beyond"), "{spec}: {m}"),
+                other => panic!("{spec}: expected BadArgument, got {other:?}"),
+            }
+        }
+        assert!(parse_query_spec("1e150,-1e150").is_ok());
     }
 
     #[test]

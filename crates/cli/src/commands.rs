@@ -562,18 +562,11 @@ pub fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
 }
 
 /// Renders the profile document for `--profile`: the osd-obs registry plus
-/// the legacy [`Stats`] counters folded in as extra pairs. Only the legacy
-/// counters *without* an osd-obs mirror are passed through — R-tree visits
-/// and cache hits/misses already appear as obs counters (the two recordings
-/// are asserted identical by `osd-core`'s tests), so folding them in again
-/// would emit duplicate keys.
+/// every [`Stats`] counter, named by [`Stats::named`], as extra pairs.
+/// `Stats` is the only record of those counters, so the document reports
+/// them in the obs-off build too.
 fn render_profile(format: ProfileFormat, metrics: &QueryMetrics, stats: &Stats) -> String {
-    let extra = [
-        ("instance_comparisons", stats.instance_comparisons),
-        ("dominance_checks", stats.dominance_checks),
-        ("flow_runs", stats.flow_runs),
-        ("mbr_checks", stats.mbr_checks),
-    ];
+    let extra = stats.named();
     match format {
         ProfileFormat::Json => osd_obs::expo::to_json(metrics, &extra),
         ProfileFormat::Prom => osd_obs::expo::to_prometheus(metrics, &extra),
@@ -1070,6 +1063,23 @@ mod tests {
     }
 
     #[test]
+    fn coordinates_at_the_input_bound_query_without_panic() {
+        // Farthest apart the parsers allow: every squared distance stays
+        // finite, so every operator answers instead of panicking.
+        let out = tmp("bound.csv");
+        std::fs::write(
+            &out,
+            "object_id,weight,coords...\n0,1,1e150,1e150\n0,1,-1e150,-1e150\n1,1,0,0\n2,1,1e150,-1e150\n",
+        )
+        .unwrap();
+        for op in ["ssd", "sssd", "psd", "fsd", "f+sd"] {
+            let spec = "-1e150,1e150;1e150,-1e150";
+            cmd_query(&flags(&["--data", &out, "--query", spec, "--op", op])).unwrap();
+        }
+        std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
     fn profile_renders_all_phases_and_legacy_counters() {
         use osd_core::nn_candidates;
         let out = tmp("profile.csv");
@@ -1109,13 +1119,37 @@ mod tests {
         ] {
             assert!(json.contains(legacy), "missing {legacy}");
         }
-        // The legacy counters that *are* mirrored as obs counters must not
-        // be folded in twice (duplicate JSON keys).
+        // Each counter has one home, so each name appears once.
         assert_eq!(json.matches("cache_hits").count(), 1);
         assert_eq!(json.matches("rtree_node").count(), 1);
         let prom = render_profile(ProfileFormat::Prom, &res.metrics, &res.stats);
         assert!(prom.contains("osd_counter{name=\"dominance_checks\"}"));
         assert!(prom.contains("osd_phase_latency_bucket{phase=\"validate\""));
+    }
+
+    #[test]
+    fn profile_reports_stats_counters_in_both_builds() {
+        // An empty registry stands in for the obs-off build: the counters
+        // `Stats` holds must still carry their real values, once each.
+        let stats = Stats {
+            instance_comparisons: 135,
+            dominance_checks: 59,
+            flow_runs: 2,
+            mbr_checks: 17,
+            rtree_nodes_visited: 63,
+            cache_hits: 5,
+            cache_misses: 4,
+        };
+        let json = render_profile(ProfileFormat::Json, &QueryMetrics::new(), &stats);
+        for (name, value) in stats.named() {
+            assert_eq!(json.matches(&format!("\"{name}\"")).count(), 1, "{name}");
+            assert!(json.contains(&format!("\"{name}\": {value}")), "{name}");
+        }
+        let prom = render_profile(ProfileFormat::Prom, &QueryMetrics::new(), &stats);
+        for (name, value) in stats.named() {
+            let sample = format!("osd_counter{{name=\"{name}\"}} {value}\n");
+            assert_eq!(prom.matches(&sample).count(), 1, "{name}");
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! and distance-space mappings are computed once per object per query and
 //! shared across all pairwise checks.
 //!
-//! Every getter records one cache hit or miss into both the legacy
-//! [`Stats`] counters and the [`QueryMetrics`] registry. Derived getters
-//! (`agg` over `dist_q`, `per_q_agg` over `per_q`) count their nested
-//! lookups too — the counters measure cache traffic, not distinct entries.
+//! Every getter records one cache hit or miss into [`Stats`], the only
+//! record of these counters. Derived getters (`agg` over `dist_q`,
+//! `per_q_agg` over `per_q`) count their nested lookups too — the counters
+//! measure cache traffic, not distinct entries. Only the snapshot-pure
+//! getters take a [`QueryMetrics`], to pass to the warm view on a miss.
 
 use crate::config::Stats;
 #[cfg(test)]
@@ -17,7 +18,7 @@ use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
 use crate::warm::WarmView;
 use osd_geom::{distance_space_row, Mbr, Point};
-use osd_obs::{Counter, QueryMetrics};
+use osd_obs::QueryMetrics;
 use osd_rtree::{Entry, RTree};
 use osd_uncertain::{quantize, DistanceDistribution};
 use std::sync::Arc;
@@ -155,7 +156,7 @@ pub struct DominanceCache {
     memos: Vec<Memo>,
     /// Snapshot-scoped warm view, consulted only on the miss path of the
     /// snapshot-pure getters (`quanta`, `level_snapshot`, level bounds) so
-    /// the legacy per-query hit/miss counters keep their exact semantics.
+    /// the per-query `Stats` hit/miss counters keep their exact semantics.
     warm: Option<WarmView>,
 }
 
@@ -209,15 +210,12 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> Arc<DistanceDistribution> {
         if let Some(d) = self.memo(id).and_then(|m| m.dist_q.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(d);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let obj = db.object(id);
         stats.instance_comparisons += (obj.len() * query.len()) as u64;
         let d = Arc::new(DistanceDistribution::between_ref(obj, query.object()));
@@ -233,15 +231,12 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> Arc<Vec<DistanceDistribution>> {
         if let Some(d) = self.memo(id).and_then(|m| m.per_q.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(d);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let obj = db.object(id);
         stats.instance_comparisons += (obj.len() * query.len()) as u64;
         let d = Arc::new(
@@ -263,16 +258,13 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> AggStats {
         if let Some(a) = self.memo(id).and_then(|m| m.agg) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return a;
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
-        let d = self.dist_q(db, query, id, stats, metrics);
+        let d = self.dist_q(db, query, id, stats);
         let a = (d.min(), d.mean(), d.max());
         self.memo_mut(id).agg = Some(a);
         a
@@ -285,16 +277,13 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> Arc<Vec<AggStats>> {
         if let Some(a) = self.memo(id).and_then(|m| m.per_q_agg.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(a);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
-        let per_q = self.per_q(db, query, id, stats, metrics);
+        let per_q = self.per_q(db, query, id, stats);
         let a = Arc::new(
             per_q
                 .iter()
@@ -315,11 +304,9 @@ impl DominanceCache {
     ) -> Arc<Vec<u64>> {
         if let Some(q) = self.memo(id).and_then(|m| m.quanta.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(q);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let q = match &self.warm {
             Some(w) => w.quanta(db, id, metrics),
             // The store's probability column is already contiguous —
@@ -339,15 +326,12 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> Arc<MappedInstances> {
         if let Some(m) = self.memo(id).and_then(|m| m.mapped.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(m);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let obj = db.object(id);
         let hull = query.hull();
         stats.instance_comparisons += (obj.len() * hull.len()) as u64;
@@ -384,11 +368,9 @@ impl DominanceCache {
     ) -> Arc<LevelSnapshot> {
         if let Some(s) = self.memo(id).and_then(|m| m.levels.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(s);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         // The nested quanta lookup records its own hit/miss first, exactly
         // as the cold path does, before the warm view is consulted.
         let quanta = self.quanta(db, id, stats, metrics);
@@ -426,11 +408,9 @@ impl DominanceCache {
         }
         if let Some(b) = &slot[idx] {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(b);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let b = match &self.warm {
             Some(w) => w.bounds_whole(query, id, &snap, level, metrics),
             None => Arc::new(build_bounds_whole(query, snap.level(level))),
@@ -460,11 +440,9 @@ impl DominanceCache {
         }
         if let Some(b) = &slot[idx] {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(b);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let b = match &self.warm {
             Some(w) => w.bounds_instance(query, id, &snap, level, metrics),
             None => Arc::new(build_bounds_instance(query, snap.level(level))),
@@ -482,15 +460,12 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> Arc<Vec<usize>> {
         if let Some(l) = self.memo(id).and_then(|m| m.in_hull.as_ref()) {
             stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
             return Arc::clone(l);
         }
         stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
         let obj = db.object(id);
         let hull = query.hull();
         stats.instance_comparisons += obj.len() as u64;
@@ -609,20 +584,15 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let mut metrics = QueryMetrics::new();
-        let d1 = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
+        let d1 = cache.dist_q(&db, &q, 0, &mut stats);
         let after_first = stats.instance_comparisons;
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
-        let d2 = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
+        let d2 = cache.dist_q(&db, &q, 0, &mut stats);
         assert_eq!(
             stats.instance_comparisons, after_first,
             "second hit must be free"
         );
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
-        if QueryMetrics::enabled() {
-            assert_eq!(metrics.counter(Counter::CacheHits), stats.cache_hits);
-            assert_eq!(metrics.counter(Counter::CacheMisses), stats.cache_misses);
-        }
         assert!(Arc::ptr_eq(&d1, &d2));
     }
 
@@ -631,12 +601,11 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let mut metrics = QueryMetrics::new();
         // agg misses, then builds dist_q (another miss).
-        let _ = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
+        let _ = cache.agg(&db, &q, 0, &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
         // Second agg is a single hit; dist_q is not consulted again.
-        let _ = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
+        let _ = cache.agg(&db, &q, 0, &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
     }
 
@@ -645,8 +614,7 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let mut metrics = QueryMetrics::new();
-        let per_q = cache.per_q(&db, &q, 1, &mut stats, &mut metrics);
+        let per_q = cache.per_q(&db, &q, 1, &mut stats);
         assert_eq!(per_q.len(), 2);
         let direct = DistanceDistribution::to_instance_ref(db.object(1), &q.instance_points()[0]);
         assert!(per_q[0].approx_eq(&direct, 1e-12));
@@ -657,9 +625,8 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let mut metrics = QueryMetrics::new();
-        let (mn, mean, mx) = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
-        let d = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
+        let (mn, mean, mx) = cache.agg(&db, &q, 0, &mut stats);
+        let d = cache.dist_q(&db, &q, 0, &mut stats);
         assert_eq!(mn, d.min());
         assert_eq!(mean, d.mean());
         assert_eq!(mx, d.max());
@@ -746,8 +713,7 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let mut metrics = QueryMetrics::new();
-        let m = cache.mapped(&db, &q, 0, &mut stats, &mut metrics);
+        let m = cache.mapped(&db, &q, 0, &mut stats);
         assert_eq!(m.0.len(), 2);
         assert_eq!(m.0[0].dim(), q.hull().len());
         assert_eq!(m.1.len(), 2);

@@ -186,6 +186,32 @@ impl Stats {
         self.cache_hits += cache_hits;
         self.cache_misses += cache_misses;
     }
+
+    /// Every counter under its stable exposition name, in field order —
+    /// the one list the `--profile` documents render. Destructures the
+    /// struct exhaustively, like [`Stats::merge`], so a field that is not
+    /// exposed is a compile error. `rtree_nodes_visited` keeps its
+    /// published name, `rtree_node_visits`.
+    pub fn named(&self) -> [(&'static str, u64); 7] {
+        let Stats {
+            instance_comparisons,
+            dominance_checks,
+            flow_runs,
+            mbr_checks,
+            rtree_nodes_visited,
+            cache_hits,
+            cache_misses,
+        } = *self;
+        [
+            ("instance_comparisons", instance_comparisons),
+            ("dominance_checks", dominance_checks),
+            ("flow_runs", flow_runs),
+            ("mbr_checks", mbr_checks),
+            ("rtree_node_visits", rtree_nodes_visited),
+            ("cache_hits", cache_hits),
+            ("cache_misses", cache_misses),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -252,14 +252,7 @@ impl ContinuousNnc {
                 pruned += 1;
                 continue;
             }
-            let key = object_min_dist2(
-                db,
-                &self.query,
-                self.cfg.kernels,
-                w,
-                &mut ctx.stats,
-                &mut ctx.metrics,
-            );
+            let key = object_min_dist2(db, &self.query, self.cfg.kernels, w, &mut ctx.stats);
             keyed.push((key.max(0.0).sqrt(), w));
         }
         if recheck_span != SpanId::NONE {

@@ -135,9 +135,7 @@ impl<'a> CheckCtx<'a> {
     /// The full distance distribution `U_Q` of object `id` (cached).
     pub fn dist_q(&mut self, id: usize) -> Arc<DistanceDistribution> {
         let misses_before = self.stats.cache_misses;
-        let dist = self
-            .cache
-            .dist_q(self.db, self.query, id, &mut self.stats, &mut self.metrics);
+        let dist = self.cache.dist_q(self.db, self.query, id, &mut self.stats);
         if self.trace.is_active() && self.stats.cache_misses > misses_before {
             let event = self.trace.instant("cache-build");
             self.trace
@@ -149,20 +147,18 @@ impl<'a> CheckCtx<'a> {
 
     /// The per-query-instance distributions `U_q` of object `id` (cached).
     pub fn per_q(&mut self, id: usize) -> Arc<Vec<DistanceDistribution>> {
-        self.cache
-            .per_q(self.db, self.query, id, &mut self.stats, &mut self.metrics)
+        self.cache.per_q(self.db, self.query, id, &mut self.stats)
     }
 
     /// min/mean/max of `U_Q` (cached).
     pub fn agg(&mut self, id: usize) -> AggStats {
-        self.cache
-            .agg(self.db, self.query, id, &mut self.stats, &mut self.metrics)
+        self.cache.agg(self.db, self.query, id, &mut self.stats)
     }
 
     /// min/mean/max of each `U_q` (cached).
     pub fn per_q_agg(&mut self, id: usize) -> Arc<Vec<AggStats>> {
         self.cache
-            .per_q_agg(self.db, self.query, id, &mut self.stats, &mut self.metrics)
+            .per_q_agg(self.db, self.query, id, &mut self.stats)
     }
 
     /// Fixed-point instance masses of object `id` (cached).
@@ -173,14 +169,13 @@ impl<'a> CheckCtx<'a> {
 
     /// Distance-space image of object `id` w.r.t. the query hull (cached).
     pub fn mapped(&mut self, id: usize) -> Arc<MappedInstances> {
-        self.cache
-            .mapped(self.db, self.query, id, &mut self.stats, &mut self.metrics)
+        self.cache.mapped(self.db, self.query, id, &mut self.stats)
     }
 
     /// Instances of `id` inside the query's convex hull (cached).
     pub fn in_hull_instances(&mut self, id: usize) -> Arc<Vec<usize>> {
         self.cache
-            .in_hull_instances(self.db, self.query, id, &mut self.stats, &mut self.metrics)
+            .in_hull_instances(self.db, self.query, id, &mut self.stats)
     }
 
     /// Per-level group snapshot (MBRs + masses + caps) of object `id`'s

@@ -408,7 +408,6 @@ impl<'a> ProgressiveNnc<'a> {
                         self.ctx.trace.attr(span, "key", AttrValue::F64(key));
                     }
                     self.ctx.stats.rtree_nodes_visited += 1;
-                    self.ctx.metrics.incr(Counter::RtreeNodeVisits);
                     self.ctx.metrics.shard_visit(shard);
                     if !self.entry_pruned(&node.mbr()) {
                         let depth_before = self.heap.len();
@@ -469,7 +468,6 @@ impl<'a> ProgressiveNnc<'a> {
             self.ctx.cfg.kernels,
             v,
             &mut self.ctx.stats,
-            &mut self.ctx.metrics,
         )
     }
 
@@ -505,7 +503,6 @@ pub(crate) fn object_min_dist2(
     kernels: bool,
     v: usize,
     stats: &mut Stats,
-    metrics: &mut QueryMetrics,
 ) -> f64 {
     let tree = db.local_tree(v);
     let mut best = f64::INFINITY;
@@ -525,7 +522,6 @@ pub(crate) fn object_min_dist2(
         }
     }
     stats.rtree_nodes_visited += visits;
-    metrics.incr_by(Counter::RtreeNodeVisits, visits);
     best
 }
 

@@ -17,7 +17,7 @@
 
 use crate::ctx::CheckCtx;
 use osd_geom::mbr_dominates;
-use osd_obs::{Counter, Phase, PhaseTimer};
+use osd_obs::{Phase, PhaseTimer};
 
 pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     let db = ctx.db;
@@ -53,7 +53,6 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
             .nearest_counting(q, &mut visits)
             .map_or(min_v_bound, |(_, d)| d);
         ctx.stats.rtree_nodes_visited += visits;
-        ctx.metrics.incr_by(Counter::RtreeNodeVisits, visits);
         ctx.metrics.record(timer);
         ctx.stats.instance_comparisons += (db.object(u).len() + db.object(v).len()) as u64;
         if d_max_u > d_min_v {

@@ -14,7 +14,7 @@
 //! Weights are normalised per object (§2.1's multi-valued-object
 //! transformation), so uniform datasets can simply use weight `1.0`.
 
-use osd_geom::Point;
+use osd_geom::{Point, MAX_INPUT_COORD};
 use osd_uncertain::{ObjectError, UncertainObject};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -116,11 +116,16 @@ pub fn read_objects_csv(path: &Path) -> Result<Vec<UncertainObject>, DataError> 
             .trim()
             .parse()
             .map_err(|_| DataError::Parse(lineno + 1, format!("bad weight {:?}", fields[1])))?;
-        // `f64::from_str` accepts `nan` and `inf`, which `Point` rejects.
+        // `f64::from_str` accepts `nan` and `inf`, which `Point` rejects,
+        // and finite values whose distances overflow to `inf`.
         let coords: Result<Vec<f64>, DataError> = fields[2..]
             .iter()
             .map(|f| match f.trim().parse::<f64>() {
-                Ok(c) if c.is_finite() => Ok(c),
+                Ok(c) if c.abs() <= MAX_INPUT_COORD => Ok(c),
+                Ok(c) if c.is_finite() => Err(DataError::Parse(
+                    lineno + 1,
+                    format!("coordinate {f:?} exceeds ±{MAX_INPUT_COORD:e}"),
+                )),
                 Ok(_) => Err(DataError::Parse(
                     lineno + 1,
                     format!("non-finite coordinate {f:?}"),
@@ -219,6 +224,30 @@ mod tests {
             }
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    #[test]
+    fn coordinates_past_the_input_bound_are_parse_errors() {
+        // Distances between such points overflow to `inf`, which used to
+        // panic the first distance distribution a query built.
+        for bad in ["1e151", "-1e200", "1e308"] {
+            let path = tmp(&format!("oversized-{bad}.csv"));
+            std::fs::write(&path, format!("object_id,weight,coords...\n2,1,{bad},5\n")).unwrap();
+            let err = read_objects_csv(&path).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            match err {
+                DataError::Parse(line, msg) => {
+                    assert_eq!(line, 2, "{bad}");
+                    assert!(msg.contains("exceeds"), "{bad}: {msg}");
+                }
+                other => panic!("{bad}: expected parse error, got {other}"),
+            }
+        }
+        let path = tmp("at-bound.csv");
+        std::fs::write(&path, "object_id,weight,coords...\n2,1,1e150,-1e150\n").unwrap();
+        let objects = read_objects_csv(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(objects[0].instances()[0].point.coords(), &[1e150, -1e150]);
     }
 
     #[test]

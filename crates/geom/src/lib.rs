@@ -57,7 +57,7 @@ pub use dominance::{mbr_dominates, mbr_dominates_strict};
 pub use hull::{hull_vertex_indices, hull_vertices, point_in_hull, point_in_hull_row};
 pub use kernels::{dist2_rows_batch, max_dist2_rows, min_dist2_rows};
 pub use mbr::Mbr;
-pub use point::{dist2_slice, dist_slice, Point};
+pub use point::{dist2_slice, dist_slice, Point, MAX_INPUT_COORD};
 pub use sphere::{min_enclosing_ball, sphere_dominates_sufficient, Sphere};
 
 // Compile-time auto-trait surface: the geometry primitives are shared

@@ -4,8 +4,8 @@
 //! Both renderers are written purely against the registry's accessor
 //! methods, so they compile and run in the disabled build too (emitting
 //! zeros/empties). Callers may pass extra `(name, value)` counter pairs —
-//! the CLI uses this to fold the legacy `Stats` counters into the same
-//! document without this crate depending on `osd-core`.
+//! the CLI uses this to fold the `Stats` counters, which live only in
+//! `osd-core`, into the same document without this crate depending on it.
 //!
 //! JSON is hand-formatted (the workspace is std-only; no serde). The
 //! schema is stable and validated by the `check.sh` smoke step:
@@ -14,7 +14,7 @@
 //! {
 //!   "enabled": true,
 //!   "phases": { "prepare": {"count": 1, "total_ns": 42, "buckets": [..]}, .. },
-//!   "counters": { "rtree_node_visits": 7, .. },
+//!   "counters": { "candidates_emitted": 11, .., "rtree_node_visits": 7, .. },
 //!   "gauges": { "heap_high_water": 5, "snapshot_epoch": 0, "live_objects": 9, "tombstones": 0 },
 //!   "candidates_by_op": { "PSD": 11 },
 //!   "spans": { "flow-rebuild": {"count": 2, "total_ns": 99} }
@@ -270,8 +270,8 @@ mod tests {
 
     fn sample() -> QueryMetrics {
         let mut m = QueryMetrics::new();
-        m.incr_by(Counter::RtreeNodeVisits, 7);
-        m.incr(Counter::CacheHits);
+        m.incr_by(Counter::HeapPushes, 7);
+        m.incr(Counter::WarmHits);
         m.heap_depth(5);
         m.candidate_emitted("PSD");
         m.shard_visit(0);
@@ -303,7 +303,7 @@ mod tests {
         assert!(json.contains("\"warm_resident_bytes\""));
         assert!(json.contains("\"shard_node_visits\": ["));
         if QueryMetrics::enabled() {
-            assert!(json.contains("\"rtree_node_visits\": 7"));
+            assert!(json.contains("\"heap_pushes\": 7"));
             assert!(json.contains("\"PSD\": 1"));
             assert!(json.contains("\"enabled\": true"));
             assert!(json.contains("\"shard_node_visits\": [1, 0, 1, 0,"));
@@ -313,7 +313,7 @@ mod tests {
             assert!(json.contains("\"warm_evictions\": 3"));
             assert!(json.contains("\"warm_resident_bytes\": 2048"));
         } else {
-            assert!(json.contains("\"rtree_node_visits\": 0"));
+            assert!(json.contains("\"heap_pushes\": 0"));
             assert!(json.contains("\"enabled\": false"));
             assert!(json.contains("\"snapshot_epoch\": 0"));
             assert!(json.contains("\"warm_evictions\": 0"));

@@ -113,23 +113,14 @@ impl Histogram {
 /// The integer counters of the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// R-tree nodes popped during traversal — global best-first descent
-    /// plus local-tree nearest/furthest searches (mirrors
-    /// `Stats::rtree_nodes_visited`).
-    RtreeNodeVisits,
-    /// Per-query derived-state cache hits (mirrors `Stats::cache_hits`).
-    CacheHits,
-    /// Per-query derived-state cache misses — entries built (mirrors
-    /// `Stats::cache_misses`).
-    CacheMisses,
     /// Candidates emitted by the traversal (all operators combined; see
     /// [`QueryMetrics::candidates_by_op`] for the per-operator split).
     CandidatesEmitted,
     /// Entries pushed onto the progressive traversal heap.
     HeapPushes,
     /// Snapshot-scoped warm-cache lookups served from an already published
-    /// entry. Deliberately *not* folded into [`Counter::CacheHits`]: the
-    /// legacy counters keep their per-query semantics bit-identical with
+    /// entry. Deliberately *not* folded into `Stats::cache_hits`: the
+    /// per-query cache counters keep their semantics bit-identical with
     /// the warm cache on or off.
     WarmHits,
     /// Snapshot-scoped warm-cache lookups that had to build (and publish)
@@ -139,13 +130,10 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 4;
 
     /// All counters, in exposition order.
     pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::RtreeNodeVisits,
-        Counter::CacheHits,
-        Counter::CacheMisses,
         Counter::CandidatesEmitted,
         Counter::HeapPushes,
         Counter::WarmHits,
@@ -155,9 +143,6 @@ impl Counter {
     /// Stable exposition name.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::RtreeNodeVisits => "rtree_node_visits",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
             Counter::CandidatesEmitted => "candidates_emitted",
             Counter::HeapPushes => "heap_pushes",
             Counter::WarmHits => "warm_hits",
@@ -168,13 +153,10 @@ impl Counter {
     #[cfg(feature = "enabled")]
     fn idx(self) -> usize {
         match self {
-            Counter::RtreeNodeVisits => 0,
-            Counter::CacheHits => 1,
-            Counter::CacheMisses => 2,
-            Counter::CandidatesEmitted => 3,
-            Counter::HeapPushes => 4,
-            Counter::WarmHits => 5,
-            Counter::WarmMisses => 6,
+            Counter::CandidatesEmitted => 0,
+            Counter::HeapPushes => 1,
+            Counter::WarmHits => 2,
+            Counter::WarmMisses => 3,
         }
     }
 }
@@ -705,18 +687,18 @@ mod tests {
         // deterministic accessors agree with the feature state.
         let mut a = QueryMetrics::new();
         let mut b = QueryMetrics::new();
-        a.incr(Counter::RtreeNodeVisits);
-        b.incr_by(Counter::RtreeNodeVisits, 4);
+        a.incr(Counter::HeapPushes);
+        b.incr_by(Counter::HeapPushes, 4);
         b.heap_depth(9);
         a.heap_depth(3);
         a.candidate_emitted("PSD");
         a.merge(&b);
         if QueryMetrics::enabled() {
-            assert_eq!(a.counter(Counter::RtreeNodeVisits), 5);
+            assert_eq!(a.counter(Counter::HeapPushes), 5);
             assert_eq!(a.heap_high_water(), 9);
             assert_eq!(a.candidates_by_op(), vec![("PSD", 1)]);
         } else {
-            assert_eq!(a.counter(Counter::RtreeNodeVisits), 0);
+            assert_eq!(a.counter(Counter::HeapPushes), 0);
             assert_eq!(a.heap_high_water(), 0);
             assert!(a.candidates_by_op().is_empty());
         }
@@ -787,8 +769,8 @@ mod tests {
     fn registry_merge_is_order_independent() {
         let mk = |seed: u64| {
             let mut m = QueryMetrics::new();
-            m.incr_by(Counter::CacheHits, seed);
-            m.incr_by(Counter::CacheMisses, seed * 3);
+            m.incr_by(Counter::WarmHits, seed);
+            m.incr_by(Counter::WarmMisses, seed * 3);
             m.heap_depth(seed * 7);
             m.candidate_emitted(if seed.is_multiple_of(2) { "PSD" } else { "SSD" });
             m
@@ -803,7 +785,7 @@ mod tests {
             rev.merge(p);
         }
         assert_eq!(fwd, rev);
-        assert_eq!(fwd.counter(Counter::CacheHits), 10);
+        assert_eq!(fwd.counter(Counter::WarmHits), 10);
         assert_eq!(fwd.heap_high_water(), 28);
         assert_eq!(fwd.candidates_by_op(), vec![("PSD", 2), ("SSD", 2)]);
     }

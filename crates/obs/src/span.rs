@@ -100,7 +100,7 @@ mod tests {
             assert_eq!(m.phase_count(Phase::Validate), 0);
         }
         // Untouched counters stay zero in both builds.
-        assert_eq!(m.counter(Counter::CacheHits), 0);
+        assert_eq!(m.counter(Counter::WarmHits), 0);
     }
 
     #[test]

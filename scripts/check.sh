@@ -117,6 +117,18 @@ cargo run -q -p osd-cli --bin osd -- query --data "$SMOKE_DIR/smoke.csv" \
 grep -qF '"live_objects": 60' "$SMOKE_DIR/profile-k2.out" \
   || { echo "profile smoke: --k 2 must report \"live_objects\": 60"; exit 1; }
 
+echo "== osd query --profile=json smoke, obs-off build (Stats counters) =="
+# With obs compiled out the registry records nothing, but the counters that
+# `Stats` holds have no other home: they must still report real values.
+cargo run -q -p osd-cli --no-default-features --bin osd -- query --data "$SMOKE_DIR/smoke.csv" \
+  --query "5000,5000;5100,5100" --op psd --profile=json > "$SMOKE_DIR/profile-off.out"
+grep -qF '"enabled": false' "$SMOKE_DIR/profile-off.out" \
+  || { echo "obs-off profile smoke: missing \"enabled\": false"; exit 1; }
+for key in '"rtree_node_visits"' '"cache_misses"'; do
+  grep -qE "$key: [1-9]" "$SMOKE_DIR/profile-off.out" \
+    || { echo "obs-off profile smoke: $key must not be 0"; exit 1; }
+done
+
 echo "== osd query --trace=chrome smoke (trace-event schema) =="
 # The Chrome trace export must be loadable by chrome://tracing: a JSON
 # array of complete/instant events with the trace-event keys, plus the

@@ -2,8 +2,9 @@
 //! be a *bit-for-bit* faithful re-encoding of the boxed object model.
 //!
 //! * store ⇄ objects round-trips coordinates, masses and MBRs exactly;
-//! * the borrowed-slice kernels (`dist_slice`, `Mbr::from_rows`) reproduce
-//!   the boxed kernels to the last mantissa bit;
+//! * the borrowed-slice kernels (`dist_slice`, `dist2_slice`,
+//!   `Mbr::from_rows`) reproduce the boxed kernels to the last mantissa
+//!   bit, and so does a whole-store distance sweep through either layout;
 //! * NNC / k-NNC over a store-backed [`Database`] agree with the O(n²)
 //!   brute-force oracle on randomized A-N (anti-correlated) workloads —
 //!   the dataset family the paper's evaluation leans on — for every
@@ -23,7 +24,7 @@
 use osd::prelude::*;
 use osd_core::{k_nn_candidates, k_nn_candidates_bruteforce, nn_candidates_bruteforce};
 use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
-use osd_geom::{dist_slice, Mbr};
+use osd_geom::{dist2_slice, dist_slice, Mbr};
 use osd_uncertain::{DistanceDistribution, InstanceStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -131,6 +132,7 @@ proptest! {
         let store = InstanceStore::from_objects(&objects).unwrap();
         let q = Point::new(vec![qx, qy]);
         let query = UncertainObject::uniform(vec![q.clone()]);
+        let (mut boxed_sum, mut columnar_sum) = (0.0f64, 0.0f64);
 
         for (id, obj) in objects.iter().enumerate() {
             let view = store.object(id);
@@ -148,6 +150,8 @@ proptest! {
                     d_slice.total_cmp(&d_boxed),
                     std::cmp::Ordering::Equal
                 );
+                boxed_sum += inst.point.dist2(&q);
+                columnar_sum += dist2_slice(view.row(i), q.coords());
             }
             // Ref-based distribution constructors == boxed constructors.
             let d_ref = DistanceDistribution::between_ref(view, &query);
@@ -156,6 +160,9 @@ proptest! {
             prop_assert_eq!(d_ref.mean().to_bits(), d_boxed.mean().to_bits());
             prop_assert_eq!(d_ref.max().to_bits(), d_boxed.max().to_bits());
         }
+        // The same squared-distance fold over every instance, boxed points
+        // vs store rows in row order, sums to the same bits.
+        prop_assert_eq!(boxed_sum.to_bits(), columnar_sum.to_bits());
     }
 
     /// Algorithm 1 and its k-robust extension over the store-backed
