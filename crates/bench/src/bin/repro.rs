@@ -2,21 +2,22 @@
 //!
 //! Usage:
 //! ```text
-//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|kernels|mutate|trace|all> [options]
+//! repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|all> [options]
 //!   --paper-scale      Table 2 defaults (n=100k, m_d=40, 100 queries)
 //!   --n <N>            object count override
 //!   --md <M>           instances per object override
 //!   --mq <M>           query instances override
 //!   --queries <Q>      workload size override
 //!   --param <axis>     fig11/fig13 axis: md | hd | mq | hq | n | d
+//!   --out-dir <DIR>    also write each table as CSV under DIR
+//!   --threads <T>      fig10 batch worker threads
 //! ```
 
 // Leaf binary/bench: panic-family lints relaxed (see workspace policy).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use osd_bench::{
-    fig10_with_threads, fig11_13, fig12, fig14, fig16, kernels, motivation, throughput, Report,
-    Scale, SweepParam,
+    fig10_with_threads, fig11_13, fig12, fig14, fig16, motivation, Report, Scale, SweepParam,
 };
 
 fn main() {
@@ -35,20 +36,10 @@ fn main() {
     let mut param: Option<SweepParam> = None;
     let mut report = Report::stdout();
     let mut threads = 1usize;
-    let mut threads_list: Vec<usize> = vec![1, 2, 4, 8];
-    let mut json: Option<String> = None;
-    let mut smoke = false;
-    let mut shards = 8usize;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--paper-scale" => {}
-            "--smoke" => {
-                smoke = true;
-            }
-            "--shards" => {
-                shards = next_val(&args, &mut i).max(1);
-            }
             "--n" => {
                 scale.n = next_val(&args, &mut i);
             }
@@ -64,39 +55,14 @@ fn main() {
             "--threads" => {
                 threads = next_val(&args, &mut i).max(1);
             }
-            "--threads-list" => {
-                i += 1;
-                let parsed: Option<Vec<usize>> = args
-                    .get(i)
-                    .map(|v| v.split(',').map(|t| t.parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(list) if !list.is_empty() => threads_list = list,
-                    _ => {
-                        eprintln!("expected a comma-separated list after --threads-list");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => json = Some(path.clone()),
-                    None => {
-                        eprintln!("expected a path after --json");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--out-dir" => {
-                i += 1;
-                report = Report::with_csv(args[i].clone());
+                report = Report::with_csv(next_arg(&args, &mut i, "a directory"));
             }
             "--param" => {
-                i += 1;
-                param = SweepParam::parse(&args[i]);
+                let axis = next_arg(&args, &mut i, "an axis");
+                param = SweepParam::parse(axis);
                 if param.is_none() {
-                    eprintln!("unknown --param {}", args[i]);
+                    eprintln!("unknown --param {axis}");
                     std::process::exit(2);
                 }
             }
@@ -122,37 +88,6 @@ fn main() {
         },
         "fig14" => fig14(&scale, &report),
         "motivation" => motivation(&scale, &report),
-        "throughput" => throughput(&scale, &threads_list, json.as_deref()),
-        "kernels" => {
-            // Smoke runs are assertion-only: never clobber the measured
-            // artifact unless a path was asked for explicitly.
-            let json = match (&json, smoke) {
-                (Some(path), _) => Some(path.as_str()),
-                (None, false) => Some("BENCH_kernels.json"),
-                (None, true) => None,
-            };
-            kernels(&scale, smoke, json);
-        }
-        "mutate" => {
-            // Like kernels: smoke runs are assertion-only and never
-            // clobber the measured artifact unless a path was given.
-            let json = match (&json, smoke) {
-                (Some(path), _) => Some(path.as_str()),
-                (None, false) => Some("BENCH_mutate.json"),
-                (None, true) => None,
-            };
-            osd_bench::mutate::mutate(shards, threads.max(2), smoke, json);
-        }
-        "trace" => {
-            // Like kernels/mutate: smoke runs are assertion-only and
-            // never clobber the measured artifact unless a path was given.
-            let json = match (&json, smoke) {
-                (Some(path), _) => Some(path.as_str()),
-                (None, false) => Some("BENCH_trace.json"),
-                (None, true) => None,
-            };
-            osd_bench::trace::trace(&scale, smoke, json);
-        }
         "fig16" => fig16(&scale, paper, &report),
         "all" => {
             fig10_with_threads(&scale, &report, threads);
@@ -171,21 +106,28 @@ fn main() {
     }
 }
 
-fn next_val(args: &[String], i: &mut usize) -> usize {
+/// The value after the flag at `args[*i]`, advancing `i` past it; exits 2
+/// when the flag is the last argument.
+fn next_arg<'a>(args: &'a [String], i: &mut usize, what: &str) -> &'a str {
     *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("expected a number after {}", args[*i - 1]);
-            std::process::exit(2);
-        })
+    args.get(*i).map(String::as_str).unwrap_or_else(|| {
+        eprintln!("expected {what} after {}", args[*i - 1]);
+        std::process::exit(2);
+    })
+}
+
+fn next_val(args: &[String], i: &mut usize) -> usize {
+    let flag = *i;
+    next_arg(args, i, "a number").parse().unwrap_or_else(|_| {
+        eprintln!("expected a number after {}", args[flag]);
+        std::process::exit(2);
+    })
 }
 
 fn usage() {
     eprintln!(
-        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|throughput|kernels|mutate|trace|all> \
+        "usage: repro <fig10|fig11|fig12|fig13|fig14|fig16|motivation|all> \
          [--paper-scale] [--n N] [--md M] [--mq M] [--queries Q] \
-         [--param md|hd|mq|hq|n|d] [--out-dir DIR] [--threads T] \
-         [--threads-list 1,2,4,8] [--shards S] [--json PATH] [--smoke]"
+         [--param md|hd|mq|hq|n|d] [--out-dir DIR] [--threads T]"
     );
 }

@@ -1,9 +1,13 @@
 //! # osd-bench
 //!
-//! The experiment harness reproducing every figure of the paper's
-//! evaluation (§6 and Appendix C). The `repro` binary exposes one
-//! subcommand per figure; `crates/bench/benches/` holds Criterion
-//! microbenchmarks of the dominance-check kernels.
+//! The experiment harness reproducing the figures of the paper's
+//! evaluation (§6 and Appendix C), and nothing else. The `repro` binary
+//! exposes one subcommand per figure (`fig10` … `fig16`, `motivation`,
+//! `all`); the `stress` binary cross-validates every operator against the
+//! brute-force oracles on random workloads; `crates/bench/benches/` holds
+//! Criterion microbenchmarks of the dominance-check kernels. Performance
+//! is measured by the separate `osdbench` package (see `BENCHMARK.json`),
+//! and the behaviour contracts are the workspace's identity test suites.
 //!
 //! ```text
 //! cargo run --release -p osd-bench --bin repro -- fig10
@@ -20,24 +24,14 @@
 
 pub mod datasets;
 pub mod figures;
-pub mod kernels;
 pub mod motivation;
-pub mod mutate;
 pub mod params;
 pub mod runner;
-pub mod throughput;
-pub mod trace;
 
 pub use datasets::{build, DatasetId, Workbench};
 pub use figures::{fig10, fig10_with_threads, fig11_13, fig12, fig14, fig16, SweepParam};
-pub use kernels::{kernels, measure_kernels, KernelsReport};
 pub use motivation::motivation;
-pub use mutate::{measure_mutate, mutate, MutateReport};
 pub use params::{Scale, Sweeps};
 pub use runner::{
     print_table, run_all_ops, run_all_ops_parallel, run_cell, run_cell_parallel, CellResult, Report,
 };
-pub use throughput::{
-    host_cpus, measure, phase_medians, throughput, ThroughputPoint, ThroughputReport,
-};
-pub use trace::{measure_trace, trace, TraceReport};

@@ -27,19 +27,19 @@ pub struct FilterConfig {
     /// Unlike the §5.1 switches this is an *implementation strategy*, not
     /// an algorithmic filter: results and the paper's cost counters
     /// (`instance_comparisons`, `mbr_checks`, `flow_runs`) are bit-for-bit
-    /// identical either way — `repro kernels` asserts exactly that. It
-    /// defaults to on; the scalar path exists as the reference
-    /// implementation the bench compares against.
+    /// identical either way — the `kernel_identity` test suite asserts
+    /// exactly that. It defaults to on; the scalar path exists as the
+    /// reference implementation that suite compares against.
     pub kernels: bool,
     /// Record a per-query structured trace tree (`osd_obs::QueryTrace`)
     /// alongside the result.
     ///
     /// Pure observability, not a filter: the tracer only ever writes into
     /// its own span arena, so candidate ids, `min_dist` bits and every
-    /// cost counter are bit-identical traced or untraced (`repro trace`
-    /// asserts this), and with the `obs` feature off the flag is inert —
-    /// the tracer compiles to a zero-sized no-op. Off in every named
-    /// configuration; enabled per query by `--trace` / the trace bench.
+    /// cost counter are bit-identical traced or untraced (the
+    /// `obs_purity` test suites assert this), and with the `obs` feature
+    /// off the flag is inert — the tracer compiles to a zero-sized no-op.
+    /// Off in every named configuration; enabled per query by `--trace`.
     pub trace: bool,
 }
 
@@ -99,8 +99,8 @@ impl FilterConfig {
     }
 
     /// The same configuration with the blocked-kernel strategy disabled —
-    /// the scalar reference path that `repro kernels` measures the blocked
-    /// path against.
+    /// the scalar reference path that the `kernel_identity` test suite
+    /// checks the blocked path against.
     pub const fn scalar(self) -> Self {
         FilterConfig {
             kernels: false,

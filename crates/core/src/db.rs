@@ -149,7 +149,9 @@ impl FlatDatabase {
     /// As [`ShardedDatabase::try_insert_object`].
     ///
     /// # Errors
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
+    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
+    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
+    /// coordinate.
     pub fn try_insert_object(&mut self, object: UncertainObject) -> Result<usize, DbError> {
         self.0.try_insert_object(object)
     }
@@ -180,7 +182,9 @@ impl FlatDatabase {
     ///
     /// # Errors
     /// [`DbError::Dead`] if `id` is not live;
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
+    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
+    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
+    /// coordinate.
     pub fn try_update_object(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
         self.0.try_update_object(id, object)
     }

@@ -46,6 +46,13 @@ pub enum DbError {
         /// Dimensionality of the offending object.
         found: usize,
     },
+    /// An instance coordinate of the object is non-finite or beyond
+    /// ±[`osd_geom::MAX_INPUT_COORD`].
+    CoordinateOutOfRange {
+        /// Id (input position, or would-be id on insert) of the offending
+        /// object.
+        object: usize,
+    },
     /// The addressed id is tombstoned (deleted) or was never assigned.
     Dead {
         /// The offending logical object id.
@@ -65,6 +72,11 @@ impl fmt::Display for DbError {
                 f,
                 "object {object}: dimensionality must match the database: \
                  expected {expected}, found {found}"
+            ),
+            DbError::CoordinateOutOfRange { object } => write!(
+                f,
+                "object {object}: non-finite coordinate, or one beyond ±{:e}",
+                osd_geom::MAX_INPUT_COORD
             ),
             DbError::Dead { object } => write!(
                 f,
@@ -88,6 +100,7 @@ impl DbError {
                 expected,
                 found,
             },
+            StoreError::CoordinateOutOfRange => DbError::CoordinateOutOfRange { object },
         }
     }
 }
@@ -165,7 +178,9 @@ pub trait SpatialIndex: Send + Sync {
     /// Publishes an insert, returning the new object's logical id.
     ///
     /// # Errors
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
+    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
+    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
+    /// coordinate.
     fn try_insert(&mut self, object: UncertainObject) -> Result<usize, DbError>;
 
     /// Publishes a delete: the object's store row is tombstoned (its
@@ -183,7 +198,9 @@ pub trait SpatialIndex: Send + Sync {
     ///
     /// # Errors
     /// [`DbError::Dead`] if `id` is not live;
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
+    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
+    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
+    /// coordinate.
     fn try_update(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError>;
 
     /// Dimensionality of the instance space.

@@ -158,10 +158,11 @@ impl ShardedDatabase {
             return Err(DbError::Empty);
         }
         let store = InstanceStore::from_objects(&objects).map_err(|e| {
-            // The store reports the mismatch; find which input tripped it.
+            // The store reports what is wrong; find which input tripped it.
+            let dim = objects[0].dim();
             let object = objects
                 .iter()
-                .position(|o| o.dim() != objects[0].dim())
+                .position(|o| InstanceStore::check_object(dim, o).is_err())
                 .unwrap_or(0);
             DbError::from_store(e, object)
         })?;
@@ -272,7 +273,9 @@ impl ShardedDatabase {
     /// fan-out.
     ///
     /// # Errors
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
+    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
+    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
+    /// coordinate.
     pub fn try_insert_object(&mut self, object: UncertainObject) -> Result<usize, DbError> {
         let id = self.slot.len();
         let row =
@@ -344,7 +347,9 @@ impl ShardedDatabase {
     ///
     /// # Errors
     /// [`DbError::Dead`] if `id` is tombstoned or out of range;
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch.
+    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
+    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
+    /// coordinate.
     pub fn try_update_object(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
         let row = self.row_of_checked(id)?;
         let old_mbr = self.store.object(row).mbr().clone();

@@ -7,9 +7,10 @@
 use std::fmt;
 
 /// Largest coordinate magnitude accepted from untrusted input (dataset
-/// files, query strings). Within it, the squared distance between two
-/// points stays finite up to ~10⁷ dimensions (`4·10³⁰⁰·d < f64::MAX`), so
-/// no distance distribution is handed an infinite value.
+/// files, query strings) and by the index builders. Within it, the
+/// squared distance between two points stays finite up to ~10⁷
+/// dimensions (`4·10³⁰⁰·d < f64::MAX`), so no distance distribution is
+/// handed an infinite value.
 pub const MAX_INPUT_COORD: f64 = 1e150;
 
 /// A point (instance) in d-dimensional space.

@@ -39,7 +39,8 @@
 //! stored, so a pathological query cannot make the tracer allocate.
 //! Recording is observation-only — it never influences a single branch of
 //! the search — so traced results are bit-identical to untraced ones
-//! (`repro trace` asserts this, and bounds the median overhead).
+//! (the `obs_purity` test suites assert this; `osdbench` measures the
+//! overhead as `obs.trace_overhead_pct`).
 
 #[cfg(feature = "enabled")]
 use crate::Stopwatch;

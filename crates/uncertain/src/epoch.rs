@@ -150,19 +150,14 @@ pub fn touched_ids(changes: &[Change]) -> Vec<usize> {
 /// last chunk (or opens a new one).
 ///
 /// # Errors
-/// [`StoreError::DimensionMismatch`] if the object's dimensionality
-/// differs from the store's; the snapshot is unchanged.
+/// The [`InstanceStore::check_object`] error, if the object fails it; the
+/// snapshot is unchanged.
 pub fn append(
     head: &mut Arc<InstanceStore>,
     object: &UncertainObject,
 ) -> Result<usize, StoreError> {
-    // Probe before cloning: a dimension mismatch must not cost a copy.
-    if object.dim() != head.dim() {
-        return Err(StoreError::DimensionMismatch {
-            expected: head.dim(),
-            found: object.dim(),
-        });
-    }
+    // Probe before cloning: a rejected object must not cost a copy.
+    InstanceStore::check_object(head.dim(), object)?;
     Arc::make_mut(head).push_object(object)
 }
 
@@ -180,8 +175,8 @@ pub fn remove(head: &mut Arc<InstanceStore>, row: usize) {
 /// copying only its chunk.
 ///
 /// # Errors
-/// [`StoreError::DimensionMismatch`] if the object's dimensionality
-/// differs from the store's; the snapshot is unchanged.
+/// The [`InstanceStore::check_object`] error, if the object fails it; the
+/// snapshot is unchanged.
 ///
 /// # Panics
 /// Panics if `row` is out of bounds or removed.
@@ -190,12 +185,7 @@ pub fn replace(
     row: usize,
     object: &UncertainObject,
 ) -> Result<(), StoreError> {
-    if object.dim() != head.dim() {
-        return Err(StoreError::DimensionMismatch {
-            expected: head.dim(),
-            found: object.dim(),
-        });
-    }
+    InstanceStore::check_object(head.dim(), object)?;
     Arc::make_mut(head).replace_object(row, object)
 }
 

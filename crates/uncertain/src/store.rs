@@ -43,7 +43,7 @@
 
 use crate::error::ObjectError;
 use crate::object::{Instance, UncertainObject};
-use osd_geom::{max_dist2_rows, min_dist2_rows, Mbr, Point};
+use osd_geom::{max_dist2_rows, min_dist2_rows, Mbr, Point, MAX_INPUT_COORD};
 use std::fmt;
 use std::sync::Arc;
 
@@ -65,6 +65,10 @@ pub enum StoreError {
         /// Dimensionality of the offending object.
         found: usize,
     },
+    /// An instance coordinate is non-finite or beyond
+    /// ±[`MAX_INPUT_COORD`], where a distance between two points could
+    /// overflow to infinity.
+    CoordinateOutOfRange,
 }
 
 impl fmt::Display for StoreError {
@@ -74,6 +78,10 @@ impl fmt::Display for StoreError {
             StoreError::DimensionMismatch { expected, found } => write!(
                 f,
                 "object dimensionality must match the store: expected {expected}, found {found}"
+            ),
+            StoreError::CoordinateOutOfRange => write!(
+                f,
+                "object has a non-finite coordinate, or one beyond ±{MAX_INPUT_COORD:e}"
             ),
         }
     }
@@ -256,17 +264,17 @@ impl InstanceStore {
     /// derived geometry is bit-for-bit identical to the boxed layout).
     ///
     /// # Errors
-    /// [`StoreError::Empty`] if `objects` is empty,
-    /// [`StoreError::DimensionMismatch`] if the objects disagree on
-    /// dimensionality.
+    /// [`StoreError::Empty`] if `objects` is empty; otherwise the
+    /// [`InstanceStore::check_object`] error of the first object that
+    /// fails it, against the first object's dimensionality.
     pub fn from_objects(objects: &[UncertainObject]) -> Result<Self, StoreError> {
         let first = objects.first().ok_or(StoreError::Empty)?;
         let dim = first.dim();
-        if let Some(bad) = objects.iter().find(|o| o.dim() != dim) {
-            return Err(StoreError::DimensionMismatch {
-                expected: dim,
-                found: bad.dim(),
-            });
+        if let Some(e) = objects
+            .iter()
+            .find_map(|o| Self::check_object(dim, o).err())
+        {
+            return Err(e);
         }
         Ok(InstanceStore {
             dim,
@@ -279,10 +287,9 @@ impl InstanceStore {
     /// chunk, or opens a new one when it is full.
     ///
     /// # Errors
-    /// [`StoreError::DimensionMismatch`] if the object's dimensionality
-    /// differs from the store's.
+    /// The [`InstanceStore::check_object`] error, if the object fails it.
     pub fn push_object(&mut self, object: &UncertainObject) -> Result<usize, StoreError> {
-        self.check_dim(object)?;
+        Self::check_object(self.dim, object)?;
         let row = self.rows();
         match self.chunks.last_mut() {
             Some(last) if last.rows() < CHUNK => {
@@ -314,8 +321,8 @@ impl InstanceStore {
     /// chunk. Other rows' bits are untouched.
     ///
     /// # Errors
-    /// [`StoreError::DimensionMismatch`] if the object's dimensionality
-    /// differs from the store's (the store is left unchanged).
+    /// The [`InstanceStore::check_object`] error, if the object fails it
+    /// (the store is left unchanged).
     ///
     /// # Panics
     /// Panics if `row` is out of bounds or removed.
@@ -325,20 +332,39 @@ impl InstanceStore {
         object: &UncertainObject,
     ) -> Result<(), StoreError> {
         self.assert_live(row);
-        self.check_dim(object)?;
+        Self::check_object(self.dim, object)?;
         let chunk = &mut self.chunks[row / CHUNK];
         *chunk = Arc::new(chunk.spliced(row % CHUNK, Some(object)));
         Ok(())
     }
 
-    fn check_dim(&self, object: &UncertainObject) -> Result<(), StoreError> {
-        if object.dim() == self.dim {
+    /// Whether `object` may enter a store of dimensionality `dim`: every
+    /// builder and mutator runs this one check on each new object.
+    ///
+    /// # Errors
+    /// [`StoreError::DimensionMismatch`] if the object's dimensionality is
+    /// not `dim`; [`StoreError::CoordinateOutOfRange`] if any instance
+    /// coordinate is non-finite or beyond ±[`MAX_INPUT_COORD`].
+    pub fn check_object(dim: usize, object: &UncertainObject) -> Result<(), StoreError> {
+        if object.dim() != dim {
+            return Err(StoreError::DimensionMismatch {
+                expected: dim,
+                found: object.dim(),
+            });
+        }
+        // Points are finite by construction and the MBR is their exact
+        // per-dimension min and max, so its two corners bound every
+        // coordinate. `abs() <= bound` is false for NaN and ±inf.
+        let mbr = object.mbr();
+        if mbr
+            .lo()
+            .iter()
+            .chain(mbr.hi())
+            .all(|c| c.abs() <= MAX_INPUT_COORD)
+        {
             Ok(())
         } else {
-            Err(StoreError::DimensionMismatch {
-                expected: self.dim,
-                found: object.dim(),
-            })
+            Err(StoreError::CoordinateOutOfRange)
         }
     }
 

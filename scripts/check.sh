@@ -55,12 +55,13 @@ echo "== batch executor under strict-invariants =="
 cargo test -q --features strict-invariants --test strict_invariants \
   batch_executor_audits_hold_across_threads
 
-echo "== repro kernels --smoke (bit-identity of the blocked kernels) =="
+echo "== blocked-kernel bit-identity =="
 # The blocked hot-path kernels are a pure execution strategy: candidate
 # ids, min_dist bits and the frozen cost counters must match the scalar
-# reference paths exactly. The smoke workload fails the build on the
-# first divergence.
-cargo run -q -p osd-bench --bin repro -- kernels --smoke
+# reference paths exactly, including an A-N batch through the engine,
+# with and without the audit layer.
+cargo test -q --test kernel_identity
+cargo test -q --features strict-invariants --test kernel_identity
 
 echo "== sharded-index bit-identity (USA surrogate, 8 tiles) =="
 # The STR-sharded index is a pure layout change: on a 2000-object USA
@@ -70,20 +71,21 @@ echo "== sharded-index bit-identity (USA surrogate, 8 tiles) =="
 cargo test -q --test pipeline usa_surrogate_sharded_matches_flat
 cargo test -q --features strict-invariants --test pipeline usa_surrogate_sharded_matches_flat
 
-echo "== repro mutate --smoke (epoch churn under concurrent readers) =="
+echo "== epoch churn under concurrent readers =="
 # The epoch-published store under churn: every mutation must publish
 # exactly one epoch, pinned reader snapshots must never expose a dead
 # candidate, and the standing continuous-NNC handle must stay
-# bit-identical to a full re-query on every snapshot. Assertion-only;
-# never touches BENCH_mutate.json.
-cargo run -q --release -p osd-bench --bin repro -- mutate --smoke
+# bit-identical to a full re-query on every snapshot, with and without
+# the audit layer.
+cargo test -q --test mutate_identity
+cargo test -q --features strict-invariants --test mutate_identity
 
-echo "== repro trace --smoke (tracer purity) =="
+echo "== tracer purity =="
 # The flight recorder is pure observability: traced and untraced runs of
 # the same workload must be bit-identical (ids, min_dist bits, counters),
 # every traced query must yield a rooted span tree, and the obs-off build
-# must record nothing. Assertion-only; never touches BENCH_trace.json.
-cargo run -q --release -p osd-bench --bin repro -- trace --smoke --n 300 --queries 6
+# must record nothing. Run with obs on, where traces are recorded.
+cargo test -q --features obs --test obs_purity
 
 echo "== warm-cache bit-identity, eviction and sharing =="
 # The epoch-keyed warm cache is a pure memoisation layer: warm answers

@@ -11,7 +11,9 @@
 //! * NNC and k-NNC with kernels on emit the same candidates (ids, order,
 //!   `min_dist` bits) and the same frozen counters as the scalar path;
 //! * NNC and k-NNC with kernels on agree with the O(n²) brute-force
-//!   oracle for every dominance operator on randomized A-N workloads.
+//!   oracle for every dominance operator on randomized A-N workloads;
+//! * a fixed 3-d A-N batch through [`QueryEngine::run_batch`] emits the
+//!   same candidates and frozen counters with kernels on and off.
 
 // Integration test: exact values and aborts are intentional.
 #![allow(
@@ -23,9 +25,11 @@
 
 use osd::prelude::*;
 use osd_core::{k_nn_candidates, k_nn_candidates_bruteforce, nn_candidates_bruteforce};
-use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
+use osd_datagen::{generate_objects, object_around, CenterDistribution, SynthParams};
 use osd_geom::{dist2_rows_batch, dist2_slice, max_dist2_rows, min_dist2_rows};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Seed-driven coordinate block with the awkward cases over-represented:
 /// both signed zeros, denormal-scale and large magnitudes, and the classic
@@ -201,5 +205,56 @@ proptest! {
                 prop_assert_eq!(&robust, &oracle, "k-NNC mismatch for {:?}, k = {}", op, k);
             }
         }
+    }
+}
+
+/// The 3-d A-N batch of the paper's evaluation at test scale: `n`
+/// objects of `m_d` instances (edge 400), and `queries` query objects of
+/// `m_q` instances (edge 200) centred on randomly drawn objects.
+fn an_batch(n: usize, m_d: usize, m_q: usize, queries: usize) -> (Database, Vec<PreparedQuery>) {
+    let seed = 0x0517;
+    let objects = generate_objects(&SynthParams {
+        n,
+        dim: 3,
+        instances: m_d,
+        edge: 400.0,
+        centers: CenterDistribution::AntiCorrelated,
+        seed,
+    });
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+    let queries = (0..queries)
+        .map(|_| {
+            let center = objects[rng.gen_range(0..objects.len())].mbr().center();
+            let q = object_around(&mut rng, center.coords(), center.dim(), m_q, 200.0);
+            PreparedQuery::new(q)
+        })
+        .collect();
+    (Database::new(objects), queries)
+}
+
+/// The engine batch under both strategies: every query emits the same
+/// candidate ids in the same order, the same `min_dist` bits and the same
+/// frozen counters, with the blocked kernels on and on the scalar paths.
+#[test]
+fn engine_batch_is_bit_identical_with_and_without_kernels() {
+    let (db, queries) = an_batch(90, 4, 3, 5);
+    let op = Operator::PSd;
+    let scalar =
+        QueryEngine::with_config(&db, op, FilterConfig::all().scalar()).run_batch(&queries, 1);
+    let kernels = QueryEngine::with_config(&db, op, FilterConfig::all()).run_batch(&queries, 1);
+    assert_eq!(scalar.len(), queries.len());
+    assert_eq!(kernels.len(), queries.len());
+    for (qi, (s, k)) in scalar.iter().zip(&kernels).enumerate() {
+        assert_eq!(s.ids(), k.ids(), "query {qi}: candidate ids diverge");
+        let bits = |r: &NncResult| -> Vec<u64> {
+            r.candidates.iter().map(|c| c.min_dist.to_bits()).collect()
+        };
+        assert_eq!(bits(s), bits(k), "query {qi}: min_dist bits diverge");
+        assert_eq!(
+            frozen(&s.stats),
+            frozen(&k.stats),
+            "query {qi}: frozen counters diverge \
+             (instance_comparisons, dominance_checks, flow_runs, mbr_checks)"
+        );
     }
 }

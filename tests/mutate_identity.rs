@@ -19,11 +19,17 @@
 
 use osd_core::{
     k_nn_candidates, nn_candidates, ContinuousNnc, Database, FilterConfig, Operator, PreparedQuery,
-    ShardedDatabase, SpatialIndex,
+    PublishedIndex, Repair, ShardedDatabase, SpatialIndex,
 };
-use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
+use osd_datagen::{
+    clustered_centers_2d, generate_objects, object_around, objects_from_centers,
+    CenterDistribution, SynthParams,
+};
 use osd_uncertain::UncertainObject;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A randomized A-N (anti-correlated) pool, the paper's main data family.
 fn an_objects(n: usize, instances: usize, seed: u64) -> Vec<UncertainObject> {
@@ -233,4 +239,105 @@ fn all_operators_survive_a_fixed_interleaving() {
     for op in Operator::ALL {
         run_script(7, &script, op, 3);
     }
+}
+
+/// The USA surrogate (2-d, 64 clusters) with `m_d = 4` instances per
+/// object at edge 400.
+fn usa_objects(n: usize, seed: u64) -> Vec<UncertainObject> {
+    objects_from_centers(&clustered_centers_2d(n, 64, seed), 4, 400.0, seed ^ 0x33)
+}
+
+/// Churn on a published 8-shard USA index while two reader threads query
+/// pinned snapshots: insert, delete and update round-robin, each published
+/// as one epoch. Readers never see a dead candidate; after every publish
+/// the standing handle repairs once and matches a full re-query.
+#[test]
+fn published_churn_under_concurrent_readers() {
+    let (n, mutations, shards, readers) = (600, 60, 8, 2);
+    let seed = 0x06e7;
+    let objects = usa_objects(n, seed);
+    let pool = usa_objects(n, seed ^ 0x00c0_ffee);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+    let queries: Vec<PreparedQuery> = (0..8)
+        .map(|_| {
+            let center = objects[rng.gen_range(0..objects.len())].mbr().center();
+            PreparedQuery::new(object_around(&mut rng, center.coords(), 2, 3, 200.0))
+        })
+        .collect();
+    let op = Operator::SSd;
+    let cfg = FilterConfig::all();
+
+    let published = PublishedIndex::new(ShardedDatabase::new(objects, shards));
+    let mut handle = ContinuousNnc::new(&*published.pin(), queries[0].clone(), op, cfg);
+    let mut alive: Vec<usize> = (0..n).collect();
+    let mut repairs = 0usize;
+    let stop = AtomicBool::new(false);
+    let reads = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(readers);
+        for r in 0..readers {
+            let (published, queries, cfg, stop, reads) =
+                (&published, &queries, &cfg, &stop, &reads);
+            handles.push(s.spawn(move || {
+                let mut q = r;
+                while !stop.load(Ordering::Relaxed) {
+                    let snap = published.pin();
+                    let res = nn_candidates(&*snap, &queries[q % queries.len()], op, cfg);
+                    assert!(
+                        res.candidates.iter().all(|c| snap.is_live(c.id)),
+                        "reader saw a dead candidate through a pinned snapshot"
+                    );
+                    reads.fetch_add(1, Ordering::Relaxed);
+                    q += 1;
+                }
+            }));
+        }
+
+        for i in 0..mutations {
+            // Publish mutation i only once the readers have finished i + 1
+            // queries, so reads interleave with the churn. A reader that
+            // finished early has panicked; the scope re-raises it.
+            while reads.load(Ordering::Relaxed) <= i as u64
+                && !handles.iter().any(|h| h.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            match i % 3 {
+                0 => alive.push(
+                    published
+                        .insert(pool[i % pool.len()].clone())
+                        .expect("insert"),
+                ),
+                1 => {
+                    let victim = alive.remove((i * 7) % alive.len());
+                    published.delete(victim).expect("live id deletes");
+                }
+                _ => {
+                    let target = alive[(i * 5) % alive.len()];
+                    let obj = pool[(i + 1) % pool.len()].clone();
+                    published.update(target, obj).expect("live id updates");
+                }
+            }
+            let snap = published.pin();
+            match handle.refresh(&*snap) {
+                Repair::Incremental { .. } | Repair::Full => repairs += 1,
+                Repair::UpToDate => {}
+            }
+            assert_handle_matches(&handle, &*snap);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    let last = published.pin();
+    assert_eq!(last.epoch(), mutations as u64, "every mutation publishes");
+    assert_eq!(
+        last.tombstone_count(),
+        mutations.div_ceil(3),
+        "one tombstone per delete in the script"
+    );
+    assert!(
+        reads.load(Ordering::Relaxed) > 0,
+        "readers made no progress during churn"
+    );
+    assert_eq!(repairs, mutations, "every epoch repairs exactly once");
 }

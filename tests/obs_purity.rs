@@ -11,6 +11,8 @@
 //!   metrics or `FilterConfig::traced` flight recording) leaves every
 //!   candidate id, `min_dist` bit pattern and legacy counter bit-identical
 //!   to the bare run;
+//! * on a 3-d A-N batch every traced query yields a rooted span tree that
+//!   a flight recorder retains, with results unchanged;
 //! * a fixed pre-instrumentation baseline (captured from commit 71f4287)
 //!   still holds, so the hooks cannot have leaked into the computation.
 
@@ -22,7 +24,10 @@
     clippy::panic
 )]
 
+use osd::datagen::{generate_objects, object_around, CenterDistribution, SynthParams};
 use osd::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The deterministic xorshift scatter used by the engine determinism tests.
 fn scatter(n: usize, instances: usize, seed: u64) -> Vec<UncertainObject> {
@@ -204,4 +209,82 @@ fn results_and_stats_match_pre_instrumentation_baseline() {
             );
         }
     }
+}
+
+/// The 3-d A-N batch of the paper's evaluation at test scale: 300 objects
+/// of 12 instances and six queries of 9 instances. Each query runs bare
+/// and traced with identical ids, `min_dist` bits and counters; with obs on
+/// each trace has a root span and a recorder keeps all six, and with obs
+/// off no trace exists.
+#[test]
+fn traced_an_batch_is_pure_and_fully_recorded() {
+    let seed = 0x0517;
+    let objects = generate_objects(&SynthParams {
+        n: 300,
+        dim: 3,
+        instances: 12,
+        edge: 400.0,
+        centers: CenterDistribution::AntiCorrelated,
+        seed,
+    });
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+    let queries: Vec<PreparedQuery> = (0..6)
+        .map(|_| {
+            let center = objects[rng.gen_range(0..objects.len())].mbr().center();
+            PreparedQuery::new(object_around(&mut rng, center.coords(), 3, 9, 200.0))
+        })
+        .collect();
+    let db = Database::new(objects);
+    let op = Operator::PSd;
+    let traced_cfg = FilterConfig::all().traced();
+
+    let mut recorder = FlightRecorder::default();
+    for (i, q) in queries.iter().enumerate() {
+        let bare = nn_candidates(&db, q, op, &FilterConfig::all());
+        let traced = nn_candidates(&db, q, op, &traced_cfg);
+        let exact = |r: &NncResult| -> Vec<(usize, u64)> {
+            r.candidates
+                .iter()
+                .map(|c| (c.id, c.min_dist.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            exact(&bare),
+            exact(&traced),
+            "query {i}: tracing changed the candidates"
+        );
+        assert_eq!(
+            bare.stats, traced.stats,
+            "query {i}: tracing changed the counters"
+        );
+        match traced.trace {
+            Some(mut t) => {
+                assert!(
+                    QueryTrace::enabled(),
+                    "query {i}: obs-off build recorded a trace"
+                );
+                assert!(
+                    t.spans.first().is_some_and(|s| s.is_root()),
+                    "query {i}: trace has no root span"
+                );
+                t.seq = i as u64;
+                recorder.record(t);
+            }
+            None => assert!(
+                !QueryTrace::enabled(),
+                "query {i}: traced run produced no trace"
+            ),
+        }
+    }
+    let expected = if QueryTrace::enabled() {
+        queries.len()
+    } else {
+        0
+    };
+    assert_eq!(recorder.recorded(), expected as u64);
+    assert_eq!(
+        recorder.len(),
+        expected,
+        "the recorder must retain every trace"
+    );
 }
