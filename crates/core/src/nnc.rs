@@ -80,9 +80,10 @@ impl NncResult {
 }
 
 enum Slot<'a> {
-    /// A tree node, tagged with the shard whose global tree it came from
-    /// (always 0 on a flat database) for per-shard attribution.
-    Node(&'a Node<usize>, usize),
+    /// A tree node with the box its parent (or the tree, for a root)
+    /// records for it, tagged with the shard whose global tree it came
+    /// from (always 0 on a flat database) for per-shard attribution.
+    Node(&'a Node<usize>, &'a Mbr, usize),
     Object(usize),
 }
 
@@ -276,10 +277,11 @@ impl<'a> ProgressiveNnc<'a> {
         // and cross-shard candidate pruning acts as a prune bound shared
         // by all shards — the `min_dist2_multi` trick, one level up.
         for shard in 0..db.shard_count() {
-            if let Some(root) = db.shard_tree(shard).root() {
+            let tree = db.shard_tree(shard);
+            if let (Some(root), Some(mbr)) = (tree.root(), tree.mbr()) {
                 heap.push(HeapItem {
-                    key: root.mbr().min_dist2(query.mbr()),
-                    slot: Slot::Node(root, shard),
+                    key: mbr.min_dist2(query.mbr()),
+                    slot: Slot::Node(root, mbr, shard),
                 });
             }
         }
@@ -398,7 +400,7 @@ impl<'a> ProgressiveNnc<'a> {
                         return Some(c);
                     }
                 }
-                Slot::Node(node, shard) => {
+                Slot::Node(node, mbr, shard) => {
                     let timer = PhaseTimer::start(Phase::RtreeDescent);
                     let span = self.ctx.trace.open("rtree-descent");
                     if span != SpanId::NONE {
@@ -409,7 +411,7 @@ impl<'a> ProgressiveNnc<'a> {
                     }
                     self.ctx.stats.rtree_nodes_visited += 1;
                     self.ctx.metrics.shard_visit(shard);
-                    if !self.entry_pruned(&node.mbr()) {
+                    if !self.entry_pruned(mbr) {
                         let depth_before = self.heap.len();
                         // per-shard descent: begin
                         match node {
@@ -434,7 +436,7 @@ impl<'a> ProgressiveNnc<'a> {
                                     if !self.entry_pruned(&c.mbr) {
                                         self.heap.push(HeapItem {
                                             key: c.mbr.min_dist2(self.ctx.query.mbr()),
-                                            slot: Slot::Node(&c.node, shard),
+                                            slot: Slot::Node(&c.node, &c.mbr, shard),
                                         });
                                     }
                                 }
@@ -666,10 +668,10 @@ mod tests {
     #[test]
     fn nodes_pop_before_objects_at_equal_keys() {
         let db = line_db();
-        let root = db.shard_tree(0).root().unwrap();
+        let tree = db.shard_tree(0);
         let node = HeapItem {
             key: 1.0,
-            slot: Slot::Node(root, 0),
+            slot: Slot::Node(tree.root().unwrap(), tree.mbr().unwrap(), 0),
         };
         let object = HeapItem {
             key: 1.0,

@@ -371,8 +371,12 @@ impl ShardedDatabase {
         Ok(())
     }
 
-    /// Removes live `id` (indexed under `mbr`) from the one shard tree
-    /// holding it, with condensation; the other trees stay untouched.
+    /// Removes live `id` from the one shard tree holding it, with
+    /// condensation; the other trees stay untouched. `mbr` is the stored
+    /// object's box, bit-equal to the box the entry was indexed under (an
+    /// update reads it before replacing the row). `RTree::remove_item`
+    /// searches by containment, so a tree that does not hold the entry is
+    /// usually left at its root.
     fn remove_from_shards(&mut self, mbr: &Mbr, id: usize) {
         let removed = self
             .shards

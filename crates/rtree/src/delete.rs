@@ -1,117 +1,153 @@
-//! Entry deletion with Guttman-style tree condensation.
+//! Entry deletion with Guttman's CondenseTree, fitted to packed trees.
 //!
-//! Underfull nodes (below half fan-out) are dissolved and their entries
-//! reinserted; a root left with a single child is collapsed. Like
-//! insertion, deletion is path-copying: the search is read-only, and only
-//! the nodes on the path to the removed entry are copied.
+//! **Search by containment.** The removal descends only into children
+//! whose box contains the target box. Every recorded box is the tight
+//! union of its subtree (`validate_structure` checks it), so an entry whose
+//! box contains the target lies only below boxes that contain it too: the
+//! search is exact, and a tree that does not hold the entry usually stops
+//! at its root.
+//!
+//! **Condense only what the removal shrank.** A node on the removal path
+//! is dissolved only when this removal takes it from `min_fill` (half the
+//! fan-out) to `min_fill − 1` slots, or empties it. STR packing leaves the
+//! last node of each slab short; such a node keeps its slots while it has
+//! any, so a delete never pays for an underfill it did not cause.
+//!
+//! **Reinsert orphans whole.** The slots of a dissolved node go back in at
+//! their own level: entries into leaves, the children of an inner node as
+//! whole subtrees into nodes one level above them, so every leaf stays at
+//! the tree's leaf depth. One dissolve therefore costs at most
+//! `min_fill − 1` insertions of O(height) each. As in Guttman's algorithm
+//! the orphans are reinserted before a root left with a single child is
+//! collapsed.
+//!
+//! Like insertion, deletion is path-copying: the search is read-only, and
+//! only the nodes on the path to the removed entry and on the reinsertion
+//! paths are copied.
 
-use crate::node::{Child, Entry, Node, RTree};
+use crate::insert::Slot;
+use crate::node::{Child, Node, RTree};
 use osd_geom::Mbr;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 impl<T: Clone> RTree<T> {
-    /// Removes one entry whose MBR intersects `mbr` and whose item matches
-    /// `pred`, returning it. The tree is condensed afterwards: underfull
-    /// nodes are dissolved and their entries reinserted.
+    /// Removes one entry whose MBR contains `mbr` and whose item matches
+    /// `pred`, returning it. Pass the box the entry was indexed under.
     ///
-    /// A miss copies nothing; a hit copies the nodes on the path to the
-    /// removed entry (plus the reinsertion paths of any orphans). Clones of
-    /// the tree taken earlier are unaffected.
+    /// A node on the removal path that this removal shrinks below half
+    /// fan-out is dissolved and its slots reinserted at their own level;
+    /// a root left with a single child is collapsed.
+    ///
+    /// A miss copies nothing; a hit copies the O(height) nodes on the path
+    /// to the removed entry, plus the O(height) reinsertion path of each
+    /// orphan. Clones of the tree taken earlier are unaffected.
     pub fn remove_item(&mut self, mbr: &Mbr, pred: impl Fn(&T) -> bool) -> Option<T> {
+        let root = self.root.as_ref().filter(|r| r.mbr.contains(mbr))?;
         let min_fill = (self.max_entries / 2).max(1);
-        let mut orphans: Vec<Entry<T>> = Vec::new();
-        let (node, removed) = remove_rec(
-            &self.root.as_ref()?.node,
+        let mut orphans = Vec::new();
+        let removal = remove_rec(
+            &root.node,
+            root.node.height(),
             mbr,
             &pred,
             min_fill,
             &mut orphans,
         )?;
         self.len -= 1;
+        self.root = (removal.node.slot_count() > 0).then(|| Child {
+            mbr: removal.node.mbr(),
+            node: Arc::new(removal.node),
+        });
 
-        // Re-tighten or drop the root.
-        self.root = if node.slot_count() == 0 {
-            None
-        } else {
-            // Collapse chains of single-child inner nodes.
-            let mut node = Arc::new(node);
-            while let Node::Inner(cs) = node.as_ref() {
-                let [only] = cs.as_slice() else { break };
-                let next = Arc::clone(&only.node);
-                node = next;
-            }
-            Some(Child {
-                mbr: node.mbr(),
-                node,
-            })
-        };
+        // Tallest subtrees first: if the root emptied, the first orphan
+        // becomes the new root and every later one fits at or below it.
+        orphans.sort_by_key(|o| Reverse(o.parent_height()));
+        for orphan in orphans {
+            self.place(orphan);
+        }
 
-        // Reinsert orphaned entries (len was adjusted once for the removal;
-        // insert() will re-count the orphans, so pre-subtract them).
-        self.len -= orphans.len();
-        for e in orphans {
-            self.insert(e.mbr, e.item);
+        // Collapse chains of single-child inner roots.
+        while let Some(Node::Inner(cs)) = self.root() {
+            let [only] = cs.as_slice() else { break };
+            self.root = Some(only.clone());
         }
         #[cfg(feature = "strict-invariants")]
         if let Err(e) = self.validate_structure() {
             debug_assert!(false, "R-tree invariant broken after removal: {e}");
         }
-        Some(removed)
+        Some(removal.item)
     }
 }
 
-/// Removes a matching entry below `node` without touching it: returns a
-/// copy of `node` with the entry gone (and the removed item), or `None` if
-/// no entry matched. Underfull descendants on the copied path are
-/// dissolved into `orphans`.
+/// A copy of a node with one entry removed below it.
+struct Removal<T> {
+    /// The copied node.
+    node: Node<T>,
+    /// The removed item.
+    item: T,
+    /// Whether `node` has one slot fewer than the node it copies.
+    shrank: bool,
+}
+
+/// Removes a matching entry below `node`, which sits `height` levels above
+/// the leaves, without touching it: returns a copy of `node` with the entry
+/// gone, or `None` if no entry matched. A child on the copied path that the
+/// removal shrinks from `min_fill` to `min_fill − 1` slots, or empties, is
+/// dissolved; its slots go to `orphans`.
 fn remove_rec<T: Clone>(
     node: &Node<T>,
+    height: usize,
     mbr: &Mbr,
     pred: &impl Fn(&T) -> bool,
     min_fill: usize,
-    orphans: &mut Vec<Entry<T>>,
-) -> Option<(Node<T>, T)> {
+    orphans: &mut Vec<Slot<T>>,
+) -> Option<Removal<T>> {
     match node {
         Node::Leaf(entries) => {
             let idx = entries
                 .iter()
-                .position(|e| e.mbr.intersects(mbr) && pred(&e.item))?;
+                .position(|e| e.mbr.contains(mbr) && pred(&e.item))?;
             let mut entries = entries.clone();
-            let removed = entries.remove(idx).item;
-            Some((Node::Leaf(entries), removed))
+            let item = entries.remove(idx).item;
+            Some(Removal {
+                node: Node::Leaf(entries),
+                item,
+                shrank: true,
+            })
         }
         Node::Inner(children) => {
-            let (i, child, removed) = children.iter().enumerate().find_map(|(i, c)| {
-                if !c.mbr.intersects(mbr) {
+            let (i, child) = children.iter().enumerate().find_map(|(i, c)| {
+                if !c.mbr.contains(mbr) {
                     return None;
                 }
-                let (child, removed) = remove_rec(&c.node, mbr, pred, min_fill, orphans)?;
-                Some((i, child, removed))
+                let child = remove_rec(&c.node, height - 1, mbr, pred, min_fill, orphans)?;
+                Some((i, child))
             })?;
             let mut children = children.clone();
-            if child.slot_count() < min_fill {
-                // Dissolve the underfull child: all its remaining entries
-                // become orphans to reinsert.
+            let left = child.node.slot_count();
+            let dissolve = child.shrank && (left == 0 || left + 1 == min_fill);
+            if dissolve {
                 children.remove(i);
-                collect_entries(&child, orphans);
+                match child.node {
+                    Node::Leaf(entries) => orphans.extend(entries.into_iter().map(Slot::Entry)),
+                    Node::Inner(grandchildren) => orphans.extend(
+                        grandchildren
+                            .into_iter()
+                            .map(|c| Slot::Subtree(c, height - 2)),
+                    ),
+                }
             } else {
                 children[i] = Child {
-                    mbr: child.mbr(),
-                    node: Arc::new(child),
+                    mbr: child.node.mbr(),
+                    node: Arc::new(child.node),
                 };
             }
-            Some((Node::Inner(children), removed))
-        }
-    }
-}
-
-fn collect_entries<T: Clone>(node: &Node<T>, out: &mut Vec<Entry<T>>) {
-    match node {
-        Node::Leaf(entries) => out.extend(entries.iter().cloned()),
-        Node::Inner(children) => {
-            for c in children {
-                collect_entries(&c.node, out);
-            }
+            Some(Removal {
+                node: Node::Inner(children),
+                item: child.item,
+                shrank: dissolve,
+            })
         }
     }
 }
@@ -122,6 +158,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use crate::node::Entry;
     use osd_geom::Point;
 
     fn pt(x: f64, y: f64) -> Point {
@@ -197,5 +234,47 @@ mod tests {
             assert!((d - want).abs() < 1e-9, "nearest broken after removing {k}");
             assert!(alive.contains(got));
         }
+    }
+
+    /// A root whose only child dissolves is rebuilt from the orphans: the
+    /// tallest subtrees come first, and two of them at the root's level
+    /// join under a new root.
+    #[test]
+    fn remove_refills_an_emptied_root() {
+        let entry = |i: usize| Entry {
+            mbr: Mbr::from_point(&pt(i as f64, 0.0)),
+            item: i,
+        };
+        let leaf = |items: &[usize]| {
+            let node = Node::Leaf(items.iter().map(|&i| entry(i)).collect());
+            Child {
+                mbr: node.mbr(),
+                node: Arc::new(node),
+            }
+        };
+        // Fan-out 6, so min_fill is 3: removing 0 takes the first leaf and
+        // then `only` from 3 slots to 2, and the root from 1 to 0.
+        let only = Node::Inner(vec![leaf(&[0, 1, 2]), leaf(&[3, 4, 5]), leaf(&[6, 7, 8])]);
+        let root = Node::Inner(vec![Child {
+            mbr: only.mbr(),
+            node: Arc::new(only),
+        }]);
+        let mut t = RTree {
+            root: Some(Child {
+                mbr: root.mbr(),
+                node: Arc::new(root),
+            }),
+            max_entries: 6,
+            len: 9,
+        };
+        assert_eq!(
+            t.remove_item(&Mbr::from_point(&pt(0.0, 0.0)), |&i| i == 0),
+            Some(0)
+        );
+        assert!(t.validate_structure().is_ok());
+        assert_eq!(t.height(), Some(1));
+        let mut items: Vec<usize> = t.items().into_iter().copied().collect();
+        items.sort_unstable();
+        assert_eq!(items, (1..9).collect::<Vec<_>>());
     }
 }

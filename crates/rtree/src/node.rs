@@ -85,11 +85,18 @@ impl<T> Node<T> {
     }
 
     /// Height of the subtree (leaf = 0).
+    ///
+    /// Every leaf of a valid tree sits at one depth, so this walks the
+    /// first-child path: O(height), not O(size).
     pub fn height(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 0,
-            Node::Inner(cs) => 1 + cs.iter().map(|c| c.node.height()).max().unwrap_or(0),
+        let mut node = self;
+        let mut height = 0;
+        while let Node::Inner(cs) = node {
+            height += 1;
+            let Some(first) = cs.first() else { break };
+            node = &first.node;
         }
+        height
     }
 
     /// Collects references to every item in the subtree.

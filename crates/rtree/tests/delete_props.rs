@@ -10,6 +10,9 @@ use osd_geom::{Mbr, Point};
 use osd_rtree::{Entry, RTree};
 use proptest::prelude::*;
 
+mod common;
+use common::{dissolved_levels, removal_path};
+
 fn pt(x: f64, y: f64) -> Point {
     Point::new(vec![x, y])
 }
@@ -47,6 +50,49 @@ fn survivor_tree(points: &[(f64, f64)], alive: &[usize], fanout: usize) -> RTree
         })
         .collect();
     RTree::bulk_load(fanout, entries)
+}
+
+/// Churn from a packed start: bulk-loads `pts` (STR leaves the last node
+/// of each slab short), then applies `ops`: `(0, _, x, y)` inserts the
+/// point `(x, y)`, anything else deletes the live item `pick` selects.
+/// After every step the tree validates, leaf depths included, and its items
+/// and `nearest(q)` match a tree bulk-rebuilt from the live points.
+/// Returns how many deletes dissolved an inner node.
+fn packed_churn(
+    pts: &[(f64, f64)],
+    ops: &[(usize, usize, f64, f64)],
+    fanout: usize,
+    q: &Point,
+) -> Result<usize, TestCaseError> {
+    let mut t = point_tree(pts, fanout);
+    let mut all = pts.to_vec();
+    let mut alive: Vec<usize> = (0..pts.len()).collect();
+    let mut inner_dissolves = 0;
+    for &(kind, pick, x, y) in ops {
+        if kind == 0 || alive.len() <= 1 {
+            let id = all.len();
+            all.push((x, y));
+            t.insert(Mbr::from_point(&pt(x, y)), id);
+            alive.push(id);
+        } else {
+            let victim = alive.swap_remove(pick % alive.len());
+            let target = Mbr::from_point(&pt(all[victim].0, all[victim].1));
+            let path = removal_path(&t, &target, victim);
+            if dissolved_levels(&path, (fanout / 2).max(1)) >= 2 {
+                inner_dissolves += 1;
+            }
+            prop_assert_eq!(t.remove_item(&target, |&x| x == victim), Some(victim));
+        }
+        t.validate_structure()
+            .map_err(|e| TestCaseError::fail(format!("invalid after {:?}: {e}", (kind, pick))))?;
+        let rebuilt = survivor_tree(&all, &alive, fanout);
+        prop_assert_eq!(sorted_items(&t), sorted_items(&rebuilt));
+        prop_assert_eq!(
+            t.nearest(q).map(|(_, d)| d.to_bits()),
+            rebuilt.nearest(q).map(|(_, d)| d.to_bits())
+        );
+    }
+    Ok(inner_dissolves)
 }
 
 proptest! {
@@ -204,5 +250,44 @@ proptest! {
                 rebuilt.nearest(&q).map(|(_, d)| d.to_bits())
             );
         }
+    }
+
+    /// Interleaved inserts and deletes from a packed start with short STR
+    /// tails: the tree stays valid and query-equivalent to a bulk rebuild
+    /// after every step, whatever nodes the deletes dissolve.
+    #[test]
+    fn prop_packed_churn_matches_bulk_rebuild(
+        pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 20..120),
+        ops in prop::collection::vec((0usize..3, 0usize..1000, 0.0f64..100.0, 0.0f64..100.0), 1..80),
+        qx in -10.0f64..110.0, qy in -10.0f64..110.0,
+        fanout in 4usize..9,
+    ) {
+        packed_churn(&pts, &ops, fanout, &pt(qx, qy))?;
+    }
+}
+
+/// A seeded packed-start churn that dissolves inner nodes, so their
+/// children go back in as whole subtrees at their own level.
+#[test]
+fn packed_churn_reinserts_whole_subtrees() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut coord = move || (next() % 10_000) as f64 / 100.0;
+    for fanout in [4usize, 6, 8] {
+        let pts: Vec<(f64, f64)> = (0..300).map(|_| (coord(), coord())).collect();
+        // Two deletes per insert, so nodes shrink below half fan-out.
+        let ops: Vec<(usize, usize, f64, f64)> = (0..450)
+            .map(|i| (i % 3, (coord() * 10.0) as usize, coord(), coord()))
+            .collect();
+        let inner_dissolves = packed_churn(&pts, &ops, fanout, &pt(50.0, 50.0));
+        assert!(
+            matches!(inner_dissolves, Ok(n) if n > 0),
+            "fan-out {fanout}: want an inner-node dissolve, got {inner_dissolves:?}"
+        );
     }
 }

@@ -41,6 +41,8 @@ cargo clippy -p osd-core --all-targets --features strict-invariants -- -D warnin
 echo "== cargo test --features strict-invariants =="
 cargo test -q --features strict-invariants
 cargo test -q -p osd-core --features strict-invariants
+# osd-rtree's own suites (delete_props, delete_bounded_copy) with the
+# structure audit running after every insert and removal.
 cargo test -q -p osd-rtree --features strict-invariants
 
 echo "== columnar store round-trip (bit-identity) =="

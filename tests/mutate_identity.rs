@@ -341,3 +341,64 @@ fn published_churn_under_concurrent_readers() {
     );
     assert_eq!(repairs, mutations, "every epoch repairs exactly once");
 }
+
+/// Every shard tree holds exactly the live ids it owns: each live id sits
+/// in exactly one shard tree, no dead id sits in any, and every tree
+/// validates.
+fn assert_shards_partition_live_ids(db: &ShardedDatabase, context: &str) {
+    let mut owners = vec![0usize; db.len()];
+    for s in 0..db.shard_count() {
+        let tree = db.shard_tree(s);
+        tree.validate_structure()
+            .unwrap_or_else(|e| panic!("{context}: shard {s} invalid: {e}"));
+        for &id in tree.items() {
+            owners[id] += 1;
+        }
+    }
+    for (id, &count) in owners.iter().enumerate() {
+        assert_eq!(
+            count,
+            usize::from(db.is_live(id)),
+            "{context}: id {id} (live: {}) sits in {count} shard trees",
+            db.is_live(id)
+        );
+    }
+}
+
+/// Removal finds a shard-tree entry by containment of the box the entry
+/// was indexed under, probing every shard until one holds it. On an
+/// 8-shard USA surrogate whose trees have inner nodes, an
+/// insert/delete/update script must leave every live id in exactly one
+/// shard tree and every tree valid after each step: a box looked up on
+/// delete or update that differed from the indexed one would leave the
+/// old entry behind.
+#[test]
+fn sharded_removal_keeps_live_ids_partitioned() {
+    let (n, shards, mutations) = (2000, 8, 240);
+    let seed = 0x5a4d;
+    let pool = usa_objects(n, seed ^ 0x0bad);
+    let mut db = ShardedDatabase::new(usa_objects(n, seed), shards);
+    assert!(
+        (0..db.shard_count()).all(|s| db.shard_tree(s).height() >= Some(1)),
+        "every shard tree needs inner nodes"
+    );
+    assert_shards_partition_live_ids(&db, "build");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut alive: Vec<usize> = (0..n).collect();
+    for step in 0..mutations {
+        let obj = pool[rng.gen_range(0..pool.len())].clone();
+        match step % 3 {
+            0 => alive.push(db.try_insert(obj).expect("insert")),
+            1 => {
+                let victim = alive.swap_remove(rng.gen_range(0..alive.len()));
+                db.try_delete(victim).expect("live id deletes");
+            }
+            _ => {
+                let target = alive[rng.gen_range(0..alive.len())];
+                db.try_update(target, obj).expect("live id updates");
+            }
+        }
+        assert_eq!(db.live_len(), alive.len());
+        assert_shards_partition_live_ids(&db, &format!("step {step}"));
+    }
+}

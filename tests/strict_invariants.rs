@@ -18,6 +18,9 @@ use osd_rtree::{Entry, RTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+#[path = "../crates/rtree/tests/common/mod.rs"]
+mod condense;
+
 fn random_objects(rng: &mut StdRng, n: usize, instances: usize) -> Vec<UncertainObject> {
     (0..n)
         .map(|_| {
@@ -123,4 +126,66 @@ fn rtree_structure_audits_hold_under_churn() {
     let bulk = RTree::bulk_load(6, entries);
     bulk.validate_structure()
         .expect("bulk-loaded structure intact");
+}
+
+/// The same audits from a packed start: STR-loaded trees whose slabs end in
+/// short nodes, under interleaved inserts and deletes that dissolve inner
+/// nodes, so their children go back in as whole subtrees at their own
+/// level. After every step the tree validates (equal leaf depths
+/// included), and its items and `nearest` answer match a tree bulk-rebuilt
+/// from the live points.
+#[test]
+fn rtree_structure_audits_hold_under_packed_churn() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let random_point =
+        |rng: &mut StdRng| Point::new(vec![rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]);
+    let entries_of = |live: &[(usize, Point)]| -> Vec<Entry<usize>> {
+        live.iter()
+            .map(|(i, p)| Entry {
+                mbr: Mbr::from_point(p),
+                item: *i,
+            })
+            .collect()
+    };
+    for fanout in [4usize, 5, 8] {
+        let mut live: Vec<(usize, Point)> = (0..333).map(|i| (i, random_point(&mut rng))).collect();
+        let mut tree = RTree::bulk_load(fanout, entries_of(&live));
+        let mut next_id = live.len();
+        let mut inner_dissolves = 0;
+        for step in 0..450 {
+            // Two deletes per insert, so nodes shrink below half fan-out.
+            if step % 3 == 0 {
+                let p = random_point(&mut rng);
+                tree.insert(Mbr::from_point(&p), next_id);
+                live.push((next_id, p));
+                next_id += 1;
+            } else {
+                let (victim, p) = live.swap_remove(rng.gen_range(0..live.len()));
+                let target = Mbr::from_point(&p);
+                let path = condense::removal_path(&tree, &target, victim);
+                if condense::dissolved_levels(&path, fanout / 2) >= 2 {
+                    inner_dissolves += 1;
+                }
+                assert_eq!(tree.remove_item(&target, |&x| x == victim), Some(victim));
+            }
+            tree.validate_structure()
+                .unwrap_or_else(|e| panic!("fan-out {fanout}, step {step}: {e}"));
+            let rebuilt = RTree::bulk_load(fanout, entries_of(&live));
+            let mut got: Vec<usize> = tree.items().into_iter().copied().collect();
+            let mut want: Vec<usize> = rebuilt.items().into_iter().copied().collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "fan-out {fanout}, step {step}: items");
+            let q = random_point(&mut rng);
+            assert_eq!(
+                tree.nearest(&q).map(|(_, d)| d.to_bits()),
+                rebuilt.nearest(&q).map(|(_, d)| d.to_bits()),
+                "fan-out {fanout}, step {step}: nearest"
+            );
+        }
+        assert!(
+            inner_dissolves > 0,
+            "fan-out {fanout}: no inner node dissolved"
+        );
+    }
 }
