@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use osd_flow::{MaxFlow, MinCostFlow};
+use osd_flow::{MaxFlow, MinCostFlow, Transport};
 use osd_geom::{hull_vertices, Mbr, Point};
 use osd_rtree::{Entry, RTree};
 use osd_uncertain::{stochastically_dominates, DistanceDistribution};
@@ -101,6 +101,16 @@ fn bench_flow(c: &mut Criterion) {
                 }
                 black_box(g.max_flow(s, t))
             })
+        });
+        group.bench_with_input(BenchmarkId::new("transport_bipartite", m), &m, |b, _| {
+            // The same network as `dinic_bipartite`, on a reused arena.
+            let caps = vec![1_000; m];
+            let edges: Vec<(usize, usize)> = (0..m)
+                .flat_map(|i| (0..m).map(move |j| (i, j)))
+                .filter(|(i, j)| (i + j) % 3 != 0)
+                .collect();
+            let mut t = Transport::default();
+            b.iter(|| black_box(t.solve(&caps, &caps, &edges)))
         });
         group.bench_with_input(BenchmarkId::new("mcmf_transport", m), &m, |b, _| {
             let mut rng = StdRng::seed_from_u64(m as u64);

@@ -17,9 +17,8 @@ use crate::db::Database;
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
 use crate::warm::WarmView;
-use osd_geom::{distance_space_row, Mbr, Point};
+use osd_geom::{dist_slice, Mbr};
 use osd_obs::QueryMetrics;
-use osd_rtree::{Entry, RTree};
 use osd_uncertain::{quantize, DistanceDistribution};
 use std::sync::Arc;
 
@@ -27,9 +26,10 @@ use std::sync::Arc;
 /// triple of Theorem 11.
 pub type AggStats = (f64, f64, f64);
 
-/// Distance-space image of an object: the mapped points plus an R-tree over
-/// them (payload = instance index).
-pub type MappedInstances = (Vec<Point>, RTree<usize>);
+/// Distance-space images of an object's instances w.r.t. the query hull,
+/// as one row-major block: row `i` is `(δ(u_i, h_1), …, δ(u_i, h_k))` for
+/// the `k` hull vertices.
+pub type MappedInstances = Vec<f64>;
 
 /// An `(optimistic, pessimistic)` pair of level-bound distributions
 /// (§5.1.1): whole mass of each group placed at its minimal resp. maximal
@@ -318,8 +318,8 @@ impl DominanceCache {
     }
 
     /// Distance-space mapping of the instances of `id` w.r.t. the query hull
-    /// (`u ↦ (δ(u, q_1), …, δ(u, q_k))`), with an R-tree over the images.
-    /// In this space `u ⪯_Q v` is coordinate-wise dominance (§5.1.2).
+    /// (`u ↦ (δ(u, q_1), …, δ(u, q_k))`), one image row per instance. In
+    /// this space `u ⪯_Q v` is coordinate-wise dominance (§5.1.2).
     pub fn mapped(
         &mut self,
         db: &dyn SpatialIndex,
@@ -335,21 +335,12 @@ impl DominanceCache {
         let obj = db.object(id);
         let hull = query.hull();
         stats.instance_comparisons += (obj.len() * hull.len()) as u64;
-        let points: Vec<Point> = obj
-            .coords()
-            .chunks_exact(obj.dim())
-            .map(|row| distance_space_row(row, hull))
-            .collect();
-        let entries: Vec<Entry<usize>> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Entry {
-                mbr: osd_geom::Mbr::from_point(p),
-                item: i,
-            })
-            .collect();
-        let tree = RTree::bulk_load(8, entries);
-        let m = Arc::new((points, tree));
+        let m: Arc<MappedInstances> = Arc::new(
+            obj.coords()
+                .chunks_exact(obj.dim())
+                .flat_map(|row| hull.iter().map(move |q| dist_slice(row, q.coords())))
+                .collect(),
+        );
         self.memo_mut(id).mapped = Some(Arc::clone(&m));
         m
     }
@@ -564,6 +555,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use osd_geom::Point;
     use osd_uncertain::UncertainObject;
 
     fn p2(x: f64, y: f64) -> Point {
@@ -714,8 +706,13 @@ mod tests {
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
         let m = cache.mapped(&db, &q, 0, &mut stats);
-        assert_eq!(m.0.len(), 2);
-        assert_eq!(m.0[0].dim(), q.hull().len());
-        assert_eq!(m.1.len(), 2);
+        let k = q.hull().len();
+        assert_eq!(m.len(), 2 * k);
+        // Bit-identical to the boxed-point mapping.
+        for (row, inst) in m.chunks_exact(k).zip(db.object(0).coords().chunks_exact(2)) {
+            let image = osd_geom::distance_space(&Point::new(inst.to_vec()), q.hull());
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(row), bits(image.coords()));
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::WarmView;
-use osd_flow::MaxFlow;
+use osd_flow::Transport;
 use osd_obs::{
     trace::DEFAULT_TRACE_EVENTS, AttrValue, Phase, PhaseTimer, QueryMetrics, QueryTrace,
 };
@@ -26,8 +26,8 @@ use std::sync::Arc;
 /// Reusable scratch buffers for the dominance checks, owned by the context
 /// so the exact-network path of one query allocates O(1) amortised across
 /// all of its checks: edge lists, the necessary-condition bitmap, the
-/// Dinic arena, and the `⪯_Q` distance tables all keep their allocations
-/// between `(u, v)` pairs.
+/// bitset transport arena, and the `⪯_Q` distance tables all keep their
+/// allocations between `(u, v)` pairs.
 ///
 /// The buffers carry no state across checks — every user clears or
 /// overwrites before reading — so reuse cannot change any result.
@@ -37,8 +37,8 @@ pub(crate) struct CheckScratch {
     pub(crate) edges: Vec<(usize, usize)>,
     /// Per-`u` "has an outgoing edge" bitmap (flow necessary condition).
     pub(crate) has_edge: Vec<bool>,
-    /// Resettable max-flow arena.
-    pub(crate) flow: MaxFlow,
+    /// Reusable Theorem-12 max-flow arena.
+    pub(crate) flow: Transport,
     /// Blocked distance table `δ²(u_i, q)`, query-major.
     pub(crate) dist_u: Vec<f64>,
     /// Blocked distance table `δ²(v_j, q)`, query-major.

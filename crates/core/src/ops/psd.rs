@@ -14,18 +14,20 @@
 //! 4. level-by-level pruning/validation over local R-tree nodes with the
 //!    optimistic (`G⁺`) and pessimistic (`G⁻`) networks;
 //! 5. the exact instance network, built either by nested `⪯_Q` scans over
-//!    the hull vertices or by R-tree range queries in distance space.
+//!    the hull vertices or by containment tests in distance space.
 
 use crate::config::Stats;
 use crate::ctx::{CheckCtx, CheckScratch};
 use osd_flow::MaxFlow;
 use osd_geom::{dist2_rows_batch, dist2_slice, mbr_dominates, mbr_dominates_strict, Mbr, Point};
 use osd_obs::{Phase, PhaseTimer};
+use osd_rtree::{Entry, RTree};
 use osd_uncertain::{UncertainObject, SCALE};
 
-/// Hull sizes up to this use the distance-space R-tree strategy for network
-/// construction; larger hulls fall back to direct scans (high-dimensional
-/// R-trees stop paying off).
+/// Hull sizes up to this build the exact network in distance space; larger
+/// hulls fall back to direct `⪯_Q` scans (high-dimensional images stop
+/// paying off). Both execution strategies switch at the same size, since
+/// the two constructions charge different `instance_comparisons`.
 const MAX_MAPPED_DIM: usize = 8;
 
 pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
@@ -114,18 +116,39 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
 
     let saturated = if ctx.cfg.geometric && query.hull().len() <= MAX_MAPPED_DIM {
         // Distance-space strategy: u ⪯_Q v ⟺ u's image is coordinate-wise
-        // below v's image; answered per v by a containment range query.
+        // below v's image, i.e. inside the range box `[0, v_img]`.
         let mapped_u = ctx.mapped(u);
         let mapped_v = ctx.mapped(v);
         let k = query.hull().len();
-        let mut edges = Vec::new();
-        for (j, v_img) in mapped_v.0.iter().enumerate() {
-            let range = Mbr::new(vec![0.0; k], v_img.coords());
-            let hits = mapped_u.1.range_contained(&range);
-            ctx.stats.instance_comparisons += (hits.len() + 1) as u64;
-            edges.extend(hits.into_iter().map(|&i| (i, j)));
+        if ctx.cfg.kernels {
+            // Blocked containment scan over the cached image blocks into
+            // the scratch edge buffer (taken out for `saturates`).
+            let mut edges = std::mem::take(&mut ctx.scratch.edges);
+            contained_edges(&mapped_u, &mapped_v, k, &mut edges, &mut ctx.stats);
+            let sat = saturates(&quanta_u, &quanta_v, &edges, ctx);
+            ctx.scratch.edges = edges;
+            sat
+        } else {
+            // The allocating reference: an R-tree over u's images, one
+            // containment range query per v.
+            let entries = mapped_u
+                .chunks_exact(k)
+                .enumerate()
+                .map(|(i, img)| Entry {
+                    mbr: Mbr::new(img, img),
+                    item: i,
+                })
+                .collect();
+            let tree = RTree::bulk_load(8, entries);
+            let mut edges = Vec::new();
+            for (j, v_img) in mapped_v.chunks_exact(k).enumerate() {
+                let range = Mbr::new(vec![0.0; k], v_img);
+                let hits = tree.range_contained(&range);
+                ctx.stats.instance_comparisons += (hits.len() + 1) as u64;
+                edges.extend(hits.into_iter().map(|&i| (i, j)));
+            }
+            saturates(&quanta_u, &quanta_v, &edges, ctx)
         }
-        saturates(&quanta_u, &quanta_v, &edges, ctx)
     } else if ctx.cfg.kernels {
         // Blocked strategy: both δ² tables are filled once with the row
         // kernels, then the nested ⪯_Q scan reads the tables with the
@@ -167,6 +190,31 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
 }
 
 // alloc-free: begin
+/// Distance-space construction of the exact Theorem-12 edge set: `(i, j)`
+/// is an edge iff `0 ≤ u_img[d] ≤ v_img[d]` in every dimension `d` — exactly
+/// `Mbr::contains` of the range box `[0, v_img]` around u's point image,
+/// the test the reference path's `range_contained` query applies. Edges
+/// come out `j`-major, and each `v` is charged its hit count plus one
+/// `instance_comparisons`, as one range query is.
+fn contained_edges(
+    u_imgs: &[f64],
+    v_imgs: &[f64],
+    k: usize,
+    edges: &mut Vec<(usize, usize)>,
+    stats: &mut Stats,
+) {
+    edges.clear();
+    for (j, v_img) in v_imgs.chunks_exact(k).enumerate() {
+        let before = edges.len();
+        for (i, u_img) in u_imgs.chunks_exact(k).enumerate() {
+            if u_img.iter().zip(v_img).all(|(&a, &b)| 0.0 <= a && a <= b) {
+                edges.push((i, j));
+            }
+        }
+        stats.instance_comparisons += (edges.len() - before + 1) as u64;
+    }
+}
+
 /// Blocked construction of the exact Theorem-12 edge set: fills the two
 /// query-major distance tables `δ²(u_i, q)` / `δ²(v_j, q)` with the row
 /// kernels, then tests `u_i ⪯_Q v_j` by table lookups. Comparison order,
@@ -426,11 +474,11 @@ fn saturates_alloc(
 }
 
 // alloc-free: begin
-/// The arena twin of [`saturates_alloc`]: identical network, identical
-/// `flow_runs` accounting, but the bitmap and the Dinic graph are reset in
-/// place so repeated checks allocate O(1) amortised. Dinic is deterministic
-/// in the edge insertion order, which both builders share, so the flow
-/// value (and hence the decision) is identical.
+/// The arena twin of [`saturates_alloc`]: identical pre-check and
+/// `flow_runs` accounting, but the bitmap is reset in place and the flow
+/// is solved by the reusable bitset [`osd_flow::Transport`] arena, so repeated
+/// checks allocate O(1) amortised. Max-flow values are unique, so the
+/// value — and hence the decision — equals the Dinic reference's.
 fn saturates_scratch(
     caps_u: &[u64],
     caps_v: &[u64],
@@ -453,22 +501,7 @@ fn saturates_scratch(
         return false;
     }
     stats.flow_runs += 1;
-    let nu = caps_u.len();
-    let nv = caps_v.len();
-    let s = nu + nv;
-    let t = s + 1;
-    let g = &mut scratch.flow;
-    g.reset(nu + nv + 2);
-    for (i, &c) in caps_u.iter().enumerate() {
-        g.add_edge(s, i, c);
-    }
-    for (j, &c) in caps_v.iter().enumerate() {
-        g.add_edge(nu + j, t, c);
-    }
-    for &(i, j) in edges {
-        g.add_edge(i, nu + j, u64::MAX / 4);
-    }
-    g.max_flow(s, t) == SCALE
+    scratch.flow.solve(caps_u, caps_v, edges) == SCALE
 }
 // alloc-free: end
 

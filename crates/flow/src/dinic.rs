@@ -29,13 +29,6 @@ pub struct MaxFlow {
     /// (vertex, edge index) pairs remembering insertion order, so callers
     /// can read back per-edge flow after the run.
     handles: Vec<(usize, usize)>,
-    /// BFS level labels, kept across solves so [`MaxFlow::reset`] arenas
-    /// allocate nothing in steady state.
-    level: Vec<i32>,
-    /// DFS per-vertex edge cursors, reused like `level`.
-    iter: Vec<usize>,
-    /// BFS queue, reused like `level`.
-    queue: std::collections::VecDeque<usize>,
 }
 
 impl MaxFlow {
@@ -44,26 +37,7 @@ impl MaxFlow {
         MaxFlow {
             graph: vec![Vec::new(); n],
             handles: Vec::new(),
-            level: Vec::new(),
-            iter: Vec::new(),
-            queue: std::collections::VecDeque::new(),
         }
-    }
-
-    /// Clears the network down to `n` isolated vertices while keeping every
-    /// allocation (adjacency lists, handle table, BFS/DFS scratch), so a
-    /// caller solving many small networks — the per-pair P-SD checks —
-    /// allocates O(1) amortised per solve instead of rebuilding the arena.
-    pub fn reset(&mut self, n: usize) {
-        for adj in &mut self.graph {
-            adj.clear();
-        }
-        if self.graph.len() > n {
-            self.graph.truncate(n);
-        } else {
-            self.graph.resize_with(n, Vec::new);
-        }
-        self.handles.clear();
     }
 
     /// Number of vertices.
@@ -107,16 +81,9 @@ impl MaxFlow {
         assert_ne!(s, t, "source and sink must differ");
         let n = self.graph.len();
         let mut total: Cap = 0;
-        // The scratch buffers live on the struct so repeated solves on a
-        // [`MaxFlow::reset`] arena reuse them; they are taken out for the
-        // duration of the solve because `dfs` needs `&mut self` alongside.
-        let mut level = std::mem::take(&mut self.level);
-        let mut iter = std::mem::take(&mut self.iter);
-        let mut queue = std::mem::take(&mut self.queue);
-        level.clear();
-        level.resize(n, -1);
-        iter.clear();
-        iter.resize(n, 0);
+        let mut level = vec![-1i32; n];
+        let mut iter = vec![0usize; n];
+        let mut queue = std::collections::VecDeque::new();
         loop {
             // BFS: build the level graph.
             level.iter_mut().for_each(|l| *l = -1);
@@ -144,9 +111,6 @@ impl MaxFlow {
                 total += f;
             }
         }
-        self.level = level;
-        self.iter = iter;
-        self.queue = queue;
         total
     }
 
@@ -246,65 +210,6 @@ mod tests {
         g.add_edge(0, 2, u64::MAX / 2);
         g.add_edge(1, 2, u64::MAX / 2);
         assert_eq!(g.max_flow(s, t), 1);
-    }
-
-    #[test]
-    fn reset_arena_matches_fresh_networks() {
-        // One arena solving a sequence of differently-shaped networks must
-        // agree with a fresh MaxFlow per network.
-        type Shape = (usize, &'static [(usize, usize, Cap)], usize, usize);
-        let mut arena = MaxFlow::new(0);
-        let shapes: [Shape; 3] = [
-            (
-                4,
-                &[(0, 1, 10), (0, 2, 10), (1, 3, 4), (2, 3, 9), (1, 2, 6)],
-                0,
-                3,
-            ),
-            (2, &[(0, 1, 7)], 0, 1),
-            (
-                6,
-                &[
-                    (4, 0, 1),
-                    (4, 1, 1),
-                    (2, 5, 1),
-                    (3, 5, 1),
-                    (0, 2, 8),
-                    (1, 2, 8),
-                ],
-                4,
-                5,
-            ),
-        ];
-        for (n, edges, s, t) in shapes {
-            arena.reset(n);
-            assert_eq!(arena.vertex_count(), n);
-            let mut fresh = MaxFlow::new(n);
-            let mut arena_handles = Vec::new();
-            let mut fresh_handles = Vec::new();
-            for &(a, b, c) in edges {
-                arena_handles.push(arena.add_edge(a, b, c));
-                fresh_handles.push(fresh.add_edge(a, b, c));
-            }
-            assert_eq!(arena.max_flow(s, t), fresh.max_flow(s, t));
-            for (ha, hf) in arena_handles.iter().zip(fresh_handles.iter()) {
-                assert_eq!(arena.flow_on(*ha), fresh.flow_on(*hf));
-            }
-        }
-    }
-
-    #[test]
-    fn reset_shrinks_and_grows() {
-        let mut g = MaxFlow::new(3);
-        g.add_edge(0, 1, 2);
-        g.reset(5);
-        assert_eq!(g.vertex_count(), 5);
-        g.add_edge(0, 4, 3);
-        assert_eq!(g.max_flow(0, 4), 3);
-        g.reset(2);
-        assert_eq!(g.vertex_count(), 2);
-        g.add_edge(0, 1, 9);
-        assert_eq!(g.max_flow(0, 1), 9);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //!   The P-SD dominance check reduces to max-flow (Theorem 12 of the paper):
 //!   `P-SD(U, V, Q)` holds iff the `u ⪯_Q v` bipartite network carries a
 //!   flow equal to the objects' total probability mass.
+//! * [`Transport`] — the same max-flow specialised to that bipartite
+//!   transport shape: bitset adjacency, a dense flow matrix and BFS
+//!   shortest augmenting paths in a reusable arena. The P-SD hot path
+//!   solves on it; [`MaxFlow`] stays the general reference solver.
 //! * [`MinCostFlow`] — successive-shortest-paths min-cost max-flow, backing
 //!   the Earth Mover's / Netflow distance of NN-function family N3
 //!   (Appendix A).
@@ -38,6 +42,8 @@
 
 mod dinic;
 mod mcmf;
+mod transport;
 
 pub use dinic::{Cap, MaxFlow};
 pub use mcmf::MinCostFlow;
+pub use transport::Transport;

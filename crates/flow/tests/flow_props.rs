@@ -1,9 +1,96 @@
 //! Property tests for the flow substrate: Dinic against an independent
-//! BFS Ford–Fulkerson oracle, flow conservation, and min-cost flow against
-//! exhaustive assignment enumeration.
+//! BFS Ford–Fulkerson oracle, flow conservation, the bitset transport
+//! solver against Dinic, and min-cost flow against exhaustive assignment
+//! enumeration.
 
-use osd_flow::{MaxFlow, MinCostFlow};
+use osd_flow::{MaxFlow, MinCostFlow, Transport};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The fixed-point probability total of the P-SD networks
+/// (`osd_uncertain::SCALE`).
+const SCALE: u64 = 1 << 32;
+
+/// Dinic on the Theorem-12 shape, built as the P-SD reference path builds
+/// it: source → uᵢ (`cap_u`), vⱼ → sink (`cap_v`), uᵢ → vⱼ with capacity
+/// `u64::MAX / 4` standing in for ∞.
+fn dinic_transport(cap_u: &[u64], cap_v: &[u64], edges: &[(usize, usize)]) -> u64 {
+    let (nu, nv) = (cap_u.len(), cap_v.len());
+    let (s, t) = (nu + nv, nu + nv + 1);
+    let mut g = MaxFlow::new(nu + nv + 2);
+    for (i, &c) in cap_u.iter().enumerate() {
+        g.add_edge(s, i, c);
+    }
+    for (j, &c) in cap_v.iter().enumerate() {
+        g.add_edge(nu + j, t, c);
+    }
+    for &(i, j) in edges {
+        g.add_edge(i, nu + j, u64::MAX / 4);
+    }
+    g.max_flow(s, t)
+}
+
+/// `n` capacities drawn by `mode`: 0 splits exactly `SCALE`, 1 splits a
+/// total just short of it, 2 draws each independently from `0..=2³²`. All
+/// modes produce zero capacities now and then.
+fn caps(n: usize, mode: u8, rng: &mut StdRng) -> Vec<u64> {
+    let split = |total: u64, rng: &mut StdRng| {
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut cuts: Vec<u64> = (1..n).map(|_| rng.gen_range(0..=total)).collect();
+        cuts.extend([0, total]);
+        cuts.sort_unstable();
+        cuts.windows(2).map(|w| w[1] - w[0]).collect()
+    };
+    match mode {
+        0 => split(SCALE, rng),
+        1 => {
+            let short = rng.gen_range(1..=1_000u64);
+            split(SCALE - short, rng)
+        }
+        _ => (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    0
+                } else {
+                    rng.gen_range(0..=SCALE)
+                }
+            })
+            .collect(),
+    }
+}
+
+/// A random edge list over `nu × nv` at `density` percent, with some pairs
+/// listed twice.
+fn edges(nu: usize, nv: usize, density: u32, rng: &mut StdRng) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for i in 0..nu {
+        for j in 0..nv {
+            if rng.gen_range(0..100u32) < density {
+                out.push((i, j));
+                if rng.gen_bool(0.1) {
+                    out.push((i, j));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A random Theorem-12 network: `(cap_u, cap_v, edges)`.
+type Network = (Vec<u64>, Vec<u64>, Vec<(usize, usize)>);
+
+fn network(nu: usize, nv: usize, seed: u64) -> Network {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mode_u, mode_v) = (rng.gen_range(0..3u8), rng.gen_range(0..3u8));
+    let density = [0, 3, 10, 30, 60, 100][rng.gen_range(0..6usize)];
+    let cap_u = caps(nu, mode_u, &mut rng);
+    let cap_v = caps(nv, mode_v, &mut rng);
+    let edges = edges(nu, nv, density, &mut rng);
+    (cap_u, cap_v, edges)
+}
 
 /// Independent max-flow oracle: Edmonds–Karp on an adjacency matrix.
 fn edmonds_karp(n: usize, edges: &[(usize, usize, u64)], s: usize, t: usize) -> u64 {
@@ -125,6 +212,36 @@ proptest! {
         }
         prop_assert_eq!(net[t], total as i128);
         prop_assert_eq!(net[s], -(total as i128));
+    }
+
+    /// The bitset transport solver returns Dinic's value on random
+    /// Theorem-12 networks: sides of 0..=70 vertices (across the 64-bit
+    /// word), zero capacities and capacities up to 2³², totals equal to
+    /// `SCALE` and not, duplicate edges and empty edge lists.
+    #[test]
+    fn prop_transport_matches_dinic(
+        nu in 0usize..=70,
+        nv in 0usize..=70,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (cap_u, cap_v, edges) = network(nu, nv, seed);
+        let want = dinic_transport(&cap_u, &cap_v, &edges);
+        prop_assert_eq!(Transport::default().solve(&cap_u, &cap_v, &edges), want);
+    }
+
+    /// One transport arena reused across shrinking and growing shapes
+    /// answers every network as a fresh solver does.
+    #[test]
+    fn prop_transport_arena_matches_fresh(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut arena = Transport::default();
+        for shape in 0..8u64 {
+            let (nu, nv) = (rng.gen_range(0..=70usize), rng.gen_range(0..=70usize));
+            let (cap_u, cap_v, edges) = network(nu, nv, seed ^ shape);
+            let fresh = Transport::default().solve(&cap_u, &cap_v, &edges);
+            prop_assert_eq!(arena.solve(&cap_u, &cap_v, &edges), fresh, "shape {}", shape);
+            prop_assert_eq!(fresh, dinic_transport(&cap_u, &cap_v, &edges));
+        }
     }
 
     /// Min-cost flow solves the assignment problem exactly.

@@ -5,7 +5,7 @@
 //! every query point lies on `u`'s side of the bisector hyperplane between
 //! `u` and `v`, so it suffices to test the vertices of `CH(Q)` (§5.1.2).
 
-use crate::point::{dist2_slice, dist_slice, Point};
+use crate::point::{dist2_slice, Point};
 
 /// Returns `true` iff `δ(u, q) ≤ δ(v, q)` for every `q` in `queries`.
 ///
@@ -45,20 +45,9 @@ pub fn on_near_side(q: &Point, u: &Point, v: &Point) -> bool {
 /// `(δ(u, q_1), …, δ(u, q_k))` for hull vertices `q_1..q_k`.
 ///
 /// In this space `u ⪯_Q v` is plain coordinate-wise dominance, which lets the
-/// peer-dominance network construction use R-tree range queries (§5.1.2).
+/// peer-dominance network construction use box-containment tests (§5.1.2).
 pub fn distance_space(u: &Point, hull: &[Point]) -> Point {
     Point::new(hull.iter().map(|q| u.dist(q)).collect::<Vec<_>>())
-}
-
-/// Borrowed-row twin of [`distance_space`]: maps the coordinate row `u` to
-/// `(δ(u, q_1), …, δ(u, q_k))`. Bit-identical to the [`Point`] path because
-/// [`dist_slice`] folds in the same order as [`Point::dist`].
-pub fn distance_space_row(u: &[f64], hull: &[Point]) -> Point {
-    Point::new(
-        hull.iter()
-            .map(|q| dist_slice(u, q.coords()))
-            .collect::<Vec<_>>(),
-    )
 }
 
 #[cfg(test)]
@@ -107,11 +96,6 @@ mod tests {
             closer_to_all_rows(u.coords(), v.coords(), &hull),
             closer_to_all(&u, &v, &hull)
         );
-        let a = distance_space(&u, &hull);
-        let b = distance_space_row(u.coords(), &hull);
-        for i in 0..a.dim() {
-            assert_eq!(a.coord(i).to_bits(), b.coord(i).to_bits());
-        }
     }
 
     #[test]

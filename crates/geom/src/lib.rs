@@ -50,9 +50,7 @@ pub mod mbr;
 pub mod point;
 pub mod sphere;
 
-pub use closer::{
-    closer_to_all, closer_to_all_rows, distance_space, distance_space_row, on_near_side,
-};
+pub use closer::{closer_to_all, closer_to_all_rows, distance_space, on_near_side};
 pub use dominance::{mbr_dominates, mbr_dominates_strict};
 pub use hull::{hull_vertex_indices, hull_vertices, point_in_hull, point_in_hull_row};
 pub use kernels::{dist2_rows_batch, max_dist2_rows, min_dist2_rows};

@@ -126,6 +126,16 @@ impl Mbr {
         Mbr::new(lo, hi)
     }
 
+    /// `self.union(other).volume()` without building the union box: the
+    /// same per-dimension min/max and the same `.product()` fold, so the
+    /// result is bit-identical.
+    pub fn union_volume(&self, other: &Mbr) -> f64 {
+        debug_assert_eq!(self.dim(), other.dim());
+        (0..self.lo.len())
+            .map(|i| self.hi[i].max(other.hi[i]) - self.lo[i].min(other.lo[i]))
+            .product()
+    }
+
     /// Grows this MBR in place to contain `other`.
     pub fn expand(&mut self, other: &Mbr) {
         debug_assert_eq!(self.dim(), other.dim());
@@ -355,6 +365,41 @@ mod tests {
         assert!(u.contains(&c));
         assert_eq!(u.lo(), &[0.0, -1.0]);
         assert_eq!(u.hi(), &[3.0, 1.0]);
+    }
+
+    #[test]
+    fn union_volume_is_bitwise_union_then_volume() {
+        // Corner values over-represent ±0.0, ties and degenerate extents.
+        let menu: [f64; 7] = [0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 3e7, -2.5e-9];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            menu[(state % menu.len() as u64) as usize]
+        };
+        for d in 1..=5 {
+            for t in 0..200 {
+                let mut corners = |degenerate: bool| {
+                    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                    for _ in 0..d {
+                        let (a, c) = (next(), next());
+                        let (l, h) = if a.total_cmp(&c).is_le() {
+                            (a, c)
+                        } else {
+                            (c, a)
+                        };
+                        lo.push(l);
+                        hi.push(if degenerate { l } else { h });
+                    }
+                    b(&lo, &hi)
+                };
+                let (x, y) = (corners(false), corners(t % 3 == 0));
+                assert_eq!(x.union_volume(&y).to_bits(), x.union(&y).volume().to_bits());
+                assert_eq!(y.union_volume(&x).to_bits(), y.union(&x).volume().to_bits());
+                assert_eq!(x.union_volume(&x).to_bits(), x.volume().to_bits());
+            }
+        }
     }
 
     #[test]

@@ -180,9 +180,8 @@ fn split_overfull<T, I>(
 }
 
 fn enlargement(node: &Mbr, add: &Mbr) -> (f64, f64) {
-    let grown = node.union(add);
     let v = node.volume();
-    (grown.volume() - v, v)
+    (node.union_volume(add) - v, v)
 }
 
 fn mbr_of<I>(items: &[I], get: impl Fn(&I) -> &Mbr) -> Mbr {
@@ -203,8 +202,8 @@ fn quadratic_split<I>(items: Vec<I>, get: impl Fn(&I) -> &Mbr) -> (Vec<I>, Vec<I
     let (mut s1, mut s2, mut worst) = (0usize, 1usize, f64::NEG_INFINITY);
     for i in 0..n {
         for j in (i + 1)..n {
-            let u = get(&items[i]).union(get(&items[j]));
-            let waste = u.volume() - get(&items[i]).volume() - get(&items[j]).volume();
+            let (a, b) = (get(&items[i]), get(&items[j]));
+            let waste = a.union_volume(b) - a.volume() - b.volume();
             if waste > worst {
                 worst = waste;
                 s1 = i;
@@ -231,8 +230,8 @@ fn quadratic_split<I>(items: Vec<I>, get: impl Fn(&I) -> &Mbr) -> (Vec<I>, Vec<I
     }
 
     for item in rest.into_iter() {
-        let ga = mbr_a.union(get(&item)).volume() - mbr_a.volume();
-        let gb = mbr_b.union(get(&item)).volume() - mbr_b.volume();
+        let ga = mbr_a.union_volume(get(&item)) - mbr_a.volume();
+        let gb = mbr_b.union_volume(get(&item)) - mbr_b.volume();
         // Prefer the group with the smaller enlargement; break ties towards
         // the emptier group to keep the split roughly balanced.
         let to_a = match ga.total_cmp(&gb) {

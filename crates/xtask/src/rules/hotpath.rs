@@ -118,7 +118,7 @@ fn is_clock_access(file: &SourceFile, p: usize) -> bool {
 }
 
 /// Files that are allocation-free in their entirety.
-const ALLOC_FREE_FILES: &[&str] = &["crates/geom/src/kernels.rs"];
+const ALLOC_FREE_FILES: &[&str] = &["crates/geom/src/kernels.rs", "crates/flow/src/transport.rs"];
 /// Files with `// alloc-free: begin` / `// alloc-free: end` regions.
 const ALLOC_FREE_REGION_FILES: &[&str] = &["crates/core/src/ops/psd.rs"];
 

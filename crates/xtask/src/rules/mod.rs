@@ -184,7 +184,8 @@ static RULES: [Rule; 17] = [
     Rule {
         id: "no-alloc-in-kernels",
         summary: "allocation idioms are banned inside the allocation-free kernel regions",
-        scope: "crates/geom/src/kernels.rs (whole file) and `// alloc-free: begin/end` \
+        scope: "crates/geom/src/kernels.rs and crates/flow/src/transport.rs (whole files) \
+                and `// alloc-free: begin/end` \
                 regions of crates/core/src/ops/psd.rs (test modules exempt)",
         intent: "the blocked distance kernels and the exact-network dominance loop reuse \
                  caller scratch buffers; Vec::new / vec![ / .to_vec( / .collect( inside them \

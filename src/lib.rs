@@ -11,7 +11,7 @@
 //! * [`geom`] — points, MBRs, convex hulls, the exact O(d) MBR dominance
 //!   test, a small simplex solver;
 //! * [`rtree`] — STR-bulk-loaded R-trees with best-first traversal;
-//! * [`flow`] — Dinic max-flow and min-cost max-flow;
+//! * [`flow`] — Dinic and bitset transport max-flow, and min-cost max-flow;
 //! * [`uncertain`] — multi-instance objects, distance distributions,
 //!   stochastic & match orders;
 //! * [`nnfuncs`] — the N1 / N2 / N3 NN-function families;

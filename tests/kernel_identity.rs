@@ -258,3 +258,61 @@ fn engine_batch_is_bit_identical_with_and_without_kernels() {
         );
     }
 }
+
+/// P-SD on 70-instance objects, whose exact networks need two bitset words
+/// per side, under both step-6 strategies: query hulls of at most 8
+/// vertices take the distance-space containment scan, larger hulls the
+/// nested `⪯_Q` scan. With the level filter on and off (off sends every
+/// inconclusive pair straight to the exact network), NNC and k-NNC with
+/// kernels on emit the scalar path's ids, `min_dist` bits and frozen
+/// counters.
+#[test]
+fn wide_objects_are_bit_identical_under_both_network_strategies() {
+    let seed = 0x0517;
+    // Wide (edge 1500) overlapping objects, so that pairs survive the
+    // cheap filters and reach the exact network.
+    let objects = generate_objects(&SynthParams {
+        n: 40,
+        dim: 3,
+        instances: 70,
+        edge: 1_500.0,
+        centers: CenterDistribution::AntiCorrelated,
+        seed,
+    });
+    let db = Database::new(objects.clone());
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+    let op = Operator::PSd;
+    let mut exact_only = FilterConfig::all();
+    exact_only.level_by_level = false;
+    // Whether a query with a small (≤ 8) / large hull solved step-6 networks.
+    let mut solved = [false; 2];
+    for m_q in [4, 4, 40, 40] {
+        let center = objects[rng.gen_range(0..objects.len())].mbr().center();
+        let query = PreparedQuery::new(object_around(&mut rng, center.coords(), 3, m_q, 200.0));
+        let large_hull = query.hull().len() > 8;
+        for with in [FilterConfig::all(), exact_only] {
+            let without = with.scalar();
+            let k_res = nn_candidates(&db, &query, op, &with);
+            let s_res = nn_candidates(&db, &query, op, &without);
+            assert_eq!(k_res.ids(), s_res.ids(), "m_q = {m_q}: ids");
+            for (a, b) in k_res.candidates.iter().zip(&s_res.candidates) {
+                assert_eq!(a.min_dist.to_bits(), b.min_dist.to_bits(), "m_q = {m_q}");
+            }
+            assert_eq!(frozen(&k_res.stats), frozen(&s_res.stats), "m_q = {m_q}");
+            for k in [2usize, 3] {
+                let kk = k_nn_candidates(&db, &query, op, k, &with);
+                let ks = k_nn_candidates(&db, &query, op, k, &without);
+                assert_eq!(kk.ids(), ks.ids(), "m_q = {m_q}, k = {k}: ids");
+                assert_eq!(frozen(&kk.stats), frozen(&ks.stats), "m_q = {m_q}, k = {k}");
+                if !with.level_by_level && kk.stats.flow_runs > 0 {
+                    solved[large_hull as usize] = true;
+                }
+            }
+        }
+    }
+    assert_eq!(
+        solved,
+        [true, true],
+        "both step-6 strategies must solve networks"
+    );
+}
