@@ -8,8 +8,15 @@
 //! Every getter records one cache hit or miss into [`Stats`], the only
 //! record of these counters. Derived getters (`agg` over `dist_q`,
 //! `per_q_agg` over `per_q`) count their nested lookups too — the counters
-//! measure cache traffic, not distinct entries. Only the snapshot-pure
-//! getters take a [`QueryMetrics`], to pass to the warm view on a miss.
+//! measure cache traffic, not distinct entries. The getters whose values
+//! the warm cache can hold (snapshot-pure ones, and the query-keyed
+//! distributions and bounds of an admitted query) take a [`QueryMetrics`],
+//! to pass to the warm view on a miss.
+//!
+//! This module holds the one constructor of each level snapshot, distance
+//! distribution and bound distribution; the warm cache builds through the
+//! same functions, so a warm-served value is bit-identical to the cold
+//! one.
 
 use crate::config::Stats;
 #[cfg(test)]
@@ -155,8 +162,9 @@ pub struct DominanceCache {
     /// Memos in first-touch order.
     memos: Vec<Memo>,
     /// Snapshot-scoped warm view, consulted only on the miss path of the
-    /// snapshot-pure getters (`quanta`, `level_snapshot`, level bounds) so
-    /// the per-query `Stats` hit/miss counters keep their exact semantics.
+    /// getters whose values it can hold (`quanta`, `level_snapshot`,
+    /// `dist_q`, `per_q`, level bounds) so the per-query `Stats` hit/miss
+    /// counters keep their exact semantics.
     warm: Option<WarmView>,
 }
 
@@ -166,9 +174,9 @@ impl DominanceCache {
         Self::with_warm(n, None)
     }
 
-    /// Creates an empty cache that resolves snapshot-pure misses through
-    /// `warm` (a per-query view into the shared epoch-keyed cache) instead
-    /// of rebuilding locally. `None` is the plain cold cache.
+    /// Creates an empty cache that resolves misses of warm-cacheable state
+    /// through `warm` (a per-query view into the shared epoch-keyed cache)
+    /// instead of rebuilding locally. `None` is the plain cold cache.
     pub fn with_warm(n: usize, warm: Option<WarmView>) -> Self {
         DominanceCache {
             index: vec![0; n],
@@ -197,56 +205,58 @@ impl DominanceCache {
         &mut self.memos[self.index[id] - 1]
     }
 
-    /// The warm view this cache resolves snapshot-pure misses through, if
-    /// any.
+    /// The warm view this cache resolves misses through, if any.
     pub fn warm(&self) -> Option<&WarmView> {
         self.warm.as_ref()
     }
 
     /// The full distance distribution `U_Q` of object `id`.
+    ///
+    /// A miss charges the frozen build cost (one comparison per instance
+    /// pair) whether the value is then built or served warm, so `Stats`
+    /// does not depend on the warm cache.
     pub fn dist_q(
         &mut self,
         db: &dyn SpatialIndex,
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
+        metrics: &mut QueryMetrics,
     ) -> Arc<DistanceDistribution> {
         if let Some(d) = self.memo(id).and_then(|m| m.dist_q.as_ref()) {
             stats.cache_hits += 1;
             return Arc::clone(d);
         }
         stats.cache_misses += 1;
-        let obj = db.object(id);
-        stats.instance_comparisons += (obj.len() * query.len()) as u64;
-        let d = Arc::new(DistanceDistribution::between_ref(obj, query.object()));
+        stats.instance_comparisons += (db.object(id).len() * query.len()) as u64;
+        let d = match &self.warm {
+            Some(w) => w.dist_q(db, query, id, metrics),
+            None => Arc::new(build_dist_q(db, query, id)),
+        };
         self.memo_mut(id).dist_q = Some(Arc::clone(&d));
         d
     }
 
     /// The per-query-instance distributions `U_q` of object `id`, in query
-    /// instance order.
+    /// instance order. Charged like [`Self::dist_q`].
     pub fn per_q(
         &mut self,
         db: &dyn SpatialIndex,
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
+        metrics: &mut QueryMetrics,
     ) -> Arc<Vec<DistanceDistribution>> {
         if let Some(d) = self.memo(id).and_then(|m| m.per_q.as_ref()) {
             stats.cache_hits += 1;
             return Arc::clone(d);
         }
         stats.cache_misses += 1;
-        let obj = db.object(id);
-        stats.instance_comparisons += (obj.len() * query.len()) as u64;
-        let d = Arc::new(
-            query
-                .object()
-                .instances()
-                .iter()
-                .map(|q| DistanceDistribution::to_instance_ref(obj, &q.point))
-                .collect::<Vec<_>>(),
-        );
+        stats.instance_comparisons += (db.object(id).len() * query.len()) as u64;
+        let d = match &self.warm {
+            Some(w) => w.per_q(db, query, id, metrics),
+            None => Arc::new(build_per_q(db, query, id)),
+        };
         self.memo_mut(id).per_q = Some(Arc::clone(&d));
         d
     }
@@ -258,13 +268,14 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
+        metrics: &mut QueryMetrics,
     ) -> AggStats {
         if let Some(a) = self.memo(id).and_then(|m| m.agg) {
             stats.cache_hits += 1;
             return a;
         }
         stats.cache_misses += 1;
-        let d = self.dist_q(db, query, id, stats);
+        let d = self.dist_q(db, query, id, stats, metrics);
         let a = (d.min(), d.mean(), d.max());
         self.memo_mut(id).agg = Some(a);
         a
@@ -277,13 +288,14 @@ impl DominanceCache {
         query: &PreparedQuery,
         id: usize,
         stats: &mut Stats,
+        metrics: &mut QueryMetrics,
     ) -> Arc<Vec<AggStats>> {
         if let Some(a) = self.memo(id).and_then(|m| m.per_q_agg.as_ref()) {
             stats.cache_hits += 1;
             return Arc::clone(a);
         }
         stats.cache_misses += 1;
-        let per_q = self.per_q(db, query, id, stats);
+        let per_q = self.per_q(db, query, id, stats, metrics);
         let a = Arc::new(
             per_q
                 .iter()
@@ -509,6 +521,32 @@ pub(crate) fn build_level_snapshot(
     LevelSnapshot { height, levels }
 }
 
+/// Builds `U_Q` of object `id`: every query/object instance pair, query
+/// instance outer.
+pub(crate) fn build_dist_q(
+    db: &dyn SpatialIndex,
+    query: &PreparedQuery,
+    id: usize,
+) -> DistanceDistribution {
+    DistanceDistribution::between_ref(db.object(id), query.object())
+}
+
+/// Builds `U_q` of object `id` for every query instance, in query instance
+/// order.
+pub(crate) fn build_per_q(
+    db: &dyn SpatialIndex,
+    query: &PreparedQuery,
+    id: usize,
+) -> Vec<DistanceDistribution> {
+    let obj = db.object(id);
+    query
+        .object()
+        .instances()
+        .iter()
+        .map(|q| DistanceDistribution::to_instance_ref(obj, &q.point))
+        .collect()
+}
+
 /// Builds the whole-`U_Q` bound pair for one snapshot level with the same
 /// atom order and left-to-right folds as the scalar per-pair rebuild in
 /// `ops::level`, so the resulting distributions are bit-identical to it.
@@ -576,10 +614,11 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let d1 = cache.dist_q(&db, &q, 0, &mut stats);
+        let mut metrics = QueryMetrics::new();
+        let d1 = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
         let after_first = stats.instance_comparisons;
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
-        let d2 = cache.dist_q(&db, &q, 0, &mut stats);
+        let d2 = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
         assert_eq!(
             stats.instance_comparisons, after_first,
             "second hit must be free"
@@ -593,11 +632,12 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
+        let mut metrics = QueryMetrics::new();
         // agg misses, then builds dist_q (another miss).
-        let _ = cache.agg(&db, &q, 0, &mut stats);
+        let _ = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
         // Second agg is a single hit; dist_q is not consulted again.
-        let _ = cache.agg(&db, &q, 0, &mut stats);
+        let _ = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
     }
 
@@ -606,7 +646,8 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let per_q = cache.per_q(&db, &q, 1, &mut stats);
+        let mut metrics = QueryMetrics::new();
+        let per_q = cache.per_q(&db, &q, 1, &mut stats, &mut metrics);
         assert_eq!(per_q.len(), 2);
         let direct = DistanceDistribution::to_instance_ref(db.object(1), &q.instance_points()[0]);
         assert!(per_q[0].approx_eq(&direct, 1e-12));
@@ -617,8 +658,9 @@ mod tests {
         let (db, q) = setup();
         let mut cache = DominanceCache::new(db.len());
         let mut stats = Stats::default();
-        let (mn, mean, mx) = cache.agg(&db, &q, 0, &mut stats);
-        let d = cache.dist_q(&db, &q, 0, &mut stats);
+        let mut metrics = QueryMetrics::new();
+        let (mn, mean, mx) = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
+        let d = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
         assert_eq!(mn, d.min());
         assert_eq!(mean, d.mean());
         assert_eq!(mx, d.max());

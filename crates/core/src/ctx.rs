@@ -135,7 +135,9 @@ impl<'a> CheckCtx<'a> {
     /// The full distance distribution `U_Q` of object `id` (cached).
     pub fn dist_q(&mut self, id: usize) -> Arc<DistanceDistribution> {
         let misses_before = self.stats.cache_misses;
-        let dist = self.cache.dist_q(self.db, self.query, id, &mut self.stats);
+        let dist = self
+            .cache
+            .dist_q(self.db, self.query, id, &mut self.stats, &mut self.metrics);
         if self.trace.is_active() && self.stats.cache_misses > misses_before {
             let event = self.trace.instant("cache-build");
             self.trace
@@ -147,18 +149,20 @@ impl<'a> CheckCtx<'a> {
 
     /// The per-query-instance distributions `U_q` of object `id` (cached).
     pub fn per_q(&mut self, id: usize) -> Arc<Vec<DistanceDistribution>> {
-        self.cache.per_q(self.db, self.query, id, &mut self.stats)
+        self.cache
+            .per_q(self.db, self.query, id, &mut self.stats, &mut self.metrics)
     }
 
     /// min/mean/max of `U_Q` (cached).
     pub fn agg(&mut self, id: usize) -> AggStats {
-        self.cache.agg(self.db, self.query, id, &mut self.stats)
+        self.cache
+            .agg(self.db, self.query, id, &mut self.stats, &mut self.metrics)
     }
 
     /// min/mean/max of each `U_q` (cached).
     pub fn per_q_agg(&mut self, id: usize) -> Arc<Vec<AggStats>> {
         self.cache
-            .per_q_agg(self.db, self.query, id, &mut self.stats)
+            .per_q_agg(self.db, self.query, id, &mut self.stats, &mut self.metrics)
     }
 
     /// Fixed-point instance masses of object `id` (cached).

@@ -29,8 +29,8 @@
 //! only place an index is built or mutated.
 //!
 //! **Per-id tables.** The local R-trees and the `slot` map are
-//! `core::chunked::ChunkedVec`s, the one chunked table type of the index
-//! and its warm cache: cloning the index (every publish does) bumps one
+//! `core::chunked::ChunkedVec`s, the one chunked table type of the index:
+//! cloning the index (every publish does) bumps one
 //! count per 256 ids, and a mutation copies only the chunk holding the id
 //! it writes.
 //!

@@ -3,11 +3,13 @@
 use super::{is_hot_path, push, Violation};
 use crate::model::{SourceFile, Workspace};
 
-/// Level snapshots and bound-distribution tables are built by the shared
-/// constructors in `core::cache` and promoted to snapshot lifetime by
-/// `core::warm`; a hot-path file constructing them directly bypasses the
-/// legacy hit/miss accounting *and* the epoch-keyed invalidation
-/// protocol, so a stale table could silently survive a publish.
+/// Level snapshots, distance distributions (`U_Q`, `U_q`) and
+/// bound-distribution tables are built by the shared constructors in
+/// `core::cache` and promoted to snapshot lifetime by `core::warm`; a
+/// hot-path file constructing them directly bypasses the per-query
+/// hit/miss accounting, the warm tables *and* the epoch-keyed
+/// invalidation protocol, so a stale table could silently survive a
+/// publish. `core::cache` is the only builder.
 pub(super) fn no_warm_bypass(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
     if !is_hot_path(&file.path) {
         return;
@@ -28,10 +30,19 @@ pub(super) fn no_warm_bypass(_ws: &Workspace, file: &SourceFile, out: &mut Vec<V
         let literal = (t.is_ident("LevelSnapshot") || t.is_ident("LevelGroups"))
             && file.sig_tok(p + 1).is_some_and(|n| n.is_punct("{"))
             && !type_position;
-        // Direct calls to the shared cache constructors.
-        let builder = (t.is_ident("build_level_snapshot")
-            || t.is_ident("build_bounds_whole")
-            || t.is_ident("build_bounds_instance"))
+        // Direct calls to the shared cache constructors, or to the
+        // distribution constructors they wrap.
+        let builder = [
+            "build_level_snapshot",
+            "build_bounds_whole",
+            "build_bounds_instance",
+            "build_dist_q",
+            "build_per_q",
+            "between_ref",
+            "to_instance_ref",
+        ]
+        .iter()
+        .any(|name| t.is_ident(name))
             && file.sig_tok(p + 1).is_some_and(|n| n.is_punct("("));
         if literal || builder {
             push(
@@ -41,9 +52,9 @@ pub(super) fn no_warm_bypass(_ws: &Workspace, file: &SourceFile, out: &mut Vec<V
                 "no-warm-bypass",
                 format!(
                     "`{}` constructed directly in a hot query path; obtain level \
-                     snapshots and bound distributions through `CheckCtx`'s \
-                     `DominanceCache` so warm promotion and epoch invalidation \
-                     stay correct",
+                     snapshots, distance distributions and bound distributions \
+                     through `CheckCtx`'s `DominanceCache` so warm promotion and \
+                     epoch invalidation stay correct",
                     t.text
                 ),
             );
@@ -72,6 +83,16 @@ mod tests {
             "/// Per Definition 3.\npub fn f(q: &Q, l: &L) { let _b = crate::cache::build_bounds_instance(q, l); }\n",
         );
         assert!(v.iter().any(|x| x.rule == "no-warm-bypass"));
+        let v = check_src(
+            "crates/core/src/ops/sssd.rs",
+            "fn f(o: O, q: &Q) { let _d = DistanceDistribution::between_ref(o, q); }\n",
+        );
+        assert_eq!(rules(&v), vec!["no-warm-bypass"]);
+        let v = check_src(
+            "crates/core/src/nnc.rs",
+            "fn f(o: O, p: &P) { let _d = DistanceDistribution::to_instance_ref(o, p); }\n",
+        );
+        assert_eq!(rules(&v), vec!["no-warm-bypass"]);
     }
 
     #[test]
@@ -85,6 +106,11 @@ mod tests {
         assert!(check_src(
             "crates/core/src/warm.rs",
             "fn f(q: &Q, l: &L) { let _b = build_bounds_whole(q, l); }\n"
+        )
+        .is_empty());
+        assert!(check_src(
+            "crates/core/src/cache.rs",
+            "fn f(o: O, q: &Q) { let _d = DistanceDistribution::between_ref(o, q); }\n"
         )
         .is_empty());
         // Naming the type (annotations, signatures) is not construction.

@@ -7,6 +7,10 @@ fn bounds_of(query: &PreparedQuery, level: &LevelGroups) -> Vec<BoundPair> {
     crate::cache::build_bounds_whole(query, level)
 }
 
+fn distribution_of(object: ObjectRef, query: &UncertainObject) -> DistanceDistribution {
+    DistanceDistribution::between_ref(object, query)
+}
+
 fn through_the_cache(s: &LevelSnapshot) -> usize {
     s.height()
 }
@@ -20,3 +24,4 @@ mod tests {
 
 //~ expect: no-warm-bypass @ 3
 //~ expect: no-warm-bypass @ 7
+//~ expect: no-warm-bypass @ 11

@@ -95,10 +95,16 @@ echo "== warm-cache bit-identity, eviction and sharing =="
 # epoch), a repeated workload must hit, and epoch invalidation must
 # evict touched entries. The roll-forward shares every untouched chunk,
 # keeps exact gauges, and never lets an old-epoch fill reach the new
-# cache, with and without the audit layer.
+# cache; query tables are admitted on repeat and bounded in number,
+# with and without the audit layer (and with obs on, where the warm
+# counters are live).
+cargo test -q --test warm_identity
+cargo test -q --features obs,strict-invariants --test warm_identity
 cargo test -q --test warm_reuse
 cargo test -q --test warm_sharing
 cargo test -q --features obs,strict-invariants --test warm_sharing
+cargo test -q --test warm_admission
+cargo test -q --features obs,strict-invariants --test warm_admission
 
 echo "== osd query --profile=json smoke (schema) =="
 # End-to-end observability check: a real query through the obs-enabled CLI
