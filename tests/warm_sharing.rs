@@ -27,13 +27,14 @@
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use osd_core::warm::CHUNK_SLOTS as CHUNK;
 use osd_core::{
     nn_candidates, nn_candidates_warm, FilterConfig, FlatDatabase, Operator, PreparedQuery,
     ProgressiveNnc, PublishedIndex, QueryMetrics, ShardConfig, ShardedDatabase, SpatialIndex,
     TableAudit, WarmAudit, WarmView,
 };
 use osd_geom::Point;
-use osd_uncertain::{quantize, UncertainObject, CHUNK};
+use osd_uncertain::{quantize, UncertainObject};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -296,23 +297,36 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     let snap0 = published.pin();
     nn_candidates_warm(&*snap0, &q, OP, &cfg, pool);
     let old_cache = pool.cache_for(&*snap0);
-    // Touch two ids the cache holds and two whose slots are empty (their
-    // chunks stay shared with the old cache).
+    // Touch an id `levels` holds and two whose `levels` slots are empty in
+    // a chunk that holds another entry: the advance copies the held id's
+    // chunk and shares the other with the old cache.
     let audit = old_cache.audit();
-    let held = |id: &usize| audit.tables.iter().any(|t| t.filled.contains(id));
     let levels = &tables(&audit)[&("levels", None)].filled;
-    // The empty ones come from chunks 2 and 3, apart from the held ones.
-    let empty = (2 * CHUNK..900).filter(|id| !held(id)).step_by(97).take(2);
-    assert!(levels.iter().all(|&id| id < 2 * CHUNK));
-    let touched: Vec<usize> = levels.iter().copied().take(2).chain(empty).collect();
-    assert_eq!(touched.len(), 4);
+    let held = levels[0];
+    let shared = |id: &usize| {
+        let c = id / CHUNK;
+        c != held / CHUNK && levels.iter().any(|l| l / CHUNK == c)
+    };
+    let empty: Vec<usize> = (0..900)
+        .filter(|id| !levels.contains(id) && shared(id))
+        .collect();
+    assert!(empty.len() >= 2, "no chunk of `levels` has empty slots");
+    let touched = [held, empty[0], empty[empty.len() - 1]];
     for &id in &touched {
         let (x, y) = ((id % 30) as f64 * 10.0, (id / 30) as f64 * 10.0);
         published.update(id, object4(x + 0.5, y)).unwrap();
     }
     let snap1 = published.pin();
     let new_cache = pool.cache_for(&*snap1);
-    assert_eq!(new_cache.epoch(), snap0.epoch() + 4);
+    assert_eq!(new_cache.epoch(), snap0.epoch() + touched.len() as u64);
+    let new_audit = new_cache.audit();
+    let old_levels = &tables(&audit)[&("levels", None)].chunks;
+    let new_levels = &tables(&new_audit)[&("levels", None)].chunks;
+    for &id in &touched[1..] {
+        let c = id / CHUNK;
+        assert_ne!(old_levels[c], 0, "{id}'s chunk holds entries");
+        assert_eq!(old_levels[c], new_levels[c], "{id}'s chunk was copied");
+    }
     let cold0 = answer(ProgressiveNnc::new(&*snap0, &q, OP, &cfg));
     let cold1 = answer(nn_candidates(&*snap1, &q, OP, &cfg).candidates);
 
