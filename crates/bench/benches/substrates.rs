@@ -1,13 +1,14 @@
 //! Criterion microbenchmarks of the substrates: R-tree construction and
-//! queries, stochastic-order scans, max-flow / min-cost-flow solves, and
-//! convex-hull extraction.
+//! queries, the traversal's exact object key, stochastic-order scans,
+//! max-flow / min-cost-flow solves, and convex-hull extraction.
 
 // Leaf binary/bench: panic-family lints relaxed (see workspace policy).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use osd_datagen::object_around;
 use osd_flow::{MaxFlow, MinCostFlow, Transport};
-use osd_geom::{hull_vertices, Mbr, Point};
+use osd_geom::{hull_vertices, min_dist2_rows_multi, Mbr, Point};
 use osd_rtree::{Entry, RTree};
 use osd_uncertain::{stochastically_dominates, DistanceDistribution};
 use rand::rngs::StdRng;
@@ -59,6 +60,73 @@ fn bench_rtree(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("furthest", n), &n, |b, _| {
             b.iter(|| black_box(tree.furthest(&q)))
         });
+    }
+    group.finish();
+}
+
+/// The exact traversal key `δ_min(V, Q)²` of eight objects with `m_d`
+/// instances (extent 400) placed within ±800 of a query with `m_q`
+/// instances (extent 200), per iteration: the pruned probe scan over each
+/// object's rows (`object_key_scan`, the kernel path) against the
+/// one-descent search of its local R-tree (`object_key_tree`, fan-out 4
+/// as in the index).
+fn bench_object_key(c: &mut Criterion) {
+    let mut group = c.benchmark_group("object_key");
+    for (m_d, m_q, dim) in [
+        (4, 3, 2),
+        (12, 9, 3),
+        (40, 30, 3),
+        (100, 50, 3),
+        (100, 50, 5),
+    ] {
+        let mut rng = StdRng::seed_from_u64((m_d * 100 + dim) as u64);
+        let center = vec![5_000.0; dim];
+        let query = object_around(&mut rng, &center, dim, m_q, 200.0);
+        let probes: Vec<Point> = query.instances().iter().map(|i| i.point.clone()).collect();
+        let objects: Vec<(Vec<f64>, Mbr, RTree<usize>)> = (0..8)
+            .map(|_| {
+                let at: Vec<f64> = center
+                    .iter()
+                    .map(|c| c + rng.gen_range(-800.0..800.0))
+                    .collect();
+                let o = object_around(&mut rng, &at, dim, m_d, 400.0);
+                let rows: Vec<f64> = o
+                    .instances()
+                    .iter()
+                    .flat_map(|i| i.point.coords().iter().copied())
+                    .collect();
+                let tree = RTree::bulk_load_rows(4, dim, &rows);
+                (rows, o.mbr().clone(), tree)
+            })
+            .collect();
+        let shape = format!("{m_d}x{m_q}x{dim}d");
+        group.bench_with_input(
+            BenchmarkId::new("object_key_scan", &shape),
+            &shape,
+            |b, _| {
+                b.iter(|| {
+                    objects
+                        .iter()
+                        .map(|(rows, mbr, _)| {
+                            min_dist2_rows_multi(rows, dim, &probes, mbr).unwrap()
+                        })
+                        .fold(f64::INFINITY, f64::min)
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("object_key_tree", &shape),
+            &shape,
+            |b, _| {
+                b.iter(|| {
+                    let mut visits = 0;
+                    objects
+                        .iter()
+                        .map(|(_, _, tree)| tree.min_dist2_multi(&probes, &mut visits).unwrap())
+                        .fold(f64::INFINITY, f64::min)
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -161,6 +229,7 @@ fn bench_hull(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_rtree,
+    bench_object_key,
     bench_stochastic_scan,
     bench_flow,
     bench_hull

@@ -750,11 +750,11 @@ mod tests {
         let m = cache.mapped(&db, &q, 0, &mut stats);
         let k = q.hull().len();
         assert_eq!(m.len(), 2 * k);
-        // Bit-identical to the boxed-point mapping.
+        // Bit-identical to δ(inst, h) per hull vertex h.
         for (row, inst) in m.chunks_exact(k).zip(db.object(0).coords().chunks_exact(2)) {
-            let image = osd_geom::distance_space(&Point::new(inst.to_vec()), q.hull());
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(row), bits(image.coords()));
+            for (x, h) in row.iter().zip(q.hull()) {
+                assert_eq!(x.to_bits(), dist_slice(inst, h.coords()).to_bits());
+            }
         }
     }
 }

@@ -34,7 +34,7 @@
 //! pruning ([Theorem 4]): an object whose MBR is dominated by a standing
 //! candidate's MBR is discarded before its exact `δ_min` is ever computed
 //! — only objects whose MBR-δ interval intersects the standing prune
-//! bound pay for a local-tree descent. Keys come from the exact same code
+//! bound pay for an exact key. Keys come from the exact same code
 //! path as the traversal ([`crate::nnc::object_min_dist2`]), so repaired
 //! candidates are bit-identical — ids, `min_dist` bits and order — to a
 //! full re-query on the new snapshot (pinned by

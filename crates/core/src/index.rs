@@ -13,15 +13,14 @@
 //! contexts) take `&dyn SpatialIndex` and are oblivious to the layout:
 //! a sharded index simply exposes *several* global trees
 //! ([`SpatialIndex::shard_tree`]), and the best-first traversal seeds its
-//! heap with all shard roots — the cross-shard candidate pruning then *is*
-//! the shared lower-bound trick of `min_dist2_multi`, lifted one level up.
+//! heap with all shard roots, so the cross-shard candidate pruning is one
+//! prune bound shared by every shard.
 //!
 //! Everything else — object ids, local instance trees, the columnar
 //! snapshot — is layout-independent: ids address the same logical objects
 //! in every implementation, which is what makes flat and sharded results
 //! bit-identical (see `tests/shard_identity.rs`).
 
-use osd_geom::Point;
 use osd_rtree::RTree;
 use osd_uncertain::{Change, InstanceStore, ObjectRef, StoreError, UncertainObject};
 use std::fmt;
@@ -223,13 +222,6 @@ pub trait SpatialIndex: Send + Sync {
     /// Global R-tree of shard `shard` (payload = logical object id).
     fn shard_tree(&self, shard: usize) -> &RTree<usize>;
 
-    /// Smallest squared distance from any of `probes` to any instance of
-    /// object `id`, best-first over the local tree with a bound shared
-    /// across probes; `visits` is charged one per expanded tree node.
-    fn min_dist2_multi(&self, id: usize, probes: &[Point], visits: &mut u64) -> Option<f64> {
-        self.local_tree(id).min_dist2_multi(probes, visits)
-    }
-
     /// Per-shard size statistics.
     fn index_stats(&self) -> IndexStats;
 }
@@ -238,6 +230,7 @@ pub trait SpatialIndex: Send + Sync {
 mod tests {
     use super::*;
     use crate::db::Database;
+    use osd_geom::Point;
     use osd_uncertain::UncertainObject;
 
     fn obj(pts: &[(f64, f64)]) -> UncertainObject {

@@ -32,7 +32,7 @@ use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::{WarmPool, WarmView};
-use osd_geom::{mbr_dominates, mbr_dominates_strict, Mbr};
+use osd_geom::{mbr_dominates, mbr_dominates_strict, min_dist2_rows_multi, Mbr};
 use osd_obs::{AttrValue, Counter, Phase, PhaseTimer, QueryMetrics, SpanId, Stopwatch, TraceData};
 use osd_rtree::Node;
 use std::borrow::{Borrow, Cow};
@@ -275,7 +275,7 @@ impl<'a> ProgressiveNnc<'a> {
         // Seed every shard root (a flat database has exactly one): the
         // traversal is then one best-first descent of the whole forest,
         // and cross-shard candidate pruning acts as a prune bound shared
-        // by all shards — the `min_dist2_multi` trick, one level up.
+        // by all shards.
         for shard in 0..db.shard_count() {
             let tree = db.shard_tree(shard);
             if let (Some(root), Some(mbr)) = (tree.root(), tree.mbr()) {
@@ -462,7 +462,7 @@ impl<'a> ProgressiveNnc<'a> {
         None
     }
 
-    /// Exact squared `δ_min(V, Q)` via the object's local R-tree.
+    /// Exact squared `δ_min(V, Q)` (see [`object_min_dist2`]).
     fn object_min_dist2(&mut self, v: usize) -> f64 {
         object_min_dist2(
             self.ctx.db,
@@ -487,18 +487,20 @@ impl<'a> ProgressiveNnc<'a> {
     }
 }
 
-/// Exact squared `δ_min(V, Q)` via the object's local R-tree — the
-/// traversal key of [`ProgressiveNnc`], shared with the continuous repair
-/// path ([`crate::continuous::ContinuousNnc`]) so both compute
-/// bit-identical keys.
+/// Exact squared `δ_min(V, Q)` — the traversal key of [`ProgressiveNnc`],
+/// shared with the continuous repair path
+/// ([`crate::continuous::ContinuousNnc`]) so both compute bit-identical
+/// keys.
 ///
-/// The kernel path answers all query instances in one pruned descent
-/// sharing the running best as bound; `min` is monotone under
-/// `sqrt`-then-square, so the result is bit-identical to the per-`q`
-/// nearest searches of the scalar path (which square each nearest
-/// distance before folding). `instance_comparisons` charges one unit
-/// per query instance on both paths; the node-visit saving shows up in
-/// `rtree_nodes_visited`, which is reported but not frozen.
+/// The kernel path scans the object's contiguous instance rows with
+/// [`min_dist2_rows_multi`], which skips every query instance whose bound
+/// against the object's MBR cannot beat the running minimum. The scalar
+/// path runs one nearest search of the object's local R-tree per query
+/// instance and squares each nearest distance before folding. `min` is
+/// monotone under `sqrt`-then-square, so the two keys are bit-identical.
+/// `instance_comparisons` charges one unit per query instance on both
+/// paths. Only the scalar path charges `rtree_nodes_visited` (reported
+/// but not frozen): the kernel path visits no tree node.
 pub(crate) fn object_min_dist2(
     db: &dyn SpatialIndex,
     query: &PreparedQuery,
@@ -506,24 +508,27 @@ pub(crate) fn object_min_dist2(
     v: usize,
     stats: &mut Stats,
 ) -> f64 {
-    let tree = db.local_tree(v);
     let mut best = f64::INFINITY;
-    let mut visits = 0u64;
     if kernels {
         stats.instance_comparisons += query.len() as u64;
-        if let Some(d2) = tree.min_dist2_multi(query.instance_points(), &mut visits) {
+        let object = db.object(v);
+        let probes = query.instance_points();
+        if let Some(d2) = min_dist2_rows_multi(object.coords(), object.dim(), probes, object.mbr())
+        {
             let d = d2.sqrt();
             best = d * d;
         }
     } else {
+        let tree = db.local_tree(v);
+        let mut visits = 0u64;
         for q in query.instance_points() {
             stats.instance_comparisons += 1;
             if let Some((_, d)) = tree.nearest_counting(q, &mut visits) {
                 best = best.min(d * d);
             }
         }
+        stats.rtree_nodes_visited += visits;
     }
-    stats.rtree_nodes_visited += visits;
     best
 }
 

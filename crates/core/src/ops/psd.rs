@@ -340,19 +340,21 @@ fn level_filter_snapshot(
         let lv = snap_v.level(level);
         ctx.stats.mbr_checks += (lu.len() * lv.len()) as u64;
 
-        // Pessimistic network G⁻ (see the scalar descent above).
-        group_edges_into(&lu.mbrs, &lv.mbrs, edges, |mu, mv| {
+        // Pessimistic network G⁻ (see the scalar descent above). An
+        // incomplete edge list is a network whose `saturates` pre-check
+        // fails, so the flow is not called.
+        let complete = group_edges_into(&lu.mbrs, &lv.mbrs, &lu.caps, edges, |mu, mv| {
             mbr_dominates(mu, mv, query.mbr())
         });
-        if !edges.is_empty() && saturates(&lu.caps, &lv.caps, edges, ctx) {
+        if complete && !edges.is_empty() && saturates(&lu.caps, &lv.caps, edges, ctx) {
             return Some(ctx.strict_guard(u, v));
         }
 
         // Optimistic network G⁺.
-        group_edges_into(&lu.mbrs, &lv.mbrs, edges, |mu, mv| {
+        let complete = group_edges_into(&lu.mbrs, &lv.mbrs, &lu.caps, edges, |mu, mv| {
             !mbr_dominates_strict(mv, mu, query.mbr())
         });
-        if !saturates(&lu.caps, &lv.caps, edges, ctx) {
+        if !complete || !saturates(&lu.caps, &lv.caps, edges, ctx) {
             return Some(false);
         }
     }
@@ -390,20 +392,31 @@ fn group_edges<T>(
 
 /// [`group_edges`] over bare MBR lists into a reusable buffer — the same
 /// enumeration order, zero allocations past the buffer's amortised growth.
+///
+/// Returns `false`, leaving `edges` partial, at the first row `i` with
+/// `caps_u[i] > 0` and no edge: no flow can then route that row's mass,
+/// which is the pre-check [`saturates`] would fail on this network.
 fn group_edges_into(
     gu: &[Mbr],
     gv: &[Mbr],
+    caps_u: &[u64],
     edges: &mut Vec<(usize, usize)>,
     relate: impl Fn(&Mbr, &Mbr) -> bool,
-) {
+) -> bool {
+    debug_assert_eq!(gu.len(), caps_u.len(), "one capacity per group");
     edges.clear();
-    for (i, mu) in gu.iter().enumerate() {
+    for ((i, mu), &cap) in gu.iter().enumerate().zip(caps_u) {
+        let row_start = edges.len();
         for (j, mv) in gv.iter().enumerate() {
             if relate(mu, mv) {
                 edges.push((i, j));
             }
         }
+        if cap > 0 && edges.len() == row_start {
+            return false;
+        }
     }
+    true
 }
 
 /// Runs the bipartite max-flow: `true` iff all `SCALE` units route.

@@ -41,15 +41,6 @@ pub fn on_near_side(q: &Point, u: &Point, v: &Point) -> bool {
     lhs <= 0.5 * rhs
 }
 
-/// Maps an instance into "query-distance space": the `k`-dimensional point
-/// `(δ(u, q_1), …, δ(u, q_k))` for hull vertices `q_1..q_k`.
-///
-/// In this space `u ⪯_Q v` is plain coordinate-wise dominance, which lets the
-/// peer-dominance network construction use box-containment tests (§5.1.2).
-pub fn distance_space(u: &Point, hull: &[Point]) -> Point {
-    Point::new(hull.iter().map(|q| u.dist(q)).collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     // Exact expected values are intentional in tests.
@@ -96,16 +87,5 @@ mod tests {
             closer_to_all_rows(u.coords(), v.coords(), &hull),
             closer_to_all(&u, &v, &hull)
         );
-    }
-
-    #[test]
-    fn distance_space_dominance_equivalence() {
-        let hull = vec![p2(0.0, 0.0), p2(4.0, 0.0), p2(2.0, 3.0)];
-        let u = p2(1.0, 1.0);
-        let v = p2(5.0, 5.0);
-        let du = distance_space(&u, &hull);
-        let dv = distance_space(&v, &hull);
-        let coordwise = (0..du.dim()).all(|i| du.coord(i) <= dv.coord(i));
-        assert_eq!(coordwise, closer_to_all(&u, &v, &hull));
     }
 }

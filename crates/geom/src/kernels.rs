@@ -18,19 +18,25 @@
 //!   order with the same `f64::min` / `f64::max` combiner as the
 //!   `ObjectRef::min_dist` / `max_dist` scans (squared distances are sums
 //!   of squares, hence never `-0.0`, so the min/max folds are unambiguous
-//!   at the bit level too).
+//!   at the bit level too);
+//! * [`min_dist2_rows_multi`] folds those per-probe minima with the same
+//!   `f64::min`, skipping only probes whose box lower bound shows they
+//!   cannot lower the running minimum.
 //!
-//! The contract is enforced three ways: a debug assertion in
-//! [`dist2_rows_batch`] re-checks every row against [`dist2_slice`], the
-//! unit tests below compare bits on adversarial inputs, and the vendored
-//! proptest suite (`tests/kernel_identity.rs` at the workspace root)
-//! fuzzes dims 1–8 including ±0.0 and duplicated rows.
+//! The contract is enforced three ways: debug assertions in
+//! [`dist2_rows_batch`] and [`min_dist2_rows_multi`] re-check the result
+//! against the [`dist2_slice`] fold, the unit tests below compare bits on
+//! adversarial inputs, and the vendored proptest suite
+//! (`tests/kernel_identity.rs` at the workspace root) fuzzes dims 1–8
+//! including ±0.0 and duplicated rows, and checks
+//! [`min_dist2_rows_multi`] against the local R-tree searches.
 //!
 //! These functions are allocation-free by design (the `no-alloc-in-kernels`
 //! xtask rule keeps them that way): callers own and reuse the output
 //! buffers across calls.
 
-use crate::point::dist2_slice;
+use crate::mbr::Mbr;
+use crate::point::{dist2_slice, Point};
 
 /// Asserts the common row-block preconditions shared by all kernels.
 #[inline]
@@ -149,6 +155,58 @@ pub fn max_dist2_rows(rows: &[f64], dim: usize, q: &[f64]) -> f64 {
     worst
 }
 
+/// Minimal squared distance from *any* probe to any row:
+/// `min_q min_i δ²(row_i, q)` — an object's exact `δ_min(V, Q)²` from its
+/// contiguous instance rows and its bounding box `mbr`.
+///
+/// The probe whose box bound `mbr.min_dist2_point(q)` is smallest is
+/// scanned first; every other probe is scanned only if its bound is below
+/// the running best. The bound never exceeds any row's `δ²` in IEEE
+/// arithmetic (per dimension `|row − q| ≥ |face − q|`, squares and the
+/// left-to-right sum are monotone), so a skipped probe could not lower
+/// the minimum and the result equals the unpruned fold bit-for-bit: the
+/// same [`min_dist2_rows`] values folded with the order-insensitive
+/// `f64::min` (squared distances are never `-0.0`).
+///
+/// `None` iff `rows` or `probes` is empty.
+///
+/// # Panics
+/// Panics if `dim == 0`, `rows.len()` is not a multiple of `dim`, or the
+/// dimensionality of `mbr` or of a probe differs from `dim`.
+pub fn min_dist2_rows_multi(rows: &[f64], dim: usize, probes: &[Point], mbr: &Mbr) -> Option<f64> {
+    assert!(mbr.dim() == dim, "box dimensionality must match rows");
+    let mut seed: Option<(usize, f64)> = None;
+    for (i, q) in probes.iter().enumerate() {
+        assert!(q.dim() == dim, "probe point dimensionality must match rows");
+        let bound = mbr.min_dist2_point(q);
+        if seed.is_none_or(|(_, b)| bound < b) {
+            seed = Some((i, bound));
+        }
+    }
+    let (first, _) = seed?;
+    if rows.is_empty() {
+        return None;
+    }
+    let mut best = min_dist2_rows(rows, dim, probes[first].coords());
+    for (i, q) in probes.iter().enumerate() {
+        if i != first && mbr.min_dist2_point(q) < best {
+            best = best.min(min_dist2_rows(rows, dim, q.coords()));
+        }
+    }
+    debug_assert!(
+        best.to_bits()
+            == probes
+                .iter()
+                .flat_map(|q| rows
+                    .chunks_exact(dim)
+                    .map(|row| dist2_slice(row, q.coords())))
+                .fold(f64::INFINITY, f64::min)
+                .to_bits(),
+        "pruned probe scan diverged from the scalar dist2_slice fold"
+    );
+    Some(best)
+}
+
 #[cfg(test)]
 mod tests {
     // Exact expected values are intentional in tests.
@@ -256,6 +314,65 @@ mod tests {
     fn empty_block_folds_to_identities() {
         assert_eq!(min_dist2_rows(&[], 3, &[0.0, 0.0, 0.0]), f64::INFINITY);
         assert_eq!(max_dist2_rows(&[], 3, &[0.0, 0.0, 0.0]), 0.0);
+    }
+
+    /// The unpruned reference: every probe against every row.
+    fn multi_fold(rows: &[f64], dim: usize, probes: &[Point]) -> f64 {
+        probes
+            .iter()
+            .map(|q| min_dist2_rows(rows, dim, q.coords()))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn multi_probe_scan_matches_unpruned_fold_bitwise() {
+        for dim in 1..=5 {
+            for n in [1usize, 2, 5, 9] {
+                let rows = awkward(n, dim);
+                let mbr = Mbr::from_rows(&rows, dim);
+                // Probes inside, on and far outside the box, plus one
+                // repeated probe (equal bounds must not change the fold).
+                let mut probes: Vec<Point> = (0..6)
+                    .map(|k| {
+                        let shift = [0.0, 0.5, -3.0, 1e6, 0.125, -0.0][k];
+                        Point::new(
+                            awkward(1, dim)
+                                .iter()
+                                .map(|c| c + shift)
+                                .collect::<Vec<_>>(),
+                        )
+                    })
+                    .collect();
+                probes.push(mbr.center());
+                probes.push(probes[1].clone());
+                let scan = min_dist2_rows_multi(&rows, dim, &probes, &mbr);
+                assert_eq!(
+                    scan.map(f64::to_bits),
+                    Some(multi_fold(&rows, dim, &probes).to_bits()),
+                    "dim {dim}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multi_probe_scan_edge_cases() {
+        let rows = [1.0, 2.0, 4.0, 6.0];
+        let mbr = Mbr::from_rows(&rows, 2);
+        let far = Point::from([100.0, 100.0]);
+        let on_row = Point::from([4.0, 6.0]);
+        // A probe on a row gives key +0.0 and prunes the far probe.
+        let key = min_dist2_rows_multi(&rows, 2, &[far.clone(), on_row], &mbr);
+        assert_eq!(key.map(f64::to_bits), Some(0.0f64.to_bits()));
+        // A single instance (degenerate box) against one probe is its δ².
+        let one = [3.0, -1.0];
+        let point_box = Mbr::from_rows(&one, 2);
+        assert_eq!(
+            min_dist2_rows_multi(&one, 2, std::slice::from_ref(&far), &point_box),
+            Some(dist2_slice(&one, far.coords()))
+        );
+        assert_eq!(min_dist2_rows_multi(&rows, 2, &[], &mbr), None);
+        assert_eq!(min_dist2_rows_multi(&[], 2, &[far], &mbr), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   validation);
 //! * [`hull`] — convex-hull vertex extraction (monotone chain in 2-D, LP
 //!   based in higher dimensions) plus point-in-hull tests;
-//! * [`closer`] — the `u ⪯_Q v` relation and its distance-space mapping;
+//! * [`closer`] — the `u ⪯_Q v` relation and its bisector side test;
 //! * [`lp`] — a small dense two-phase simplex solver backing the hull code;
 //! * [`sphere`] — Welzl minimal enclosing balls and the hypersphere
 //!   dominance filter of Long et al.
@@ -50,10 +50,10 @@ pub mod mbr;
 pub mod point;
 pub mod sphere;
 
-pub use closer::{closer_to_all, closer_to_all_rows, distance_space, on_near_side};
+pub use closer::{closer_to_all, closer_to_all_rows, on_near_side};
 pub use dominance::{mbr_dominates, mbr_dominates_strict};
 pub use hull::{hull_vertex_indices, hull_vertices, point_in_hull, point_in_hull_row};
-pub use kernels::{dist2_rows_batch, max_dist2_rows, min_dist2_rows};
+pub use kernels::{dist2_rows_batch, max_dist2_rows, min_dist2_rows, min_dist2_rows_multi};
 pub use mbr::Mbr;
 pub use point::{dist2_slice, dist_slice, Point, MAX_INPUT_COORD};
 pub use sphere::{min_enclosing_ball, sphere_dominates_sufficient, Sphere};

@@ -8,6 +8,8 @@
 //!   `max_dist2_rows`) reproduce the scalar `dist2_slice` folds bitwise
 //!   across dims 1–8, including ±0.0 coordinates, duplicated rows and
 //!   single-row blocks;
+//! * the pruned probe scan `min_dist2_rows_multi` (the kernel path's
+//!   traversal key) equals the local R-tree searches it replaced;
 //! * NNC and k-NNC with kernels on emit the same candidates (ids, order,
 //!   `min_dist` bits) and the same frozen counters as the scalar path;
 //! * NNC and k-NNC with kernels on agree with the O(n²) brute-force
@@ -26,7 +28,10 @@
 use osd::prelude::*;
 use osd_core::{k_nn_candidates, k_nn_candidates_bruteforce, nn_candidates_bruteforce};
 use osd_datagen::{generate_objects, object_around, CenterDistribution, SynthParams};
-use osd_geom::{dist2_rows_batch, dist2_slice, max_dist2_rows, min_dist2_rows};
+use osd_geom::{
+    dist2_rows_batch, dist2_slice, max_dist2_rows, min_dist2_rows, min_dist2_rows_multi, Mbr, Point,
+};
+use osd_rtree::RTree;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -315,4 +320,88 @@ fn wide_objects_are_bit_identical_under_both_network_strategies() {
         [true, true],
         "both step-6 strategies must solve networks"
     );
+}
+
+/// An object of `m` rows in `dim` dimensions (with its first row repeated
+/// when `m ≥ 2`, so duplicated instances are always present) and `n_q`
+/// probes. Each probe coordinate lies below, above or inside the object's
+/// box, so most probes are outside it with box bounds of every size. By
+/// `seed % 4` the probe set also holds a copy of a row (key 0), the box
+/// centre (inside the box, bound 0), or a repeated probe.
+fn object_and_probes(dim: usize, m: usize, n_q: usize, seed: u64) -> (Vec<f64>, Vec<Point>) {
+    let mut rows = awkward_coords(dim * m, seed);
+    if m >= 2 {
+        rows.copy_within(..dim, (m - 1) * dim);
+    }
+    let mbr = Mbr::from_rows(&rows, dim);
+    let offsets = awkward_coords(dim * n_q, seed ^ 0xC0FF_EE00);
+    let sides = awkward_coords(dim * n_q, seed ^ 0x51DE_5000);
+    let mut probes: Vec<Point> = (0..n_q)
+        .map(|j| {
+            let coords: Vec<f64> = (0..dim)
+                .map(|k| {
+                    let off = offsets[j * dim + k].abs();
+                    match (sides[j * dim + k].to_bits() >> 7) % 3 {
+                        0 => mbr.lo()[k] - off,
+                        1 => mbr.hi()[k] + off,
+                        _ => off.clamp(mbr.lo()[k], mbr.hi()[k]),
+                    }
+                })
+                .collect();
+            Point::new(coords)
+        })
+        .collect();
+    match seed % 4 {
+        1 => {
+            let r = (seed as usize / 4) % m;
+            probes.push(Point::new(rows[r * dim..(r + 1) * dim].to_vec()));
+        }
+        2 => probes.push(mbr.center()),
+        3 => probes.push(probes[0].clone()),
+        _ => {}
+    }
+    (rows, probes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pruned probe scan of an object's rows (the kernel-path traversal
+    /// key) equals the one-descent `RTree::min_dist2_multi` and the fold of
+    /// per-probe `nearest` searches (the scalar-path key) bit for bit —
+    /// across d = 1..5, m up to 100 rows, up to 50 probes, ±0.0,
+    /// duplicated rows, single-row objects and probes inside the box.
+    #[test]
+    fn prop_min_dist2_rows_multi_matches_tree_searches(
+        dim in 1usize..=5,
+        m in 1usize..=100,
+        n_q in 1usize..=49,
+        seed in 0u64..1_000_000,
+    ) {
+        let (rows, probes) = object_and_probes(dim, m, n_q, seed);
+        let mbr = Mbr::from_rows(&rows, dim);
+        let tree = RTree::bulk_load_rows(4, dim, &rows);
+        let scan = min_dist2_rows_multi(&rows, dim, &probes, &mbr).unwrap();
+        let mut visits = 0;
+        let descent = tree.min_dist2_multi(&probes, &mut visits).unwrap();
+        prop_assert_eq!(scan.to_bits(), descent.to_bits());
+        // The traversal keys: sqrt-then-square of the folded minimum on
+        // the kernel path, min of squared nearest distances on the scalar.
+        let scan_key = {
+            let d = scan.sqrt();
+            d * d
+        };
+        let nearest_key = probes
+            .iter()
+            .map(|q| {
+                let (_, d) = tree.nearest(q).unwrap();
+                d * d
+            })
+            .fold(f64::INFINITY, f64::min);
+        prop_assert_eq!(scan_key.to_bits(), nearest_key.to_bits());
+        // A probe that is one of the rows pins the key to +0.0.
+        if probes.iter().any(|q| rows.chunks_exact(dim).any(|r| r == q.coords())) {
+            prop_assert_eq!(scan.to_bits(), 0.0f64.to_bits());
+        }
+    }
 }

@@ -26,6 +26,7 @@ use osd_core::{
     PreparedQuery, PublishedIndex, ShardedDatabase, SpatialIndex, WarmPool,
 };
 use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
+use osd_geom::Point;
 use osd_uncertain::UncertainObject;
 
 /// A randomized A-N (anti-correlated) pool, the paper's main data family.
@@ -220,4 +221,87 @@ fn swapped_epoch_evicts_touched_entries() {
         stats1.evictions > stats0.evictions,
         "deleting a cached candidate must evict its warm entries"
     );
+}
+
+/// An object updated after the pool already holds its warm entries — its
+/// quanta, level snapshot and candidate MBR, and its records in admitted
+/// query tables — is re-read warm: every such entry must have been
+/// evicted, so the warm answers match cold ones on the new snapshot.
+/// The pool is churned first (inserts and deletes between warm reads,
+/// each query read twice so its query table is admitted), and the update
+/// reshapes the object in place (one instance fewer, shifted) so any entry
+/// left over from the old object changes what the warm path computes.
+#[test]
+fn object_updated_after_its_entries_are_held_reads_fresh() {
+    for shards in [1, 3] {
+        let objects = an_objects(160, 5, 0x51a);
+        let pool = an_objects(8, 5, 91);
+        let queries = queries_for(&objects, 17);
+        let cfg = FilterConfig::all();
+        let op = Operator::PSd;
+        let idx = PublishedIndex::new(ShardedDatabase::new(objects, shards));
+        let read_all = |check: bool| {
+            let snap = idx.pin();
+            for q in &queries {
+                for _ in 0..2 {
+                    let warm = nn_candidates_warm(&*snap, q, op, &cfg, idx.warm_pool());
+                    if check {
+                        let cold = nn_candidates(&*snap, q, op, &cfg);
+                        assert_eq!(
+                            fingerprint(&warm),
+                            fingerprint(&cold),
+                            "warm diverged from cold at epoch {} ({} shards)",
+                            snap.epoch(),
+                            shards
+                        );
+                    }
+                }
+            }
+        };
+        for (i, o) in pool.iter().enumerate() {
+            idx.insert(o.clone()).unwrap();
+            idx.delete(7 + 19 * i).unwrap();
+            read_all(false);
+        }
+
+        // Ids whose level snapshot and query-table records the pool holds.
+        let audit = idx.warm_pool().cache_for(&*idx.pin()).audit();
+        let levels = &audit
+            .tables
+            .iter()
+            .find(|t| t.table == "levels")
+            .unwrap()
+            .filled;
+        let held: Vec<usize> = levels
+            .iter()
+            .copied()
+            .filter(|id| {
+                audit
+                    .tables
+                    .iter()
+                    .any(|t| t.table == "query" && t.filled.contains(id))
+            })
+            .collect();
+        assert!(held.len() >= 3, "the churned pool must hold query records");
+
+        for k in 0..3 {
+            let id = held[k * held.len() / 3];
+            let old = idx.pin().object(id).to_object();
+            let reshaped: Vec<Point> = old.instances()[1..]
+                .iter()
+                .map(|inst| {
+                    Point::new(
+                        inst.point
+                            .coords()
+                            .iter()
+                            .enumerate()
+                            .map(|(d, c)| c + 23.5 - 17.0 * d as f64)
+                            .collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            idx.update(id, UncertainObject::uniform(reshaped)).unwrap();
+            read_all(true);
+        }
+    }
 }
