@@ -1,16 +1,18 @@
 //! Criterion microbenchmarks of the substrates: R-tree construction and
 //! queries, the traversal's exact object key, stochastic-order scans,
-//! max-flow / min-cost-flow solves, and convex-hull extraction.
+//! max-flow / min-cost-flow solves, convex-hull extraction, and one P-SD
+//! check that runs its whole filter stack into the exact network.
 
 // Leaf binary/bench: panic-family lints relaxed (see workspace policy).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use osd_core::{CheckCtx, Database, FilterConfig, Operator, PreparedQuery};
 use osd_datagen::object_around;
 use osd_flow::{MaxFlow, MinCostFlow, Transport};
 use osd_geom::{hull_vertices, min_dist2_rows_multi, Mbr, Point};
 use osd_rtree::{Entry, RTree};
-use osd_uncertain::{stochastically_dominates, DistanceDistribution};
+use osd_uncertain::{stochastically_dominates, DistanceDistribution, UncertainObject};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -226,12 +228,49 @@ fn bench_hull(c: &mut Criterion) {
     group.finish();
 }
 
+/// One P-SD check on psd-hot-shaped objects (d = 3, m = 12, |Q| = 9)
+/// that no cheap filter decides: `V` is `U` moved 150 units further from
+/// the query, so the boxes overlap (no MBR validation), the statistics
+/// agree, every level of the node networks is inconclusive, and the check
+/// runs the SS-SD refutation stage and then the exact network. `cold`
+/// builds every distribution in a fresh context, as a first contact does;
+/// `cached` reuses one context, so only the check logic itself is timed.
+fn bench_psd_check(c: &mut Criterion) {
+    let mut group = c.benchmark_group("psd_check");
+    let (dim, m, m_q) = (3, 12, 9);
+    let mut rng = StdRng::seed_from_u64(24);
+    let cq = vec![5_000.0; dim];
+    let query = PreparedQuery::new(object_around(&mut rng, &cq, dim, m_q, 200.0));
+    let cu = vec![5_500.0; dim];
+    let u = object_around(&mut rng, &cu, dim, m, 400.0);
+    // Shift along the query-to-U direction (the diagonal).
+    let step = 150.0 / (dim as f64).sqrt();
+    let shifted = |p: &Point| Point::new(p.coords().iter().map(|x| x + step).collect::<Vec<_>>());
+    let v = UncertainObject::uniform(u.instances().iter().map(|i| shifted(&i.point)).collect());
+    let db = Database::new(vec![u, v]);
+    let cfg = FilterConfig::all();
+    let mut probe = CheckCtx::new(&db, &query, cfg);
+    assert!(probe.dominates(Operator::PSd, 0, 1), "the pair is P-SD");
+    assert!(probe.stats.flow_runs > 0, "the check reaches a network");
+    group.bench_function("cold", |b| {
+        b.iter(|| {
+            let mut ctx = CheckCtx::new(&db, &query, cfg);
+            black_box(ctx.dominates(Operator::PSd, 0, 1))
+        })
+    });
+    group.bench_function("cached", |b| {
+        b.iter(|| black_box(probe.dominates(Operator::PSd, 0, 1)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rtree,
     bench_object_key,
     bench_stochastic_scan,
     bench_flow,
-    bench_hull
+    bench_hull,
+    bench_psd_check
 );
 criterion_main!(benches);

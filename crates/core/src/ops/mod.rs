@@ -13,6 +13,7 @@ pub mod sphere;
 mod ssd;
 mod sssd;
 
+use crate::cache::AggStats;
 use crate::config::FilterConfig;
 use crate::ctx::CheckCtx;
 use crate::db::Database;
@@ -100,15 +101,26 @@ fn raw_check(op: Operator, u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     }
 }
 
+/// `true` when any of min/mean/max of `a` exceeds that of `b` — an
+/// inverted statistic, which disproves `a`'s distribution stochastically
+/// dominating `b`'s (Theorem 11).
+fn inverted(a: AggStats, b: AggStats) -> bool {
+    a.0 > b.0 || a.1 > b.1 || a.2 > b.2
+}
+
 /// Cover-chain audit (Theorem 2): `F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD` — a
-/// domination under a stronger operator must also hold under the next
-/// weaker one. Cross-checked on small inputs only (the weaker check costs
-/// up to a flow solve), via `debug_assert!` so release builds pay nothing
-/// even with the feature on. `Stats` is `Copy`, so the audit snapshots and
-/// restores the counters rather than polluting the measured run.
+/// domination under an operator must also hold under every weaker one down
+/// the chain (P-SD refutes through SS-SD only, so its S-SD implication is
+/// checked nowhere else). Cross-checked on small inputs only (the
+/// weaker checks cost up to a flow solve), via `debug_assert!` so release
+/// builds pay nothing even with the feature on. `Stats` is `Copy`, so the
+/// audit snapshots and restores the counters rather than polluting the
+/// measured run.
 #[cfg(feature = "strict-invariants")]
 fn audit_cover_chain(op: Operator, result: bool, u: usize, v: usize, ctx: &mut CheckCtx<'_>) {
     const MAX_AUDIT_INSTANCES: usize = 8;
+    // Strongest first; F⁺-SD is the MBR-level baseline, outside the chain.
+    const CHAIN: [Operator; 4] = [Operator::FSd, Operator::PSd, Operator::SsSd, Operator::SSd];
     if !result
         || ctx.db.object(u).len() > MAX_AUDIT_INSTANCES
         || ctx.db.object(v).len() > MAX_AUDIT_INSTANCES
@@ -116,20 +128,18 @@ fn audit_cover_chain(op: Operator, result: bool, u: usize, v: usize, ctx: &mut C
     {
         return;
     }
-    // F⁺-SD is the MBR-level baseline, outside the Theorem 2 chain.
-    let weaker = match op {
-        Operator::FPlusSd | Operator::SSd => return,
-        Operator::FSd => Operator::PSd,
-        Operator::PSd => Operator::SsSd,
-        Operator::SsSd => Operator::SSd,
+    let Some(pos) = CHAIN.iter().position(|&o| o == op) else {
+        return;
     };
     let snapshot = ctx.stats;
-    let weaker_holds = raw_check(weaker, u, v, ctx);
+    for &weaker in &CHAIN[pos + 1..] {
+        let weaker_holds = raw_check(weaker, u, v, ctx);
+        debug_assert!(
+            weaker_holds,
+            "cover chain (Theorem 2) violated: {op:?} dominates u={u}, v={v} but {weaker:?} does not"
+        );
+    }
     ctx.stats = snapshot;
-    debug_assert!(
-        weaker_holds,
-        "cover chain (Theorem 2) violated: {op:?} dominates u={u}, v={v} but {weaker:?} does not"
-    );
 }
 
 macro_rules! standalone {

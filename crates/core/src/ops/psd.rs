@@ -6,15 +6,24 @@
 //! `v`→sink with capacity `p(v)`, `u`→`v` with capacity ∞ iff `u ⪯_Q v` —
 //! carries a max-flow of value 1 (here: the fixed-point total `SCALE`).
 //!
-//! Filter stack, in order:
+//! With a single query instance, Theorem 3 makes P-SD equal to S-SD, so
+//! the check is the S-SD check — an equivalence rather than a filter, which
+//! takes the flow off every point-query check.
+//!
+//! Otherwise the filter stack, in order:
 //! 1. cover-based validation via strict MBR dominance (Theorem 4);
-//! 2. cover-based pruning through S-SD and SS-SD (`P-SD ⊂ SS-SD ⊂ S-SD`);
+//! 2. statistic-based pruning through the cover chain (Theorem 11 on the
+//!    statistics of `U_Q` and of each `U_q`; `P-SD ⊂ SS-SD ⊂ S-SD`);
 //! 3. geometric early reject: an instance of `V` inside `CH(Q)` can only be
 //!    matched by a coincident instance of `U`;
 //! 4. level-by-level pruning/validation over local R-tree nodes with the
 //!    optimistic (`G⁺`) and pessimistic (`G⁻`) networks;
-//! 5. the exact instance network, built either by nested `⪯_Q` scans over
-//!    the hull vertices or by containment tests in distance space.
+//! 5. cover-based refutation through SS-SD alone (`¬SS-SD ⇒ ¬P-SD`; S-SD
+//!    is implied, so it is not run): SS-SD's per-instance level bounds,
+//!    then its per-`U_q` scans;
+//! 6. the exact instance network, built either by nested `⪯_Q` scans over
+//!    the hull vertices or by containment tests in distance space, and the
+//!    strict guard `U_Q ≠ V_Q`.
 
 use crate::config::Stats;
 use crate::ctx::{CheckCtx, CheckScratch};
@@ -36,6 +45,11 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     let db = ctx.db;
     let query = ctx.query;
 
+    // Theorem 3: with one query instance P-SD = SS-SD = S-SD.
+    if query.len() == 1 {
+        return super::ssd::check(u, v, ctx);
+    }
+
     // 1. Cover-based validation (Theorem 4).
     if ctx.cfg.mbr_validation && ctx.validate_mbr(u, v) {
         return true;
@@ -45,21 +59,8 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     //    implies S-SD and SS-SD, so any inverted min/mean/max statistic of
     //    the (cached) distance distributions disproves P-SD at the cost of
     //    a few comparisons.
-    if ctx.cfg.pruning {
-        let (min_u, mean_u, max_u) = ctx.agg(u);
-        let (min_v, mean_v, max_v) = ctx.agg(v);
-        ctx.stats.instance_comparisons += 3;
-        if min_u > min_v || mean_u > mean_v || max_u > max_v {
-            return false;
-        }
-        let agg_u = ctx.per_q_agg(u);
-        let agg_v = ctx.per_q_agg(v);
-        ctx.stats.instance_comparisons += 3 * agg_u.len() as u64;
-        for (a, b) in agg_u.iter().zip(agg_v.iter()) {
-            if a.0 > b.0 || a.1 > b.1 || a.2 > b.2 {
-                return false;
-            }
-        }
+    if ctx.cfg.pruning && super::sssd::statistics_refute(u, v, ctx) {
+        return false;
     }
 
     // 3. Geometric early reject: instances of V inside CH(Q) are only
@@ -94,17 +95,19 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
         }
     }
 
-    // 5. Cover-based pruning with the full scans: ¬S-SD ⇒ ¬P-SD and
-    //    ¬SS-SD ⇒ ¬P-SD (Theorem 2). Run after the cheaper filters so the
-    //    O(m|Q|) scans only pay when everything else was inconclusive but
-    //    before the O(m²) exact network.
-    if ctx.cfg.pruning {
-        if !super::ssd::check(u, v, ctx) {
-            return false;
-        }
-        if !super::sssd::check(u, v, ctx) {
-            return false;
-        }
+    // 5. Cover-based refutation: ¬SS-SD ⇒ ¬P-SD (Theorem 2), and S-SD is
+    //    implied by SS-SD. Steps 1–2 already ran SS-SD's validation and
+    //    statistics, so only its per-instance bounds and scans remain; they
+    //    run after the cheaper filters, so the O(m|Q|) scans only pay when
+    //    everything else was inconclusive, but before the O(m²) exact
+    //    network. `U_Q ≠ V_Q` is left to the strict guard after the flow.
+    if ctx.cfg.pruning
+        && matches!(
+            super::sssd::per_instance(u, v, ctx),
+            super::sssd::PerInstance::Refuted
+        )
+    {
+        return false;
     }
 
     // 6. Exact instance-level network (Theorem 12).
@@ -550,4 +553,112 @@ pub fn peer_network_flow(
         }
     }
     (g.max_flow(s, t), SCALE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FilterConfig;
+    use crate::db::Database;
+    use crate::ops::{p_sd, s_sd, ss_sd, Operator};
+    use crate::query::PreparedQuery;
+    use osd_uncertain::stochastic::stochastically_dominates_counted;
+
+    fn weighted(atoms: &[(f64, f64)]) -> UncertainObject {
+        UncertainObject::new(
+            atoms
+                .iter()
+                .map(|&(x, p)| (Point::new(vec![x]), p))
+                .collect(),
+        )
+    }
+
+    /// Theorem 3 with one query instance: P-SD = SS-SD = S-SD. Here an
+    /// exact transport exists (u@3 → v@3.5, {u@1, u@2} → v@2.5), but the
+    /// independently quantised masses give u@3 the tie-broken extra
+    /// quantum and v@3.5 none, so the Theorem-12 network on them falls one
+    /// quantum short. Deciding point-query P-SD by the S-SD check avoids
+    /// the network, under every filter configuration.
+    #[test]
+    fn point_query_psd_is_ssd() {
+        let third = 1.0 / 3.0;
+        let u = weighted(&[(3.0, third), (1.0, third), (2.0, third)]);
+        let v = weighted(&[(3.5, third), (2.5, 2.0 * third)]);
+        let q = weighted(&[(0.0, 1.0)]);
+        assert!(s_sd(&u, &v, &q));
+        assert!(ss_sd(&u, &v, &q));
+        assert!(p_sd(&u, &v, &q));
+
+        let db = Database::new(vec![u, v]);
+        let query = PreparedQuery::new(q);
+        for (name, cfg) in FilterConfig::ablation_ladder() {
+            for cfg in [cfg, cfg.scalar()] {
+                let mut ctx = CheckCtx::new(&db, &query, cfg);
+                assert!(ctx.dominates(Operator::PSd, 0, 1), "{name} {cfg:?}");
+                assert_eq!(ctx.stats.flow_runs, 0, "{name}: no network for |Q| = 1");
+            }
+        }
+    }
+
+    /// A pair that passes steps 1–4 (with the level filter off) reaches
+    /// step 5 after exactly one cover validation and one statistics
+    /// charge: step 5 re-runs neither, nor the S-SD scan or a strict
+    /// guard. With every distribution cached up front, the pruning switch
+    /// adds only step 2's `3 + 3|Q|` comparisons and step 5's per-`U_q`
+    /// scans; the network and the final guard cost the same either way.
+    #[test]
+    fn step_five_validates_once_and_charges_statistics_once() {
+        let pt = |x: f64, y: f64| Point::new(vec![x, y]);
+        let u = UncertainObject::uniform(vec![pt(0.5, 1.0), pt(0.5, 3.0)]);
+        let v = UncertainObject::uniform(vec![pt(0.5, 2.0), pt(0.5, 4.0)]);
+        let q = UncertainObject::uniform(vec![pt(0.0, 0.0), pt(1.0, 0.0)]);
+        let m_q = q.len() as u64;
+        let db = Database::new(vec![u, v]);
+        let query = PreparedQuery::new(q);
+
+        let with = FilterConfig {
+            level_by_level: false,
+            ..FilterConfig::all()
+        };
+        let without = FilterConfig {
+            pruning: false,
+            ..with
+        };
+        for kernels in [true, false] {
+            // Runs the check on a context whose distributions are all
+            // cached, returning the counter deltas and the scan cost.
+            let run = |cfg: FilterConfig| {
+                let cfg = FilterConfig { kernels, ..cfg };
+                let mut ctx = CheckCtx::new(&db, &query, cfg);
+                for id in [0, 1] {
+                    ctx.agg(id);
+                    ctx.per_q_agg(id);
+                }
+                let (du, dv) = (ctx.per_q(0), ctx.per_q(1));
+                let mut scans = 0;
+                for (x, y) in du.iter().zip(dv.iter()) {
+                    assert!(stochastically_dominates_counted(x, y, &mut scans));
+                }
+                let before = ctx.stats;
+                assert!(check(0, 1, &mut ctx), "P-SD holds (kernels {kernels})");
+                let after = ctx.stats;
+                (
+                    after.mbr_checks - before.mbr_checks,
+                    after.instance_comparisons - before.instance_comparisons,
+                    after.flow_runs - before.flow_runs,
+                    scans,
+                )
+            };
+            let (mbr_on, cmp_on, flows_on, scans) = run(with);
+            let (mbr_off, cmp_off, flows_off, _) = run(without);
+            assert_eq!(mbr_on, 1, "one cover validation (kernels {kernels})");
+            assert_eq!(mbr_off, 1);
+            assert_eq!((flows_on, flows_off), (1, 1), "step 5 reached");
+            assert_eq!(
+                cmp_on - cmp_off,
+                3 + 3 * m_q + scans,
+                "one statistics charge plus the per-U_q scans (kernels {kernels})"
+            );
+        }
+    }
 }

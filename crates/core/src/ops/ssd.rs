@@ -14,15 +14,8 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     if ctx.cfg.mbr_validation && ctx.validate_mbr(u, v) {
         return true;
     }
-    // Statistic-based pruning (Theorem 11): any inverted statistic disproves
-    // stochastic dominance.
-    if ctx.cfg.pruning {
-        let (min_u, mean_u, max_u) = ctx.agg(u);
-        let (min_v, mean_v, max_v) = ctx.agg(v);
-        ctx.stats.instance_comparisons += 3;
-        if min_u > min_v || mean_u > mean_v || max_u > max_v {
-            return false;
-        }
+    if ctx.cfg.pruning && statistics_refute(u, v, ctx) {
+        return false;
     }
     // Level-by-level bounds over the local R-tree nodes (§5.1.1).
     if ctx.cfg.level_by_level {
@@ -37,4 +30,13 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     let dv = ctx.dist_q(v);
     stochastically_dominates_counted(&du, &dv, &mut ctx.stats.instance_comparisons)
         && ctx.strict_guard(u, v)
+}
+
+/// Statistic-based pruning (Theorem 11): any inverted min/mean/max
+/// statistic of `U_Q` vs `V_Q` disproves stochastic dominance.
+pub(super) fn statistics_refute(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
+    let agg_u = ctx.agg(u);
+    let agg_v = ctx.agg(v);
+    ctx.stats.instance_comparisons += 3;
+    super::inverted(agg_u, agg_v)
 }

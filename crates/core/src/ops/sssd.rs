@@ -1,13 +1,15 @@
 //! The SS-SD dominance check (Definition 3, §5.1.1).
 //!
 //! `SS-SD(U, V, Q)` iff `U_q ⪯_st V_q` for **every** query instance `q`,
-//! and `U_Q ≠ V_Q`. One merged scan per query instance, with:
+//! and `U_Q ≠ V_Q`. After cover-based validation via strict MBR dominance
+//! (Theorem 4) the check runs in two parts, both shared with P-SD, which
+//! refutes through them (`¬SS-SD ⇒ ¬P-SD`, Theorem 2):
 //!
-//! * cover-based validation via strict MBR dominance (Theorem 4);
-//! * statistic-based pruning per query instance (Theorem 11);
-//! * cover-based pruning through S-SD: `¬S-SD(U,V,Q) ⇒ ¬SS-SD(U,V,Q)`
-//!   (SS-SD ⊂ S-SD, Theorem 2) — the aggregate statistics of `U_Q` give a
-//!   cheap necessary condition before the per-instance scans run.
+//! * [`statistics_refute`] — statistic-based pruning (Theorem 11) on the
+//!   aggregate statistics of `U_Q` (cover-based: `¬S-SD ⇒ ¬SS-SD`) and
+//!   then on those of each `U_q`;
+//! * [`per_instance`] — the level-by-level bounds per query instance, and
+//!   when they are inconclusive one merged scan per query instance.
 
 use crate::ctx::CheckCtx;
 use osd_uncertain::stochastic::stochastically_dominates_counted;
@@ -16,40 +18,62 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     if ctx.cfg.mbr_validation && ctx.validate_mbr(u, v) {
         return true;
     }
-    if ctx.cfg.pruning {
-        // Cover-based pruning via the S-SD statistics: SS-SD implies S-SD,
-        // so any inverted aggregate statistic of U_Q vs V_Q disproves SS-SD.
-        let (min_u, mean_u, max_u) = ctx.agg(u);
-        let (min_v, mean_v, max_v) = ctx.agg(v);
-        ctx.stats.instance_comparisons += 3;
-        if min_u > min_v || mean_u > mean_v || max_u > max_v {
-            return false;
-        }
-        // Per-query-instance statistic pruning.
-        let agg_u = ctx.per_q_agg(u);
-        let agg_v = ctx.per_q_agg(v);
-        ctx.stats.instance_comparisons += 3 * agg_u.len() as u64;
-        for (a, b) in agg_u.iter().zip(agg_v.iter()) {
-            if a.0 > b.0 || a.1 > b.1 || a.2 > b.2 {
-                return false;
-            }
-        }
+    if ctx.cfg.pruning && statistics_refute(u, v, ctx) {
+        return false;
     }
-    // Level-by-level bounds per query instance (§5.1.1).
+    match per_instance(u, v, ctx) {
+        PerInstance::Refuted => false,
+        PerInstance::Certified => true,
+        PerInstance::Holds => ctx.strict_guard(u, v),
+    }
+}
+
+/// Statistic-based pruning (Theorem 11): `true` when an inverted
+/// min/mean/max statistic — of `U_Q` vs `V_Q` (the S-SD statistics, which
+/// SS-SD implies), then of any `U_q` vs `V_q` — disproves `U_q ⪯_st V_q`
+/// for some query instance `q`.
+pub(super) fn statistics_refute(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
+    if super::ssd::statistics_refute(u, v, ctx) {
+        return true;
+    }
+    let agg_u = ctx.per_q_agg(u);
+    let agg_v = ctx.per_q_agg(v);
+    ctx.stats.instance_comparisons += 3 * agg_u.len() as u64;
+    agg_u
+        .iter()
+        .zip(agg_v.iter())
+        .any(|(&a, &b)| super::inverted(a, b))
+}
+
+/// Outcome of [`per_instance`].
+pub(super) enum PerInstance {
+    /// Some `U_q ⪯_st V_q` fails.
+    Refuted,
+    /// The level bounds validated every `U_q ⪯_st V_q` with a strictly
+    /// smaller mean, which certifies `U_Q ≠ V_Q` as well.
+    Certified,
+    /// The exact scans found `U_q ⪯_st V_q` for every `q`; `U_Q ≠ V_Q` is
+    /// left to the caller's strict guard.
+    Holds,
+}
+
+/// Decides `U_q ⪯_st V_q` for every query instance: the per-instance
+/// level-by-level bounds (§5.1.1) first, then — if they are inconclusive —
+/// one merged scan per query instance.
+pub(super) fn per_instance(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> PerInstance {
     if ctx.cfg.level_by_level {
-        if let Some(decision) =
-            super::level::try_decide(u, v, super::level::Granularity::PerInstance, ctx)
-        {
-            return decision;
+        match super::level::try_decide(u, v, super::level::Granularity::PerInstance, ctx) {
+            Some(true) => return PerInstance::Certified,
+            Some(false) => return PerInstance::Refuted,
+            None => {}
         }
     }
-    // Full check: one scan per query instance.
     let du = ctx.per_q(u);
     let dv = ctx.per_q(v);
     for (x, y) in du.iter().zip(dv.iter()) {
         if !stochastically_dominates_counted(x, y, &mut ctx.stats.instance_comparisons) {
-            return false;
+            return PerInstance::Refuted;
         }
     }
-    ctx.strict_guard(u, v)
+    PerInstance::Holds
 }
