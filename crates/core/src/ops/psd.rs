@@ -16,19 +16,24 @@
 //!    statistics of `U_Q` and of each `U_q`; `P-SD ⊂ SS-SD ⊂ S-SD`);
 //! 3. geometric early reject: an instance of `V` inside `CH(Q)` can only be
 //!    matched by a coincident instance of `U`;
-//! 4. level-by-level pruning/validation over local R-tree nodes with the
-//!    optimistic (`G⁺`) and pessimistic (`G⁻`) networks;
-//! 5. cover-based refutation through SS-SD alone (`¬SS-SD ⇒ ¬P-SD`; S-SD
-//!    is implied, so it is not run): SS-SD's per-instance level bounds,
-//!    then its per-`U_q` scans;
+//! 4. level-by-level validation over local R-tree nodes with the
+//!    pessimistic (`G⁻`) network;
+//! 5. cover-based refutation through SS-SD's per-`U_q` scans
+//!    (`¬SS-SD ⇒ ¬P-SD`; S-SD is implied, so it is not run);
 //! 6. the exact instance network, built either by nested `⪯_Q` scans over
 //!    the hull vertices or by containment tests in distance space, and the
 //!    strict guard `U_Q ≠ V_Q`.
+//!
+//! The paper's level filter also builds an optimistic network `G⁺`, and
+//! SS-SD's per-instance level bounds could run ahead of the scans in
+//! step 5. Both are sound refutations ahead of the exact network, so
+//! dropping them changes no verdict, only which work runs; both are left
+//! out because they almost never decided a check (DESIGN.md §3).
 
 use crate::config::Stats;
 use crate::ctx::{CheckCtx, CheckScratch};
 use osd_flow::MaxFlow;
-use osd_geom::{dist2_rows_batch, dist2_slice, mbr_dominates, mbr_dominates_strict, Mbr, Point};
+use osd_geom::{dist2_rows_batch, dist2_slice, mbr_dominates, Mbr, Point};
 use osd_obs::{Phase, PhaseTimer};
 use osd_rtree::{Entry, RTree};
 use osd_uncertain::{UncertainObject, SCALE};
@@ -83,30 +88,25 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
         }
     }
 
-    // 4. Level-by-level pruning/validation over local R-tree nodes
-    //    (recorded under the *level-prune* phase; the embedded flow solves
+    // 4. Level-by-level validation over local R-tree nodes (recorded
+    //    under the *level-prune* phase; the embedded flow solves
     //    additionally record *refine* samples).
     if ctx.cfg.level_by_level {
         let timer = PhaseTimer::start(Phase::LevelPrune);
-        let decision = level_filter(u, v, ctx);
+        let validated = level_validates(u, v, ctx);
         ctx.metrics.record(timer);
-        if let Some(decided) = decision {
-            return decided;
+        if validated {
+            return ctx.strict_guard(u, v);
         }
     }
 
     // 5. Cover-based refutation: ¬SS-SD ⇒ ¬P-SD (Theorem 2), and S-SD is
     //    implied by SS-SD. Steps 1–2 already ran SS-SD's validation and
-    //    statistics, so only its per-instance bounds and scans remain; they
-    //    run after the cheaper filters, so the O(m|Q|) scans only pay when
-    //    everything else was inconclusive, but before the O(m²) exact
-    //    network. `U_Q ≠ V_Q` is left to the strict guard after the flow.
-    if ctx.cfg.pruning
-        && matches!(
-            super::sssd::per_instance(u, v, ctx),
-            super::sssd::PerInstance::Refuted
-        )
-    {
+    //    statistics, so only its per-`U_q` scans remain; they run after the
+    //    cheaper filters, so the O(m|Q|) scans only pay when everything
+    //    else was inconclusive, but before the O(m²) exact network.
+    //    `U_Q ≠ V_Q` is left to the strict guard after the flow.
+    if ctx.cfg.pruning && !super::sssd::scans_hold(u, v, ctx) {
         return false;
     }
 
@@ -266,17 +266,19 @@ fn exact_edges_blocked(
 // alloc-free: end
 
 /// Step 4 of [`check`]: the level-by-level descent over the two local
-/// R-trees with the optimistic (`G⁺`) / pessimistic (`G⁻`) group networks.
-/// `Some(decided)` short-circuits the check; `None` is inconclusive.
-fn level_filter(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> Option<bool> {
+/// R-trees with the pessimistic group network `G⁻` — an edge iff the
+/// groups' MBRs fully dominate (every contained instance pair relates), so
+/// a saturating flow validates `U ⪯ V` under P-SD. `true` validates (the
+/// caller still runs the strict guard); `false` is inconclusive.
+fn level_validates(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     if ctx.cfg.kernels {
         // The reusable edge buffer lives in the context scratch, but
         // `saturates` needs `&mut ctx` too — take it out for the descent
         // and put it back after.
         let mut edges = std::mem::take(&mut ctx.scratch.edges);
-        let decision = level_filter_snapshot(u, v, ctx, &mut edges);
+        let validated = level_validates_snapshot(u, v, ctx, &mut edges);
         ctx.scratch.edges = edges;
-        return decision;
+        return validated;
     }
     let db = ctx.db;
     let query = ctx.query;
@@ -300,40 +302,27 @@ fn level_filter(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> Option<bool> {
             .map(|(_, items)| items.iter().map(|&&i| quanta_v[i]).sum())
             .collect();
         ctx.stats.mbr_checks += (gu.len() * gv.len()) as u64;
-
-        // Pessimistic network G⁻: group-level full dominance implies
-        // every contained instance pair relates; flow 1 validates P-SD.
-        let val_edges = group_edges(&gu, &gv, |mu, mv| mbr_dominates(mu, mv, query.mbr()));
-        if !val_edges.is_empty() && saturates(&caps_u, &caps_v, &val_edges, ctx) {
-            return Some(ctx.strict_guard(u, v));
-        }
-
-        // Optimistic network G⁺: an edge survives unless V's group
-        // *strictly* dominates U's (which forbids even tie edges);
-        // failing to saturate disproves P-SD.
-        let prune_edges = group_edges(&gu, &gv, |mu, mv| {
-            !mbr_dominates_strict(mv, mu, query.mbr())
-        });
-        if !saturates(&caps_u, &caps_v, &prune_edges, ctx) {
-            return Some(false);
+        let edges = group_edges(&gu, &gv, |mu, mv| mbr_dominates(mu, mv, query.mbr()));
+        if !edges.is_empty() && saturates(&caps_u, &caps_v, &edges, ctx) {
+            return true;
         }
     }
-    None
+    false
 }
 
-/// The memoized twin of the scalar [`level_filter`]: group MBRs and
+/// The memoized twin of the scalar [`level_validates`]: group MBRs and
 /// fixed-point capacities come from the per-object [`crate::cache::LevelSnapshot`]
 /// (built once per traversal, groups and caps in a single pass) instead of
-/// being re-derived for every `(u, v)` pair, and both group networks are
-/// built into one reusable edge buffer. Descent order, `mbr_checks`
-/// accounting, edge enumeration order and flow results are identical to the
-/// scalar path.
-fn level_filter_snapshot(
+/// being re-derived for every `(u, v)` pair, and each network is built
+/// into one reusable edge buffer. Descent order, `mbr_checks` accounting,
+/// edge enumeration order and flow results are identical to the scalar
+/// path.
+fn level_validates_snapshot(
     u: usize,
     v: usize,
     ctx: &mut CheckCtx<'_>,
     edges: &mut Vec<(usize, usize)>,
-) -> Option<bool> {
+) -> bool {
     let query = ctx.query;
     let snap_u = ctx.level_snapshot(u);
     let snap_v = ctx.level_snapshot(v);
@@ -342,26 +331,16 @@ fn level_filter_snapshot(
         let lu = snap_u.level(level);
         let lv = snap_v.level(level);
         ctx.stats.mbr_checks += (lu.len() * lv.len()) as u64;
-
-        // Pessimistic network G⁻ (see the scalar descent above). An
-        // incomplete edge list is a network whose `saturates` pre-check
+        // An incomplete edge list is a network whose `saturates` pre-check
         // fails, so the flow is not called.
         let complete = group_edges_into(&lu.mbrs, &lv.mbrs, &lu.caps, edges, |mu, mv| {
             mbr_dominates(mu, mv, query.mbr())
         });
         if complete && !edges.is_empty() && saturates(&lu.caps, &lv.caps, edges, ctx) {
-            return Some(ctx.strict_guard(u, v));
-        }
-
-        // Optimistic network G⁺.
-        let complete = group_edges_into(&lu.mbrs, &lv.mbrs, &lu.caps, edges, |mu, mv| {
-            !mbr_dominates_strict(mv, mu, query.mbr())
-        });
-        if !complete || !saturates(&lu.caps, &lv.caps, edges, ctx) {
-            return Some(false);
+            return true;
         }
     }
-    None
+    false
 }
 
 /// `δ(u, q) ≤ δ(v, q)` for every evaluation point, with comparison counting.

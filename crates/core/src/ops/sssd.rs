@@ -2,14 +2,20 @@
 //!
 //! `SS-SD(U, V, Q)` iff `U_q ⪯_st V_q` for **every** query instance `q`,
 //! and `U_Q ≠ V_Q`. After cover-based validation via strict MBR dominance
-//! (Theorem 4) the check runs in two parts, both shared with P-SD, which
-//! refutes through them (`¬SS-SD ⇒ ¬P-SD`, Theorem 2):
+//! (Theorem 4) the check runs:
 //!
 //! * [`statistics_refute`] — statistic-based pruning (Theorem 11) on the
 //!   aggregate statistics of `U_Q` (cover-based: `¬S-SD ⇒ ¬SS-SD`) and
 //!   then on those of each `U_q`;
-//! * [`per_instance`] — the level-by-level bounds per query instance, and
-//!   when they are inconclusive one merged scan per query instance.
+//! * the level-by-level bounds per query instance (§5.1.1), which can
+//!   certify the check outright or refute it;
+//! * [`scans_hold`] — when the bounds are inconclusive, one merged scan per
+//!   query instance, then the strict guard `U_Q ≠ V_Q`.
+//!
+//! P-SD refutes through SS-SD (`¬SS-SD ⇒ ¬P-SD`, Theorem 2) by running
+//! [`statistics_refute`] and [`scans_hold`] alone: a certification by the
+//! bounds would not decide P-SD, and the refutations they add are ones
+//! the exact network finds anyway.
 
 use crate::ctx::CheckCtx;
 use osd_uncertain::stochastic::stochastically_dominates_counted;
@@ -21,11 +27,14 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     if ctx.cfg.pruning && statistics_refute(u, v, ctx) {
         return false;
     }
-    match per_instance(u, v, ctx) {
-        PerInstance::Refuted => false,
-        PerInstance::Certified => true,
-        PerInstance::Holds => ctx.strict_guard(u, v),
+    if ctx.cfg.level_by_level {
+        if let Some(decided) =
+            super::level::try_decide(u, v, super::level::Granularity::PerInstance, ctx)
+        {
+            return decided;
+        }
     }
+    scans_hold(u, v, ctx) && ctx.strict_guard(u, v)
 }
 
 /// Statistic-based pruning (Theorem 11): `true` when an inverted
@@ -45,35 +54,12 @@ pub(super) fn statistics_refute(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> b
         .any(|(&a, &b)| super::inverted(a, b))
 }
 
-/// Outcome of [`per_instance`].
-pub(super) enum PerInstance {
-    /// Some `U_q ⪯_st V_q` fails.
-    Refuted,
-    /// The level bounds validated every `U_q ⪯_st V_q` with a strictly
-    /// smaller mean, which certifies `U_Q ≠ V_Q` as well.
-    Certified,
-    /// The exact scans found `U_q ⪯_st V_q` for every `q`; `U_Q ≠ V_Q` is
-    /// left to the caller's strict guard.
-    Holds,
-}
-
-/// Decides `U_q ⪯_st V_q` for every query instance: the per-instance
-/// level-by-level bounds (§5.1.1) first, then — if they are inconclusive —
-/// one merged scan per query instance.
-pub(super) fn per_instance(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> PerInstance {
-    if ctx.cfg.level_by_level {
-        match super::level::try_decide(u, v, super::level::Granularity::PerInstance, ctx) {
-            Some(true) => return PerInstance::Certified,
-            Some(false) => return PerInstance::Refuted,
-            None => {}
-        }
-    }
+/// The merged scans: `true` iff `U_q ⪯_st V_q` for every query instance
+/// `q`. `U_Q ≠ V_Q` is left to the caller's strict guard.
+pub(super) fn scans_hold(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     let du = ctx.per_q(u);
     let dv = ctx.per_q(v);
-    for (x, y) in du.iter().zip(dv.iter()) {
-        if !stochastically_dominates_counted(x, y, &mut ctx.stats.instance_comparisons) {
-            return PerInstance::Refuted;
-        }
-    }
-    PerInstance::Holds
+    du.iter()
+        .zip(dv.iter())
+        .all(|(x, y)| stochastically_dominates_counted(x, y, &mut ctx.stats.instance_comparisons))
 }

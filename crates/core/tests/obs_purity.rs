@@ -54,6 +54,10 @@ fn results_and_stats_match_pre_instrumentation_baseline() {
     // 3441/3894/4089/4534/4139 and 387/474/651/681/453 →
     // 278/407/604/622/366); ids, dominance checks and flow runs are
     // unchanged.
+    // Dropping P-SD's optimistic `G⁺` level network and its step-5
+    // per-instance level bounds moved none of the P-SD rows: every object
+    // has 3 instances, a height-0 local tree at fan-out 4, so neither
+    // stage ever ran on them.
     #[allow(clippy::type_complexity)]
     let baseline: &[(Operator, usize, &[usize], u64, u64, u64, u64, usize)] = &[
         (

@@ -4,12 +4,14 @@
 //! identically), and Algorithm 1 against the O(n²) oracle.
 
 use osd_core::{
-    k_nn_candidates, k_nn_candidates_bruteforce, nn_candidates, nn_candidates_bruteforce, CheckCtx,
-    Database, FilterConfig, Operator, PreparedQuery,
+    k_nn_candidates, k_nn_candidates_bruteforce, nn_candidates, nn_candidates_bruteforce,
+    peer_network_flow, CheckCtx, Database, FilterConfig, Operator, PreparedQuery,
 };
 use osd_geom::Point;
 use osd_uncertain::UncertainObject;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn object_strategy(max_m: usize) -> impl Strategy<Value = UncertainObject> {
     prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..max_m).prop_map(|pts| {
@@ -216,6 +218,77 @@ proptest! {
         let res = nn_candidates(&db, &pq, Operator::SsSd, &FilterConfig::all());
         for w in res.candidates.windows(2) {
             prop_assert!(w[0].min_dist <= w[1].min_dist + 1e-9);
+        }
+    }
+}
+
+/// `m` uniform instances in a square of side `extent` around `(cx, cy)`.
+fn cloud(rng: &mut StdRng, cx: f64, cy: f64, m: usize, extent: f64) -> UncertainObject {
+    UncertainObject::uniform(
+        (0..m)
+            .map(|_| {
+                Point::new(vec![
+                    cx + rng.gen_range(-0.5..0.5) * extent,
+                    cy + rng.gen_range(-0.5..0.5) * extent,
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Filter-configuration invariance where the level networks actually run.
+/// The property test above draws at most 4 instances per object, a
+/// height-0 local tree at fan-out 4, so its level descents never enter a
+/// level. Here HOUSE-like objects of `m_d` = 30 instances (local trees of
+/// height 2) crowd around queries of 5 to 20 instances, so many pairs get
+/// past the statistics and into the level networks, the per-`U_q` scans
+/// and the exact network. Every ordered pair's P-SD verdict must agree
+/// across the ablation ladder with kernels on and off, and with the raw
+/// Theorem-12 network; NNC must equal the brute-force oracle.
+#[test]
+fn psd_verdicts_agree_on_multi_level_local_trees() {
+    const M_D: usize = 30;
+    for (seed, m_q) in [(1u64, 5usize), (3, 14), (15, 20), (50, 7)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = cloud(&mut rng, 0.0, 0.0, m_q, 40.0);
+        let objs: Vec<UncertainObject> = (0..12)
+            .map(|_| {
+                let (cx, cy) = (rng.gen_range(40.0..90.0), rng.gen_range(-25.0..25.0));
+                let extent = rng.gen_range(20.0..50.0);
+                cloud(&mut rng, cx, cy, M_D, extent)
+            })
+            .collect();
+        let db = Database::new(objs.clone());
+        for id in 0..db.len() {
+            assert!(db.local_tree(id).height() >= Some(2), "object {id}");
+        }
+        let pq = PreparedQuery::new(q.clone());
+        let configs: Vec<(&str, FilterConfig)> = FilterConfig::ablation_ladder()
+            .into_iter()
+            .flat_map(|(name, cfg)| [(name, cfg), (name, cfg.scalar())])
+            .collect();
+        let mut dominated = 0;
+        for u in 0..db.len() {
+            for v in (0..db.len()).filter(|&v| v != u) {
+                let (flow, scale) = peer_network_flow(&objs[u], &objs[v], &q);
+                let oracle = flow == scale;
+                dominated += oracle as usize;
+                for (name, cfg) in &configs {
+                    assert_eq!(
+                        check(Operator::PSd, &db, u, v, &pq, cfg),
+                        oracle,
+                        "seed {seed}, m_q {m_q}: P-SD({u}, {v}) under {name}, kernels {}",
+                        cfg.kernels
+                    );
+                }
+            }
+        }
+        assert!(dominated > 0, "seed {seed}: some pairs must dominate");
+        let (brute, _) = nn_candidates_bruteforce(&db, &pq, Operator::PSd, &FilterConfig::bf());
+        for (name, cfg) in &configs {
+            let mut ids = nn_candidates(&db, &pq, Operator::PSd, cfg).ids();
+            ids.sort_unstable();
+            assert_eq!(ids, brute, "seed {seed}: NNC under {name}");
         }
     }
 }

@@ -144,6 +144,10 @@ fn results_and_stats_match_pre_instrumentation_baseline() {
     // P-SD refinement stopped re-running S-SD and SS-SD's validation and
     // statistics (5130 → 3441, 387 → 278; 5516 → 4139, 453 → 366); ids,
     // dominance checks and flow runs are unchanged.
+    // Dropping P-SD's optimistic `G⁺` level network and its step-5
+    // per-instance level bounds moved none of these rows: every object
+    // has 3 instances, a height-0 local tree at fan-out 4, so neither
+    // stage ever ran on them.
     #[allow(clippy::type_complexity)]
     let baseline: &[(Operator, usize, &[usize], u64, u64, u64, u64, usize)] = &[
         (
