@@ -13,8 +13,10 @@
 //!   --threads <T>      fig10 batch worker threads
 //! ```
 
-// Leaf binary/bench: panic-family lints relaxed (see workspace policy).
+// Leaf binary/bench: panic-family and print lints relaxed (see workspace
+// policy).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::print_stderr)]
 
 use osd_bench::{
     fig10_with_threads, fig11_13, fig12, fig14, fig16, motivation, Report, Scale, SweepParam,

@@ -14,8 +14,10 @@
 //! cargo run --release -p osd-bench --bin stress -- [rounds] [seed]
 //! ```
 
-// Leaf binary/bench: panic-family lints relaxed (see workspace policy).
+// Leaf binary/bench: panic-family and print lints relaxed (see workspace
+// policy).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::print_stdout)]
 
 use osd_core::{
     k_nn_candidates, k_nn_candidates_bruteforce, nn_candidates, nn_candidates_bruteforce, Database,

@@ -17,10 +17,11 @@
 
 #![warn(missing_docs)]
 // The bench harness is a leaf crate that aborts on malformed experiment
-// state; the workspace panic-family lints are relaxed here (and in the CLI)
-// only — `cargo run -p xtask -- check` enforces that no library crate does
-// the same.
+// state and prints its tables; the workspace panic-family and print lints
+// are relaxed here (and in the CLI) only — `cargo run -p xtask -- check`
+// enforces that no library crate does the same.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod datasets;
 pub mod figures;

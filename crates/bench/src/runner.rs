@@ -2,7 +2,7 @@
 
 use crate::datasets::Workbench;
 use osd_core::{batch_stats, nn_candidates, FilterConfig, Operator, QueryEngine, Stats};
-use std::time::Instant;
+use osd_obs::Stopwatch;
 
 /// Aggregated measurements of one (dataset, operator, config) cell.
 #[derive(Debug, Clone)]
@@ -25,7 +25,7 @@ pub struct CellResult {
 pub fn run_cell(bench: &Workbench, op: Operator, cfg: &FilterConfig) -> CellResult {
     let mut candidates = 0usize;
     let mut total = Stats::default();
-    let started = Instant::now();
+    let started = Stopwatch::start();
     for q in &bench.queries {
         let res = nn_candidates(&bench.db, q, op, cfg);
         candidates += res.candidates.len();
@@ -51,7 +51,7 @@ pub fn run_cell_parallel(
         return run_cell(bench, op, cfg);
     }
     let engine = QueryEngine::with_config(&bench.db, op, *cfg);
-    let started = Instant::now();
+    let started = Stopwatch::start();
     let results = engine.run_batch(&bench.queries, threads);
     let elapsed = started.elapsed();
     let candidates = results.iter().map(|r| r.candidates.len()).sum();

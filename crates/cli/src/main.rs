@@ -1,7 +1,9 @@
 //! `osd` — command-line NN-candidate search.
 
-// Leaf binary/bench: panic-family lints relaxed (see workspace policy).
+// Leaf binary/bench: panic-family and print lints relaxed (see workspace
+// policy).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::print_stderr)]
 
 use osd_cli::args::Flags;
 use osd_cli::commands::{run, usage};

@@ -89,11 +89,25 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     }
 
     // 4. Level-by-level validation over local R-tree nodes (recorded
-    //    under the *level-prune* phase; the embedded flow solves
-    //    additionally record *refine* samples).
+    //    under the *level-prune* phase and span, as S-SD and SS-SD's
+    //    level filter is; the embedded flow solves additionally record
+    //    *refine* samples).
     if ctx.cfg.level_by_level {
         let timer = PhaseTimer::start(Phase::LevelPrune);
+        let span = ctx.trace.open("level-prune");
         let validated = level_validates(u, v, ctx);
+        if span != osd_obs::SpanId::NONE {
+            ctx.trace.attr(span, "u", osd_obs::AttrValue::U64(u as u64));
+            ctx.trace.attr(span, "v", osd_obs::AttrValue::U64(v as u64));
+            let decision = if validated {
+                "validated"
+            } else {
+                "inconclusive"
+            };
+            ctx.trace
+                .attr(span, "decision", osd_obs::AttrValue::Str(decision.into()));
+        }
+        ctx.trace.close(span);
         ctx.metrics.record(timer);
         if validated {
             return ctx.strict_guard(u, v);

@@ -38,10 +38,9 @@
 //! progressive traversal's `Candidate::elapsed` timestamps, a result field
 //! that predates this crate (Figure 14) and must keep working in every
 //! build. It is also the single sanctioned clock shim of the workspace:
-//! `cargo run -p xtask -- check` bans raw `std::time::Instant` /
-//! `SystemTime` in `osd-core` / `osd-geom` / `osd-rtree` *and* in every
-//! module of this crate except this file (`no-ad-hoc-timing`), so the
-//! timers and the tracer all read time through `Stopwatch`.
+//! `clippy.toml` bans raw `std::time::Instant` / `SystemTime` in every
+//! crate and target, and only `Stopwatch` carries the scoped `allow`, so
+//! the timers, the tracer and the bench harness all read time through it.
 
 pub mod expo;
 pub mod metrics;
@@ -57,7 +56,7 @@ pub use trace::{
     TraceData,
 };
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The phases of one NNC query, in pipeline order.
 ///
@@ -130,18 +129,20 @@ impl Phase {
 ///
 /// Backs the progressive traversal's `Candidate::elapsed` field (the
 /// Figure 14 emission timestamps), which is part of the query result in
-/// every build. Library crates under the `no-ad-hoc-timing` rule use this
-/// instead of `std::time::Instant`.
+/// every build. Everything that times uses this instead of
+/// `std::time::Instant`, which `clippy.toml` bans everywhere else.
 #[derive(Debug, Clone, Copy)]
+#[allow(clippy::disallowed_types)] // the one sanctioned clock (DESIGN.md §6.2)
 pub struct Stopwatch {
-    started: Instant,
+    started: std::time::Instant,
 }
 
 impl Stopwatch {
     /// Starts the stopwatch now.
+    #[allow(clippy::disallowed_types)]
     pub fn start() -> Self {
         Stopwatch {
-            started: Instant::now(),
+            started: std::time::Instant::now(),
         }
     }
 

@@ -250,7 +250,9 @@ struct HeapItem<'a, T> {
 
 impl<T> PartialEq for HeapItem<'_, T> {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        // Via `Ord::cmp`, so `==` agrees with the total order on NaN and
+        // ±0.0 keys (the `Eq` impl requires the two to be consistent).
+        self.cmp(other).is_eq()
     }
 }
 impl<T> Eq for HeapItem<'_, T> {}
@@ -314,8 +316,30 @@ impl<'a, T, F: Fn(&Mbr) -> f64> Iterator for BestFirstIter<'a, T, F> {
 
 #[cfg(test)]
 mod tests {
+    use super::{HeapItem, Slot};
     use crate::node::RTree;
     use osd_geom::Point;
+
+    #[test]
+    fn heap_item_eq_agrees_with_its_total_order() {
+        let item = |key: f64| HeapItem {
+            key,
+            slot: Slot::Item(&0usize),
+        };
+        for (a, b) in [
+            (-0.0, 0.0),
+            (f64::NAN, f64::NAN),
+            (f64::NAN, -f64::NAN),
+            (1.0, 1.0),
+        ] {
+            let (x, y) = (item(a), item(b));
+            assert_eq!(x == y, x.cmp(&y).is_eq(), "keys {a} and {b}");
+        }
+        // total_cmp separates the signed zeros and NaN's sign; equal keys
+        // (NaN included) compare equal.
+        assert!(item(-0.0) != item(0.0));
+        assert!(item(f64::NAN) == item(f64::NAN));
+    }
 
     fn line_tree(n: usize) -> RTree<usize> {
         let rows: Vec<f64> = (0..n).flat_map(|i| [i as f64, 0.0]).collect();

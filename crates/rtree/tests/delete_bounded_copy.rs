@@ -17,7 +17,7 @@ use osd_geom::{Mbr, Point};
 use osd_rtree::{Entry, Node, RTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 mod common;
 use common::{dissolved_levels, removal_path};
@@ -36,7 +36,7 @@ fn random_points(n: usize, seed: u64) -> Vec<Point> {
 }
 
 /// Address of every node below (and including) `node`.
-fn node_addresses(node: &Node<usize>, out: &mut HashSet<*const Node<usize>>) {
+fn node_addresses(node: &Node<usize>, out: &mut BTreeSet<*const Node<usize>>) {
     out.insert(node);
     if let Node::Inner(children) = node {
         for c in children {
@@ -47,7 +47,7 @@ fn node_addresses(node: &Node<usize>, out: &mut HashSet<*const Node<usize>>) {
 
 /// Nodes of the tree under `node` that are not shared with the tree whose
 /// node addresses are `original`. A shared node's whole subtree is shared.
-fn unshared_nodes(node: &Node<usize>, original: &HashSet<*const Node<usize>>) -> usize {
+fn unshared_nodes(node: &Node<usize>, original: &BTreeSet<*const Node<usize>>) -> usize {
     if original.contains(&(node as *const Node<usize>)) {
         return 0;
     }
@@ -107,7 +107,7 @@ fn remove_and_check(before: &RTree<usize>, target: &Mbr, victim: usize) -> (RTre
         );
     }
     assert_eq!(after.len(), before.len() - 1);
-    let mut addresses = HashSet::new();
+    let mut addresses = BTreeSet::new();
     node_addresses(root, &mut addresses);
     let copied = unshared_nodes(after.root().expect("non-empty tree"), &addresses);
     if dissolved == 0 {

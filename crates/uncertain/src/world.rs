@@ -97,7 +97,7 @@ mod tests {
             (Point::new(vec![2.0]), 0.4),
             (Point::new(vec![3.0]), 0.6),
         ]);
-        let mut seen = std::collections::HashMap::new();
+        let mut seen = std::collections::BTreeMap::new();
         for_each_world(&[&a, &b], |c, p| {
             seen.insert((c[0], c[1]), p);
         });

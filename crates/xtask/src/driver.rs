@@ -211,14 +211,14 @@ mod tests {
             diagnostics: vec![Violation {
                 path: "a.rs".to_string(),
                 line: 3,
-                rule: "determinism",
+                rule: "no-float-eq-in-kernels",
                 msg: "said \"so\"".to_string(),
             }],
             waivers_total: 0,
             waivers_used: 0,
         };
         let j = render_json(&r);
-        assert!(j.contains("\"rule\": \"determinism\""));
+        assert!(j.contains("\"rule\": \"no-float-eq-in-kernels\""));
         assert!(j.contains("\\\"so\\\""));
         assert!(j.contains("\"ok\": false"));
     }

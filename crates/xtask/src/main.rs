@@ -14,6 +14,8 @@
 //! survives the waiver ledger. `explain <rule>` prints a rule's scope,
 //! intent and waiver policy straight from the registry.
 
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xtask::{driver, rules};
@@ -27,29 +29,36 @@ commands:\n  \
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return fail(USAGE);
     };
     match cmd.as_str() {
         "check" => run_check(args),
         "explain" => match args.next() {
             Some(rule) => explain(&rule),
-            None => {
-                eprintln!("explain needs a rule id; `list` shows them all");
-                ExitCode::FAILURE
-            }
+            None => fail("explain needs a rule id; `list` shows them all"),
         },
         "list" => {
-            for rule in rules::registry() {
-                println!("{:<28} {}", rule.id, rule.summary);
-            }
-            ExitCode::SUCCESS
+            let list: String = rules::registry()
+                .iter()
+                .map(|rule| format!("{:<28} {}\n", rule.id, rule.summary))
+                .collect();
+            emit(&list, ExitCode::SUCCESS)
         }
-        other => {
-            eprintln!("unknown subcommand `{other}`\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        other => fail(format!("unknown subcommand `{other}`\n{USAGE}")),
     }
+}
+
+/// Writes `text` to stdout and exits with `code`; a closed pipe
+/// (`xtask list | head`) just ends the output.
+fn emit(text: &str, code: ExitCode) -> ExitCode {
+    let _ = io::stdout().lock().write_all(text.as_bytes());
+    code
+}
+
+/// Reports `msg` on stderr and exits with failure.
+fn fail(msg: impl Display) -> ExitCode {
+    let _ = writeln!(io::stderr().lock(), "{msg}");
+    ExitCode::FAILURE
 }
 
 fn run_check(mut args: impl Iterator<Item = String>) -> ExitCode {
@@ -59,76 +68,55 @@ fn run_check(mut args: impl Iterator<Item = String>) -> ExitCode {
         match flag.as_str() {
             "--root" => match args.next() {
                 Some(p) => root = PathBuf::from(p),
-                None => {
-                    eprintln!("--root needs a path argument");
-                    return ExitCode::FAILURE;
-                }
+                None => return fail("--root needs a path argument"),
             },
             "--format" => match args.next().as_deref() {
                 Some("human") => json = false,
                 Some("json") => json = true,
-                _ => {
-                    eprintln!("--format needs `human` or `json`");
-                    return ExitCode::FAILURE;
-                }
+                _ => return fail("--format needs `human` or `json`"),
             },
             "--explain" => {
                 return match args.next() {
                     Some(rule) => explain(&rule),
-                    None => {
-                        eprintln!("--explain needs a rule id; `list` shows them all");
-                        ExitCode::FAILURE
-                    }
+                    None => fail("--explain needs a rule id; `list` shows them all"),
                 };
             }
-            other => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return fail(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
 
     // A wrong --root would otherwise scan zero files and "pass".
     if !root.join("Cargo.toml").is_file() {
-        eprintln!(
+        return fail(format!(
             "xtask check: `{}` is not a workspace root (no Cargo.toml)",
             root.display()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
     match driver::run_check(&root) {
         Ok(report) => {
-            if json {
-                print!("{}", driver::render_json(&report));
+            let text = if json {
+                driver::render_json(&report)
             } else {
-                print!("{}", driver::render_human(&report));
-            }
-            if report.ok() {
+                driver::render_human(&report)
+            };
+            let code = if report.ok() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
-            }
+            };
+            emit(&text, code)
         }
-        Err(e) => {
-            eprintln!("xtask check: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(format!("xtask check: {e}")),
     }
 }
 
 fn explain(rule_id: &str) -> ExitCode {
     match rules::find(rule_id) {
-        Some(rule) => {
-            print!("{}", driver::render_explain(rule));
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!(
-                "unknown rule `{rule_id}`; `list` shows all {}",
-                rules::registry().len()
-            );
-            ExitCode::FAILURE
-        }
+        Some(rule) => emit(&driver::render_explain(rule), ExitCode::SUCCESS),
+        None => fail(format!(
+            "unknown rule `{rule_id}`; `list` shows all {}",
+            rules::registry().len()
+        )),
     }
 }

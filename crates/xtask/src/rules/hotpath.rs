@@ -1,13 +1,12 @@
-//! Hot-path allocation and timing rules:
-//! `no-owned-points-in-hot-paths`, `no-ad-hoc-timing`,
+//! Hot-path allocation rules: `no-owned-points-in-hot-paths`,
 //! `no-alloc-in-kernels` and `no-per-shard-alloc-in-descent`.
 
 use super::{is_hot_path, push, Violation};
 use crate::model::{SourceFile, Workspace};
 
-/// Hot query paths borrow rows from the columnar store; `.points()` /
-/// `.to_vec()` gathers an owned copy per dominance check and reintroduces
-/// the per-check heap traffic the flat SoA layout removed.
+/// Hot query paths borrow rows from the columnar store; `.to_vec()`
+/// gathers an owned copy per dominance check and reintroduces the
+/// per-check heap traffic the flat SoA layout removed.
 pub(super) fn no_owned_points_in_hot_paths(
     _ws: &Workspace,
     file: &SourceFile,
@@ -24,97 +23,20 @@ pub(super) fn no_owned_points_in_hot_paths(
         if !t.is_punct(".") {
             continue;
         }
-        let line = t.line;
-        let gathers = file.sig_tok(p + 1).is_some_and(|t| t.is_ident("points"))
+        if file.sig_tok(p + 1).is_some_and(|t| t.is_ident("to_vec"))
             && file.sig_tok(p + 2).is_some_and(|t| t.is_punct("("))
-            && file.sig_tok(p + 3).is_some_and(|t| t.is_punct(")"));
-        let copies = file.sig_tok(p + 1).is_some_and(|t| t.is_ident("to_vec"))
-            && file.sig_tok(p + 2).is_some_and(|t| t.is_punct("("));
-        if gathers || copies {
-            let what = if gathers { ".points()" } else { ".to_vec()" };
+        {
             push(
                 out,
                 file,
-                line,
+                t.line,
                 "no-owned-points-in-hot-paths",
-                format!(
-                    "`{what}` in a hot query path gathers an owned copy per dominance \
-                     check; borrow rows via the columnar accessors instead"
-                ),
+                "`.to_vec()` in a hot query path gathers an owned copy per dominance \
+                 check; borrow rows via the columnar accessors instead"
+                    .into(),
             );
         }
     }
-}
-
-/// Directories where any mention of the raw clock types is banned
-/// (osd-obs is the sanctioned wrapper).
-const NO_TIMING_DIRS: &[&str] = &["crates/core/src", "crates/geom/src", "crates/rtree/src"];
-
-/// The tracer/timer crate itself: raw clock *access* is banned here too,
-/// so every span/phase/flight-recorder timestamp flows through the one
-/// shim below. The ban is path-shaped (`std::time::…` / `…::now()`)
-/// rather than bare-ident because osd-obs legitimately names an
-/// `Instant` span kind.
-const OBS_DIR: &str = "crates/obs/src";
-
-/// The one sanctioned clock shim: `Stopwatch` in the osd-obs crate root.
-/// Everything else — PhaseTimer, Span, QueryTrace — reads time through it.
-const CLOCK_SHIM_FILE: &str = "crates/obs/src/lib.rs";
-
-/// Wall-clock reads go through osd-obs so the obs-disabled build is
-/// clock-free by construction — and within osd-obs, through the single
-/// `Stopwatch` shim so there is exactly one time source to audit.
-pub(super) fn no_ad_hoc_timing(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
-    let in_obs = file.path.starts_with(OBS_DIR);
-    if in_obs && file.path.to_string_lossy() == CLOCK_SHIM_FILE {
-        return;
-    }
-    if !in_obs && !NO_TIMING_DIRS.iter().any(|d| file.path.starts_with(d)) {
-        return;
-    }
-    for p in 0..file.sig.len() {
-        if file.is_test_code(p) {
-            continue;
-        }
-        let Some(t) = file.sig_tok(p) else { break };
-        if !t.is_ident("Instant") && !t.is_ident("SystemTime") {
-            continue;
-        }
-        if in_obs && !is_clock_access(file, p) {
-            continue;
-        }
-        let (what, fix) = if in_obs {
-            (
-                "raw clock access inside osd-obs",
-                "read time through the crate's `Stopwatch` shim (lib.rs), \
-                 the single sanctioned time source",
-            )
-        } else {
-            (
-                "raw clock type in an instrumented crate",
-                "time through osd-obs (Stopwatch/PhaseTimer/Span) so the \
-                 obs-off build stays clock-free",
-            )
-        };
-        push(
-            out,
-            file,
-            t.line,
-            "no-ad-hoc-timing",
-            format!("{what} (`{}`); {fix}", t.text),
-        );
-    }
-}
-
-/// Whether the `Instant`/`SystemTime` ident at `p` is actually the std
-/// clock: part of a `time::…` path, or the receiver of `::now()`.
-fn is_clock_access(file: &SourceFile, p: usize) -> bool {
-    let from_std_time = p >= 2
-        && file.sig_tok(p - 1).is_some_and(|t| t.is_punct("::"))
-        && file.sig_tok(p - 2).is_some_and(|t| t.is_ident("time"));
-    let reads_now = file.sig_tok(p + 1).is_some_and(|t| t.is_punct("::"))
-        && file.sig_tok(p + 2).is_some_and(|t| t.is_ident("now"));
-    from_std_time || reads_now
 }
 
 /// Files that are allocation-free in their entirety.
@@ -246,12 +168,7 @@ mod tests {
     use crate::rules::testutil::{check_src, rules};
 
     #[test]
-    fn flags_points_and_to_vec_in_hot_paths() {
-        let v = check_src(
-            "crates/core/src/nnc.rs",
-            "fn f(s: &Store) { let _ = s.points(); }\n",
-        );
-        assert_eq!(rules(&v), vec!["no-owned-points-in-hot-paths"]);
+    fn flags_to_vec_in_hot_paths() {
         let v = check_src(
             "crates/core/src/ops/ssd.rs",
             "/// Per Definition 3.\npub fn f(xs: &[f64]) { let _ = xs.to_vec(); }\n",
@@ -269,63 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn points_fine_outside_hot_paths_and_in_tests() {
-        assert!(check_src(
-            "crates/uncertain/src/object.rs",
-            "fn f(s: &Store) { let _ = s.points(); }\n"
-        )
-        .is_empty());
+    fn to_vec_fine_outside_hot_paths_and_in_tests() {
+        let src = "fn f(xs: &[f64]) { let _ = xs.to_vec(); }\n";
+        assert!(check_src("crates/uncertain/src/object.rs", src).is_empty());
         assert!(check_src(
             "crates/core/src/nnc.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t(s: &Store) { let _ = s.points(); }\n}\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn flags_raw_clocks_in_instrumented_crates() {
-        let v = check_src(
-            "crates/rtree/src/node.rs",
-            "fn f() { let _t = std::time::Instant::now(); }\n",
-        );
-        assert_eq!(rules(&v), vec!["no-ad-hoc-timing"]);
-        assert!(check_src(
-            "crates/flow/src/lib.rs",
-            "fn f() { let _t = std::time::Instant::now(); }\n"
-        )
-        .is_empty());
-        assert!(check_src(
-            "crates/geom/src/point.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn obs_bans_clock_access_outside_the_stopwatch_shim() {
-        // Inside osd-obs, std::time paths and ::now() calls are violations…
-        let v = check_src(
-            "crates/obs/src/trace.rs",
-            "use std::time::Instant;\nfn f() { let _ = Instant::now(); }\n",
-        );
-        assert_eq!(rules(&v), vec!["no-ad-hoc-timing", "no-ad-hoc-timing"]);
-        let v = check_src(
-            "crates/obs/src/span.rs",
-            "fn f() { let _ = std::time::SystemTime::now(); }\n",
-        );
-        assert_eq!(rules(&v), vec!["no-ad-hoc-timing"]);
-        // …but naming an `Instant` span kind is not clock access…
-        assert!(check_src(
-            "crates/obs/src/trace.rs",
-            "pub enum SpanKind { Region, Instant }\n\
-             fn f(k: SpanKind) -> bool { matches!(k, SpanKind::Instant) }\n"
-        )
-        .is_empty());
-        // …and the Stopwatch shim file is the sanctioned clock.
-        assert!(check_src(
-            "crates/obs/src/lib.rs",
-            "pub struct Stopwatch { started: std::time::Instant }\n\
-             impl Stopwatch { pub fn start() -> Self { Stopwatch { started: std::time::Instant::now() } } }\n"
+            "#[cfg(test)]\nmod tests {\n    fn t(xs: &[f64]) { let _ = xs.to_vec(); }\n}\n"
         )
         .is_empty());
     }

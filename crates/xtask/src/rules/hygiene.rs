@@ -1,149 +1,99 @@
-//! Library-hygiene rules: `no-println-in-libs`, `no-panic-allow-in-libs`,
-//! `no-rc-in-core` and `no-raw-cow-outside-epoch`.
+//! Library hygiene: `no-panic-allow-in-libs`, the guard that keeps the
+//! workspace's deny-level clippy lints from being switched off in library
+//! code.
 
 use super::{in_lib_src, matching_close, push, Violation};
 use crate::model::{SourceFile, Workspace};
 
-/// Library crates never print — reporting belongs to the bench/cli
-/// leaves. Token-level: the macro name must be a whole identifier
-/// followed by `!`, so `println` inside a string or a name like
-/// `my_println` can never match.
-pub(super) fn no_println_in_libs(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
-    const BANNED: &[&str] = &["println", "print", "eprintln", "eprint"];
-    if !in_lib_src(file) {
-        return;
-    }
-    for p in 0..file.sig.len() {
-        if file.is_test_code(p) {
-            continue;
-        }
-        let Some(t) = file.sig_tok(p) else { break };
-        if BANNED.iter().any(|m| t.is_ident(m))
-            && file.sig_tok(p + 1).is_some_and(|n| n.is_punct("!"))
-        {
-            push(
-                out,
-                file,
-                t.line,
-                "no-println-in-libs",
-                format!(
-                    "`{}!` in a library crate; return data and let bench/cli report it",
-                    t.text
-                ),
-            );
-        }
-    }
-}
+/// Panic-family lints: a library may not opt out of them crate-wide. A
+/// scoped `#[allow]` on a documented `#[cold]` constructor is the
+/// sanctioned escape hatch, and test code may panic.
+const PANIC_FAMILY: &[&str] = &["unwrap_used", "expect_used", "panic"];
 
-/// Only the bench/cli/example leaves may opt out of the workspace
-/// panic-family lints; a crate-level `#![allow(..)]` of them in a library
-/// crate defeats the whole gate.
+/// The lints that carry the bans of `clippy.toml` and the print ban, plus
+/// the groups that contain them: no `allow`/`expect` of them anywhere in
+/// library code, crate-level or scoped, test modules included, outside
+/// [`SANCTIONED`].
+const CLIPPY_CARRIED: &[&str] = &[
+    "print_stdout",
+    "print_stderr",
+    "disallowed_types",
+    "disallowed_methods",
+    "all",
+    "style",
+    "restriction",
+];
+
+/// The only library files where a scoped `allow` of a clippy-carried lint
+/// is accepted: the `Stopwatch` clock shim and the copy-on-write epoch
+/// builders.
+const SANCTIONED: &[(&str, &str)] = &[
+    ("crates/obs/src/lib.rs", "disallowed_types"),
+    ("crates/uncertain/src/epoch.rs", "disallowed_methods"),
+];
+
+/// Flags, in library `src/` trees, a crate-level `allow` of a
+/// panic-family lint outside test code, and any `allow`/`expect` of a
+/// clippy-carried lint outside the sanctioned sites. Token-level: the
+/// attribute may span lines or sit inside a `cfg_attr`.
 pub(super) fn no_panic_allow_in_libs(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
-    const GATED: &[&str] = &["unwrap_used", "expect_used", "panic"];
     if !in_lib_src(file) {
         return;
     }
     for p in 0..file.sig.len() {
-        if file.is_test_code(p) {
+        // `#` [`!`] `[` … `]`
+        if !file.sig_tok(p).is_some_and(|t| t.is_punct("#")) {
             continue;
         }
-        // `#` `!` `[` `allow` `(` … `)` `]`
-        let is_seq = file.sig_tok(p).is_some_and(|t| t.is_punct("#"))
-            && file.sig_tok(p + 1).is_some_and(|t| t.is_punct("!"))
-            && file.sig_tok(p + 2).is_some_and(|t| t.is_punct("["))
-            && file.sig_tok(p + 3).is_some_and(|t| t.is_ident("allow"));
-        if !is_seq {
+        let inner = file.sig_tok(p + 1).is_some_and(|t| t.is_punct("!"));
+        let open = if inner { p + 2 } else { p + 1 };
+        if !file.sig_tok(open).is_some_and(|t| t.is_punct("[")) {
             continue;
         }
-        let Some(close) = matching_close(file, p + 2, "[", "]") else {
+        let Some(close) = matching_close(file, open, "[", "]") else {
             continue;
         };
-        for q in p + 4..close {
-            let lint = file
+        let suppresses = (open + 1..close).any(|q| {
+            file.sig_tok(q)
+                .is_some_and(|t| t.is_ident("allow") || t.is_ident("expect"))
+        });
+        if !suppresses {
+            continue;
+        }
+        let line = file.sig_tok(p).map_or(1, |t| t.line);
+        let scope = if inner {
+            "crate/module-level"
+        } else {
+            "scoped"
+        };
+        for q in open + 1..close {
+            let Some(name) = file
                 .sig_tok(q)
                 .filter(|t| t.is_ident("clippy"))
                 .and_then(|_| file.sig_tok(q + 1).filter(|t| t.is_punct("::")))
                 .and_then(|_| file.sig_tok(q + 2))
-                .filter(|t| GATED.iter().any(|g| t.is_ident(g)));
-            if let Some(l) = lint {
-                let name = l.text.clone();
-                let line = file.sig_tok(p).map_or(1, |t| t.line);
-                push(
-                    out,
-                    file,
-                    line,
-                    "no-panic-allow-in-libs",
-                    format!(
-                        "crate-level `#![allow(clippy::{name})]` in a library crate; only \
-                         bench/cli leaves may opt out"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// No `Rc` / `std::rc` anywhere in `osd-core`: the parallel batch
-/// executor shares the crate's types across worker threads, so shared
-/// ownership there must be `Arc`.
-pub(super) fn no_rc_in_core(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
-    if !file.path.starts_with("crates/core/src") {
-        return;
-    }
-    for p in 0..file.sig.len() {
-        if file.is_test_code(p) {
-            continue;
-        }
-        let Some(t) = file.sig_tok(p) else { break };
-        let std_rc = t.is_ident("rc")
-            && p >= 2
-            && file.sig_tok(p - 1).is_some_and(|t| t.is_punct("::"))
-            && file.sig_tok(p - 2).is_some_and(|t| t.is_ident("std"));
-        if t.is_ident("Rc") || std_rc {
-            push(
-                out,
-                file,
-                t.line,
-                "no-rc-in-core",
-                "`Rc`/`std::rc` in osd-core; the batch executor shares this crate across \
-                 threads — use `Arc`"
-                    .into(),
-            );
-        }
-    }
-}
-
-/// Copy-on-write splices of the instance store happen only inside
-/// `uncertain::epoch` — the module that pairs every splice with an epoch
-/// bump and a change-log append. Token-level: the triple `Arc` `::`
-/// `make_mut` anywhere else in library code is a mutation the published
-/// snapshot chain cannot see.
-pub(super) fn no_raw_cow_outside_epoch(
-    _ws: &Workspace,
-    file: &SourceFile,
-    out: &mut Vec<Violation>,
-) {
-    if !in_lib_src(file) || file.path == std::path::Path::new("crates/uncertain/src/epoch.rs") {
-        return;
-    }
-    for p in 0..file.sig.len() {
-        if file.is_test_code(p) {
-            continue;
-        }
-        let Some(t) = file.sig_tok(p) else { break };
-        if t.is_ident("Arc")
-            && file.sig_tok(p + 1).is_some_and(|n| n.is_punct("::"))
-            && file.sig_tok(p + 2).is_some_and(|n| n.is_ident("make_mut"))
-        {
-            push(
-                out,
-                file,
-                t.line,
-                "no-raw-cow-outside-epoch",
-                "`Arc::make_mut` outside uncertain::epoch; route the splice through \
-                 epoch::append/remove/replace so the epoch log records it"
-                    .into(),
-            );
+                .map(|t| t.text.as_str())
+            else {
+                continue;
+            };
+            let msg = if CLIPPY_CARRIED.contains(&name) {
+                let path = file.path.to_string_lossy();
+                if !inner && SANCTIONED.contains(&(path.as_ref(), name)) {
+                    continue;
+                }
+                format!(
+                    "{scope} allow of `clippy::{name}` in a library crate; the ban it \
+                     carries holds everywhere but the sanctioned sites (DESIGN.md §6.2)"
+                )
+            } else if inner && PANIC_FAMILY.contains(&name) && !file.is_test_code(p) {
+                format!(
+                    "crate-level `#![allow(clippy::{name})]` in a library crate; only \
+                     bench/cli leaves may opt out"
+                )
+            } else {
+                continue;
+            };
+            push(out, file, line, "no-panic-allow-in-libs", msg);
         }
     }
 }
@@ -151,29 +101,6 @@ pub(super) fn no_raw_cow_outside_epoch(
 #[cfg(test)]
 mod tests {
     use crate::rules::testutil::{check_src, rules};
-
-    #[test]
-    fn flags_println_but_not_in_strings_or_tests() {
-        let v = check_src("crates/flow/src/lib.rs", "fn f() { println!(\"x\"); }\n");
-        assert_eq!(rules(&v), vec!["no-println-in-libs"]);
-        let ok = "fn f() { let _ = \"println!\"; }\n#[cfg(test)]\nmod tests {\n    fn g() { println!(\"debug\"); }\n}\n";
-        assert!(check_src("crates/flow/src/lib.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn println_split_across_lines_is_still_flagged() {
-        let v = check_src(
-            "crates/flow/src/lib.rs",
-            "fn f() {\n    println\n        !(\"x\");\n}\n",
-        );
-        assert_eq!(rules(&v), vec!["no-println-in-libs"]);
-    }
-
-    #[test]
-    fn println_fine_in_cli_and_examples() {
-        assert!(check_src("crates/cli/src/main.rs", "fn f() { println!(\"x\"); }\n").is_empty());
-        assert!(check_src("examples/quickstart.rs", "fn f() { println!(\"x\"); }\n").is_empty());
-    }
 
     #[test]
     fn flags_crate_level_panic_allow() {
@@ -193,6 +120,12 @@ mod tests {
             "#![allow(clippy::panic_in_result_fn)]\nfn f() {}\n"
         )
         .is_empty());
+        // A scoped panic-family allow is the sanctioned escape hatch.
+        assert!(check_src(
+            "crates/rtree/src/lib.rs",
+            "#[cold]\n#[allow(clippy::expect_used)]\nfn f() {}\n"
+        )
+        .is_empty());
     }
 
     #[test]
@@ -205,46 +138,52 @@ mod tests {
     }
 
     #[test]
-    fn flags_rc_in_core_but_not_arc() {
-        let v = check_src(
-            "crates/core/src/cache.rs",
-            "use std::rc::Rc;\nfn f() { let _x: Rc<u8> = Rc::new(1); }\n",
-        );
-        assert!(rules(&v).iter().all(|r| *r == "no-rc-in-core"));
-        // Token-level: `std::rc` and each `Rc` mention flag individually
-        // (two on the use line, two in the body).
-        assert_eq!(v.len(), 4, "{v:?}");
-        assert!(check_src(
-            "crates/core/src/cache.rs",
-            "use std::sync::Arc;\nfn f() { let _x: Arc<u8> = Arc::new(1); }\nfn g(marc: usize) -> usize { marc }\n",
-        )
-        .is_empty());
-        assert!(check_src("crates/rtree/src/lib.rs", "use std::rc::Rc;\n").is_empty());
-        assert!(check_src(
-            "crates/core/src/cache.rs",
-            "#[cfg(test)]\nmod tests {\n    use std::rc::Rc;\n}\n",
-        )
-        .is_empty());
+    fn flags_clippy_carried_allows_in_every_shape() {
+        for src in [
+            "#![allow(clippy::print_stdout)]\n",
+            "#[allow(clippy::print_stderr)]\nfn f() {}\n",
+            "#[expect(clippy::disallowed_types)]\nfn f() {}\n",
+            "#[cfg_attr(test, allow(clippy::disallowed_methods))]\nfn f() {}\n",
+            "#![allow(clippy::style)]\n",
+            "#[cfg(test)]\nmod tests {\n    #[allow(clippy::disallowed_types)]\n    fn t() {}\n}\n",
+        ] {
+            let v = check_src("crates/geom/src/point.rs", src);
+            assert_eq!(rules(&v), vec!["no-panic-allow-in-libs"], "{src}");
+        }
+        // The leaves and examples are not library code.
+        let leaf = "#![allow(clippy::print_stdout)]\n";
+        assert!(check_src("crates/cli/src/lib.rs", leaf).is_empty());
+        assert!(check_src("examples/quickstart.rs", leaf).is_empty());
     }
 
     #[test]
-    fn flags_raw_cow_outside_epoch_only() {
-        let bad = "fn f(s: &mut Arc<InstanceStore>) { Arc::make_mut(s).push(1.0); }\n";
-        let v = check_src("crates/uncertain/src/store.rs", bad);
-        assert_eq!(rules(&v), vec!["no-raw-cow-outside-epoch"]);
-        // The sanctioned site, the leaves, and test code are exempt.
-        assert!(check_src("crates/uncertain/src/epoch.rs", bad).is_empty());
-        assert!(check_src("crates/cli/src/commands.rs", bad).is_empty());
-        assert!(check_src(
-            "crates/core/src/db.rs",
-            "#[cfg(test)]\nmod tests {\n    fn g(s: &mut Arc<u8>) { Arc::make_mut(s); }\n}\n",
-        )
-        .is_empty());
-        // `make_mut` on something other than `Arc` is out of scope.
-        assert!(check_src(
-            "crates/core/src/db.rs",
-            "fn f(s: &mut Cow<str>) { Cow::make_mut(s); s.make_mut(); }\n",
-        )
-        .is_empty());
+    fn sanctioned_sites_accept_only_their_scoped_allow() {
+        let clock = "#[allow(clippy::disallowed_types)]\npub struct Stopwatch;\n";
+        assert!(check_src("crates/obs/src/lib.rs", clock).is_empty());
+        assert!(!check_src("crates/obs/src/trace.rs", clock).is_empty());
+        let cow = "#[allow(clippy::disallowed_methods)]\npub fn append() {}\n";
+        assert!(check_src("crates/uncertain/src/epoch.rs", cow).is_empty());
+        assert!(!check_src("crates/uncertain/src/store.rs", cow).is_empty());
+        // Crate-level, or the other lint, is not what the site is sanctioned for.
+        for (path, src) in [
+            (
+                "crates/obs/src/lib.rs",
+                "#![allow(clippy::disallowed_types)]\n",
+            ),
+            (
+                "crates/obs/src/lib.rs",
+                "#[allow(clippy::disallowed_methods)]\nfn f() {}\n",
+            ),
+            (
+                "crates/uncertain/src/epoch.rs",
+                "#[allow(clippy::disallowed_types)]\nfn f() {}\n",
+            ),
+        ] {
+            assert_eq!(
+                rules(&check_src(path, src)),
+                vec!["no-panic-allow-in-libs"],
+                "{src}"
+            );
+        }
     }
 }

@@ -8,7 +8,6 @@
 //! manifests (the cross-crate checks the old line scanner could never
 //! express).
 
-mod determinism;
 mod docs;
 mod hotpath;
 mod hygiene;
@@ -76,18 +75,7 @@ pub fn registry() -> &'static [Rule] {
     &RULES
 }
 
-static RULES: [Rule; 17] = [
-    Rule {
-        id: "no-partial-cmp-unwrap",
-        summary: "distance orderings use f64::total_cmp, never partial_cmp().unwrap()",
-        scope: "all scanned code, including tests/, examples/ and #[cfg(test)] modules",
-        intent: "partial_cmp on floats returns None for NaN, so .unwrap()/.expect() panics \
-                 far from the data that caused it. Distances are ordered with f64::total_cmp, \
-                 which is total and NaN-safe. Manual `fn partial_cmp` implementations (Ord \
-                 plumbing) are exempt.",
-        waiver: "never waived — total_cmp is always available and strictly better.",
-        run: Run::PerFile(ordering::no_partial_cmp_unwrap),
-    },
+static RULES: [Rule; 11] = [
     Rule {
         id: "no-float-eq-in-kernels",
         summary: "no ==/!= on float-looking operands in the dominance kernels",
@@ -117,69 +105,34 @@ static RULES: [Rule; 17] = [
         run: Run::PerFile(docs::doc_cites_paper),
     },
     Rule {
-        id: "no-println-in-libs",
-        summary: "library crates never print",
-        scope: "library src/ trees (bench/cli leaves, examples and tests exempt)",
-        intent: "reporting belongs to the bench/cli leaves; a library that prints cannot be \
-                 embedded in a server or a test harness without polluting its output.",
-        waiver: "never waived — return data and let the caller report.",
-        run: Run::PerFile(hygiene::no_println_in_libs),
-    },
-    Rule {
         id: "no-panic-allow-in-libs",
-        summary: "only bench/cli leaves may opt out of the panic-family lints",
-        scope: "library src/ trees",
-        intent: "the workspace denies clippy::unwrap_used/expect_used/panic; a crate-level \
-                 #![allow(..)] of them in a library crate silently defeats the whole gate.",
-        waiver: "never waived — scoped #[allow] on a documented #[cold] constructor is the \
-                 sanctioned escape hatch, not a crate-level allow.",
+        summary: "library code never switches off the workspace's deny-level clippy lints",
+        scope: "library src/ trees (bench/cli leaves and examples exempt): crate-level allows \
+                of the panic family outside test code; any allow/expect, crate-level or \
+                scoped, of print_stdout, print_stderr, disallowed_types, disallowed_methods \
+                or a group holding them (all, style, restriction), test modules included, \
+                except a scoped disallowed_types allow in crates/obs/src/lib.rs (the \
+                Stopwatch clock shim) and a scoped disallowed_methods allow in \
+                crates/uncertain/src/epoch.rs (the copy-on-write builders)",
+        intent: "the workspace denies clippy::unwrap_used/expect_used/panic, the print lints, \
+                 and the types and methods clippy.toml bans (Rc, raw clocks, hash containers, \
+                 thread identity, partial_cmp, Arc::make_mut); an allow of them in a library \
+                 crate silently defeats the gate, so the sanctioned sites are listed here.",
+        waiver: "never waived — a scoped #[allow] on a documented #[cold] constructor is the \
+                 panic family's escape hatch; a new clock or copy-on-write site belongs in \
+                 osd-obs or uncertain::epoch.",
         run: Run::PerFile(hygiene::no_panic_allow_in_libs),
-    },
-    Rule {
-        id: "no-rc-in-core",
-        summary: "no Rc/std::rc in osd-core — the batch executor shares it across threads",
-        scope: "crates/core/src (test modules exempt)",
-        intent: "QueryEngine::run_batch shares osd-core types across scoped worker threads; \
-                 Rc is !Send and would only be caught at the far-away compile-time Send+Sync \
-                 assertions. Shared ownership in core uses Arc.",
-        waiver: "never waived.",
-        run: Run::PerFile(hygiene::no_rc_in_core),
-    },
-    Rule {
-        id: "no-raw-cow-outside-epoch",
-        summary: "Arc::make_mut copy-on-write splices happen only in uncertain::epoch",
-        scope: "library src/ trees except crates/uncertain/src/epoch.rs (test modules, \
-                bench/cli leaves and examples exempt)",
-        intent: "the epoch module pairs every store splice with an epoch bump and a \
-                 change-log append; a raw `Arc::make_mut` anywhere else mutates a shared \
-                 snapshot behind the backs of pinned readers and standing ContinuousNnc \
-                 handles, which repair incrementally from that log.",
-        waiver: "never waived — add an epoch::* builder instead.",
-        run: Run::PerFile(hygiene::no_raw_cow_outside_epoch),
     },
     Rule {
         id: "no-owned-points-in-hot-paths",
         summary: "hot query paths borrow rows from the columnar store, never gather owned copies",
         scope: "crates/core/src/ops, crates/core/src/nnc.rs, crates/core/src/knnc.rs \
                 (test modules exempt)",
-        intent: ".points() / .to_vec() in a dominance kernel or NNC/k-NNC traversal allocates \
+        intent: ".to_vec() in a dominance kernel or NNC/k-NNC traversal allocates \
                  per dominance check and silently reintroduces the per-check heap traffic the \
                  flat SoA layout removed (PR 3).",
         waiver: "acceptable only on a cold error/reporting path; name the path in the reason.",
         run: Run::PerFile(hotpath::no_owned_points_in_hot_paths),
-    },
-    Rule {
-        id: "no-ad-hoc-timing",
-        summary: "no raw Instant/SystemTime in the instrumented library crates",
-        scope: "crates/core/src, crates/geom/src, crates/rtree/src (any mention), plus \
-                crates/obs/src itself (std::time paths / ::now() calls; the Stopwatch shim \
-                in crates/obs/src/lib.rs is the one sanctioned clock; test modules exempt)",
-        intent: "wall-clock access goes through osd-obs (Stopwatch/PhaseTimer/Span/QueryTrace) \
-                 so the obs-disabled build is clock-free by construction, and within osd-obs \
-                 through the single Stopwatch shim so the timers and the tracer share one \
-                 auditable time source (DESIGN §6.2).",
-        waiver: "never waived — add an osd-obs primitive instead.",
-        run: Run::PerFile(hotpath::no_ad_hoc_timing),
     },
     Rule {
         id: "no-alloc-in-kernels",
@@ -240,21 +193,6 @@ static RULES: [Rule; 17] = [
         waiver: "acceptable only during a staged refactor that temporarily inverts an edge; \
                  the waiver must name the PR that removes it.",
         run: Run::Workspace(layering::crate_layering),
-    },
-    Rule {
-        id: "determinism",
-        summary: "no unordered-iteration containers or thread-identity access in \
-                  result-affecting crates",
-        scope: "crates/geom/src, crates/rtree/src, crates/uncertain/src, crates/core/src \
-                (test modules exempt)",
-        intent: "Stats::merge and the 1-vs-N-thread batch executor are bit-identical by \
-                 contract; HashMap/HashSet iteration order and thread-identity reads \
-                 (thread::current, ThreadId, RandomState) vary run to run and would leak \
-                 nondeterminism into results before `osd serve` pours concurrency on top. \
-                 Use BTreeMap/BTreeSet or a sorted Vec.",
-        waiver: "acceptable when iteration order provably never escapes (e.g. a count-only \
-                 aggregation); the reason must state why order cannot reach results.",
-        run: Run::PerFile(determinism::determinism),
     },
     Rule {
         id: "obs-feature-purity",

@@ -1,47 +1,9 @@
-//! Float-ordering rules: `no-partial-cmp-unwrap` and
-//! `no-float-eq-in-kernels`.
+//! Float-ordering rule: `no-float-eq-in-kernels`. (Float *orderings*
+//! are clippy's: `clippy.toml` bans `PartialOrd::partial_cmp`.)
 
-use super::{is_kernel, matching_close, push, Violation};
+use super::{is_kernel, push, Violation};
 use crate::lexer::Kind;
 use crate::model::{SourceFile, Workspace};
-
-/// `partial_cmp(..)` must never be unwrapped — NaN makes it `None` and
-/// the panic surfaces far from the data that caused it. Token-level, so a
-/// chain split across any number of lines and comments is still one
-/// adjacent sequence. Applies everywhere, tests included: distance
-/// comparisons in tests deserve the same NaN discipline.
-pub(super) fn no_partial_cmp_unwrap(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
-    for p in 0..file.sig.len() {
-        let Some(t) = file.sig_tok(p) else { break };
-        if !t.is_ident("partial_cmp") {
-            continue;
-        }
-        // `fn partial_cmp(..)` is Ord plumbing, not a call site.
-        if p > 0 && file.sig_tok(p - 1).is_some_and(|t| t.is_ident("fn")) {
-            continue;
-        }
-        let line = t.line;
-        if !file.sig_tok(p + 1).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        let Some(close) = matching_close(file, p + 1, "(", ")") else {
-            continue;
-        };
-        let dot = file.sig_tok(close + 1).is_some_and(|t| t.is_punct("."));
-        let method = file.sig_tok(close + 2);
-        if dot && method.is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect")) {
-            push(
-                out,
-                file,
-                line,
-                "no-partial-cmp-unwrap",
-                "partial_cmp(..).unwrap()/expect(..) panics on NaN; order distances with \
-                 f64::total_cmp"
-                    .into(),
-            );
-        }
-    }
-}
 
 /// No `==` / `!=` on float-looking operands inside the dominance kernels.
 /// Heuristic (no type information): a comparison is flagged when either
@@ -186,52 +148,6 @@ fn marker_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use crate::rules::testutil::{check_src, rules};
-
-    #[test]
-    fn flags_partial_cmp_unwrap() {
-        let v = check_src(
-            "crates/geom/src/point.rs",
-            "fn f(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); }\n",
-        );
-        assert_eq!(rules(&v), vec!["no-partial-cmp-unwrap"]);
-    }
-
-    #[test]
-    fn flags_chained_partial_cmp_across_lines_and_comments() {
-        let v = check_src(
-            "crates/geom/src/point.rs",
-            "fn f(a: f64, b: f64) {\n    let _ = a.partial_cmp(&b)\n        // NaN never happens here\n\n        .expect(\"no NaN\");\n}\n",
-        );
-        assert_eq!(rules(&v), vec!["no-partial-cmp-unwrap"]);
-        assert_eq!(v[0].line, 2, "diagnostic anchors at the partial_cmp call");
-    }
-
-    #[test]
-    fn flags_partial_cmp_with_multiline_args() {
-        let v = check_src(
-            "crates/geom/src/point.rs",
-            "fn f(a: f64, b: f64) {\n    a.partial_cmp(\n        &b,\n    )\n    .unwrap();\n}\n",
-        );
-        assert_eq!(rules(&v), vec!["no-partial-cmp-unwrap"]);
-    }
-
-    #[test]
-    fn accepts_manual_ord_impls() {
-        let v = check_src(
-            "crates/core/src/nnc.rs",
-            "fn partial_cmp(&self, other: &Self) -> Option<Ordering> {\n    Some(self.cmp(other))\n}\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn partial_cmp_applies_in_tests_now() {
-        let v = check_src(
-            "crates/geom/src/point.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); }\n}\n",
-        );
-        assert_eq!(rules(&v), vec!["no-partial-cmp-unwrap"]);
-    }
 
     #[test]
     fn flags_float_eq_in_kernel_only() {

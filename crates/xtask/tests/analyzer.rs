@@ -108,11 +108,7 @@ fn corpus_every_seeded_violation_fires_exactly_once() {
         .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     entries.sort();
-    assert!(
-        entries.len() >= 12,
-        "corpus shrank: {} files",
-        entries.len()
-    );
+    assert!(entries.len() >= 7, "corpus shrank: {} files", entries.len());
     let mut rules_covered = std::collections::BTreeSet::new();
     for fixture in entries {
         let (expected, actual) = run_fixture(&fixture);
@@ -125,21 +121,16 @@ fn corpus_every_seeded_violation_fires_exactly_once() {
             rules_covered.insert(rule.clone());
         }
     }
-    // All nine legacy per-file rules plus the per-file new rules must be
-    // exercised by the corpus; the workspace rules have their own
-    // mini-workspace fixtures below.
+    // Every per-file rule must be exercised by the corpus; the workspace
+    // rules have their own mini-workspace fixtures below. (The bans clippy
+    // carries have their own fixture crate, `fixtures/clippy`, driven by
+    // scripts/clippy_gate.sh.)
     for rule in [
-        "no-partial-cmp-unwrap",
         "no-float-eq-in-kernels",
         "doc-cites-paper",
-        "no-println-in-libs",
         "no-panic-allow-in-libs",
-        "no-rc-in-core",
-        "no-raw-cow-outside-epoch",
         "no-owned-points-in-hot-paths",
-        "no-ad-hoc-timing",
         "no-alloc-in-kernels",
-        "determinism",
         "obs-feature-purity",
         "no-warm-bypass",
     ] {
@@ -152,9 +143,9 @@ fn lexer_survives_adversarial_source() {
     let fixture = fixtures().join("lexer/adversarial.rs");
     let text = fs::read_to_string(&fixture).unwrap();
     let file = SourceFile::parse(
-        PathBuf::from("crates/geom/src/point.rs"),
+        PathBuf::from("crates/core/src/nnc.rs"),
         FileOrigin::LibSrc,
-        "osd-geom",
+        "osd-core",
         &text,
     );
     use xtask::lexer::Kind;
@@ -206,7 +197,7 @@ fn ws_waivers_fixture_fails_on_expired_and_unused_entries() {
     let rules_hit: Vec<&str> = report.diagnostics.iter().map(|v| v.rule).collect();
     assert_eq!(
         rules_hit,
-        vec!["no-println-in-libs", "waiver-ledger", "waiver-ledger"],
+        vec!["no-panic-allow-in-libs", "waiver-ledger", "waiver-ledger"],
         "{:#?}",
         report.diagnostics
     );

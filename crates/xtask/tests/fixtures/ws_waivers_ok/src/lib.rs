@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 fn noisy() {
     println!("x");
 }

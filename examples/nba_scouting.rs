@@ -8,12 +8,14 @@
 //! cargo run --release --example nba_scouting
 //! ```
 
-// Example binary: aborting on bad state is fine here.
+// Example binary: aborting on bad state is fine here, and printing is
+// its output.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::float_cmp
+    clippy::float_cmp,
+    clippy::print_stdout
 )]
 
 use osd::datagen::nba_like;

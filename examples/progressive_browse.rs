@@ -6,12 +6,14 @@
 //! cargo run --release --example progressive_browse
 //! ```
 
-// Example binary: aborting on bad state is fine here.
+// Example binary: aborting on bad state is fine here, and printing is
+// its output.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::float_cmp
+    clippy::float_cmp,
+    clippy::print_stdout
 )]
 
 use osd::datagen::{generate_objects, CenterDistribution, SynthParams};

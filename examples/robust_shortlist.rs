@@ -13,12 +13,14 @@
 //! cargo run --release --example robust_shortlist
 //! ```
 
-// Example binary: aborting on bad state is fine here.
+// Example binary: aborting on bad state is fine here, and printing is
+// its output.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::float_cmp
+    clippy::float_cmp,
+    clippy::print_stdout
 )]
 
 use osd::datagen::{read_objects_csv, write_objects_csv};

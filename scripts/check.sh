@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The static-analysis gate: formatting, clippy (deny-by-default workspace
-# lints), the repo-specific xtask analyzer, and the test suite — in both
+# lints, and a negative gate proving the clippy.toml bans bite), the
+# repo-specific xtask analyzer, and the test suite — in both
 # the default and the strict-invariants configuration.
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -11,6 +12,12 @@ cargo fmt --all --check
 
 echo "== cargo clippy --workspace (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== clippy negative gate (seeded violations must be rejected) =="
+# The bans clippy carries for the analyzer (clippy.toml, print lints) must
+# reject every seeded violation of crates/xtask/tests/fixtures/clippy at
+# its line: a mistyped disallowed path would otherwise ban nothing.
+scripts/clippy_gate.sh
 
 echo "== xtask check (repo-specific rules) =="
 cargo run -q -p xtask -- check
@@ -88,6 +95,8 @@ echo "== tracer purity =="
 # every traced query must yield a rooted span tree, and the obs-off build
 # must record nothing. Run with obs on, where traces are recorded.
 cargo test -q --features obs --test obs_purity
+# The timers and the tracer agree: P-SD's level-prune samples have spans.
+cargo test -q --features obs --test trace_phases
 
 echo "== warm-cache bit-identity, eviction and sharing =="
 # The epoch-keyed warm cache is a pure memoisation layer: warm answers
