@@ -23,8 +23,8 @@ use crate::config::Stats;
 use crate::db::Database;
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
-use crate::warm::WarmView;
-use osd_geom::{dist_slice, Mbr};
+use crate::warm::{Record, WarmView};
+use osd_geom::{dist_slice, min_dist2_rows_multi, Mbr};
 use osd_obs::QueryMetrics;
 use osd_uncertain::{quantize, DistanceDistribution};
 use std::sync::Arc;
@@ -124,6 +124,9 @@ impl LevelSnapshot {
 /// The derived state of one object, created on the object's first lookup.
 #[derive(Default)]
 struct Memo {
+    /// The object's record in the query's warm table, found once per
+    /// traversal: every warm field of the object is read through it.
+    record: Option<Arc<Record>>,
     /// `U_Q`.
     dist_q: Option<Arc<DistanceDistribution>>,
     /// `U_q` for every query instance.
@@ -210,6 +213,17 @@ impl DominanceCache {
         self.warm.as_ref()
     }
 
+    /// `id`'s record in the warm query table, walked to once per traversal
+    /// and then held by the object's memo; `None` without a table.
+    fn record(&mut self, id: usize) -> Option<Arc<Record>> {
+        if let Some(r) = self.memo(id).and_then(|m| m.record.as_ref()) {
+            return Some(Arc::clone(r));
+        }
+        let r = self.warm.as_ref()?.record(id)?;
+        self.memo_mut(id).record = Some(Arc::clone(&r));
+        Some(r)
+    }
+
     /// The full distance distribution `U_Q` of object `id`.
     ///
     /// A miss charges the frozen build cost (one comparison per instance
@@ -229,9 +243,9 @@ impl DominanceCache {
         }
         stats.cache_misses += 1;
         stats.instance_comparisons += (db.object(id).len() * query.len()) as u64;
-        let d = match &self.warm {
-            Some(w) => w.dist_q(db, query, id, metrics),
-            None => Arc::new(build_dist_q(db, query, id)),
+        let d = match (self.record(id), &self.warm) {
+            (r, Some(w)) => w.dist_q_of(r.as_deref(), db, query, id, metrics),
+            (_, None) => Arc::new(build_dist_q(db, query, id)),
         };
         self.memo_mut(id).dist_q = Some(Arc::clone(&d));
         d
@@ -253,9 +267,9 @@ impl DominanceCache {
         }
         stats.cache_misses += 1;
         stats.instance_comparisons += (db.object(id).len() * query.len()) as u64;
-        let d = match &self.warm {
-            Some(w) => w.per_q(db, query, id, metrics),
-            None => Arc::new(build_per_q(db, query, id)),
+        let d = match (self.record(id), &self.warm) {
+            (r, Some(w)) => w.per_q_of(r.as_deref(), db, query, id, metrics),
+            (_, None) => Arc::new(build_per_q(db, query, id)),
         };
         self.memo_mut(id).per_q = Some(Arc::clone(&d));
         d
@@ -414,9 +428,9 @@ impl DominanceCache {
             return Arc::clone(b);
         }
         stats.cache_misses += 1;
-        let b = match &self.warm {
-            Some(w) => w.bounds_whole(query, id, &snap, level, metrics),
-            None => Arc::new(build_bounds_whole(query, snap.level(level))),
+        let b = match (self.record(id), &self.warm) {
+            (r, Some(w)) => w.bounds_whole(r.as_deref(), query, &snap, level, metrics),
+            (_, None) => Arc::new(build_bounds_whole(query, snap.level(level))),
         };
         self.memo_mut(id).bounds_whole[idx] = Some(Arc::clone(&b));
         b
@@ -446,9 +460,9 @@ impl DominanceCache {
             return Arc::clone(b);
         }
         stats.cache_misses += 1;
-        let b = match &self.warm {
-            Some(w) => w.bounds_instance(query, id, &snap, level, metrics),
-            None => Arc::new(build_bounds_instance(query, snap.level(level))),
+        let b = match (self.record(id), &self.warm) {
+            (r, Some(w)) => w.bounds_instance(r.as_deref(), query, &snap, level, metrics),
+            (_, None) => Arc::new(build_bounds_instance(query, snap.level(level))),
         };
         self.memo_mut(id).bounds_instance[idx] = Some(Arc::clone(&b));
         b
@@ -519,6 +533,23 @@ pub(crate) fn build_level_snapshot(
         levels.push(LevelGroups { mbrs, masses, caps });
     }
     LevelSnapshot { height, levels }
+}
+
+/// Builds the kernel-path traversal key of object `id`: squared
+/// `δ_min(V, Q)` from a pruned scan of its instance rows
+/// ([`min_dist2_rows_multi`]), rounded through `sqrt` and squared again so
+/// it equals the scalar path's squared nearest distances bit for bit.
+/// `+∞` for an object or query without instances.
+pub(crate) fn build_key(db: &dyn SpatialIndex, query: &PreparedQuery, id: usize) -> f64 {
+    let object = db.object(id);
+    let probes = query.instance_points();
+    min_dist2_rows_multi(object.coords(), object.dim(), probes, object.mbr()).map_or(
+        f64::INFINITY,
+        |d2| {
+            let d = d2.sqrt();
+            d * d
+        },
+    )
 }
 
 /// Builds `U_Q` of object `id`: every query/object instance pair, query

@@ -24,6 +24,7 @@
 //! are emitted, so callers can consume them one by one (Figure 14) or
 //! through the [`Iterator`] implementation.
 
+use crate::cache::build_key;
 use crate::config::{FilterConfig, Stats};
 use crate::ctx::CheckCtx;
 #[cfg(test)]
@@ -31,8 +32,8 @@ use crate::db::Database;
 use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
-use crate::warm::{WarmPool, WarmView};
-use osd_geom::{mbr_dominates, mbr_dominates_strict, min_dist2_rows_multi, Mbr};
+use crate::warm::{TraversalKeys, WarmPool, WarmView};
+use osd_geom::{mbr_dominates, mbr_dominates_strict, Mbr};
 use osd_obs::{AttrValue, Counter, Phase, PhaseTimer, QueryMetrics, SpanId, Stopwatch, TraceData};
 use osd_rtree::Node;
 use std::borrow::{Borrow, Cow};
@@ -220,6 +221,10 @@ pub struct ProgressiveNnc<'a> {
     /// `Arc`ed so a warm run shares the snapshot-scoped copy instead of
     /// cloning coordinates per query.
     cand_mbrs: Vec<Arc<Mbr>>,
+    /// The query table's keys, if the query has a table and the kernel
+    /// path runs: decided once per traversal, so a query without a table
+    /// keys objects with the kernel and no per-key warm call.
+    warm_keys: Option<TraversalKeys>,
     ctx: CheckCtx<'a>,
     objects_checked: usize,
     start: Stopwatch,
@@ -299,6 +304,8 @@ impl<'a> ProgressiveNnc<'a> {
         }
         ctx.trace.close(prep);
         ctx.metrics.record(timer);
+        let warm = ctx.cache.warm().filter(|_| cfg.kernels);
+        let warm_keys = warm.and_then(|w| w.traversal_keys(db));
         ProgressiveNnc {
             op,
             k,
@@ -306,6 +313,7 @@ impl<'a> ProgressiveNnc<'a> {
             candidates: Vec::new(),
             last_dominators: 0,
             cand_mbrs: Vec::new(),
+            warm_keys,
             ctx,
             objects_checked: 0,
             start: Stopwatch::start(),
@@ -342,6 +350,7 @@ impl<'a> ProgressiveNnc<'a> {
     /// Consumes the traversal into an [`NncResult`] with everything emitted
     /// so far.
     pub fn into_result(mut self) -> NncResult {
+        self.finish_keys();
         // Stamp the warm gauges at completion, when resident bytes reflect
         // everything this query published (max-merged, so late is safe).
         if let Some(w) = self.ctx.cache.warm() {
@@ -459,18 +468,30 @@ impl<'a> ProgressiveNnc<'a> {
                 }
             }
         }
+        self.finish_keys();
         None
     }
 
-    /// Exact squared `δ_min(V, Q)` (see [`object_min_dist2`]).
+    /// Exact squared `δ_min(V, Q)` (see [`object_min_dist2`]), read from
+    /// the query's warm table when it has one.
     fn object_min_dist2(&mut self, v: usize) -> f64 {
-        object_min_dist2(
-            self.ctx.db,
-            self.ctx.query,
-            self.ctx.cfg.kernels,
-            v,
-            &mut self.ctx.stats,
-        )
+        let ctx = &mut self.ctx;
+        match &mut self.warm_keys {
+            Some(keys) => {
+                // Charged like the kernel path it stands in for.
+                ctx.stats.instance_comparisons += ctx.query.len() as u64;
+                keys.get(ctx.db, ctx.query, v)
+            }
+            None => object_min_dist2(ctx.db, ctx.query, ctx.cfg.kernels, v, &mut ctx.stats),
+        }
+    }
+
+    /// Publishes the keys this traversal built (see
+    /// [`TraversalKeys::finish`]); the traversal keys no more objects.
+    fn finish_keys(&mut self) {
+        if let Some(keys) = self.warm_keys.take() {
+            keys.finish(&mut self.ctx.metrics);
+        }
     }
 
     /// Entry-level pruning against the candidates emitted so far.
@@ -492,9 +513,10 @@ impl<'a> ProgressiveNnc<'a> {
 /// ([`crate::continuous::ContinuousNnc`]) so both compute bit-identical
 /// keys.
 ///
-/// The kernel path scans the object's contiguous instance rows with
-/// [`min_dist2_rows_multi`], which skips every query instance whose bound
-/// against the object's MBR cannot beat the running minimum. The scalar
+/// The kernel path ([`build_key`]) scans the object's contiguous instance
+/// rows with `osd_geom::min_dist2_rows_multi`, which skips every query
+/// instance whose bound against the object's MBR cannot beat the running
+/// minimum; an admitted query's warm table serves the same bits. The scalar
 /// path runs one nearest search of the object's local R-tree per query
 /// instance and squares each nearest distance before folding. `min` is
 /// monotone under `sqrt`-then-square, so the two keys are bit-identical.
@@ -508,27 +530,20 @@ pub(crate) fn object_min_dist2(
     v: usize,
     stats: &mut Stats,
 ) -> f64 {
-    let mut best = f64::INFINITY;
     if kernels {
         stats.instance_comparisons += query.len() as u64;
-        let object = db.object(v);
-        let probes = query.instance_points();
-        if let Some(d2) = min_dist2_rows_multi(object.coords(), object.dim(), probes, object.mbr())
-        {
-            let d = d2.sqrt();
-            best = d * d;
-        }
-    } else {
-        let tree = db.local_tree(v);
-        let mut visits = 0u64;
-        for q in query.instance_points() {
-            stats.instance_comparisons += 1;
-            if let Some((_, d)) = tree.nearest_counting(q, &mut visits) {
-                best = best.min(d * d);
-            }
-        }
-        stats.rtree_nodes_visited += visits;
+        return build_key(db, query, v);
     }
+    let mut best = f64::INFINITY;
+    let tree = db.local_tree(v);
+    let mut visits = 0u64;
+    for q in query.instance_points() {
+        stats.instance_comparisons += 1;
+        if let Some((_, d)) = tree.nearest_counting(q, &mut visits) {
+            best = best.min(d * d);
+        }
+    }
+    stats.rtree_nodes_visited += visits;
     best
 }
 

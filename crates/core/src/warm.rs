@@ -17,21 +17,34 @@
 //!   [`OnceLock`] slots, one chunk per run of that many ids, each
 //!   allocated on its first write: a run without entries costs one
 //!   pointer, so a table's storage follows its entries, not `n`.
-//! * **Query tables.** A query table holds one record per object its
-//!   query touched: `U_Q`, the `U_q` list, and the optimistic/pessimistic
-//!   bound pairs of each level of the object's local tree, every field a
-//!   lazily published slot. A query is admitted on repeat: its first
-//!   sighting only records its fingerprint (in a ring of the last
+//! * **Query tables.** A query table holds the traversal keys and the
+//!   records of one query. Its key list holds, sorted by id, the traversal
+//!   key (squared `δ_min(V, Q)`, the kernel path's bits) of every object
+//!   the query's traversals pushed, stamped with the epoch they were built
+//!   at; a traversal reads it once ([`TraversalKeys`]), and one that built
+//!   keys replaces it with a merged list when it ends. Its records hold, per object the query read
+//!   a distribution or bound of, `U_Q`, the `U_q` list, and the
+//!   optimistic/pessimistic bound pairs of each level of the object's
+//!   local tree, every field a lazily published slot. A traversal walks to
+//!   an object's record once and holds it in its per-query memo, so all
+//!   the record's fields are read through one chunk walk per
+//!   (query, object). An object whose checks all decide on MBRs reads no
+//!   distribution, so a key needs no record. A query is admitted on
+//!   repeat: its first sighting only records its fingerprint (in a ring of
+//!   the last
 //!   [`QUERY_TABLES`] sightings), its second gets a table. The cache holds
 //!   at most [`QUERY_TABLES`] tables; admitting one more drops the least
 //!   recently used. A query without a table (first sighting, fingerprint
 //!   collision, sealed cache) builds its query-keyed state on its
-//!   per-query memo, publishing nothing shared.
+//!   per-query memo, publishing nothing shared; its traversal decides
+//!   that once and keys objects with the kernel alone.
 //! * **Population.** Lock-free on read: a getter that finds its slot
 //!   empty builds the entry *off-lock* and publishes it, with its chunk if
 //!   that is missing, through `OnceLock`s, tolerating a lost race (the
 //!   first published value wins; the loser adopts it). The query path
 //!   never blocks on another builder.
+//!   A key list is the exception: a traversal takes its lock once to read
+//!   it, and once more to publish the keys it built.
 //! * **Invalidation.** [`WarmPool::cache_for`] advances the cache to a
 //!   newer epoch through [`EpochLog::changes_since`]. A table that holds
 //!   no touched id is shared whole (a fixed table keeps its chunk list
@@ -43,7 +56,10 @@
 //!   them is the carry argument one level up. Evictions and gauges are kept
 //!   by subtracting the evicted entries, so an advance costs
 //!   O(tables · touched) plus a list copy of `n / CHUNK_SLOTS` pointers per
-//!   table it evicts from, never a slot per id. When the
+//!   table it evicts from, never a slot per id. A key list is carried as
+//!   it is, at the epoch it was built: a traversal checks it against the
+//!   epoch log when it reads it, and the first traversal of the new epoch
+//!   publishes it without the touched ids' keys. When the
 //!   log window is exhausted (`None`) — or the snapshot is not a successor
 //!   (a same-or-higher epoch over a different store chain) — the whole
 //!   cache is rebuilt, mirroring `ContinuousNnc`'s stale-window fallback.
@@ -57,20 +73,26 @@
 //!   neither publishes nor serves a hit (a value read after the seal may be
 //!   its successor's) nor admits a query — its in-flight readers build
 //!   privately, bit-identically. At most one unsealed cache of a chain
-//!   writes the shared chunks: the pool's current one.
+//!   writes the shared chunks: the pool's current one. A shared query
+//!   table's key list follows the same rule: a traversal on a sealed cache
+//!   publishes no keys (it may read a list; one built at another epoch is
+//!   checked against its epoch log).
 //! * **Memory.** Each table keeps a gauge of the entries it holds and of
 //!   its bytes: published values, chunk lists, chunks, records and a query
-//!   table's own key. [`WarmCache::resident_bytes`] sums the gauges and
+//!   table's own key and key list. [`WarmCache::resident_bytes`] sums the
+//!   gauges and
 //!   [`WarmCache::audit`] recounts them chunk by chunk. The footprint is at
 //!   most the fixed tables' entries plus [`QUERY_TABLES`] tables, each
-//!   holding a list of `n / CHUNK_SLOTS` chunk pointers and one record per
-//!   object its query touched.
+//!   holding a list of `n / CHUNK_SLOTS` chunk pointers, a record per
+//!   object its query read a distribution of and 16 bytes per object it
+//!   pushed.
 //! * **Never backwards.** A snapshot older than the pool's current cache
 //!   (a straggler still pinning an old epoch) gets a private, uninstalled
 //!   blank cache; the pool keeps its epoch, entries and counters.
 //! * **Bit-identity.** Every entry is built by the same deterministic
-//!   constructor as the cold path (`build_level_snapshot`, `build_dist_q`,
-//!   `build_per_q`, `build_bounds_*`, `quantize`), so a warm-served value
+//!   constructor as the cold path (`build_level_snapshot`, `build_key`,
+//!   `build_dist_q`, `build_per_q`, `build_bounds_*`, `quantize`), so a
+//!   warm-served value
 //!   is bit-for-bit the value the cold path would have built. Warm traffic
 //!   is counted in the dedicated `warm_hits` / `warm_misses` counters; the
 //!   per-query `cache_hits` / `cache_misses` semantics are untouched.
@@ -93,8 +115,8 @@
 //! [`EpochLog::changes_since`]: osd_uncertain::EpochLog::changes_since
 
 use crate::cache::{
-    build_bounds_instance, build_bounds_whole, build_dist_q, build_level_snapshot, build_per_q,
-    BoundPair, LevelSnapshot,
+    build_bounds_instance, build_bounds_whole, build_dist_q, build_key, build_level_snapshot,
+    build_per_q, BoundPair, LevelSnapshot,
 };
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
@@ -225,9 +247,10 @@ type LevelSlots = Arc<[LevelBounds]>;
 
 /// One object's entries in a query table: `U_Q`, the `U_q` list, and the
 /// bound slots of its levels (sized by the first bound lookup, which has
-/// the object's level snapshot at hand).
+/// the object's level snapshot at hand). A traversal finds a record once
+/// per object and holds it in its per-query memo ([`WarmView::record`]).
 #[derive(Default)]
-struct Record {
+pub(crate) struct Record {
     dist_q: OnceLock<Arc<DistanceDistribution>>,
     per_q: OnceLock<Arc<Vec<DistanceDistribution>>>,
     levels: OnceLock<LevelSlots>,
@@ -448,20 +471,79 @@ pub struct WarmStats {
     pub epoch: u64,
 }
 
-/// The query-keyed table of one admitted query: a record per object the
-/// query touched, holding exactly the values `DominanceCache::dist_q`,
-/// `per_q` and `level_bounds_*` would build cold.
+/// The traversal keys of a query table: `(id, squared δ_min(V, Q))` pairs
+/// sorted by id, built at snapshot `epoch`. Never changed in place: a
+/// traversal that built keys, or found some stale, publishes a merged
+/// list.
+#[derive(Clone, Default)]
+struct Keys {
+    epoch: u64,
+    list: Arc<Vec<(usize, f64)>>,
+}
+
+impl Keys {
+    /// What the keys add to the gauges: an entry per key, and the list's
+    /// storage.
+    fn weight(&self) -> Weight {
+        let slots = self.list.capacity() * size_of::<(usize, f64)>();
+        Weight {
+            entries: self.list.len() as u64,
+            bytes: ARC_BYTES + (size_of::<Vec<(usize, f64)>>() + slots) as u64,
+        }
+    }
+
+    /// The list at `epoch`: these keys less the `stale` ones (ascending),
+    /// merged with `fresh` (sorted by id), and how many keys it dropped as
+    /// stale. A key in both has the same bits in both: it was built for
+    /// the same snapshot and query.
+    fn merged(&self, stale: &[usize], fresh: Vec<(usize, f64)>, epoch: u64) -> (Keys, u64) {
+        let held = self.list.iter().copied();
+        let live = |&(id, _): &(usize, f64)| stale.binary_search(&id).is_err();
+        let dropped = self.list.iter().filter(|e| !live(e)).count() as u64;
+        let mut old = held.filter(live).peekable();
+        let mut new = fresh.into_iter().peekable();
+        let mut list = Vec::with_capacity(self.list.len() + new.len());
+        while let (Some(&(a, _)), Some(&(b, _))) = (old.peek(), new.peek()) {
+            match a.cmp(&b) {
+                std::cmp::Ordering::Less => list.extend(old.next()),
+                std::cmp::Ordering::Greater => list.extend(new.next()),
+                std::cmp::Ordering::Equal => {
+                    list.extend(old.next());
+                    new.next();
+                }
+            }
+        }
+        list.extend(old.chain(new));
+        let keys = Keys {
+            epoch,
+            list: Arc::new(list),
+        };
+        (keys, dropped)
+    }
+}
+
+/// The query-keyed table of one admitted query: the traversal key of
+/// every object its traversals pushed, and a record per object they read
+/// a distribution or bound of, holding exactly the values the traversal
+/// key, `DominanceCache::dist_q`, `per_q` and `level_bounds_*` would build
+/// cold.
 pub struct QueryTable {
     /// Exact coordinate/probability bit pattern of the owning query, used
     /// to verify fingerprint matches (collision ⇒ no table).
     key: Vec<u64>,
     records: Table<Arc<Record>>,
+    /// The traversal keys, read once per traversal ([`TraversalKeys`]).
+    /// An object whose checks all decide on MBRs reads no distribution,
+    /// so a key needs no record, and a dense list costs 16 bytes a key
+    /// where a chunk slot would cost its whole chunk (the ids a query
+    /// pushes are scattered).
+    keys: Mutex<Keys>,
 }
 
 impl std::fmt::Debug for QueryTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryTable")
-            .field("entries", &self.records.gauge.get().entries)
+            .field("entries", &self.held().entries)
             .finish_non_exhaustive()
     }
 }
@@ -471,6 +553,7 @@ impl QueryTable {
         let table = QueryTable {
             key,
             records: Table::new(n),
+            keys: Mutex::default(),
         };
         table.records.gauge.add(Weight {
             entries: 0,
@@ -484,13 +567,31 @@ impl QueryTable {
         ARC_BYTES + (size_of::<QueryTable>() + 8 * self.key.len()) as u64
     }
 
+    /// The current keys.
+    fn keys(&self) -> Keys {
+        self.keys
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// What the table holds: its records' gauge (which counts the table's
+    /// own bytes) plus its key list.
+    fn held(&self) -> Weight {
+        let mut w = self.records.gauge.get();
+        w += self.keys().weight();
+        w
+    }
+
     /// This table's successor (see [`Table::carry`]): the same table when
-    /// it holds no touched id.
+    /// its records hold no touched id. Its keys are shared as they are: a
+    /// traversal checks them against the epoch log when it reads them.
     fn carry(self: &Arc<Self>, touched: &[usize], n: usize, evicted: &mut Weight) -> Arc<Self> {
         match self.records.carry(touched, n, evicted) {
             Some(records) => Arc::new(QueryTable {
                 key: self.key.clone(),
                 records,
+                keys: Mutex::new(self.keys()),
             }),
             None => Arc::clone(self),
         }
@@ -535,8 +636,13 @@ pub struct TableAudit {
     /// The ids whose slot holds an entry (a record, in a query table),
     /// ascending.
     pub filled: Vec<usize>,
+    /// The ids whose traversal key a query table's key list holds,
+    /// ascending (empty for the other tables). A list is checked against
+    /// the epoch log when a traversal reads it, so it may still hold the
+    /// keys of ids changed since it was built.
+    pub keys: Vec<usize>,
     /// Approximate bytes the table holds: its chunk list, chunks and
-    /// entries, and a query table's own key.
+    /// entries, and a query table's own key and key list.
     pub bytes: u64,
 }
 
@@ -547,7 +653,8 @@ pub struct WarmAudit {
     /// `quanta`, `levels`, `mbrs`, then each query table in fingerprint
     /// order.
     pub tables: Vec<TableAudit>,
-    /// Published entries (a record counts its filled fields).
+    /// Published entries (a record counts its filled fields, a key list
+    /// its keys).
     pub entries: u64,
     /// Approximate resident bytes, as [`WarmStats::resident_bytes`]
     /// counts them.
@@ -588,8 +695,23 @@ impl WarmAudit {
                 })
                 .collect(),
             filled,
+            keys: Vec::new(),
             bytes: held.bytes,
         });
+    }
+
+    /// Recounts query table `t` (fingerprint `fp`): its records, then its
+    /// key list into the same entry.
+    fn walk_query(&mut self, fp: u64, t: &QueryTable, n: usize) {
+        self.walk("query", Some(fp), &t.records, n, t.own_bytes());
+        let keys = t.keys();
+        let w = keys.weight();
+        self.entries += w.entries;
+        self.resident_bytes += w.bytes;
+        if let Some(last) = self.tables.last_mut() {
+            last.keys = keys.list.iter().map(|&(id, _)| id).collect();
+            last.bytes += w.bytes;
+        }
     }
 }
 
@@ -699,7 +821,7 @@ impl WarmCache {
             self.mbrs.gauge.get(),
         ];
         let queries = self.queries();
-        let tables = queries.tables.values().map(|(t, _)| t.records.gauge.get());
+        let tables = queries.tables.values().map(|(t, _)| t.held());
         fixed.into_iter().chain(tables).map(|w| w.bytes).sum()
     }
 
@@ -726,7 +848,7 @@ impl WarmCache {
         audit.walk("levels", None, &self.levels, self.len, 0);
         audit.walk("mbrs", None, &self.mbrs, self.len, 0);
         for (&fp, (t, _)) in &self.queries().tables {
-            audit.walk("query", Some(fp), &t.records, self.len, t.own_bytes());
+            audit.walk_query(fp, t, self.len);
         }
         audit
     }
@@ -832,7 +954,7 @@ impl WarmCache {
             let lru = queries.tables.iter().min_by_key(|(_, (_, used))| *used);
             let lru = lru.map(|(&f, _)| f);
             if let Some((t, _)) = lru.and_then(|f| queries.tables.remove(&f)) {
-                let dropped = t.records.gauge.get().entries;
+                let dropped = t.held().entries;
                 self.evictions.fetch_add(dropped, Ordering::Relaxed);
             }
         }
@@ -969,43 +1091,45 @@ impl WarmView {
     }
 
     /// `id`'s record in the query table, created empty on first touch;
-    /// `None` for a query without a table.
-    fn record(&self, id: usize) -> Option<(&QueryTable, Arc<Record>)> {
+    /// `None` for a query without a table. One chunk walk: a traversal
+    /// holds the record in its per-query memo and reads every field
+    /// through it.
+    pub(crate) fn record(&self, id: usize) -> Option<Arc<Record>> {
         let t = self.table.as_deref()?;
         let (record, _) = self
             .cache
             .entry(&t.records, id, || Arc::new(Record::default()));
-        Some((t, record))
+        Some(record)
     }
 
-    /// A field of `id`'s record, built by `build` on a miss. A query
-    /// without a table builds it privately and counts nothing.
+    /// A field of `record`, built by `build` on a miss. Without a record (a
+    /// query without a table) it is built privately and counts nothing.
     fn record_field<V: Resident>(
         &self,
-        id: usize,
+        record: Option<&Record>,
         field: impl FnOnce(&Record) -> &OnceLock<V>,
         build: impl FnOnce() -> V,
         metrics: &mut QueryMetrics,
     ) -> V {
-        let Some((t, record)) = self.record(id) else {
+        let (Some(t), Some(record)) = (self.table.as_deref(), record) else {
             return build();
         };
-        let e = self.cache.field(field(&record), &t.records.gauge, build);
+        let e = self.cache.field(field(record), &t.records.gauge, build);
         self.tally(e, metrics)
     }
 
-    /// A bound slot of `id`'s record at `level`, built by `build` on a
-    /// miss (the level slots, sized by `snap`, on the first bound lookup).
+    /// A bound slot of `record` at `level`, built by `build` on a miss (the
+    /// level slots, sized by `snap`, on the first bound lookup).
     fn level_field<V: Resident>(
         &self,
-        id: usize,
+        record: Option<&Record>,
         snap: &LevelSnapshot,
         level: usize,
         field: impl FnOnce(&LevelBounds) -> &OnceLock<V>,
         build: impl FnOnce() -> V,
         metrics: &mut QueryMetrics,
     ) -> V {
-        let Some((t, record)) = self.record(id) else {
+        let (Some(t), Some(record)) = (self.table.as_deref(), record) else {
             return build();
         };
         let (levels, _) = self.cache.field(&record.levels, &t.records.gauge, || {
@@ -1016,6 +1140,32 @@ impl WarmView {
         self.tally(e, metrics)
     }
 
+    /// The traversal keys of this view's query table, for one traversal
+    /// of `db`; `None` for a query without a table. A list built at another
+    /// snapshot is checked against `db`'s epoch log: the keys of the ids
+    /// changed since are stale, and all of them are when the log cannot
+    /// say which (it no longer reaches back to the list, or the list is a
+    /// successor's, in a table the advance shared).
+    pub(crate) fn traversal_keys(&self, db: &dyn SpatialIndex) -> Option<TraversalKeys> {
+        let held = self.table.as_deref()?.keys();
+        let epoch = db.epoch();
+        let stale = if held.epoch == epoch {
+            Vec::new()
+        } else if let Some(changes) = db.changes_since(held.epoch) {
+            touched_ids(&changes)
+        } else {
+            held.list.iter().map(|&(id, _)| id).collect()
+        };
+        Some(TraversalKeys {
+            view: self.clone(),
+            epoch,
+            held,
+            stale,
+            built: Vec::new(),
+            served: 0,
+        })
+    }
+
     /// Warm `U_Q` of object `id`.
     pub fn dist_q(
         &self,
@@ -1024,8 +1174,20 @@ impl WarmView {
         id: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<DistanceDistribution> {
+        self.dist_q_of(self.record(id).as_deref(), db, query, id, metrics)
+    }
+
+    /// [`WarmView::dist_q`] from `id`'s already found `record`.
+    pub(crate) fn dist_q_of(
+        &self,
+        record: Option<&Record>,
+        db: &dyn SpatialIndex,
+        query: &PreparedQuery,
+        id: usize,
+        metrics: &mut QueryMetrics,
+    ) -> Arc<DistanceDistribution> {
         self.record_field(
-            id,
+            record,
             |r| &r.dist_q,
             || Arc::new(build_dist_q(db, query, id)),
             metrics,
@@ -1041,25 +1203,38 @@ impl WarmView {
         id: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<DistanceDistribution>> {
+        self.per_q_of(self.record(id).as_deref(), db, query, id, metrics)
+    }
+
+    /// [`WarmView::per_q`] from `id`'s already found `record`.
+    pub(crate) fn per_q_of(
+        &self,
+        record: Option<&Record>,
+        db: &dyn SpatialIndex,
+        query: &PreparedQuery,
+        id: usize,
+        metrics: &mut QueryMetrics,
+    ) -> Arc<Vec<DistanceDistribution>> {
         self.record_field(
-            id,
+            record,
             |r| &r.per_q,
             || Arc::new(build_per_q(db, query, id)),
             metrics,
         )
     }
 
-    /// Warm whole-`U_Q` bound pair of object `id` at `level`.
-    pub fn bounds_whole(
+    /// Warm whole-`U_Q` bound pair at `level` of the object whose `record`
+    /// this is.
+    pub(crate) fn bounds_whole(
         &self,
+        record: Option<&Record>,
         query: &PreparedQuery,
-        id: usize,
         snap: &LevelSnapshot,
         level: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<BoundPair> {
         self.level_field(
-            id,
+            record,
             snap,
             level,
             |l| &l.0,
@@ -1068,23 +1243,104 @@ impl WarmView {
         )
     }
 
-    /// Warm per-`U_q` bound pairs of object `id` at `level`.
-    pub fn bounds_instance(
+    /// Warm per-`U_q` bound pairs at `level` of the object whose `record`
+    /// this is.
+    pub(crate) fn bounds_instance(
         &self,
+        record: Option<&Record>,
         query: &PreparedQuery,
-        id: usize,
         snap: &LevelSnapshot,
         level: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<BoundPair>> {
         self.level_field(
-            id,
+            record,
             snap,
             level,
             |l| &l.1,
             || Arc::new(build_bounds_instance(query, snap.level(level))),
             metrics,
         )
+    }
+}
+
+/// One traversal's window on its query table's keys: the list held when
+/// it started, less the keys the epoch log shows stale, and the keys it
+/// built since, published when it ends.
+pub(crate) struct TraversalKeys {
+    view: WarmView,
+    /// The traversal's snapshot epoch.
+    epoch: u64,
+    held: Keys,
+    /// Ids changed since `held` was built, ascending.
+    stale: Vec<usize>,
+    /// Keys built on a miss, in push order.
+    built: Vec<(usize, f64)>,
+    /// Keys served from `held`.
+    served: u64,
+}
+
+impl TraversalKeys {
+    /// The traversal key of object `id`: from the table's list, or built
+    /// by [`build_key`] (the cold kernel path's function) and kept for
+    /// [`TraversalKeys::finish`].
+    pub(crate) fn get(&mut self, db: &dyn SpatialIndex, query: &PreparedQuery, id: usize) -> f64 {
+        if let Ok(at) = self.held.list.binary_search_by_key(&id, |&(k, _)| k) {
+            if self.stale.binary_search(&id).is_err() {
+                self.served += 1;
+                return self.held.list[at].1;
+            }
+        }
+        let key = build_key(db, query, id);
+        self.built.push((id, key));
+        key
+    }
+
+    /// Counts the traversal's key hits and misses, and publishes the list
+    /// at its epoch, unless the cache is sealed: the table's current list,
+    /// less its stale keys (counted as evicted) and merged with the keys
+    /// the traversal built, replaces it. Called once, when the traversal
+    /// ends; a traversal that built nothing and found the list current
+    /// publishes nothing.
+    pub(crate) fn finish(self, metrics: &mut QueryMetrics) {
+        let TraversalKeys {
+            view,
+            epoch,
+            held,
+            stale,
+            built: mut fresh,
+            served,
+        } = self;
+        let cache = &view.cache;
+        let misses = fresh.len() as u64;
+        cache.hits.fetch_add(served, Ordering::Relaxed);
+        cache.misses.fetch_add(misses, Ordering::Relaxed);
+        metrics.incr_by(Counter::WarmHits, served);
+        metrics.incr_by(Counter::WarmMisses, misses);
+        let current = fresh.is_empty() && held.epoch == epoch;
+        let Some(t) = view.table.as_deref().filter(|_| !current) else {
+            return;
+        };
+        fresh.sort_unstable_by_key(|&(id, _)| id);
+        // As in `WarmCache::publish`.
+        let _open = cache
+            .publishing
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        if cache.sealed.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut keys = t.keys.lock().unwrap_or_else(PoisonError::into_inner);
+        // Another traversal of this epoch may have published meanwhile,
+        // already without the stale keys.
+        let stale: &[usize] = if keys.epoch == held.epoch {
+            &stale
+        } else {
+            &[]
+        };
+        let (next, dropped) = keys.merged(stale, fresh, epoch);
+        cache.evictions.fetch_add(dropped, Ordering::Relaxed);
+        *keys = next;
     }
 }
 
@@ -1256,9 +1512,10 @@ mod tests {
             assert_eq!(*p, *cold.per_q(&db, &q, id, &mut stats, &mut m));
             let quanta = v.quanta(&db, id, &mut m);
             let snap = v.level_snapshot(&db, id, &quanta, &mut m);
+            let record = v.record(id);
             for level in 1..=snap.num_levels() + 1 {
-                v.bounds_whole(&q, id, &snap, level, &mut m);
-                v.bounds_instance(&q, id, &snap, level, &mut m);
+                v.bounds_whole(record.as_deref(), &q, &snap, level, &mut m);
+                v.bounds_instance(record.as_deref(), &q, &snap, level, &mut m);
             }
             assert!(Arc::ptr_eq(&d, &v.dist_q(&db, &q, id, &mut m)));
             assert!(Arc::ptr_eq(&p, &v.per_q(&db, &q, id, &mut m)));
@@ -1270,6 +1527,44 @@ mod tests {
         let levels = v.level_snapshot(&db, 3, &v.quanta(&db, 3, &mut m), &mut m);
         let per_record = 2 + 2 * levels.num_levels() as u64;
         assert_eq!(audit.entries, 3 * (per_record + 2));
+    }
+
+    #[test]
+    fn keys_are_served_bit_identically_and_weighed_exactly() {
+        let objects = (0..40).map(|i| obj(3.0 * i as f64)).collect();
+        let db = Database::with_fanouts(objects, 4, 2);
+        let pool = WarmPool::new();
+        let q = query();
+        let mut m = QueryMetrics::new();
+        // A query without a table has no keys to read.
+        assert!(pool.view_for(&db, &q).traversal_keys(&db).is_none());
+        let v = pool.view_for(&db, &q);
+        let cold = |id| {
+            let mut stats = crate::config::Stats::default();
+            crate::nnc::object_min_dist2(&db, &q, true, id, &mut stats).to_bits()
+        };
+        let mut keys = v.traversal_keys(&db).expect("an admitted table");
+        for id in [17, 3, 39] {
+            assert_eq!(keys.get(&db, &q, id).to_bits(), cold(id));
+        }
+        keys.finish(&mut m);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (0, 3));
+        // The next traversal is served what the last one built, and adds
+        // what it builds itself.
+        let mut keys = v.traversal_keys(&db).expect("an admitted table");
+        for id in [3, 17, 39, 5] {
+            assert_eq!(keys.get(&db, &q, id).to_bits(), cold(id));
+        }
+        keys.finish(&mut m);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (3, 4));
+        let cache = Arc::clone(v.cache());
+        let audit = cache.audit();
+        let table = audit.tables.iter().find(|t| t.table == "query");
+        let table = table.expect("a query table");
+        assert_eq!(table.keys, vec![3, 5, 17, 39]);
+        assert!(table.filled.is_empty(), "a key made a record");
+        assert_eq!(audit.entries, 4);
+        assert_eq!(audit.resident_bytes, cache.resident_bytes());
     }
 
     /// A table of `ids` (each holding `[id]`), spanning `n` ids.

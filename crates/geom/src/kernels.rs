@@ -155,18 +155,24 @@ pub fn max_dist2_rows(rows: &[f64], dim: usize, q: &[f64]) -> f64 {
     worst
 }
 
+/// Probes whose box bounds [`min_dist2_rows_multi`] holds at once, in a
+/// stack buffer.
+const PROBE_BLOCK: usize = 16;
+
 /// Minimal squared distance from *any* probe to any row:
 /// `min_q min_i δ²(row_i, q)` — an object's exact `δ_min(V, Q)²` from its
 /// contiguous instance rows and its bounding box `mbr`.
 ///
-/// The probe whose box bound `mbr.min_dist2_point(q)` is smallest is
-/// scanned first; every other probe is scanned only if its bound is below
-/// the running best. The bound never exceeds any row's `δ²` in IEEE
-/// arithmetic (per dimension `|row − q| ≥ |face − q|`, squares and the
-/// left-to-right sum are monotone), so a skipped probe could not lower
-/// the minimum and the result equals the unpruned fold bit-for-bit: the
-/// same [`min_dist2_rows`] values folded with the order-insensitive
-/// `f64::min` (squared distances are never `-0.0`).
+/// The probes go in blocks of [`PROBE_BLOCK`]. Each probe's box bound
+/// `mbr.min_dist2_point(q)` is computed once, into a stack buffer; the
+/// block's probe with the smallest bound is scanned first, and every
+/// probe is scanned only if its bound is below the running best (`+∞`
+/// before the first scan). The bound never exceeds any row's
+/// `δ²` in IEEE arithmetic (per dimension `|row − q| ≥ |face − q|`,
+/// squares and the left-to-right sum are monotone), so a skipped probe
+/// could not lower the minimum and the result equals the unpruned fold
+/// bit-for-bit: the same [`min_dist2_rows`] values folded with the
+/// order-insensitive `f64::min` (squared distances are never `-0.0`).
 ///
 /// `None` iff `rows` or `probes` is empty.
 ///
@@ -175,23 +181,31 @@ pub fn max_dist2_rows(rows: &[f64], dim: usize, q: &[f64]) -> f64 {
 /// dimensionality of `mbr` or of a probe differs from `dim`.
 pub fn min_dist2_rows_multi(rows: &[f64], dim: usize, probes: &[Point], mbr: &Mbr) -> Option<f64> {
     assert!(mbr.dim() == dim, "box dimensionality must match rows");
-    let mut seed: Option<(usize, f64)> = None;
-    for (i, q) in probes.iter().enumerate() {
-        assert!(q.dim() == dim, "probe point dimensionality must match rows");
-        let bound = mbr.min_dist2_point(q);
-        if seed.is_none_or(|(_, b)| bound < b) {
-            seed = Some((i, bound));
+    let mut bounds = [0.0f64; PROBE_BLOCK];
+    let mut best = f64::INFINITY;
+    for block in probes.chunks(PROBE_BLOCK) {
+        let mut first = 0;
+        for (i, q) in block.iter().enumerate() {
+            assert!(q.dim() == dim, "probe point dimensionality must match rows");
+            bounds[i] = mbr.min_dist2_point(q);
+            if bounds[i] < bounds[first] {
+                first = i;
+            }
+        }
+        if rows.is_empty() {
+            continue;
+        }
+        if bounds[first] < best {
+            best = best.min(min_dist2_rows(rows, dim, block[first].coords()));
+        }
+        for (i, q) in block.iter().enumerate() {
+            if i != first && bounds[i] < best {
+                best = best.min(min_dist2_rows(rows, dim, q.coords()));
+            }
         }
     }
-    let (first, _) = seed?;
-    if rows.is_empty() {
+    if probes.is_empty() || rows.is_empty() {
         return None;
-    }
-    let mut best = min_dist2_rows(rows, dim, probes[first].coords());
-    for (i, q) in probes.iter().enumerate() {
-        if i != first && mbr.min_dist2_point(q) < best {
-            best = best.min(min_dist2_rows(rows, dim, q.coords()));
-        }
     }
     debug_assert!(
         best.to_bits()
@@ -352,6 +366,33 @@ mod tests {
                     "dim {dim}, n {n}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn multi_probe_scan_spans_probe_blocks() {
+        // More probes than one stack block holds: later blocks seed their
+        // own scan, still against the running best of the earlier ones.
+        let rows = awkward(9, 3);
+        let mbr = Mbr::from_rows(&rows, 3);
+        for count in [
+            PROBE_BLOCK - 1,
+            PROBE_BLOCK,
+            PROBE_BLOCK + 1,
+            3 * PROBE_BLOCK + 5,
+        ] {
+            let probes: Vec<Point> = (0..count)
+                .map(|k| {
+                    let shift = 40.0 - 2.5 * k as f64;
+                    Point::new(awkward(1, 3).iter().map(|c| c + shift).collect::<Vec<_>>())
+                })
+                .collect();
+            let scan = min_dist2_rows_multi(&rows, 3, &probes, &mbr);
+            assert_eq!(
+                scan.map(f64::to_bits),
+                Some(multi_fold(&rows, 3, &probes).to_bits()),
+                "{count} probes"
+            );
         }
     }
 

@@ -95,7 +95,8 @@ echo "== tracer purity =="
 # every traced query must yield a rooted span tree, and the obs-off build
 # must record nothing. Run with obs on, where traces are recorded.
 cargo test -q --features obs --test obs_purity
-# The timers and the tracer agree: P-SD's level-prune samples have spans.
+# The timers and the tracer agree: P-SD's level-prune samples and F-SD's
+# rtree-descent samples (its local-tree searches included) have spans.
 cargo test -q --features obs --test trace_phases
 
 echo "== warm-cache bit-identity, eviction and sharing =="

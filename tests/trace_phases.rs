@@ -1,7 +1,9 @@
-//! The two bookkeeping paths of the instrumented build agree on the
-//! level filter: a traced P-SD query whose `level-prune` phase timer took
-//! samples also recorded `level-prune` spans. Runs with `--features obs`;
-//! without it the tracer records nothing and this file is empty.
+//! The two bookkeeping paths of the instrumented build agree: a traced
+//! P-SD query records one `level-prune` span per `level-prune` timer
+//! sample, and a traced F-SD query one `rtree-descent` span per
+//! `rtree-descent` sample, its local-tree searches included. Runs with
+//! `--features obs`; without it the tracer records nothing and this file
+//! is empty.
 #![cfg(feature = "obs")]
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -41,5 +43,46 @@ fn psd_level_prune_samples_have_trace_spans() {
     assert!(
         sampled > 0,
         "the workload never reached the P-SD level filter"
+    );
+}
+
+#[test]
+fn fsd_local_tree_searches_have_trace_spans() {
+    let params = SynthParams {
+        n: 200,
+        dim: 2,
+        instances: 12,
+        edge: 400.0,
+        centers: CenterDistribution::Independent,
+        seed: 7,
+    };
+    let db = Database::new(generate_objects(&params));
+    let mut in_checks = 0;
+    for q in generate_queries(&params, 8, 4, 200.0, 11) {
+        let q = PreparedQuery::new(q);
+        let r = nn_candidates(&db, &q, Operator::FSd, &FilterConfig::all().traced());
+        let samples = r.metrics.phase_count(Phase::RtreeDescent);
+        let trace = r.trace.expect("obs build records a requested trace");
+        assert_eq!(trace.dropped, 0, "the workload fits the trace arena");
+        let descents: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "rtree-descent")
+            .collect();
+        assert_eq!(
+            descents.len() as u64,
+            samples,
+            "one span per rtree-descent sample"
+        );
+        // The global descent's spans hang off the root; the F-SD searches'
+        // off their `check` span.
+        in_checks += descents
+            .iter()
+            .filter(|s| trace.spans[s.parent as usize].name == "check")
+            .count();
+    }
+    assert!(
+        in_checks > 0,
+        "the workload never reached the F-SD searches"
     );
 }

@@ -254,3 +254,34 @@ fn a_first_sighting_publishes_nothing_shared() {
     assert_eq!(query_tables(&audit), 0);
     assert_eq!(audit.entries, 0);
 }
+
+/// A query's first run publishes nothing, keys included: with every
+/// object's snapshot-pure entries already held, it leaves the pool's
+/// resident bytes as they were, and its ids, `min_dist` bits and [`Stats`]
+/// equal a cold run's.
+#[test]
+fn a_first_run_publishes_nothing_and_answers_cold() {
+    let objects = objects();
+    let db = Database::new(objects.clone());
+    let cfg = FilterConfig::all();
+    let qs = queries(&objects, 2);
+    for op in [Operator::PSd, Operator::SSd, Operator::SsSd] {
+        let pool = WarmPool::new();
+        let (view, mut m) = (pool.view_for(&db, &qs[0]), QueryMetrics::new());
+        for id in 0..db.len() {
+            let quanta = view.quanta(&db, id, &mut m);
+            view.level_snapshot(&db, id, &quanta, &mut m);
+            view.object_mbr(&db, id, &mut m);
+        }
+        let before = pool.cache_for(&db).audit();
+        let first = nn_candidates_warm(&db, &qs[1], op, &cfg, &pool);
+        assert_eq!(
+            answer(&first),
+            answer(&nn_candidates(&db, &qs[1], op, &cfg)),
+            "{op:?}"
+        );
+        let after = pool.cache_for(&db).audit();
+        assert_eq!(pool.stats().resident_bytes, before.resident_bytes, "{op:?}");
+        assert_eq!(after, before, "{op:?}: a first run published");
+    }
+}

@@ -28,6 +28,7 @@ use osd_core::{
 use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
 use osd_geom::Point;
 use osd_uncertain::UncertainObject;
+use std::collections::BTreeSet;
 
 /// A randomized A-N (anti-correlated) pool, the paper's main data family.
 fn an_objects(n: usize, instances: usize, seed: u64) -> Vec<UncertainObject> {
@@ -304,4 +305,121 @@ fn object_updated_after_its_entries_are_held_reads_fresh() {
             read_all(true);
         }
     }
+}
+
+/// Traversal keys held by an admitted query table are dropped with the
+/// objects they key. Each query is read twice between mutations, so its
+/// table is admitted and holds the key of every object its traversal
+/// pushed. Then candidates whose keys the tables hold are updated in
+/// place (shifted, one instance fewer, so their `δ_min` moves) or
+/// deleted, and every warm answer must still match a cold run on the
+/// same snapshot, `min_dist` bits included.
+#[test]
+fn keys_held_by_query_tables_follow_updates() {
+    for shards in [1, 3] {
+        let objects = an_objects(160, 5, 0x6b7);
+        let queries = queries_for(&objects, 23);
+        let cfg = FilterConfig::all();
+        let op = Operator::PSd;
+        let idx = PublishedIndex::new(ShardedDatabase::new(objects, shards));
+        let read_all = || {
+            let snap = idx.pin();
+            for q in &queries {
+                let cold = nn_candidates(&*snap, q, op, &cfg);
+                for _ in 0..2 {
+                    let warm = nn_candidates_warm(&*snap, q, op, &cfg, idx.warm_pool());
+                    assert_eq!(
+                        fingerprint(&warm),
+                        fingerprint(&cold),
+                        "warm diverged from cold at epoch {} ({} shards)",
+                        snap.epoch(),
+                        shards
+                    );
+                }
+            }
+        };
+        read_all();
+        for round in 0..3 {
+            let snap = idx.pin();
+            let audit = idx.warm_pool().cache_for(&*snap).audit();
+            let keyed: BTreeSet<usize> = audit
+                .tables
+                .iter()
+                .filter(|t| t.table == "query")
+                .flat_map(|t| t.keys.iter().copied())
+                .collect();
+            let mut targets: Vec<usize> = queries
+                .iter()
+                .flat_map(|q| nn_candidates(&*snap, q, op, &cfg).ids())
+                .filter(|id| keyed.contains(id))
+                .collect();
+            targets.sort_unstable();
+            targets.dedup();
+            assert!(
+                targets.len() >= 4,
+                "round {round}: too few keyed candidates"
+            );
+            let step = targets.len() / 4;
+            for (k, &id) in targets.iter().step_by(step).take(4).enumerate() {
+                if k % 2 == 0 {
+                    let old = snap.object(id).to_object();
+                    let shifted: Vec<Point> = old.instances()[1..]
+                        .iter()
+                        .map(|inst| {
+                            let c = inst.point.coords();
+                            Point::new(vec![c[0] + 6.5, c[1] - 4.0])
+                        })
+                        .collect();
+                    idx.update(id, UncertainObject::uniform(shifted)).unwrap();
+                } else {
+                    idx.delete(id).unwrap();
+                }
+            }
+            read_all();
+        }
+    }
+}
+
+/// A key list older than the epoch log's window is dropped whole: the log
+/// can no longer say which of its keys went stale. The query's first
+/// candidate is updated, then more changes than the log keeps are
+/// published while the pool rolls forward without reading the query, so
+/// its table (and the list holding the candidate's old key) is carried
+/// along. The next warm answer must match a cold one.
+#[test]
+fn keys_older_than_the_epoch_log_are_dropped() {
+    let objects = an_objects(60, 4, 0x10c);
+    let q = queries_for(&objects, 41).remove(0);
+    let cfg = FilterConfig::all();
+    let op = Operator::SSd;
+    let idx = PublishedIndex::new(Database::new(objects));
+    for _ in 0..2 {
+        nn_candidates_warm(&*idx.pin(), &q, op, &cfg, idx.warm_pool());
+    }
+    let first = nn_candidates(&*idx.pin(), &q, op, &cfg).candidates[0].id;
+    let shifted = |id: usize, dx: f64| {
+        let old = idx.pin().object(id).to_object();
+        let points = old.instances()[1..].iter().map(|inst| {
+            let c = inst.point.coords();
+            Point::new(vec![c[0] + dx, c[1] + dx])
+        });
+        UncertainObject::uniform(points.collect())
+    };
+    idx.update(first, shifted(first, 3.0)).unwrap();
+    let other = (first + 30) % 60;
+    let shapes = [shifted(other, 0.0), shifted(other, 1.0)];
+    for k in 0..osd_uncertain::DEFAULT_LOG_CAP + 8 {
+        idx.update(other, shapes[k % 2].clone()).unwrap();
+        idx.warm_pool().cache_for(&*idx.pin());
+    }
+    let snap = idx.pin();
+    assert!(
+        snap.changes_since(1).is_none(),
+        "the log still covers the list"
+    );
+    let warm = nn_candidates_warm(&*snap, &q, op, &cfg, idx.warm_pool());
+    assert_eq!(
+        fingerprint(&warm),
+        fingerprint(&nn_candidates(&*snap, &q, op, &cfg))
+    );
 }

@@ -425,3 +425,65 @@ fn flat_old_epoch_fills_never_reach_the_new_cache() {
 fn sharded_old_epoch_fills_never_reach_the_new_cache() {
     check_old_epoch_fills(sharded());
 }
+
+/// Keys read and built on one side of a seal stay on that side. The
+/// query's table is admitted but empty when an update reshapes its first
+/// candidate, so the advance shares the table whole: it holds nothing
+/// touched. A reader that found the table before the seal must neither be
+/// served the keys a new-snapshot traversal published there (the updated
+/// object's among them), nor, when its traversal started before the seal
+/// and ends after it, publish its old-snapshot keys there: the sealed
+/// cache publishes nothing.
+fn check_keys_respect_the_seal<D: SpatialIndex + Clone>(db: D, new_first: bool) {
+    let published = PublishedIndex::new(db);
+    let pool = published.warm_pool();
+    let cfg = FilterConfig::all();
+    let q = PreparedQuery::new(object(42.0, 57.0));
+    let snap0 = published.pin();
+    pool.view_for(&*snap0, &q);
+    // The second sighting admits the table; the view keeps it.
+    let old_view = pool.view_for(&*snap0, &q);
+    let cold0 = answer(ProgressiveNnc::new(&*snap0, &q, OP, &cfg));
+    let first = cold0[0].0;
+    let old_run = ProgressiveNnc::with_warm(&*snap0, &q, OP, &cfg, Some(old_view.clone()));
+    let (x, y) = ((first % 30) as f64 * 10.0, (first / 30) as f64 * 10.0);
+    published.update(first, object4(x + 0.5, y + 0.25)).unwrap();
+    let snap1 = published.pin();
+    // The advance, which seals the old cache.
+    pool.cache_for(&*snap1);
+    let cold1 = answer(nn_candidates(&*snap1, &q, OP, &cfg).candidates);
+    assert_ne!(cold0, cold1, "the update moved no answer");
+    let new = || answer(nn_candidates_warm(&*snap1, &q, OP, &cfg, pool).candidates);
+    if new_first {
+        assert_eq!(new(), cold1);
+        let late = ProgressiveNnc::with_warm(&*snap0, &q, OP, &cfg, Some(old_view));
+        assert_eq!(answer(late), cold0, "an old reader was served new keys");
+    } else {
+        assert_eq!(answer(old_run), cold0);
+        let audit = pool.cache_for(&*snap1).audit();
+        let table = audit
+            .tables
+            .iter()
+            .find(|t| t.query == Some(q.fingerprint()));
+        assert!(
+            table.unwrap().keys.is_empty(),
+            "a sealed cache published keys"
+        );
+        assert_eq!(new(), cold1, "old keys reached the new cache");
+    }
+    assert_eq!(new(), cold1);
+}
+
+#[test]
+fn keys_respect_the_seal_flat() {
+    for new_first in [true, false] {
+        check_keys_respect_the_seal(flat(), new_first);
+    }
+}
+
+#[test]
+fn keys_respect_the_seal_sharded() {
+    for new_first in [true, false] {
+        check_keys_respect_the_seal(sharded(), new_first);
+    }
+}
