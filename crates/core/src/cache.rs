@@ -8,15 +8,19 @@
 //! Every getter records one cache hit or miss into [`Stats`], the only
 //! record of these counters. Derived getters (`agg` over `dist_q`,
 //! `per_q_agg` over `per_q`) count their nested lookups too — the counters
-//! measure cache traffic, not distinct entries. The getters whose values
-//! the warm cache can hold (snapshot-pure ones, and the query-keyed
-//! distributions and bounds of an admitted query) take a [`QueryMetrics`],
-//! to pass to the warm view on a miss.
+//! measure cache traffic, not distinct entries.
+//!
+//! On a miss, the state that depends on the object alone (quantised
+//! masses, level snapshots) is read from the index, which holds one copy
+//! beside each object's local tree ([`SpatialIndex::quanta`],
+//! [`SpatialIndex::level_snapshot`]). The query-keyed distributions and
+//! bounds are read through the warm view, when the query has one; those
+//! getters take a [`QueryMetrics`] to pass to it.
 //!
 //! This module holds the one constructor of each level snapshot, distance
-//! distribution and bound distribution; the warm cache builds through the
-//! same functions, so a warm-served value is bit-identical to the cold
-//! one.
+//! distribution and bound distribution; the index and the warm cache build
+//! through the same functions, so a shared value is bit-identical to a
+//! privately built one.
 
 use crate::config::Stats;
 #[cfg(test)]
@@ -26,7 +30,7 @@ use crate::query::PreparedQuery;
 use crate::warm::{Record, WarmView};
 use osd_geom::{dist_slice, min_dist2_rows_multi, Mbr};
 use osd_obs::QueryMetrics;
-use osd_uncertain::{quantize, DistanceDistribution};
+use osd_uncertain::DistanceDistribution;
 use std::sync::Arc;
 
 /// min / mean / max of a distance distribution — the statistic-pruning
@@ -165,9 +169,9 @@ pub struct DominanceCache {
     /// Memos in first-touch order.
     memos: Vec<Memo>,
     /// Snapshot-scoped warm view, consulted only on the miss path of the
-    /// getters whose values it can hold (`quanta`, `level_snapshot`,
-    /// `dist_q`, `per_q`, level bounds) so the per-query `Stats` hit/miss
-    /// counters keep their exact semantics.
+    /// getters whose values it can hold (`dist_q`, `per_q`, level bounds)
+    /// so the per-query `Stats` hit/miss counters keep their exact
+    /// semantics.
     warm: Option<WarmView>,
 }
 
@@ -177,7 +181,7 @@ impl DominanceCache {
         Self::with_warm(n, None)
     }
 
-    /// Creates an empty cache that resolves misses of warm-cacheable state
+    /// Creates an empty cache that resolves misses of query-keyed state
     /// through `warm` (a per-query view into the shared epoch-keyed cache)
     /// instead of rebuilding locally. `None` is the plain cold cache.
     pub fn with_warm(n: usize, warm: Option<WarmView>) -> Self {
@@ -320,25 +324,15 @@ impl DominanceCache {
         a
     }
 
-    /// Fixed-point instance masses of object `id` (summing to `SCALE`).
-    pub fn quanta(
-        &mut self,
-        db: &dyn SpatialIndex,
-        id: usize,
-        stats: &mut Stats,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<Vec<u64>> {
+    /// Fixed-point instance masses of object `id` (summing to `SCALE`),
+    /// the index's copy ([`SpatialIndex::quanta`]).
+    pub fn quanta(&mut self, db: &dyn SpatialIndex, id: usize, stats: &mut Stats) -> Arc<Vec<u64>> {
         if let Some(q) = self.memo(id).and_then(|m| m.quanta.as_ref()) {
             stats.cache_hits += 1;
             return Arc::clone(q);
         }
         stats.cache_misses += 1;
-        let q = match &self.warm {
-            Some(w) => w.quanta(db, id, metrics),
-            // The store's probability column is already contiguous —
-            // quantise the borrowed slice directly, no gather needed.
-            None => Arc::new(quantize(db.object(id).probs())),
-        };
+        let q = db.quanta(id);
         self.memo_mut(id).quanta = Some(Arc::clone(&q));
         q
     }
@@ -373,28 +367,25 @@ impl DominanceCache {
 
     /// The per-level group partition of object `id`'s local R-tree: MBRs,
     /// float masses and quantised caps for every level, computed in **one
-    /// pass** per level over `level_groups` and memoized for the rest of
-    /// the traversal (the scalar path rebuilds all three for every `(u, v)`
-    /// pair it checks).
+    /// pass** per level over `level_groups` (the scalar path rebuilds all
+    /// three for every `(u, v)` pair it checks). The index's copy
+    /// ([`SpatialIndex::level_snapshot`]), memoized for the rest of the
+    /// traversal.
     pub fn level_snapshot(
         &mut self,
         db: &dyn SpatialIndex,
         id: usize,
         stats: &mut Stats,
-        metrics: &mut QueryMetrics,
     ) -> Arc<LevelSnapshot> {
         if let Some(s) = self.memo(id).and_then(|m| m.levels.as_ref()) {
             stats.cache_hits += 1;
             return Arc::clone(s);
         }
         stats.cache_misses += 1;
-        // The nested quanta lookup records its own hit/miss first, exactly
-        // as the cold path does, before the warm view is consulted.
-        let quanta = self.quanta(db, id, stats, metrics);
-        let s = match &self.warm {
-            Some(w) => w.level_snapshot(db, id, &quanta, metrics),
-            None => Arc::new(build_level_snapshot(db, id, &quanta)),
-        };
+        // The snapshot is built over the quantised masses, so its miss
+        // counts the nested quanta lookup too.
+        self.quanta(db, id, stats);
+        let s = db.level_snapshot(id);
         self.memo_mut(id).levels = Some(Arc::clone(&s));
         s
     }
@@ -417,7 +408,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<BoundPair> {
-        let snap = self.level_snapshot(db, id, stats, metrics);
+        let snap = self.level_snapshot(db, id, stats);
         let idx = snap.clamped(level);
         let slot = &mut self.memo_mut(id).bounds_whole;
         if slot.is_empty() {
@@ -449,7 +440,7 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<BoundPair>> {
-        let snap = self.level_snapshot(db, id, stats, metrics);
+        let snap = self.level_snapshot(db, id, stats);
         let idx = snap.clamped(level);
         let slot = &mut self.memo_mut(id).bounds_instance;
         if slot.is_empty() {
@@ -503,10 +494,9 @@ impl DominanceCache {
 }
 
 /// Builds the full per-level group partition of object `id`'s local R-tree
-/// — the single sanctioned [`LevelSnapshot`] constructor, shared by the
-/// per-query cold path and the snapshot-scoped warm cache so both produce
-/// bit-identical snapshots. Charges nothing: the quantisation it consumes
-/// is the caller's `quanta` entry.
+/// — the single sanctioned [`LevelSnapshot`] constructor, which the index
+/// runs once per object entry ([`SpatialIndex::level_snapshot`]). Charges
+/// nothing: the quantisation it consumes is the object's `quanta`.
 pub(crate) fn build_level_snapshot(
     db: &dyn SpatialIndex,
     id: usize,
@@ -714,10 +704,10 @@ mod tests {
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         for id in 0..db.len() {
-            let snap = cache.level_snapshot(&db, id, &mut stats, &mut metrics);
+            let snap = cache.level_snapshot(&db, id, &mut stats);
             let tree = db.local_tree(id);
             let obj = db.object(id);
-            let quanta = cache.quanta(&db, id, &mut stats, &mut metrics);
+            let quanta = cache.quanta(&db, id, &mut stats);
             assert_eq!(snap.height(), tree.height().unwrap_or(0));
             // Levels past height+1 clamp to the finest (singleton) level.
             assert_eq!(
@@ -740,14 +730,14 @@ mod tests {
         }
         // Second lookup is a pure cache hit.
         let hits_before = stats.cache_hits;
-        let _ = cache.level_snapshot(&db, 0, &mut stats, &mut metrics);
+        let _ = cache.level_snapshot(&db, 0, &mut stats);
         assert_eq!(stats.cache_hits, hits_before + 1);
 
         // The memoized bound pairs equal a by-hand rebuild with the scalar
         // atom order, charge nothing at build time, and hit on re-lookup.
         let comparisons_before = stats.instance_comparisons;
         for id in 0..db.len() {
-            let snap = cache.level_snapshot(&db, id, &mut stats, &mut metrics);
+            let snap = cache.level_snapshot(&db, id, &mut stats);
             for level in 1..=snap.height() + 1 {
                 let lg = snap.level(level);
                 let bw = cache.level_bounds_whole(&db, &q, id, level, &mut stats, &mut metrics);

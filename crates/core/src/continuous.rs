@@ -164,7 +164,7 @@ impl ContinuousNnc {
         self.refresh_with(db, None)
     }
 
-    /// [`Self::refresh`], optionally resolving the repair's snapshot-pure
+    /// [`Self::refresh`], optionally resolving the repair's query-keyed
     /// cache misses through `warm` (see `core::warm`). Same repair
     /// decisions, same bit-identical candidate set — the warm pool only
     /// changes where derived state is rebuilt.
@@ -239,10 +239,9 @@ impl ContinuousNnc {
         let mut pruned = 0usize;
         let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(recheck.len());
         for w in recheck {
-            let w_mbr = db.object(w).mbr().clone();
             if mbr_pruned(
                 &self.cand_mbrs,
-                &w_mbr,
+                db.object(w).mbr(),
                 self.query.mbr(),
                 self.op,
                 1,

@@ -81,7 +81,7 @@ impl<'a> CheckCtx<'a> {
         Self::with_warm(db, query, cfg, None)
     }
 
-    /// Creates a fresh context whose cache resolves snapshot-pure misses
+    /// Creates a fresh context whose cache resolves query-keyed misses
     /// through `warm` (see `core::warm`). `None` gives the plain cold
     /// context of [`CheckCtx::new`]; results are bit-identical either way.
     pub fn with_warm(
@@ -167,8 +167,7 @@ impl<'a> CheckCtx<'a> {
 
     /// Fixed-point instance masses of object `id` (cached).
     pub fn quanta(&mut self, id: usize) -> Arc<Vec<u64>> {
-        self.cache
-            .quanta(self.db, id, &mut self.stats, &mut self.metrics)
+        self.cache.quanta(self.db, id, &mut self.stats)
     }
 
     /// Distance-space image of object `id` w.r.t. the query hull (cached).
@@ -185,8 +184,7 @@ impl<'a> CheckCtx<'a> {
     /// Per-level group snapshot (MBRs + masses + caps) of object `id`'s
     /// local R-tree (cached once per traversal).
     pub fn level_snapshot(&mut self, id: usize) -> Arc<LevelSnapshot> {
-        self.cache
-            .level_snapshot(self.db, id, &mut self.stats, &mut self.metrics)
+        self.cache.level_snapshot(self.db, id, &mut self.stats)
     }
 
     /// Whole-`U_Q` level-bound distributions of object `id` at `level`

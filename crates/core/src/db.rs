@@ -8,6 +8,7 @@
 //! implementation: its constructors build `ShardConfig { shards: 1, .. }`
 //! and every other method forwards.
 
+use crate::cache::LevelSnapshot;
 use crate::index::{IndexStats, SpatialIndex};
 use crate::sharded::{invalid, ShardConfig, ShardedDatabase};
 use osd_rtree::RTree;
@@ -237,6 +238,14 @@ impl SpatialIndex for FlatDatabase {
 
     fn local_tree(&self, id: usize) -> &RTree<usize> {
         self.0.local_tree(id)
+    }
+
+    fn quanta(&self, id: usize) -> Arc<Vec<u64>> {
+        self.0.quanta(id)
+    }
+
+    fn level_snapshot(&self, id: usize) -> Arc<LevelSnapshot> {
+        self.0.level_snapshot(id)
     }
 
     fn shard_count(&self) -> usize {

@@ -16,7 +16,7 @@
 //! ## Warm execution and batch locality
 //!
 //! [`QueryEngine::with_warm`] attaches a shared [`WarmPool`]: each query
-//! then resolves its snapshot-pure cache misses through the pool's
+//! then resolves its query-keyed cache misses through the pool's
 //! epoch-keyed [`WarmCache`](crate::WarmCache) instead of rebuilding them
 //! privately — bit-identical results, fewer rebuilds (see `core::warm`).
 //! [`QueryEngine::run_batch`] additionally dispatches queries in Morton
@@ -67,7 +67,7 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Attaches a shared [`WarmPool`]: queries resolve snapshot-pure cache
+    /// Attaches a shared [`WarmPool`]: queries resolve query-keyed cache
     /// misses through it (bit-identical results — see `core::warm`).
     #[must_use]
     pub fn with_warm(mut self, pool: &'a WarmPool) -> Self {
@@ -549,7 +549,9 @@ mod tests {
             .with_reorder(false)
             .run_batch(&qs, 1);
         let pool = crate::WarmPool::new();
-        for threads in [1usize, 4] {
+        // The first batch sights each query, the second admits its table
+        // and fills it, the third is served from it.
+        for threads in [1usize, 4, 2] {
             let warm = QueryEngine::new(&db, Operator::SSd)
                 .with_warm(&pool)
                 .run_batch(&qs, threads);

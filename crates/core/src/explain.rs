@@ -24,7 +24,7 @@ pub fn dominators_of(
     dominators_of_with(db, query, op, v, cfg, None)
 }
 
-/// [`dominators_of`], optionally resolving snapshot-pure cache misses
+/// [`dominators_of`], optionally resolving query-keyed cache misses
 /// through `warm` — same answer, fewer rebuilds when the explanation runs
 /// next to a warmed query session.
 pub fn dominators_of_with(

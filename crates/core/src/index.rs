@@ -16,11 +16,13 @@
 //! heap with all shard roots, so the cross-shard candidate pruning is one
 //! prune bound shared by every shard.
 //!
-//! Everything else — object ids, local instance trees, the columnar
-//! snapshot — is layout-independent: ids address the same logical objects
+//! Everything else — object ids, local instance trees and the state
+//! derived from each object alone, the columnar snapshot — is
+//! layout-independent: ids address the same logical objects
 //! in every implementation, which is what makes flat and sharded results
 //! bit-identical (see `tests/shard_identity.rs`).
 
+use crate::cache::LevelSnapshot;
 use osd_rtree::RTree;
 use osd_uncertain::{Change, InstanceStore, ObjectRef, StoreError, UncertainObject};
 use std::fmt;
@@ -215,6 +217,16 @@ pub trait SpatialIndex: Send + Sync {
     /// Local R-tree over the instances of object `id` (payload = instance
     /// index *within the object*).
     fn local_tree(&self, id: usize) -> &RTree<usize>;
+
+    /// Fixed-point instance masses of live object `id` (summing to
+    /// `SCALE`), built by `osd_uncertain::quantize` on first use. Held
+    /// beside `id`'s local tree, so every snapshot sharing that tree
+    /// shares them.
+    fn quanta(&self, id: usize) -> Arc<Vec<u64>>;
+
+    /// The per-level group partition of live object `id`'s local tree,
+    /// built on first use from [`SpatialIndex::quanta`] and held like it.
+    fn level_snapshot(&self, id: usize) -> Arc<LevelSnapshot>;
 
     /// Number of global-tree shards (1 for a flat database).
     fn shard_count(&self) -> usize;

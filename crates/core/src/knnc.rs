@@ -91,7 +91,7 @@ pub fn k_nn_candidates(
     KnncResult::from_run(run_with(db, query, op, k, cfg, None))
 }
 
-/// [`k_nn_candidates`] resolving snapshot-pure cache misses through
+/// [`k_nn_candidates`] resolving query-keyed cache misses through
 /// `warm` (see `core::warm`). Candidate set, `min_dist` bits, order,
 /// dominator counts and `Stats` are bit-identical to the cold path.
 ///

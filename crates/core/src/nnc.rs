@@ -39,7 +39,6 @@ use osd_rtree::Node;
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One emitted NN candidate with bookkeeping for the progressive analysis.
@@ -141,7 +140,7 @@ pub fn nn_candidates(
     run_with(db, query, op, 1, cfg, None).0
 }
 
-/// [`nn_candidates`] resolving snapshot-pure cache misses through `warm`
+/// [`nn_candidates`] resolving query-keyed cache misses through `warm`
 /// (see `core::warm`). Result ids, `min_dist` bits, ordering and `Stats`
 /// are bit-identical to the cold path; warm traffic is counted only in
 /// the dedicated `warm_hits` / `warm_misses` metrics.
@@ -216,11 +215,10 @@ pub struct ProgressiveNnc<'a> {
     candidates: Vec<Candidate>,
     /// Kept dominators of the most recently emitted candidate.
     last_dominators: usize,
-    /// MBR of each emitted candidate, cached at emission so entry pruning
-    /// reads a contiguous list instead of chasing the store per check.
-    /// `Arc`ed so a warm run shares the snapshot-scoped copy instead of
-    /// cloning coordinates per query.
-    cand_mbrs: Vec<Arc<Mbr>>,
+    /// MBR of each emitted candidate, borrowed from the snapshot at
+    /// emission so entry pruning reads a contiguous list instead of
+    /// resolving the store row per check.
+    cand_mbrs: Vec<&'a Mbr>,
     /// The query table's keys, if the query has a table and the kernel
     /// path runs: decided once per traversal, so a query without a table
     /// keys objects with the kernel and no per-key warm call.
@@ -241,7 +239,7 @@ impl<'a> ProgressiveNnc<'a> {
         Self::with_warm(db, query, op, cfg, None)
     }
 
-    /// Starts a traversal whose context resolves snapshot-pure cache
+    /// Starts a traversal whose context resolves query-keyed cache
     /// misses through `warm`; results are bit-identical to [`Self::new`].
     pub fn with_warm(
         db: &'a dyn SpatialIndex,
@@ -386,11 +384,7 @@ impl<'a> ProgressiveNnc<'a> {
                         };
                         self.candidates.push(c.clone());
                         self.last_dominators = dominators;
-                        let mbr = match self.ctx.cache.warm() {
-                            Some(w) => w.object_mbr(self.ctx.db, v, &mut self.ctx.metrics),
-                            None => Arc::new(self.ctx.db.object(v).mbr().clone()),
-                        };
-                        self.cand_mbrs.push(mbr);
+                        self.cand_mbrs.push(self.ctx.db.object(v).mbr());
                         self.ctx.metrics.candidate_emitted(self.op.label());
                         let event = self.ctx.trace.instant("candidate");
                         if event != SpanId::NONE {
@@ -559,8 +553,8 @@ pub(crate) fn object_min_dist2(
 ///
 /// Shared by the traversal's entry pruning and the continuous repair
 /// pre-filter so both apply the exact same gate. Generic over the MBR
-/// holder so the traversal's warm-shared `Arc<Mbr>` list and the repair
-/// path's owned `Vec<Mbr>` go through the identical code.
+/// holder so the traversal's borrowed `&Mbr` list and the repair path's
+/// owned `Vec<Mbr>` go through the identical code.
 pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
     cand_mbrs: &[M],
     e_mbr: &Mbr,

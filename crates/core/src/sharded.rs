@@ -34,6 +34,15 @@
 //! count per 256 ids, and a mutation copies only the chunk holding the id
 //! it writes.
 //!
+//! **Derived state per object.** An object's local-tree entry also holds
+//! the state that depends on the object alone: its quantised masses and
+//! the per-level partition of its local tree ([`LevelSnapshot`]), each
+//! built on first use ([`SpatialIndex::quanta`],
+//! [`SpatialIndex::level_snapshot`]). A publish shares the entries of the
+//! ids it does not write, so every snapshot, query and cache reading an
+//! object shares one copy; a written id gets a fresh entry, so a stale
+//! copy is never reachable from the new snapshot.
+//!
 //! **Inserts** append a row to the store (copying its last chunk) and go
 //! to the shard whose tree MBR needs the least volume enlargement (ties:
 //! smaller volume, then lower shard id) — R-tree subtree choice at shard
@@ -41,12 +50,13 @@
 //! **Deletes** tombstone the object's row; store rows never move, so no
 //! other id's row changes.
 
+use crate::cache::{build_level_snapshot, LevelSnapshot};
 use crate::chunked::ChunkedVec;
 use crate::index::{DbError, IndexStats, ShardStats, SpatialIndex};
 use osd_geom::Mbr;
 use osd_rtree::{str_partition, Entry, RTree};
-use osd_uncertain::{epoch, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
-use std::sync::Arc;
+use osd_uncertain::{epoch, quantize, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
+use std::sync::{Arc, OnceLock};
 
 /// Default fan-out of the global (per-shard) R-trees.
 pub const DEFAULT_GLOBAL_FANOUT: usize = 32;
@@ -62,6 +72,40 @@ pub const DEFAULT_LOCAL_FANOUT: usize = 4;
 #[allow(clippy::panic)]
 pub(crate) fn invalid(e: DbError) -> ! {
     panic!("{e}")
+}
+
+/// One object's local R-tree, with the derived state that depends on the
+/// object alone, each slot filled on first use.
+#[derive(Debug)]
+struct Local {
+    tree: RTree<usize>,
+    quanta: OnceLock<Arc<Vec<u64>>>,
+    levels: OnceLock<Arc<LevelSnapshot>>,
+}
+
+impl Local {
+    /// The table slot of a live object whose instance rows are `coords`.
+    fn new(fanout: usize, dim: usize, coords: &[f64]) -> Option<Arc<Local>> {
+        Some(Arc::new(Local {
+            tree: RTree::bulk_load_rows(fanout, dim, coords),
+            quanta: OnceLock::new(),
+            levels: OnceLock::new(),
+        }))
+    }
+}
+
+/// The value in `slot`, built by `build` off-lock if it is empty. A caller
+/// that loses the race to fill it takes the winner's value, so every
+/// reader of the slot shares one copy and none blocks on another's build.
+fn fill<T: Clone>(slot: &OnceLock<T>, build: impl FnOnce() -> T) -> T {
+    if let Some(v) = slot.get() {
+        return v.clone();
+    }
+    let v = build();
+    match slot.set(v.clone()) {
+        Ok(()) => v,
+        Err(_) => slot.get().cloned().unwrap_or(v),
+    }
 }
 
 /// Layout parameters of a [`ShardedDatabase`].
@@ -106,9 +150,10 @@ pub struct ShardedDatabase {
     /// Shard-major permutation of the input store (or the input `Arc`
     /// itself when the permutation is the identity).
     store: Arc<InstanceStore>,
-    /// Local instance trees, by logical id (`None` = tombstone). A write
-    /// copies the one chunk holding the id; every other tree is shared.
-    local: ChunkedVec<Option<Arc<RTree<usize>>>>,
+    /// Local instance trees and their derived state, by logical id
+    /// (`None` = tombstone). A write copies the one chunk holding the id
+    /// and gives the id a fresh entry; every other entry is shared.
+    local: ChunkedVec<Option<Arc<Local>>>,
     /// One global R-tree per tile; payloads are logical object ids, live
     /// entries only.
     shards: Vec<RTree<usize>>,
@@ -202,8 +247,7 @@ impl ShardedDatabase {
         let mut local = vec![None; ids.len()];
         for (row, &id) in ids.iter().enumerate() {
             slot[id] = Some(row);
-            let tree = RTree::bulk_load_rows(cfg.local_fanout, dim, store.object(row).coords());
-            local[id] = Some(Arc::new(tree));
+            local[id] = Local::new(cfg.local_fanout, dim, store.object(row).coords());
         }
         let shards = groups
             .iter()
@@ -282,11 +326,8 @@ impl ShardedDatabase {
             epoch::append(&mut self.store, &object).map_err(|e| DbError::from_store(e, id))?;
         let view = self.store.object(row);
         let mbr = view.mbr().clone();
-        self.local.push(Some(Arc::new(RTree::bulk_load_rows(
-            self.local_fanout,
-            view.dim(),
-            view.coords(),
-        ))));
+        self.local
+            .push(Local::new(self.local_fanout, view.dim(), view.coords()));
         self.slot.push(Some(row));
         let shard = self.choose_shard(&mbr);
         self.shards[shard].insert(mbr, id);
@@ -356,19 +397,24 @@ impl ShardedDatabase {
         epoch::replace(&mut self.store, row, &object).map_err(|e| DbError::from_store(e, id))?;
         self.remove_from_shards(&old_mbr, id);
         let view = self.store.object(row);
-        self.local.set(
-            id,
-            Some(Arc::new(RTree::bulk_load_rows(
-                self.local_fanout,
-                view.dim(),
-                view.coords(),
-            ))),
-        );
+        self.local
+            .set(id, Local::new(self.local_fanout, view.dim(), view.coords()));
         let mbr = view.mbr().clone();
         let shard = self.choose_shard(&mbr);
         self.shards[shard].insert(mbr, id);
         self.epochs.record(Change::Updated(id));
         Ok(())
+    }
+
+    /// The local-tree entry of live object `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is tombstoned or out of range.
+    fn local_entry(&self, id: usize) -> &Local {
+        match self.local.get(id).and_then(Option::as_deref) {
+            Some(local) => local,
+            None => invalid(DbError::Dead { object: id }),
+        }
     }
 
     /// Removes live `id` from the one shard tree holding it, with
@@ -454,10 +500,19 @@ impl SpatialIndex for ShardedDatabase {
     }
 
     fn local_tree(&self, id: usize) -> &RTree<usize> {
-        match self.local.get(id).and_then(Option::as_deref) {
-            Some(tree) => tree,
-            None => invalid(DbError::Dead { object: id }),
-        }
+        &self.local_entry(id).tree
+    }
+
+    fn quanta(&self, id: usize) -> Arc<Vec<u64>> {
+        fill(&self.local_entry(id).quanta, || {
+            Arc::new(quantize(self.object(id).probs()))
+        })
+    }
+
+    fn level_snapshot(&self, id: usize) -> Arc<LevelSnapshot> {
+        fill(&self.local_entry(id).levels, || {
+            Arc::new(build_level_snapshot(self, id, &self.quanta(id)))
+        })
     }
 
     fn shard_count(&self) -> usize {

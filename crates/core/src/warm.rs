@@ -1,22 +1,24 @@
-//! Snapshot-scoped warm cache: cross-query reuse of snapshot-pure state.
+//! Snapshot-scoped warm cache: cross-query reuse of query-keyed state.
 //!
-//! `core::cache` memoizes derived object state *per traversal*. What it
-//! holds that depends only on the snapshot (quantised masses, level
-//! snapshots, object MBRs), or on the snapshot and a repeated query (the
-//! distance distributions `U_Q` and `U_q` and the per-level bound
-//! distributions of §5.1.1), would be rebuilt from scratch by the next
-//! query. [`WarmCache`] promotes exactly that subset to snapshot lifetime:
+//! `core::cache` memoizes derived object state *per traversal*. The state
+//! that depends on the object alone (quantised masses, level snapshots)
+//! lives in the index, beside each object's local tree, and is shared by
+//! every query and snapshot that reads it. What depends on the snapshot
+//! and a repeated query (the traversal keys, the distance distributions
+//! `U_Q` and `U_q` and the per-level bound distributions of §5.1.1) would
+//! be rebuilt from scratch by the next query. [`WarmCache`] promotes
+//! exactly that subset to snapshot lifetime:
 //!
 //! * **Keying.** One cache is valid for one `(Arc::as_ptr(store), epoch)`
 //!   pair. The cache pins its `Arc<InstanceStore>`, which both prevents
 //!   pointer reuse (ABA) while the cache is alive and forces the epoch
 //!   builders' `Arc::make_mut` down the clone path, so a published
 //!   successor snapshot can never alias the pinned pointer.
-//! * **Layout.** Every per-id table (`quanta`, `levels`, `mbrs`, and one
-//!   table per admitted query) is a list of chunks of [`CHUNK_SLOTS`]
-//!   [`OnceLock`] slots, one chunk per run of that many ids, each
-//!   allocated on its first write: a run without entries costs one
-//!   pointer, so a table's storage follows its entries, not `n`.
+//! * **Layout.** The cache holds one table per admitted query. A table's
+//!   records are a list of chunks of [`CHUNK_SLOTS`] [`OnceLock`] slots,
+//!   one chunk per run of that many ids, each allocated on its first
+//!   write: a run without records costs one pointer, so a table's storage
+//!   follows its records, not `n`.
 //! * **Query tables.** A query table holds the traversal keys and the
 //!   records of one query. Its key list holds, sorted by id, the traversal
 //!   key (squared `δ_min(V, Q)`, the kernel path's bits) of every object
@@ -46,15 +48,14 @@
 //!   A key list is the exception: a traversal takes its lock once to read
 //!   it, and once more to publish the keys it built.
 //! * **Invalidation.** [`WarmPool::cache_for`] advances the cache to a
-//!   newer epoch through [`EpochLog::changes_since`]. A table that holds
-//!   no touched id is shared whole (a fixed table keeps its chunk list
-//!   under a gauge of its own, a query table is the same table). Any other
-//!   table's successor copies the chunk list and each chunk holding a
-//!   touched id's entry, with the slot cleared and a chunk that leaves
-//!   empty dropped; every other chunk is shared with the old cache. The
-//!   entries of untouched ids are bit-identical in both epochs, so sharing
-//!   them is the carry argument one level up. Evictions and gauges are kept
-//!   by subtracting the evicted entries, so an advance costs
+//!   newer epoch through [`EpochLog::changes_since`]. A query table that
+//!   holds no touched id's record is shared whole. Any other table's
+//!   successor copies the chunk list and each chunk holding a touched id's
+//!   record, with the slot cleared and a chunk that leaves empty dropped;
+//!   every other chunk is shared with the old cache. The records of
+//!   untouched ids are bit-identical in both epochs, so sharing them is the
+//!   carry argument one level up. Evictions and gauges are kept by
+//!   subtracting the evicted entries, so an advance costs
 //!   O(tables · touched) plus a list copy of `n / CHUNK_SLOTS` pointers per
 //!   table it evicts from, never a slot per id. A key list is carried as
 //!   it is, at the epoch it was built: a traversal checks it against the
@@ -65,9 +66,9 @@
 //!   cache is rebuilt, mirroring `ContinuousNnc`'s stale-window fallback.
 //!   Chunks are never shared across tables: a fresh table allocates its
 //!   own.
-//! * **Sealing.** A shared chunk (or a shared list's unallocated chunk) may
-//!   hold an *empty* slot of a touched id,
-//!   and both caches could fill it, each with its own epoch's value. So
+//! * **Sealing.** A shared table (or a shared chunk) may hold an *empty*
+//!   slot of a touched id, and both caches could fill it, each with its
+//!   own epoch's value. So
 //!   the advance first seals the old cache: publishers hold `publishing`
 //!   shared, the seal takes it exclusively, and from then on the old cache
 //!   neither publishes nor serves a hit (a value read after the seal may be
@@ -77,23 +78,20 @@
 //!   table's key list follows the same rule: a traversal on a sealed cache
 //!   publishes no keys (it may read a list; one built at another epoch is
 //!   checked against its epoch log).
-//! * **Memory.** Each table keeps a gauge of the entries it holds and of
-//!   its bytes: published values, chunk lists, chunks, records and a query
-//!   table's own key and key list. [`WarmCache::resident_bytes`] sums the
-//!   gauges and
-//!   [`WarmCache::audit`] recounts them chunk by chunk. The footprint is at
-//!   most the fixed tables' entries plus [`QUERY_TABLES`] tables, each
-//!   holding a list of `n / CHUNK_SLOTS` chunk pointers, a record per
-//!   object its query read a distribution of and 16 bytes per object it
-//!   pushed.
+//! * **Memory.** Each query table keeps a gauge of the entries it holds
+//!   and of its bytes: published values, its chunk list, chunks and
+//!   records, its own key and its key list. [`WarmCache::resident_bytes`]
+//!   sums the gauges and [`WarmCache::audit`] recounts them chunk by
+//!   chunk. The footprint is at most [`QUERY_TABLES`] tables, each holding
+//!   a list of `n / CHUNK_SLOTS` chunk pointers, a record per object its
+//!   query read a distribution of and 16 bytes per object it pushed.
 //! * **Never backwards.** A snapshot older than the pool's current cache
 //!   (a straggler still pinning an old epoch) gets a private, uninstalled
 //!   blank cache; the pool keeps its epoch, entries and counters.
 //! * **Bit-identity.** Every entry is built by the same deterministic
-//!   constructor as the cold path (`build_level_snapshot`, `build_key`,
-//!   `build_dist_q`, `build_per_q`, `build_bounds_*`, `quantize`), so a
-//!   warm-served value
-//!   is bit-for-bit the value the cold path would have built. Warm traffic
+//!   constructor as the cold path (`build_key`, `build_dist_q`,
+//!   `build_per_q`, `build_bounds_*`), so a warm-served value is
+//!   bit-for-bit the value the cold path would have built. Warm traffic
 //!   is counted in the dedicated `warm_hits` / `warm_misses` counters; the
 //!   per-query `cache_hits` / `cache_misses` semantics are untouched.
 //!
@@ -115,14 +113,13 @@
 //! [`EpochLog::changes_since`]: osd_uncertain::EpochLog::changes_since
 
 use crate::cache::{
-    build_bounds_instance, build_bounds_whole, build_dist_q, build_key, build_level_snapshot,
-    build_per_q, BoundPair, LevelSnapshot,
+    build_bounds_instance, build_bounds_whole, build_dist_q, build_key, build_per_q, BoundPair,
+    LevelSnapshot,
 };
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
-use osd_geom::Mbr;
 use osd_obs::{Counter, QueryMetrics};
-use osd_uncertain::{quantize, touched_ids, DistanceDistribution, InstanceStore};
+use osd_uncertain::{touched_ids, DistanceDistribution, InstanceStore};
 use std::collections::{BTreeMap, VecDeque};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -173,36 +170,6 @@ trait Resident: Clone {
 
 fn one(bytes: u64) -> Weight {
     Weight { entries: 1, bytes }
-}
-
-fn mbr_bytes(m: &Mbr) -> u64 {
-    16 * m.lo().len() as u64
-}
-
-impl Resident for Arc<Vec<u64>> {
-    fn weight(&self) -> Weight {
-        one(24 + 8 * self.len() as u64)
-    }
-}
-
-impl Resident for Arc<Mbr> {
-    fn weight(&self) -> Weight {
-        one(mbr_bytes(self))
-    }
-}
-
-impl Resident for Arc<LevelSnapshot> {
-    fn weight(&self) -> Weight {
-        let mut b = 48u64;
-        for idx in 1..=self.num_levels() {
-            let lg = self.level(idx);
-            b += 72;
-            for m in &lg.mbrs {
-                b += mbr_bytes(m) + 16;
-            }
-        }
-        one(b)
-    }
 }
 
 fn dist_bytes(d: &DistanceDistribution) -> u64 {
@@ -443,15 +410,6 @@ impl<V: Resident> Table<V> {
             gauge,
         })
     }
-
-    /// [`Table::carry`] for a table the successor owns: an unchanged table
-    /// shares its chunk list and copies its gauge.
-    fn carried(&self, touched: &[usize], n: usize, evicted: &mut Weight) -> Table<V> {
-        self.carry(touched, n, evicted).unwrap_or_else(|| Table {
-            chunks: Arc::clone(&self.chunks),
-            gauge: Gauge::new(self.gauge.get()),
-        })
-    }
 }
 
 /// Pool-level cumulative counters, for bench / CLI reporting.
@@ -622,36 +580,31 @@ struct Queries {
     clock: u64,
 }
 
-/// One warm table's layout, as [`WarmCache::audit`] reports it.
+/// One query table's layout, as [`WarmCache::audit`] reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableAudit {
-    /// `"quanta"`, `"levels"`, `"mbrs"` or `"query"`.
-    pub table: &'static str,
-    /// The owning query's fingerprint, for a `"query"` table.
-    pub query: Option<u64>,
+    /// The owning query's fingerprint.
+    pub query: u64,
     /// The address of each chunk of [`CHUNK_SLOTS`] ids, in id order, or 0
-    /// where the chunk holds no entry. Two live caches share a chunk
+    /// where the chunk holds no record. Two live caches share a chunk
     /// exactly when they list the same non-zero address.
     pub chunks: Vec<usize>,
-    /// The ids whose slot holds an entry (a record, in a query table),
-    /// ascending.
+    /// The ids whose slot holds a record, ascending.
     pub filled: Vec<usize>,
-    /// The ids whose traversal key a query table's key list holds,
-    /// ascending (empty for the other tables). A list is checked against
-    /// the epoch log when a traversal reads it, so it may still hold the
-    /// keys of ids changed since it was built.
+    /// The ids whose traversal key the key list holds, ascending. A list
+    /// is checked against the epoch log when a traversal reads it, so it
+    /// may still hold the keys of ids changed since it was built.
     pub keys: Vec<usize>,
     /// Approximate bytes the table holds: its chunk list, chunks and
-    /// entries, and a query table's own key and key list.
+    /// records, its own key and its key list.
     pub bytes: u64,
 }
 
-/// A from-scratch walk of a [`WarmCache`]: every table's layout plus the
-/// resident entries and bytes recounted chunk by chunk.
+/// A from-scratch walk of a [`WarmCache`]: every query table's layout plus
+/// the resident entries and bytes recounted chunk by chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmAudit {
-    /// `quanta`, `levels`, `mbrs`, then each query table in fingerprint
-    /// order.
+    /// Each query table, in fingerprint order.
     pub tables: Vec<TableAudit>,
     /// Published entries (a record counts its filled fields, a key list
     /// its keys).
@@ -662,56 +615,34 @@ pub struct WarmAudit {
 }
 
 impl WarmAudit {
-    /// Recounts `t` (spanning `n` ids), whose own storage beyond its
-    /// chunks is `own` bytes.
-    fn walk<V: Resident>(
-        &mut self,
-        table: &'static str,
-        query: Option<u64>,
-        t: &Table<V>,
-        n: usize,
-        own: u64,
-    ) {
+    /// Recounts query table `t` (fingerprint `fp`, spanning `n` ids): its
+    /// own storage, its records and its key list.
+    fn walk(&mut self, fp: u64, t: &QueryTable, n: usize) {
+        let records = &t.records;
         let mut filled = Vec::new();
-        let mut held = Weight {
-            entries: 0,
-            bytes: own + Table::<V>::list_bytes(t.chunks.len()),
-        };
-        let allocated = t.chunks.iter().filter(|c| c.get().is_some()).count();
-        held.bytes += allocated as u64 * Table::<V>::CHUNK_BYTES;
-        t.for_each(|id, v| {
+        let keys = t.keys();
+        let mut held = keys.weight();
+        held.bytes += t.own_bytes() + Table::<Arc<Record>>::list_bytes(records.chunks.len());
+        let allocated = records.chunks.iter().filter(|c| c.get().is_some()).count();
+        held.bytes += allocated as u64 * Table::<Arc<Record>>::CHUNK_BYTES;
+        records.for_each(|id, v| {
             filled.push(id);
             held += v.weight();
         });
         self.entries += held.entries;
         self.resident_bytes += held.bytes;
         self.tables.push(TableAudit {
-            table,
-            query,
+            query: fp,
             chunks: (0..n.div_ceil(CHUNK_SLOTS))
                 .map(|c| {
-                    let chunk = t.chunks.get(c).and_then(OnceLock::get);
+                    let chunk = records.chunks.get(c).and_then(OnceLock::get);
                     chunk.map_or(0, |c| Arc::as_ptr(c).cast::<()>() as usize)
                 })
                 .collect(),
             filled,
-            keys: Vec::new(),
+            keys: keys.list.iter().map(|&(id, _)| id).collect(),
             bytes: held.bytes,
         });
-    }
-
-    /// Recounts query table `t` (fingerprint `fp`): its records, then its
-    /// key list into the same entry.
-    fn walk_query(&mut self, fp: u64, t: &QueryTable, n: usize) {
-        self.walk("query", Some(fp), &t.records, n, t.own_bytes());
-        let keys = t.keys();
-        let w = keys.weight();
-        self.entries += w.entries;
-        self.resident_bytes += w.bytes;
-        if let Some(last) = self.tables.last_mut() {
-            last.keys = keys.list.iter().map(|&(id, _)| id).collect();
-            last.bytes += w.bytes;
-        }
     }
 }
 
@@ -727,9 +658,6 @@ pub struct WarmCache {
     epoch: u64,
     /// Logical ids of the snapshot.
     len: usize,
-    quanta: Table<Arc<Vec<u64>>>,
-    levels: Table<Arc<LevelSnapshot>>,
-    mbrs: Table<Arc<Mbr>>,
     queries: Mutex<Queries>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -754,25 +682,14 @@ impl std::fmt::Debug for WarmCache {
 impl WarmCache {
     /// A blank cache keyed to `db`'s current snapshot.
     fn blank(db: &dyn SpatialIndex) -> WarmCache {
-        let n = db.len();
-        let (quanta, levels, mbrs) = (Table::new(n), Table::new(n), Table::new(n));
-        WarmCache::with_tables(db, quanta, levels, mbrs, Queries::default())
+        WarmCache::with_queries(db, Queries::default())
     }
 
-    fn with_tables(
-        db: &dyn SpatialIndex,
-        quanta: Table<Arc<Vec<u64>>>,
-        levels: Table<Arc<LevelSnapshot>>,
-        mbrs: Table<Arc<Mbr>>,
-        queries: Queries,
-    ) -> WarmCache {
+    fn with_queries(db: &dyn SpatialIndex, queries: Queries) -> WarmCache {
         WarmCache {
             store: Arc::clone(db.store()),
             epoch: db.epoch(),
             len: db.len(),
-            quanta,
-            levels,
-            mbrs,
             queries: Mutex::new(queries),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -812,17 +729,11 @@ impl WarmCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Approximate bytes resident in this cache: the sum of its tables'
-    /// gauges, O(tables).
+    /// Approximate bytes resident in this cache: the sum of its query
+    /// tables' gauges, O(tables).
     pub fn resident_bytes(&self) -> u64 {
-        let fixed = [
-            self.quanta.gauge.get(),
-            self.levels.gauge.get(),
-            self.mbrs.gauge.get(),
-        ];
         let queries = self.queries();
-        let tables = queries.tables.values().map(|(t, _)| t.held());
-        fixed.into_iter().chain(tables).map(|w| w.bytes).sum()
+        queries.tables.values().map(|(t, _)| t.held().bytes).sum()
     }
 
     fn stats(&self) -> WarmStats {
@@ -835,8 +746,8 @@ impl WarmCache {
         }
     }
 
-    /// Walks every chunk of every table: the layout and the recounted
-    /// gauges. O(chunks); [`WarmCache::resident_bytes`] and
+    /// Walks every chunk of every query table: the layout and the
+    /// recounted gauges. O(chunks); [`WarmCache::resident_bytes`] and
     /// [`WarmCache::evictions`] keep the same figures incrementally.
     pub fn audit(&self) -> WarmAudit {
         let mut audit = WarmAudit {
@@ -844,11 +755,8 @@ impl WarmCache {
             entries: 0,
             resident_bytes: 0,
         };
-        audit.walk("quanta", None, &self.quanta, self.len, 0);
-        audit.walk("levels", None, &self.levels, self.len, 0);
-        audit.walk("mbrs", None, &self.mbrs, self.len, 0);
         for (&fp, (t, _)) in &self.queries().tables {
-            audit.walk_query(fp, t, self.len);
+            audit.walk(fp, t, self.len);
         }
         audit
     }
@@ -988,9 +896,6 @@ impl WarmCache {
         old.seal();
         let touched = touched_ids(&changes);
         let mut evicted = Weight::default();
-        let quanta = old.quanta.carried(&touched, n, &mut evicted);
-        let levels = old.levels.carried(&touched, n, &mut evicted);
-        let mbrs = old.mbrs.carried(&touched, n, &mut evicted);
         let queries = {
             let was = old.queries();
             let tables = was
@@ -1003,7 +908,7 @@ impl WarmCache {
                 clock: was.clock,
             }
         };
-        let next = WarmCache::with_tables(db, quanta, levels, mbrs, queries);
+        let next = WarmCache::with_queries(db, queries);
         next.hits.store(old.hits(), Ordering::Relaxed);
         next.misses.store(old.misses(), Ordering::Relaxed);
         next.evictions
@@ -1046,48 +951,6 @@ impl WarmView {
     /// Records the cache's eviction/resident gauges into `metrics`.
     pub fn record_gauges(&self, metrics: &mut QueryMetrics) {
         metrics.warm_cache(self.cache.evictions(), self.cache.resident_bytes());
-    }
-
-    /// Warm quantised masses of object `id`.
-    pub fn quanta(
-        &self,
-        db: &dyn SpatialIndex,
-        id: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<Vec<u64>> {
-        let e = self.cache.entry(&self.cache.quanta, id, || {
-            Arc::new(quantize(db.object(id).probs()))
-        });
-        self.tally(e, metrics)
-    }
-
-    /// Warm level snapshot of object `id` (`quanta` is the caller's
-    /// already-resolved quantisation — the nested legacy lookup the cold
-    /// path performs anyway).
-    pub fn level_snapshot(
-        &self,
-        db: &dyn SpatialIndex,
-        id: usize,
-        quanta: &[u64],
-        metrics: &mut QueryMetrics,
-    ) -> Arc<LevelSnapshot> {
-        let e = self.cache.entry(&self.cache.levels, id, || {
-            Arc::new(build_level_snapshot(db, id, quanta))
-        });
-        self.tally(e, metrics)
-    }
-
-    /// Warm MBR of object `id` (the emission-time candidate MBR).
-    pub fn object_mbr(
-        &self,
-        db: &dyn SpatialIndex,
-        id: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<Mbr> {
-        let e = self.cache.entry(&self.cache.mbrs, id, || {
-            Arc::new(db.object(id).mbr().clone())
-        });
-        self.tally(e, metrics)
     }
 
     /// `id`'s record in the query table, created empty on first touch;
@@ -1426,17 +1289,26 @@ mod tests {
         PreparedQuery::new(UncertainObject::uniform(vec![p2(x, 0.0), p2(x, 1.0)]))
     }
 
+    /// The values of the [`Table`] fixtures below: `[id]` in slot `id`.
+    impl Resident for Arc<Vec<u64>> {
+        fn weight(&self) -> Weight {
+            one(24 + 8 * self.len() as u64)
+        }
+    }
+
     #[test]
     fn same_snapshot_reuses_the_cache_and_its_entries() {
         let db = Database::new(vec![obj(1.0), obj(5.0)]);
         let pool = WarmPool::new();
         let q = query();
         let mut metrics = QueryMetrics::new();
+        // The second sighting admits the query's table.
+        pool.view_for(&db, &q);
         let v1 = pool.view_for(&db, &q);
-        let a = v1.quanta(&db, 0, &mut metrics);
+        let a = v1.dist_q(&db, &q, 0, &mut metrics);
         let v2 = pool.view_for(&db, &q);
         assert!(Arc::ptr_eq(v1.cache(), v2.cache()), "same (ptr, epoch) key");
-        let b = v2.quanta(&db, 0, &mut metrics);
+        let b = v2.dist_q(&db, &q, 0, &mut metrics);
         assert!(Arc::ptr_eq(&a, &b), "entry survives across views");
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -1510,8 +1382,7 @@ mod tests {
             let p = v.per_q(&db, &q, id, &mut m);
             assert_eq!(*d, *cold.dist_q(&db, &q, id, &mut stats, &mut m));
             assert_eq!(*p, *cold.per_q(&db, &q, id, &mut stats, &mut m));
-            let quanta = v.quanta(&db, id, &mut m);
-            let snap = v.level_snapshot(&db, id, &quanta, &mut m);
+            let snap = db.level_snapshot(id);
             let record = v.record(id);
             for level in 1..=snap.num_levels() + 1 {
                 v.bounds_whole(record.as_deref(), &q, &snap, level, &mut m);
@@ -1521,12 +1392,11 @@ mod tests {
             assert!(Arc::ptr_eq(&p, &v.per_q(&db, &q, id, &mut m)));
         }
         let audit = cache.audit();
-        let records = audit.tables.iter().find(|t| t.table == "query");
-        assert_eq!(records.expect("a query table").filled, vec![3, 17, 39]);
+        assert_eq!(audit.tables.len(), 1, "one query table");
+        assert_eq!(audit.tables[0].filled, vec![3, 17, 39]);
         assert_eq!(audit.resident_bytes, cache.resident_bytes());
-        let levels = v.level_snapshot(&db, 3, &v.quanta(&db, 3, &mut m), &mut m);
-        let per_record = 2 + 2 * levels.num_levels() as u64;
-        assert_eq!(audit.entries, 3 * (per_record + 2));
+        let per_record = 2 + 2 * db.level_snapshot(3).num_levels() as u64;
+        assert_eq!(audit.entries, 3 * per_record);
     }
 
     #[test]
@@ -1559,8 +1429,7 @@ mod tests {
         assert_eq!((pool.stats().hits, pool.stats().misses), (3, 4));
         let cache = Arc::clone(v.cache());
         let audit = cache.audit();
-        let table = audit.tables.iter().find(|t| t.table == "query");
-        let table = table.expect("a query table");
+        let table = audit.tables.first().expect("a query table");
         assert_eq!(table.keys, vec![3, 5, 17, 39]);
         assert!(table.filled.is_empty(), "a key made a record");
         assert_eq!(audit.entries, 4);
@@ -1652,9 +1521,10 @@ mod tests {
         let q = query();
         let mut metrics = QueryMetrics::new();
         let snap0 = idx.pin();
+        pool.view_for(snap0.as_ref(), &q);
         let v0 = pool.view_for(snap0.as_ref(), &q);
-        let q0 = v0.quanta(snap0.as_ref(), 0, &mut metrics);
-        let q1 = v0.quanta(snap0.as_ref(), 1, &mut metrics);
+        let d0 = v0.dist_q(snap0.as_ref(), &q, 0, &mut metrics);
+        let d1 = v0.dist_q(snap0.as_ref(), &q, 1, &mut metrics);
         idx.update(1, obj(7.0)).expect("update");
         let snap1 = idx.pin();
         let v1 = pool.view_for(snap1.as_ref(), &q);
@@ -1662,10 +1532,10 @@ mod tests {
             !Arc::ptr_eq(v0.cache(), v1.cache()),
             "stale (ptr, epoch) key must not be served"
         );
-        let q0b = v1.quanta(snap1.as_ref(), 0, &mut metrics);
-        assert!(Arc::ptr_eq(&q0, &q0b), "untouched object carried over");
-        let q1b = v1.quanta(snap1.as_ref(), 1, &mut metrics);
-        assert!(!Arc::ptr_eq(&q1, &q1b), "touched object rebuilt");
+        let d0b = v1.dist_q(snap1.as_ref(), &q, 0, &mut metrics);
+        assert!(Arc::ptr_eq(&d0, &d0b), "untouched object carried over");
+        let d1b = v1.dist_q(snap1.as_ref(), &q, 1, &mut metrics);
+        assert!(!Arc::ptr_eq(&d1, &d1b), "touched object rebuilt");
         assert!(pool.stats().evictions >= 1);
     }
 
@@ -1676,12 +1546,14 @@ mod tests {
         let pool = WarmPool::new();
         let q = query();
         let mut metrics = QueryMetrics::new();
+        pool.view_for(&a, &q);
         let va = pool.view_for(&a, &q);
-        let _ = va.quanta(&a, 0, &mut metrics);
+        let held = va.dist_q(&a, &q, 0, &mut metrics);
         let vb = pool.view_for(&b, &q);
         assert!(!Arc::ptr_eq(va.cache(), vb.cache()));
-        let fresh = vb.quanta(&b, 0, &mut metrics);
-        assert_eq!(fresh.len(), 3);
+        let fresh = vb.dist_q(&b, &q, 0, &mut metrics);
+        assert_eq!(*fresh, build_dist_q(&b, &q, 0));
+        assert_ne!(*fresh, *held);
         assert_eq!(pool.stats().evictions, 1, "old entry counted as evicted");
     }
 
@@ -1727,22 +1599,32 @@ mod tests {
         let q = query();
         let mut metrics = QueryMetrics::new();
         let snap0 = idx.pin();
+        idx.warm_pool().view_for(&*snap0, &q);
         let v0 = idx.warm_pool().view_for(&*snap0, &q);
-        let carried = v0.quanta(&*snap0, 0, &mut metrics);
+        let carried = v0.dist_q(&*snap0, &q, 0, &mut metrics);
         idx.update(1, obj(7.0)).expect("update");
         let snap1 = idx.pin();
         let v1 = idx.warm_pool().view_for(&*snap1, &q);
-        // Object 1's slot was empty: its chunk is shared, and the new
-        // cache fills it with the e1 value.
-        let new1 = v1.quanta(&*snap1, 1, &mut metrics);
-        let old1 = v0.quanta(&*snap0, 1, &mut metrics);
+        // Object 1's slot was empty: the table is shared, and the new
+        // cache fills the slot with the e1 value.
+        let new1 = v1.dist_q(&*snap1, &q, 1, &mut metrics);
+        let old1 = v0.dist_q(&*snap0, &q, 1, &mut metrics);
         assert!(!Arc::ptr_eq(&new1, &old1), "e0 reader served an e1 entry");
-        assert_eq!(*old1, quantize(snap0.object(1).probs()));
+        assert_eq!(*old1, build_dist_q(&*snap0, &q, 1));
         // Nor does the sealed e0 cache publish what it builds, serve even
         // a carried entry, or admit a query.
-        assert!(!Arc::ptr_eq(&v0.quanta(&*snap0, 1, &mut metrics), &old1));
-        assert!(!Arc::ptr_eq(&v0.quanta(&*snap0, 0, &mut metrics), &carried));
-        assert!(Arc::ptr_eq(&v1.quanta(&*snap1, 0, &mut metrics), &carried));
+        assert!(!Arc::ptr_eq(
+            &v0.dist_q(&*snap0, &q, 1, &mut metrics),
+            &old1
+        ));
+        assert!(!Arc::ptr_eq(
+            &v0.dist_q(&*snap0, &q, 0, &mut metrics),
+            &carried
+        ));
+        assert!(Arc::ptr_eq(
+            &v1.dist_q(&*snap1, &q, 0, &mut metrics),
+            &carried
+        ));
         assert!(v0.cache().table_for(&q).is_none());
     }
 }

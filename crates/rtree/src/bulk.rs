@@ -132,26 +132,24 @@ fn tile<I: HasMbr, O>(
         out.push(build(items));
         return;
     }
+    sort_by_center(&mut items, d);
+    // Runs and slabs are taken off one draining iterator, so each item
+    // moves once per level of the recursion, never with the whole tail.
     if d + 1 == dim {
         // Last dimension: emit consecutive runs of `cap`.
-        sort_by_center(&mut items, d);
-        let mut rest = items;
-        while !rest.is_empty() {
-            let tail = rest.split_off(rest.len().min(cap));
-            out.push(build(rest));
-            rest = tail;
+        let mut rest = items.into_iter();
+        while !rest.as_slice().is_empty() {
+            out.push(build(rest.by_ref().take(cap).collect()));
         }
         return;
     }
-    sort_by_center(&mut items, d);
     let pages = items.len().div_ceil(cap);
     let slabs = (pages as f64).powf(1.0 / (dim - d) as f64).ceil() as usize;
     let per_slab = items.len().div_ceil(slabs.max(1));
-    let mut rest = items;
-    while !rest.is_empty() {
-        let tail = rest.split_off(rest.len().min(per_slab));
-        tile(rest, cap, dim, d + 1, build, out);
-        rest = tail;
+    let mut rest = items.into_iter();
+    while !rest.as_slice().is_empty() {
+        let slab = rest.by_ref().take(per_slab).collect();
+        tile(slab, cap, dim, d + 1, build, out);
     }
 }
 
@@ -212,6 +210,147 @@ fn sort_by_center<I: HasMbr>(items: &mut [I], d: usize) {
 mod tests {
     use super::*;
     use osd_geom::Point;
+
+    /// The packer as it was before tiling drained one iterator: each run
+    /// and slab is peeled off with `split_off`, which copies the tail. The
+    /// reference the tiler is pinned against, node for node.
+    mod split_off_packer {
+        use super::super::{sort_by_center, HasMbr};
+        use crate::node::{Child, Entry, Node, RTree};
+        use std::sync::Arc;
+
+        pub(super) fn pack<I: HasMbr, O>(
+            items: Vec<I>,
+            cap: usize,
+            dim: usize,
+            build: impl Fn(Vec<I>) -> O,
+        ) -> Vec<O> {
+            let mut out = Vec::new();
+            tile(items, cap, dim, 0, &build, &mut out);
+            out
+        }
+
+        fn tile<I: HasMbr, O>(
+            mut items: Vec<I>,
+            cap: usize,
+            dim: usize,
+            d: usize,
+            build: &impl Fn(Vec<I>) -> O,
+            out: &mut Vec<O>,
+        ) {
+            if items.len() <= cap {
+                out.push(build(items));
+                return;
+            }
+            sort_by_center(&mut items, d);
+            let size = if d + 1 == dim {
+                cap
+            } else {
+                let pages = items.len().div_ceil(cap);
+                let slabs = (pages as f64).powf(1.0 / (dim - d) as f64).ceil() as usize;
+                items.len().div_ceil(slabs.max(1))
+            };
+            let mut rest = items;
+            while !rest.is_empty() {
+                let tail = rest.split_off(rest.len().min(size));
+                if d + 1 == dim {
+                    out.push(build(rest));
+                } else {
+                    tile(rest, cap, dim, d + 1, build, out);
+                }
+                rest = tail;
+            }
+        }
+
+        /// `RTree::bulk_load` over this packer.
+        pub(super) fn bulk_load<T>(cap: usize, entries: Vec<Entry<T>>) -> RTree<T> {
+            let mut tree = RTree::new(cap);
+            if entries.is_empty() {
+                return tree;
+            }
+            let dim = entries[0].mbr.dim();
+            tree.len = entries.len();
+            let mut level = pack(entries, cap, dim, |group| {
+                let mut mbr = group[0].mbr.clone();
+                group.iter().for_each(|e| mbr.expand(&e.mbr));
+                Child {
+                    mbr,
+                    node: Arc::new(Node::Leaf(group)),
+                }
+            });
+            while level.len() > 1 {
+                level = pack(level, cap, dim, |group| {
+                    let mut mbr = group[0].mbr.clone();
+                    group.iter().for_each(|c| mbr.expand(&c.mbr));
+                    Child {
+                        mbr,
+                        node: Arc::new(Node::Inner(group)),
+                    }
+                });
+            }
+            tree.root = level.pop();
+            tree
+        }
+    }
+
+    /// A tree's whole node structure: every MBR and payload, in order.
+    fn layout<T: std::fmt::Debug>(tree: &RTree<T>) -> String {
+        format!("{:?}", tree.root)
+    }
+
+    /// `n` scattered `dim`-d points, row-major.
+    fn scattered_rows(n: usize, dim: usize) -> Vec<f64> {
+        (0..n * dim)
+            .map(|i| ((i * 7919) % 1009) as f64 * 0.37 - 150.0)
+            .collect()
+    }
+
+    fn point_entries(rows: &[f64], dim: usize) -> Vec<Entry<usize>> {
+        rows.chunks_exact(dim)
+            .enumerate()
+            .map(|(i, row)| Entry {
+                mbr: Mbr::new(row, row),
+                item: i,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tiling_matches_the_split_off_packer_node_for_node() {
+        for n in [0, 1, 3, 4, 5, 17, 64, 65, 97, 200] {
+            for dim in [1, 2, 3] {
+                let rows = scattered_rows(n, dim);
+                for cap in [2, 3, 4, 8] {
+                    let old = split_off_packer::bulk_load(cap, point_entries(&rows, dim));
+                    let new = RTree::bulk_load(cap, point_entries(&rows, dim));
+                    let from_rows = RTree::bulk_load_rows(cap, dim, &rows);
+                    assert_eq!(layout(&new), layout(&old), "n {n} dim {dim} cap {cap}");
+                    assert_eq!(
+                        layout(&from_rows),
+                        layout(&old),
+                        "n {n} dim {dim} cap {cap}"
+                    );
+                    assert_eq!(new.len(), old.len());
+                }
+                if n == 0 {
+                    continue;
+                }
+                let mbrs: Vec<Mbr> = rows
+                    .chunks_exact(dim)
+                    .map(|lo| Mbr::new(lo, lo.iter().map(|x| x + 0.5).collect::<Vec<_>>()))
+                    .collect();
+                for parts in [2, 3, 7, 16] {
+                    let tagged = mbrs.iter().enumerate();
+                    let tagged = tagged.map(|(idx, mbr)| Tagged { mbr, idx }).collect();
+                    let cap = n.div_ceil(parts);
+                    let old: Vec<Vec<usize>> = split_off_packer::pack(tagged, cap, dim, |g| {
+                        g.into_iter().map(|t| t.idx).collect()
+                    });
+                    assert_eq!(str_partition(&mbrs, parts), old, "n {n} parts {parts}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn bulk_load_rows_matches_point_entry_bulk_load() {

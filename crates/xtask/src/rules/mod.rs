@@ -167,12 +167,14 @@ static RULES: [Rule; 11] = [
         scope: "crates/core/src/ops, crates/core/src/nnc.rs, crates/core/src/knnc.rs \
                 (test modules exempt; core::cache and core::warm own the constructors)",
         intent: "level snapshots, group MBRs and bound-distribution tables are built by \
-                 the shared constructors in core::cache and promoted to snapshot lifetime \
-                 by core::warm. A `LevelSnapshot { .. }`/`LevelGroups { .. }` literal or a \
-                 direct build_level_snapshot/build_bounds_* call in a hot path bypasses \
-                 both the legacy hit/miss accounting and the epoch-keyed invalidation \
-                 protocol — a stale table could survive a publish unnoticed. Bounds flow \
-                 through CheckCtx's DominanceCache, which consults the warm view.",
+                 the shared constructors in core::cache; the index holds one level \
+                 snapshot per object entry and core::warm promotes the query-keyed bounds \
+                 to snapshot lifetime. A `LevelSnapshot { .. }`/`LevelGroups { .. }` \
+                 literal or a direct build_level_snapshot/build_bounds_* call in a hot path \
+                 bypasses the legacy hit/miss accounting, the index's shared copy and the \
+                 epoch-keyed invalidation protocol — a stale table could survive a publish \
+                 unnoticed. Snapshots and bounds flow through CheckCtx's DominanceCache, \
+                 which reads the index and consults the warm view.",
         waiver: "never waived — add an accessor to DominanceCache instead.",
         run: Run::PerFile(warm::no_warm_bypass),
     },

@@ -5,9 +5,10 @@ use crate::model::{SourceFile, Workspace};
 
 /// Level snapshots, distance distributions (`U_Q`, `U_q`) and
 /// bound-distribution tables are built by the shared constructors in
-/// `core::cache` and promoted to snapshot lifetime by `core::warm`; a
+/// `core::cache`; the index holds each object's level snapshot and
+/// `core::warm` promotes the query-keyed state to snapshot lifetime. A
 /// hot-path file constructing them directly bypasses the per-query
-/// hit/miss accounting, the warm tables *and* the epoch-keyed
+/// hit/miss accounting, the shared copies *and* the epoch-keyed
 /// invalidation protocol, so a stale table could silently survive a
 /// publish. `core::cache` is the only builder.
 pub(super) fn no_warm_bypass(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {

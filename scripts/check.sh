@@ -88,6 +88,10 @@ echo "== epoch churn under concurrent readers =="
 # the audit layer.
 cargo test -q --test mutate_identity
 cargo test -q --features strict-invariants --test mutate_identity
+# A publish copies only what it writes: local and global trees, store
+# chunks, and the derived state each object's local-tree entry holds
+# (quantised masses, level snapshots), which a written id rebuilds fresh.
+cargo test -q --features strict-invariants --test publish_sharing
 
 echo "== tracer purity =="
 # The flight recorder is pure observability: traced and untraced runs of

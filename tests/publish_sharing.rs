@@ -15,17 +15,27 @@
 //! allocation in the old and the new snapshot, every object inside it
 //! (the touched one included) has a fresh copy, and the old snapshot still
 //! answers bit-identically.
+//!
+//! The state derived from one object alone (its quantised masses and
+//! level snapshot) lives beside its local tree and follows the same rule:
+//! after an update, an insert and a delete, every other live object's
+//! entries, once built, are the same allocation in the old and the new
+//! snapshot; the written id's are fresh and equal a direct rebuild of the
+//! new object, while the old snapshot still reads its own. A cold query
+//! and a pooled one on one snapshot read the same copy.
 
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use osd_core::cache::LevelSnapshot;
 use osd_core::{
-    nn_candidates, FilterConfig, FlatDatabase, Operator, PreparedQuery, PublishedIndex,
-    ShardConfig, ShardedDatabase, SpatialIndex,
+    nn_candidates, nn_candidates_warm, CheckCtx, FilterConfig, FlatDatabase, Operator,
+    PreparedQuery, PublishedIndex, ShardConfig, ShardedDatabase, SpatialIndex,
 };
 use osd_geom::Point;
 use osd_rtree::{Node, RTree};
-use osd_uncertain::UncertainObject;
+use osd_uncertain::{quantize, UncertainObject};
+use std::sync::Arc;
 
 /// Global fan-out small enough that every tree has inner levels below an
 /// inner root.
@@ -256,4 +266,131 @@ fn sharded_publish_copies_one_store_chunk() {
     let db = ShardedDatabase::try_with_config(big_grid(), cfg).expect("grid builds");
     assert!(db.shard_count() > 1);
     check_store_shares(db, 300, 600);
+}
+
+/// An object's quantised masses and level snapshot.
+type Derived = (Arc<Vec<u64>>, Arc<LevelSnapshot>);
+
+/// The derived state of every live object of `db`, built where missing.
+fn derived(db: &dyn SpatialIndex) -> Vec<Option<Derived>> {
+    (0..db.len())
+        .map(|id| {
+            db.is_live(id)
+                .then(|| (db.quanta(id), db.level_snapshot(id)))
+        })
+        .collect()
+}
+
+/// Asserts that live `id`'s derived state in `db` equals a direct rebuild
+/// from its instances and local tree, bit for bit.
+fn assert_rebuilt(db: &dyn SpatialIndex, id: usize) {
+    let obj = db.object(id);
+    let quanta = quantize(obj.probs());
+    assert_eq!(*db.quanta(id), quanta, "quanta of {id}");
+    let (snap, tree) = (db.level_snapshot(id), db.local_tree(id));
+    assert_eq!(snap.height(), tree.height().unwrap_or(0));
+    for level in 1..=snap.height() + 1 {
+        let (groups, lg) = (tree.level_groups(level), snap.level(level));
+        assert_eq!(lg.len(), groups.len(), "level {level} of {id}");
+        for (g, (mbr, items)) in groups.iter().enumerate() {
+            let mass: f64 = items.iter().map(|&&i| obj.prob(i)).sum();
+            let cap: u64 = items.iter().map(|&&i| quanta[i]).sum();
+            assert_eq!(lg.masses[g].to_bits(), mass.to_bits());
+            assert_eq!((lg.caps[g], &lg.mbrs[g]), (cap, mbr));
+        }
+    }
+}
+
+/// Asserts that every id live in both snapshots except `written` shares
+/// its built entries, that `written`'s entries are fresh in `new`, and
+/// that `old` still reads the entries `before` took from it.
+fn assert_derived_shared(
+    old: &dyn SpatialIndex,
+    new: &dyn SpatialIndex,
+    before: &[Option<Derived>],
+    written: usize,
+) {
+    let shared = |a: &Derived, b: &Derived| Arc::ptr_eq(&a.0, &b.0) && Arc::ptr_eq(&a.1, &b.1);
+    let after = derived(new);
+    for (id, (b, a)) in before.iter().zip(&after).enumerate() {
+        let (Some(b), Some(a)) = (b, a) else {
+            continue;
+        };
+        if id == written {
+            assert!(!Arc::ptr_eq(&b.0, &a.0), "quanta of {id} carried");
+            assert!(!Arc::ptr_eq(&b.1, &a.1), "level snapshot of {id} carried");
+            assert_rebuilt(new, id);
+        } else {
+            assert!(shared(b, a), "derived state of untouched {id} was copied");
+        }
+    }
+    for (id, b) in before.iter().enumerate() {
+        if let Some(b) = b {
+            let own = (old.quanta(id), old.level_snapshot(id));
+            assert!(shared(b, &own), "the old snapshot lost {id}'s entries");
+        }
+    }
+}
+
+/// Publishes an update of `moved`, an insert and a delete of `victim`,
+/// checking the derived state after each; first, a cold and a pooled
+/// query on one snapshot read the same level snapshots.
+fn check_derived_state<D: SpatialIndex + Clone>(db: D, moved: usize, victim: usize) {
+    let published = PublishedIndex::new(db);
+    let query = PreparedQuery::new(object(42.0, 57.0));
+    let cfg = FilterConfig::all();
+    let op = Operator::PSd;
+
+    let snap = published.pin();
+    let cold = nn_candidates(&*snap, &query, op, &cfg);
+    let warm = nn_candidates_warm(&*snap, &query, op, &cfg, published.warm_pool());
+    assert_eq!(cold.ids(), warm.ids());
+    let view = published.warm_pool().view_for(&*snap, &query);
+    let mut cold_ctx = CheckCtx::new(&*snap, &query, cfg);
+    let mut pooled_ctx = CheckCtx::with_warm(&*snap, &query, cfg, Some(view));
+    for id in cold.ids() {
+        let a = cold_ctx.level_snapshot(id);
+        assert!(Arc::ptr_eq(&a, &pooled_ctx.level_snapshot(id)), "{id}");
+        assert!(Arc::ptr_eq(&a, &snap.level_snapshot(id)), "{id}");
+    }
+
+    let old = published.pin();
+    let before = derived(&*old);
+    published
+        .update(moved, object(43.0, 58.0))
+        .expect("live id updates");
+    assert_derived_shared(&*old, &*published.pin(), &before, moved);
+    assert_rebuilt(&*old, moved);
+
+    let old = published.pin();
+    let before = derived(&*old);
+    let id = published.insert(object(55.0, 55.0)).expect("insert");
+    let new = published.pin();
+    assert_derived_shared(&*old, &*new, &before, id);
+    assert_rebuilt(&*new, id);
+
+    let old = published.pin();
+    let before = derived(&*old);
+    published.delete(victim).expect("delete");
+    let new = published.pin();
+    assert!(!new.is_live(victim));
+    assert_derived_shared(&*old, &*new, &before, victim);
+}
+
+#[test]
+fn flat_publish_shares_derived_state() {
+    let db = FlatDatabase::with_fanouts(big_grid(), GLOBAL_FANOUT, 4);
+    check_derived_state(db, 600, 300);
+}
+
+#[test]
+fn sharded_publish_shares_derived_state() {
+    let cfg = ShardConfig {
+        shards: 4,
+        global_fanout: GLOBAL_FANOUT,
+        local_fanout: 4,
+    };
+    let db = ShardedDatabase::try_with_config(big_grid(), cfg).expect("grid builds");
+    assert!(db.shard_count() > 1);
+    check_derived_state(db, 600, 300);
 }

@@ -146,7 +146,9 @@ fn warm_matches_cold_across_churn_sharded() {
 
 /// A pool keyed to one store can never serve entries to another store:
 /// the foreign snapshot forces a full rebuild, so the second run's
-/// misses repeat and no cross-store hit is ever recorded.
+/// misses repeat and no cross-store hit is ever recorded. The query is
+/// run twice on each store, so the warm traffic counted is its query
+/// table's (a first sighting builds privately and counts nothing).
 #[test]
 fn foreign_store_never_serves_stale_entries() {
     let objects = an_objects(80, 4, 5);
@@ -158,10 +160,12 @@ fn foreign_store_never_serves_stale_entries() {
     let b = Database::new(objects);
     let pool = WarmPool::new();
 
+    nn_candidates_warm(&a, &q, op, &cfg, &pool);
     let on_a = nn_candidates_warm(&a, &q, op, &cfg, &pool);
     let after_a = pool.stats();
 
     // Same bytes, different store: the (ptr, epoch) key must not match.
+    nn_candidates_warm(&b, &q, op, &cfg, &pool);
     let on_b = nn_candidates_warm(&b, &q, op, &cfg, &pool);
     let after_b = pool.stats();
 
@@ -188,7 +192,8 @@ fn foreign_store_never_serves_stale_entries() {
 /// Epoch invalidation through the published chain: a mutation that
 /// touches a cached object evicts its entries; the stale epoch key never
 /// answers on the new snapshot (the pool's cache epoch always tracks
-/// the snapshot it serves).
+/// the snapshot it serves). The query is run twice first, so its table
+/// holds the entries the mutation evicts.
 #[test]
 fn swapped_epoch_evicts_touched_entries() {
     let objects = an_objects(100, 4, 11);
@@ -197,6 +202,7 @@ fn swapped_epoch_evicts_touched_entries() {
     let op = Operator::PSd;
 
     let idx = PublishedIndex::new(ShardedDatabase::new(objects, 2));
+    nn_candidates_warm(&*idx.pin(), &q, op, &cfg, idx.warm_pool());
     let warm0 = nn_candidates_warm(&*idx.pin(), &q, op, &cfg, idx.warm_pool());
     let victim = warm0.candidates.first().map(|c| c.id).unwrap();
     let stats0 = idx.warm_pool().stats();
@@ -225,9 +231,9 @@ fn swapped_epoch_evicts_touched_entries() {
 }
 
 /// An object updated after the pool already holds its warm entries — its
-/// quanta, level snapshot and candidate MBR, and its records in admitted
-/// query tables — is re-read warm: every such entry must have been
-/// evicted, so the warm answers match cold ones on the new snapshot.
+/// records in admitted query tables — is re-read warm: every such entry
+/// must have been evicted, so the warm answers match cold ones on the new
+/// snapshot.
 /// The pool is churned first (inserts and deletes between warm reads,
 /// each query read twice so its query table is admitted), and the update
 /// reshapes the object in place (one instance fewer, shifted) so any entry
@@ -265,23 +271,14 @@ fn object_updated_after_its_entries_are_held_reads_fresh() {
             read_all(false);
         }
 
-        // Ids whose level snapshot and query-table records the pool holds.
+        // Ids whose query-table records the pool holds.
         let audit = idx.warm_pool().cache_for(&*idx.pin()).audit();
-        let levels = &audit
+        let held: Vec<usize> = audit
             .tables
             .iter()
-            .find(|t| t.table == "levels")
-            .unwrap()
-            .filled;
-        let held: Vec<usize> = levels
-            .iter()
-            .copied()
-            .filter(|id| {
-                audit
-                    .tables
-                    .iter()
-                    .any(|t| t.table == "query" && t.filled.contains(id))
-            })
+            .flat_map(|t| t.filled.iter().copied())
+            .collect::<BTreeSet<usize>>()
+            .into_iter()
             .collect();
         assert!(held.len() >= 3, "the churned pool must hold query records");
 
@@ -345,7 +342,6 @@ fn keys_held_by_query_tables_follow_updates() {
             let keyed: BTreeSet<usize> = audit
                 .tables
                 .iter()
-                .filter(|t| t.table == "query")
                 .flat_map(|t| t.keys.iter().copied())
                 .collect();
             let mut targets: Vec<usize> = queries

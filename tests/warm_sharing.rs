@@ -1,10 +1,10 @@
 //! Structural sharing of the warm cache's roll-forward. A publish moves the
-//! pool's [`WarmCache`] to the next epoch by cloning each table's chunk
-//! list and copying only the chunks it must evict from. After `update(id)`
-//! (or `delete(id)`) on a flat and on a sharded [`PublishedIndex`] of more
-//! than three chunks:
+//! pool's [`WarmCache`] to the next epoch by cloning each query table's
+//! chunk list and copying only the chunks it must evict from. After
+//! `update(id)` (or `delete(id)`) on a flat and on a sharded
+//! [`PublishedIndex`] of more than three chunks:
 //!
-//! * every chunk of every warm table except `id`'s is the *same
+//! * every chunk of every query table except `id`'s is the *same
 //!   allocation* in the old and the new cache;
 //! * a table whose slot for `id` held an entry copies that one chunk and
 //!   clears the slot; a table whose slot was empty shares even that chunk;
@@ -18,11 +18,13 @@
 //! `resident_bytes` must equal a from-scratch recount
 //! ([`WarmCache::audit`]) after every advance and every read.
 //!
-//! Last, a reader still on the old snapshot keeps filling entries after
+//! Last, a reader still on the old snapshot keeps filling records after
 //! the advance while a reader on the new snapshot queries. The old cache is
 //! sealed by the advance, so no value built for a touched id at the old
 //! epoch ever appears in the new cache, and both readers answer
-//! bit-identically to cold runs on their own snapshots.
+//! bit-identically to cold runs on their own snapshots. (The state that
+//! depends on the object alone lives in the index; `publish_sharing`
+//! covers it.)
 
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -31,10 +33,10 @@ use osd_core::warm::CHUNK_SLOTS as CHUNK;
 use osd_core::{
     nn_candidates, nn_candidates_warm, FilterConfig, FlatDatabase, Operator, PreparedQuery,
     ProgressiveNnc, PublishedIndex, QueryMetrics, ShardConfig, ShardedDatabase, SpatialIndex,
-    TableAudit, WarmAudit, WarmView,
+    TableAudit, WarmAudit,
 };
 use osd_geom::Point;
-use osd_uncertain::{quantize, UncertainObject};
+use osd_uncertain::{DistanceDistribution, UncertainObject};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -109,10 +111,8 @@ fn warm_reads<D: SpatialIndex + Clone>(published: &PublishedIndex<D>) -> Vec<usi
     hot
 }
 
-type Tables<'a> = BTreeMap<(&'static str, Option<u64>), &'a TableAudit>;
-
-fn tables(a: &WarmAudit) -> Tables<'_> {
-    a.tables.iter().map(|t| ((t.table, t.query), t)).collect()
+fn tables(a: &WarmAudit) -> BTreeMap<u64, &TableAudit> {
+    a.tables.iter().map(|t| (t.query, t)).collect()
 }
 
 /// The pool's current cache audit, and the audit after publishing
@@ -171,10 +171,14 @@ fn check_advance_shares<D: SpatialIndex + Clone>(db: D) {
     let n = db.len();
     assert!(n > 3 * CHUNK);
     let published = PublishedIndex::new(db);
+    // The second reads admit the queries' tables and fill them.
+    warm_reads(&published);
     warm_reads(&published);
     let audit = published.warm_pool().cache_for(&*published.pin()).audit();
-    let levels = tables(&audit)[&("levels", None)].filled.clone();
-    let warm = |k: usize| levels[k * levels.len() / 4];
+    let mut filled: Vec<usize> = audit.tables.iter().flat_map(|t| t.filled.clone()).collect();
+    filled.sort_unstable();
+    filled.dedup();
+    let warm = |k: usize| filled[k * filled.len() / 4];
     // An id no table holds.
     let cold = (0..n)
         .rev()
@@ -287,7 +291,12 @@ fn sharded_gauges_match_a_recount() {
     check_gauges(sharded(), 0x5eed);
 }
 
-/// An old-snapshot reader fills entries after the advance, concurrently
+/// `U_Q` of `id` built cold on `db`, to compare warm values against.
+fn cold_dist_q(db: &dyn SpatialIndex, q: &PreparedQuery, id: usize) -> DistanceDistribution {
+    DistanceDistribution::between_ref(db.object(id), q.object())
+}
+
+/// An old-snapshot reader fills records after the advance, concurrently
 /// with a new-snapshot reader.
 fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     let published = PublishedIndex::new(db);
@@ -295,22 +304,27 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     let cfg = FilterConfig::all();
     let q = PreparedQuery::new(object(42.0, 57.0));
     let snap0 = published.pin();
+    // The second run admits the query's table and fills it; the view,
+    // found before the advance, keeps the table.
     nn_candidates_warm(&*snap0, &q, OP, &cfg, pool);
+    nn_candidates_warm(&*snap0, &q, OP, &cfg, pool);
+    let old_view = pool.view_for(&*snap0, &q);
     let old_cache = pool.cache_for(&*snap0);
-    // Touch an id `levels` holds and two whose `levels` slots are empty in
-    // a chunk that holds another entry: the advance copies the held id's
-    // chunk and shares the other with the old cache.
+    // Touch an id the table holds a record of and two whose slots are
+    // empty in a chunk that holds another record: the advance copies the
+    // held id's chunk and shares the other with the old cache.
     let audit = old_cache.audit();
-    let levels = &tables(&audit)[&("levels", None)].filled;
-    let held = levels[0];
+    let fp = q.fingerprint();
+    let filled = &tables(&audit)[&fp].filled;
+    let held = filled[0];
     let shared = |id: &usize| {
         let c = id / CHUNK;
-        c != held / CHUNK && levels.iter().any(|l| l / CHUNK == c)
+        c != held / CHUNK && filled.iter().any(|l| l / CHUNK == c)
     };
     let empty: Vec<usize> = (0..900)
-        .filter(|id| !levels.contains(id) && shared(id))
+        .filter(|id| !filled.contains(id) && shared(id))
         .collect();
-    assert!(empty.len() >= 2, "no chunk of `levels` has empty slots");
+    assert!(empty.len() >= 2, "no chunk of the table has empty slots");
     let touched = [held, empty[0], empty[empty.len() - 1]];
     for &id in &touched {
         let (x, y) = ((id % 30) as f64 * 10.0, (id / 30) as f64 * 10.0);
@@ -320,12 +334,12 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     let new_cache = pool.cache_for(&*snap1);
     assert_eq!(new_cache.epoch(), snap0.epoch() + touched.len() as u64);
     let new_audit = new_cache.audit();
-    let old_levels = &tables(&audit)[&("levels", None)].chunks;
-    let new_levels = &tables(&new_audit)[&("levels", None)].chunks;
+    let old_chunks = &tables(&audit)[&fp].chunks;
+    let new_chunks = &tables(&new_audit)[&fp].chunks;
     for &id in &touched[1..] {
         let c = id / CHUNK;
-        assert_ne!(old_levels[c], 0, "{id}'s chunk holds entries");
-        assert_eq!(old_levels[c], new_levels[c], "{id}'s chunk was copied");
+        assert_ne!(old_chunks[c], 0, "{id}'s chunk holds records");
+        assert_eq!(old_chunks[c], new_chunks[c], "{id}'s chunk was copied");
     }
     let cold0 = answer(ProgressiveNnc::new(&*snap0, &q, OP, &cfg));
     let cold1 = answer(nn_candidates(&*snap1, &q, OP, &cfg).candidates);
@@ -333,17 +347,12 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     // The old reader goes first once, then both run at once.
     let mut old_built = Vec::new();
     let old_fill = |built: &mut Vec<_>| {
-        let view = WarmView::new(Arc::clone(&old_cache), &q);
+        let view = old_view.clone();
         let mut m = QueryMetrics::new();
         for &id in &touched {
-            let quanta = view.quanta(&*snap0, id, &mut m);
-            let level = view.level_snapshot(&*snap0, id, &quanta, &mut m);
-            assert_eq!(*quanta, quantize(snap0.object(id).probs()));
-            assert_eq!(
-                *view.object_mbr(&*snap0, id, &mut m),
-                *snap0.object(id).mbr()
-            );
-            built.push((quanta, level));
+            let dist = view.dist_q(&*snap0, &q, id, &mut m);
+            assert_eq!(*dist, cold_dist_q(&*snap0, &q, id));
+            built.push(dist);
         }
         view
     };
@@ -367,8 +376,8 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
                 let view = pool.view_for(&*snap1, &q);
                 let mut m = QueryMetrics::new();
                 for &id in &touched {
-                    let quanta = view.quanta(&*snap1, id, &mut m);
-                    assert_eq!(*quanta, quantize(snap1.object(id).probs()));
+                    let dist = view.dist_q(&*snap1, &q, id, &mut m);
+                    assert_eq!(*dist, cold_dist_q(&*snap1, &q, id));
                 }
                 let r = nn_candidates_warm(&*snap1, &q, OP, &cfg, pool);
                 answers.push(answer(r.candidates));
@@ -389,25 +398,18 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     );
 
     // Both tables are full now: the old one still serves only e0 values.
-    let old_view = WarmView::new(Arc::clone(&old_cache), &q);
     let view = pool.view_for(&*snap1, &q);
     assert!(Arc::ptr_eq(view.cache(), &new_cache));
     let mut m = QueryMetrics::new();
     for &id in &touched {
-        let quanta = old_view.quanta(&*snap0, id, &mut m);
-        assert_eq!(*quanta, quantize(snap0.object(id).probs()), "id {id}");
+        let dist = old_view.dist_q(&*snap0, &q, id, &mut m);
+        assert_eq!(*dist, cold_dist_q(&*snap0, &q, id), "id {id}");
     }
     for &id in &touched {
-        let quanta = view.quanta(&*snap1, id, &mut m);
-        let level = view.level_snapshot(&*snap1, id, &quanta, &mut m);
-        assert_eq!(*quanta, quantize(snap1.object(id).probs()), "id {id}");
-        assert_eq!(
-            *view.object_mbr(&*snap1, id, &mut m),
-            *snap1.object(id).mbr()
-        );
-        for (q0, l0) in &old_built {
-            assert!(!Arc::ptr_eq(q0, &quanta), "e0 quanta of {id} at e1");
-            assert!(!Arc::ptr_eq(l0, &level), "e0 level snapshot of {id} at e1");
+        let dist = view.dist_q(&*snap1, &q, id, &mut m);
+        assert_eq!(*dist, cold_dist_q(&*snap1, &q, id), "id {id}");
+        for d0 in &old_built {
+            assert!(!Arc::ptr_eq(d0, &dist), "e0 U_Q of {id} at e1");
         }
     }
     assert_eq!(
@@ -461,10 +463,7 @@ fn check_keys_respect_the_seal<D: SpatialIndex + Clone>(db: D, new_first: bool) 
     } else {
         assert_eq!(answer(old_run), cold0);
         let audit = pool.cache_for(&*snap1).audit();
-        let table = audit
-            .tables
-            .iter()
-            .find(|t| t.query == Some(q.fingerprint()));
+        let table = audit.tables.iter().find(|t| t.query == q.fingerprint());
         assert!(
             table.unwrap().keys.is_empty(),
             "a sealed cache published keys"
