@@ -324,9 +324,9 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
 ///
 /// Batch mode runs warm by default — one snapshot-scoped cache shared by
 /// all queries — and dispatches in Morton order for locality; results are
-/// **always printed in input order** regardless. `--warm=off` and
-/// `--no-reorder` are the escape hatches back to fully cold, in-order
-/// execution (both are bit-identical to the default output).
+/// **always printed in input order** regardless. `--warm=off` is the
+/// escape hatch back to fully cold execution (bit-identical to the
+/// default output).
 ///
 /// # Errors
 /// Returns a [`CliError`] on bad flags or unreadable data.
@@ -341,7 +341,6 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let progressive = flags.has("--progressive");
     let warm = flags.warm()?;
-    let reorder = !flags.has("--no-reorder");
     let profile = flags.profile()?;
     let trace_fmt = flags.trace()?;
     // Tracing is pure observability: candidates and counters are
@@ -372,7 +371,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         let queries = read_query_file(Path::new(file), dim)?;
         let db = build_index(objects, shards)?;
         let pool = WarmPool::new();
-        let mut engine = QueryEngine::with_config(&db, op, cfg).with_reorder(reorder);
+        let mut engine = QueryEngine::with_config(&db, op, cfg);
         if warm {
             engine = engine.with_warm(&pool);
         }
@@ -815,7 +814,7 @@ USAGE:
             [--profile[=json|prom]] [--trace[=text|chrome]]
             [--recorder FILE] [--slow-ms MS]
   osd query --data data.csv --queries queries.txt [--op …] [--threads N]
-            [--shards N] [--warm=on|off] [--no-reorder]
+            [--shards N] [--warm=on|off]
             [--profile[=json|prom]] [--trace[=text|chrome]]
             (one \"x,y;x,y;…\" spec per line; blank lines and # comments skipped)
   osd trace [last|slowest] [N] [--recorder FILE] [--trace=text|chrome]
@@ -840,8 +839,8 @@ worker threads.
 Batch mode (`--queries`) runs warm by default: one snapshot-scoped cache is
 shared by every query, and queries are dispatched in Morton (locality)
 order. Output order always matches input order regardless. `--warm=off`
-falls back to fully cold per-query caches; `--no-reorder` dispatches in
-input order. Both escape hatches are bit-identical to the default output.
+falls back to fully cold per-query state, bit-identical to the default
+output.
 
 `--profile` appends a per-phase timing/counter breakdown (prepare,
 rtree-descent, level-prune, validate, refine) after the results, as JSON
@@ -984,7 +983,6 @@ mod tests {
             "--queries",
             &qfile,
             "--warm=off",
-            "--no-reorder",
             "--threads",
             "2",
         ]))

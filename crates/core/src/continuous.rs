@@ -35,7 +35,7 @@
 //! candidate's MBR is discarded before its exact `δ_min` is ever computed
 //! — only objects whose MBR-δ interval intersects the standing prune
 //! bound pay for an exact key. Keys come from the exact same code
-//! path as the traversal ([`crate::nnc::object_min_dist2`]), so repaired
+//! path as the traversal (`crate::nnc::object_min_dist2`), so repaired
 //! candidates are bit-identical — ids, `min_dist` bits and order — to a
 //! full re-query on the new snapshot (pinned by
 //! `tests/mutate_identity.rs`).
@@ -88,7 +88,6 @@ pub struct ContinuousNnc {
     cfg: FilterConfig,
     epoch: u64,
     candidates: Vec<Candidate>,
-    cand_mbrs: Vec<Mbr>,
     /// Refreshes that found work (the `seq` source for repair traces).
     refreshes: u64,
     /// Trace of the most recent repairing refresh, when `cfg.trace` is on
@@ -110,7 +109,6 @@ impl ContinuousNnc {
             cfg,
             epoch: 0,
             candidates: Vec::new(),
-            cand_mbrs: Vec::new(),
             refreshes: 0,
             last_trace: None,
         };
@@ -235,12 +233,18 @@ impl ContinuousNnc {
 
         // MBR pre-filter (the traversal's entry pruning, Theorem 4): only
         // objects whose MBR survives the standing prune bound pay for an
-        // exact δ_min descent.
+        // exact δ_min descent. No candidate was deleted or updated, so
+        // each one's MBR in `db` is the one it was admitted with.
+        let cand_mbrs: Vec<&Mbr> = self
+            .candidates
+            .iter()
+            .map(|c| db.object(c.id).mbr())
+            .collect();
         let mut pruned = 0usize;
         let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(recheck.len());
         for w in recheck {
             if mbr_pruned(
-                &self.cand_mbrs,
+                &cand_mbrs,
                 db.object(w).mbr(),
                 self.query.mbr(),
                 self.op,
@@ -287,7 +291,6 @@ impl ContinuousNnc {
                     elapsed: start.elapsed(),
                 },
             );
-            self.cand_mbrs.insert(pos, db.object(w).mbr().clone());
             ctx.metrics.candidate_emitted(self.op.label());
             admitted += 1;
             // Evict the successors `w` dominates. Transitivity makes this
@@ -298,7 +301,6 @@ impl ContinuousNnc {
                 let v = self.candidates[i].id;
                 if ctx.dominates(self.op, w, v) {
                     self.candidates.remove(i);
-                    self.cand_mbrs.remove(i);
                     evicted += 1;
                 } else {
                     i += 1;
@@ -373,11 +375,6 @@ impl ContinuousNnc {
             Some(pool) => nn_candidates_warm(db, &self.query, self.op, &cfg, pool),
             None => nn_candidates(db, &self.query, self.op, &cfg),
         };
-        self.cand_mbrs = result
-            .candidates
-            .iter()
-            .map(|c| db.object(c.id).mbr().clone())
-            .collect();
         self.candidates = result.candidates;
         self.epoch = db.epoch();
     }

@@ -2,13 +2,16 @@
 //!
 //! Every dominance check `SD(U, V, Q)` of §5.1 runs against the same
 //! environment: the database the operands live in, the prepared query, the
-//! active filter switches, the per-query derived-state cache and the cost
-//! counters. [`CheckCtx`] bundles that environment into one value so the
-//! operator kernels take `(u, v, ctx)` instead of threading eight loose
-//! arguments, and so one query's mutable state (cache + stats) is a single
-//! owned unit that can move onto a worker thread with the query.
+//! active filter switches, the per-query memos of derived state, the warm
+//! view and the cost counters. [`CheckCtx`] bundles that environment into
+//! one value so the operator kernels take `(u, v, ctx)` instead of
+//! threading eight loose arguments, and so one query's mutable state
+//! (memos + stats) is a single owned unit that can move onto a worker
+//! thread with the query. The getters of the derived state (`dist_q`,
+//! `per_q`, the level bounds, …) are methods of the context too; they live
+//! in `core::cache`, beside the memos they read.
 
-use crate::cache::{AggStats, BoundPair, DominanceCache, LevelSnapshot, MappedInstances};
+use crate::cache::Memos;
 use crate::config::{FilterConfig, Stats};
 #[cfg(test)]
 use crate::db::Database;
@@ -20,7 +23,7 @@ use osd_flow::Transport;
 use osd_obs::{
     trace::DEFAULT_TRACE_EVENTS, AttrValue, Phase, PhaseTimer, QueryMetrics, QueryTrace,
 };
-use osd_uncertain::DistanceDistribution;
+#[cfg(test)]
 use std::sync::Arc;
 
 /// Reusable scratch buffers for the dominance checks, owned by the context
@@ -47,9 +50,9 @@ pub(crate) struct CheckScratch {
 
 /// The environment of one query's dominance checks: shared read-only data
 /// (`db`, `query`), the filter configuration, and the query-local mutable
-/// state (`cache`, `stats`).
+/// state (the memos, `stats`).
 ///
-/// A `CheckCtx` is cheap to create (the cache fills lazily) and is never
+/// A `CheckCtx` is cheap to create (the memos fill lazily) and is never
 /// shared between queries — parallel executors build one per query per
 /// worker, which is what makes inter-query parallelism safe without locks.
 pub struct CheckCtx<'a> {
@@ -59,8 +62,11 @@ pub struct CheckCtx<'a> {
     pub query: &'a PreparedQuery,
     /// The §5.1 filtering switches in effect.
     pub cfg: FilterConfig,
-    /// Lazily-populated per-object derived state for this query.
-    pub cache: DominanceCache,
+    /// Lazily-populated per-object memos of this query's lookups.
+    pub(crate) memos: Memos,
+    /// The query's window into a shared warm cache, if any: its records
+    /// are the query table's when the query is admitted.
+    pub(crate) warm: Option<WarmView>,
     /// Cost counters accumulated across every check run in this context.
     pub stats: Stats,
     /// Instrumentation registry for this query (zero-sized no-op unless
@@ -76,14 +82,15 @@ pub struct CheckCtx<'a> {
 }
 
 impl<'a> CheckCtx<'a> {
-    /// Creates a fresh context (empty cache, zeroed counters) for one query.
+    /// Creates a fresh context (empty memos, zeroed counters) for one query.
     pub fn new(db: &'a dyn SpatialIndex, query: &'a PreparedQuery, cfg: FilterConfig) -> Self {
         Self::with_warm(db, query, cfg, None)
     }
 
-    /// Creates a fresh context whose cache resolves query-keyed misses
-    /// through `warm` (see `core::warm`). `None` gives the plain cold
-    /// context of [`CheckCtx::new`]; results are bit-identical either way.
+    /// Creates a fresh context whose query-keyed values live in the query
+    /// table of `warm`, when the query has one (see `core::warm`). `None`
+    /// gives the plain cold context of [`CheckCtx::new`]; results and
+    /// `Stats` are bit-identical either way.
     pub fn with_warm(
         db: &'a dyn SpatialIndex,
         query: &'a PreparedQuery,
@@ -94,7 +101,8 @@ impl<'a> CheckCtx<'a> {
             db,
             query,
             cfg,
-            cache: DominanceCache::with_warm(db.len(), warm),
+            memos: Memos::new(db.len()),
+            warm,
             stats: Stats::default(),
             metrics: QueryMetrics::new(),
             trace: if cfg.trace {
@@ -130,87 +138,6 @@ impl<'a> CheckCtx<'a> {
         }
         self.trace.close(span);
         result
-    }
-
-    /// The full distance distribution `U_Q` of object `id` (cached).
-    pub fn dist_q(&mut self, id: usize) -> Arc<DistanceDistribution> {
-        let misses_before = self.stats.cache_misses;
-        let dist = self
-            .cache
-            .dist_q(self.db, self.query, id, &mut self.stats, &mut self.metrics);
-        if self.trace.is_active() && self.stats.cache_misses > misses_before {
-            let event = self.trace.instant("cache-build");
-            self.trace
-                .attr(event, "kind", AttrValue::Str("dist_q".into()));
-            self.trace.attr(event, "id", AttrValue::U64(id as u64));
-        }
-        dist
-    }
-
-    /// The per-query-instance distributions `U_q` of object `id` (cached).
-    pub fn per_q(&mut self, id: usize) -> Arc<Vec<DistanceDistribution>> {
-        self.cache
-            .per_q(self.db, self.query, id, &mut self.stats, &mut self.metrics)
-    }
-
-    /// min/mean/max of `U_Q` (cached).
-    pub fn agg(&mut self, id: usize) -> AggStats {
-        self.cache
-            .agg(self.db, self.query, id, &mut self.stats, &mut self.metrics)
-    }
-
-    /// min/mean/max of each `U_q` (cached).
-    pub fn per_q_agg(&mut self, id: usize) -> Arc<Vec<AggStats>> {
-        self.cache
-            .per_q_agg(self.db, self.query, id, &mut self.stats, &mut self.metrics)
-    }
-
-    /// Fixed-point instance masses of object `id` (cached).
-    pub fn quanta(&mut self, id: usize) -> Arc<Vec<u64>> {
-        self.cache.quanta(self.db, id, &mut self.stats)
-    }
-
-    /// Distance-space image of object `id` w.r.t. the query hull (cached).
-    pub fn mapped(&mut self, id: usize) -> Arc<MappedInstances> {
-        self.cache.mapped(self.db, self.query, id, &mut self.stats)
-    }
-
-    /// Instances of `id` inside the query's convex hull (cached).
-    pub fn in_hull_instances(&mut self, id: usize) -> Arc<Vec<usize>> {
-        self.cache
-            .in_hull_instances(self.db, self.query, id, &mut self.stats)
-    }
-
-    /// Per-level group snapshot (MBRs + masses + caps) of object `id`'s
-    /// local R-tree (cached once per traversal).
-    pub fn level_snapshot(&mut self, id: usize) -> Arc<LevelSnapshot> {
-        self.cache.level_snapshot(self.db, id, &mut self.stats)
-    }
-
-    /// Whole-`U_Q` level-bound distributions of object `id` at `level`
-    /// (cached per clamped level; the caller charges the per-use cost).
-    pub(crate) fn level_bounds_whole(&mut self, id: usize, level: usize) -> Arc<BoundPair> {
-        self.cache.level_bounds_whole(
-            self.db,
-            self.query,
-            id,
-            level,
-            &mut self.stats,
-            &mut self.metrics,
-        )
-    }
-
-    /// Per-`U_q` level-bound distributions of object `id` at `level`
-    /// (cached per clamped level; the caller charges the per-use cost).
-    pub(crate) fn level_bounds_instance(&mut self, id: usize, level: usize) -> Arc<Vec<BoundPair>> {
-        self.cache.level_bounds_instance(
-            self.db,
-            self.query,
-            id,
-            level,
-            &mut self.stats,
-            &mut self.metrics,
-        )
     }
 
     /// Cover-based validation (Theorem 4), shared by the strict operators:

@@ -1,6 +1,6 @@
 //! The query engine: single-query and parallel batch NNC execution.
 //!
-//! One query's mutable state — the [`DominanceCache`] and the [`Stats`]
+//! One query's mutable state — the per-object memos and the [`Stats`]
 //! counters inside its [`CheckCtx`](crate::CheckCtx) — is private to that
 //! query, while the [`Database`] and the prepared queries are shared
 //! read-only. Inter-query parallelism therefore needs no locks at all:
@@ -15,16 +15,15 @@
 //!
 //! ## Warm execution and batch locality
 //!
-//! [`QueryEngine::with_warm`] attaches a shared [`WarmPool`]: each query
-//! then resolves its query-keyed cache misses through the pool's
-//! epoch-keyed [`WarmCache`](crate::WarmCache) instead of rebuilding them
-//! privately — bit-identical results, fewer rebuilds (see `core::warm`).
-//! [`QueryEngine::run_batch`] additionally dispatches queries in Morton
-//! (Z-order) order of their MBR centers so that consecutively claimed
-//! queries touch overlapping index regions — and therefore overlapping
-//! warm entries — back to back. The schedule is deterministic and results
-//! are always returned in **input order**; [`QueryEngine::with_reorder`]
-//! switches the reordering off.
+//! [`QueryEngine::with_warm`] attaches a shared [`WarmPool`]: a repeated
+//! query then keeps its query-keyed values in its table in the pool's
+//! epoch-keyed [`WarmCache`](crate::WarmCache), where its next run is
+//! served them instead of rebuilding them privately — bit-identical
+//! results, fewer rebuilds (see `core::warm`). [`QueryEngine::run_batch`]
+//! dispatches queries in Morton (Z-order) order of their MBR centers so
+//! that consecutively claimed queries walk overlapping regions of the
+//! index back to back. The schedule is deterministic and results are
+//! always returned in **input order**.
 
 use crate::config::{FilterConfig, Stats};
 use crate::db::Database;
@@ -46,8 +45,6 @@ pub struct QueryEngine<'a> {
     /// Shared snapshot-scoped cache; `None` (the default) runs every query
     /// fully cold, exactly as before the warm path existed.
     warm: Option<&'a WarmPool>,
-    /// Morton-reorder batches for locality (results stay in input order).
-    reorder: bool,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -63,7 +60,6 @@ impl<'a> QueryEngine<'a> {
             op,
             cfg,
             warm: None,
-            reorder: true,
         }
     }
 
@@ -72,14 +68,6 @@ impl<'a> QueryEngine<'a> {
     #[must_use]
     pub fn with_warm(mut self, pool: &'a WarmPool) -> Self {
         self.warm = Some(pool);
-        self
-    }
-
-    /// Enables or disables Morton reordering of batch dispatch (on by
-    /// default). Results are returned in input order either way.
-    #[must_use]
-    pub fn with_reorder(mut self, reorder: bool) -> Self {
-        self.reorder = reorder;
         self
     }
 
@@ -98,10 +86,9 @@ impl<'a> QueryEngine<'a> {
         self.cfg
     }
 
-    /// Runs one NNC query (Algorithm 1) — identical to
-    /// [`nn_candidates`](crate::nn_candidates) under this engine's
-    /// configuration (warm execution changes which cache served a value,
-    /// never the value).
+    /// Runs one NNC query (Algorithm 1) — identical to [`nn_candidates`]
+    /// under this engine's configuration (warm execution changes which
+    /// record served a value, never the value).
     pub fn run(&self, query: &PreparedQuery) -> NncResult {
         match self.warm {
             Some(pool) => nn_candidates_warm(self.db, query, self.op, &self.cfg, pool),
@@ -128,19 +115,14 @@ impl<'a> QueryEngine<'a> {
     /// order-independent retention on, so per-worker recorders merge to
     /// the same retained set regardless of how the workers claimed work.
     ///
-    /// Unless [`QueryEngine::with_reorder`]`(false)` was requested, work is
-    /// *claimed* in Morton order of the query MBR centers (nearby queries
-    /// run back to back, maximising warm-cache and index locality), but
-    /// results are always **returned in input order** — the schedule is an
+    /// Work is *claimed* in Morton order of the query MBR centers (nearby
+    /// queries run back to back, for locality in the index), but results
+    /// are always **returned in input order** — the schedule is an
     /// internal detail and is fully deterministic for a given batch.
     pub fn run_batch(&self, queries: &[PreparedQuery], threads: usize) -> Vec<NncResult> {
         let n = queries.len();
         let workers = threads.max(1).min(n.max(1));
-        let order: Vec<usize> = if self.reorder {
-            morton_order(queries)
-        } else {
-            (0..n).collect()
-        };
+        let order = morton_order(queries);
         let mut indexed: Vec<(usize, NncResult)> = if workers <= 1 {
             order.iter().map(|&i| (i, self.run(&queries[i]))).collect()
         } else {
@@ -188,7 +170,7 @@ impl<'a> QueryEngine<'a> {
 /// bit-interleaved quantized coordinates of each query MBR's center, ties
 /// broken by input index. Queries whose centers are close in space end up
 /// close in the schedule, so consecutively claimed queries revisit the
-/// same index regions — and the same warm-cache entries — back to back.
+/// same index regions back to back.
 ///
 /// Purely a scheduling permutation: deterministic for a given batch, and
 /// callers re-emit results in input order regardless.
@@ -288,7 +270,6 @@ const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Database>();
 const _: () = assert_send_sync::<crate::ShardedDatabase>();
 const _: () = assert_send_sync::<PreparedQuery>();
-const _: () = assert_send_sync::<crate::DominanceCache>();
 const _: () = assert_send_sync::<NncResult>();
 const _: () = assert_send_sync::<QueryEngine<'static>>();
 const _: () = assert_send_sync::<crate::CheckCtx<'static>>();
@@ -540,14 +521,14 @@ mod tests {
 
     /// Warm execution and Morton reordering are both transparent: the
     /// candidate sets, `min_dist` bits and `Stats` of every result equal
-    /// the cold, unordered baseline, and results come back in input order.
+    /// the cold, one-query-at-a-time baseline, and results come back in
+    /// input order.
     #[test]
     fn warm_and_reordered_batches_match_cold_in_input_order() {
         let db = Database::new(scatter(40, 3, 0xC0FFEE));
         let qs = queries(10, 123);
-        let cold = QueryEngine::new(&db, Operator::SSd)
-            .with_reorder(false)
-            .run_batch(&qs, 1);
+        let engine = QueryEngine::new(&db, Operator::SSd);
+        let cold: Vec<NncResult> = qs.iter().map(|q| engine.run(q)).collect();
         let pool = crate::WarmPool::new();
         // The first batch sights each query, the second admits its table
         // and fills it, the third is served from it.
@@ -575,9 +556,8 @@ mod tests {
     }
 
     /// The Morton schedule is a permutation, is deterministic, and groups
-    /// spatially close queries; `with_reorder(false)` restores the
-    /// identity schedule (observable only through scheduling, so we pin
-    /// the permutation property itself).
+    /// spatially close queries (observable only through scheduling, so we
+    /// pin the permutation property itself).
     #[test]
     fn morton_order_is_a_deterministic_permutation() {
         let qs = queries(17, 0x5EED);

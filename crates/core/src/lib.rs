@@ -83,7 +83,6 @@ pub mod sharded;
 pub mod warm;
 
 pub use brute::nn_candidates_bruteforce;
-pub use cache::DominanceCache;
 pub use config::{FilterConfig, Stats};
 pub use continuous::{ContinuousNnc, Repair};
 pub use ctx::CheckCtx;

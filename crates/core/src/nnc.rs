@@ -36,7 +36,7 @@ use crate::warm::{TraversalKeys, WarmPool, WarmView};
 use osd_geom::{mbr_dominates, mbr_dominates_strict, Mbr};
 use osd_obs::{AttrValue, Counter, Phase, PhaseTimer, QueryMetrics, SpanId, Stopwatch, TraceData};
 use osd_rtree::Node;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Duration;
@@ -302,7 +302,7 @@ impl<'a> ProgressiveNnc<'a> {
         }
         ctx.trace.close(prep);
         ctx.metrics.record(timer);
-        let warm = ctx.cache.warm().filter(|_| cfg.kernels);
+        let warm = ctx.warm.as_ref().filter(|_| cfg.kernels);
         let warm_keys = warm.and_then(|w| w.traversal_keys(db));
         ProgressiveNnc {
             op,
@@ -351,7 +351,7 @@ impl<'a> ProgressiveNnc<'a> {
         self.finish_keys();
         // Stamp the warm gauges at completion, when resident bytes reflect
         // everything this query published (max-merged, so late is safe).
-        if let Some(w) = self.ctx.cache.warm() {
+        if let Some(w) = &self.ctx.warm {
             w.record_gauges(&mut self.ctx.metrics);
         }
         let mut trace = self.ctx.trace.finish();
@@ -552,11 +552,9 @@ pub(crate) fn object_min_dist2(
 /// the unfiltered algorithm; F-SD and F⁺-SD keep pruning, at every `k`.
 ///
 /// Shared by the traversal's entry pruning and the continuous repair
-/// pre-filter so both apply the exact same gate. Generic over the MBR
-/// holder so the traversal's borrowed `&Mbr` list and the repair path's
-/// owned `Vec<Mbr>` go through the identical code.
-pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
-    cand_mbrs: &[M],
+/// pre-filter so both apply the exact same gate.
+pub(crate) fn mbr_pruned(
+    cand_mbrs: &[&Mbr],
     e_mbr: &Mbr,
     query_mbr: &Mbr,
     op: Operator,
@@ -569,8 +567,7 @@ pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
     }
     let strict = !matches!(op, Operator::FPlusSd | Operator::FSd);
     let mut dominators = 0;
-    for u_mbr in cand_mbrs {
-        let u_mbr = u_mbr.borrow();
+    for &u_mbr in cand_mbrs {
         stats.mbr_checks += 1;
         let dominated = if strict {
             mbr_dominates_strict(u_mbr, e_mbr, query_mbr)

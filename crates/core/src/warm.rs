@@ -1,13 +1,17 @@
 //! Snapshot-scoped warm cache: cross-query reuse of query-keyed state.
 //!
-//! `core::cache` memoizes derived object state *per traversal*. The state
-//! that depends on the object alone (quantised masses, level snapshots)
-//! lives in the index, beside each object's local tree, and is shared by
-//! every query and snapshot that reads it. What depends on the snapshot
-//! and a repeated query (the traversal keys, the distance distributions
-//! `U_Q` and `U_q` and the per-level bound distributions of §5.1.1) would
-//! be rebuilt from scratch by the next query. [`WarmCache`] promotes
-//! exactly that subset to snapshot lifetime:
+//! Every query-keyed value of one (query, object) — the distance
+//! distributions `U_Q` and `U_q`, their statistic triples (Theorem 11), the
+//! distance-space image, the in-hull list and the per-level bound pairs of
+//! §5.1.1 — has one home: that object's `Record`. A traversal's per-query
+//! memo holds the record of each object it touches (`core::cache`). For a
+//! query without a table the record is private to the traversal; for an
+//! admitted query it is the query table's, so the next traversal of the
+//! same query on the same snapshot is served what this one built. The
+//! state that depends on the object alone (quantised masses, level
+//! snapshots) lives in the index, beside each object's local tree, and is
+//! shared by every query and snapshot that reads it. [`WarmCache`] holds
+//! the query tables:
 //!
 //! * **Keying.** One cache is valid for one `(Arc::as_ptr(store), epoch)`
 //!   pair. The cache pins its `Arc<InstanceStore>`, which both prevents
@@ -23,25 +27,22 @@
 //!   records of one query. Its key list holds, sorted by id, the traversal
 //!   key (squared `δ_min(V, Q)`, the kernel path's bits) of every object
 //!   the query's traversals pushed, stamped with the epoch they were built
-//!   at; a traversal reads it once ([`TraversalKeys`]), and one that built
-//!   keys replaces it with a merged list when it ends. Its records hold, per object the query read
-//!   a distribution or bound of, `U_Q`, the `U_q` list, and the
-//!   optimistic/pessimistic bound pairs of each level of the object's
-//!   local tree, every field a lazily published slot. A traversal walks to
-//!   an object's record once and holds it in its per-query memo, so all
-//!   the record's fields are read through one chunk walk per
-//!   (query, object). An object whose checks all decide on MBRs reads no
-//!   distribution, so a key needs no record. A query is admitted on
-//!   repeat: its first sighting only records its fingerprint (in a ring of
-//!   the last
-//!   [`QUERY_TABLES`] sightings), its second gets a table. The cache holds
-//!   at most [`QUERY_TABLES`] tables; admitting one more drops the least
-//!   recently used. A query without a table (first sighting, fingerprint
-//!   collision, sealed cache) builds its query-keyed state on its
-//!   per-query memo, publishing nothing shared; its traversal decides
-//!   that once and keys objects with the kernel alone.
-//! * **Population.** Lock-free on read: a getter that finds its slot
-//!   empty builds the entry *off-lock* and publishes it, with its chunk if
+//!   at; a traversal reads it once (`TraversalKeys`), and one that built
+//!   keys replaces it with a merged list when it ends. Its records hold,
+//!   per object the query read a query-keyed value of, every such value as
+//!   a lazily published slot. A traversal walks to an object's record once
+//!   and holds it in its per-query memo, so all the record's fields are
+//!   read through one chunk walk per (query, object). An object whose
+//!   checks all decide on MBRs reads no query-keyed value, so a key needs
+//!   no record. A query is admitted on repeat: its first sighting only
+//!   records its fingerprint (in a ring of the last [`QUERY_TABLES`]
+//!   sightings), its second gets a table. The cache holds at most
+//!   [`QUERY_TABLES`] tables; admitting one more drops the least recently
+//!   used. A query without a table (first sighting, fingerprint collision,
+//!   sealed cache) fills private records, publishing nothing shared; its
+//!   traversal decides that once and keys objects with the kernel alone.
+//! * **Population.** Lock-free on read: a lookup that finds its slot
+//!   empty builds the value *off-lock* and publishes it, with its chunk if
 //!   that is missing, through `OnceLock`s, tolerating a lost race (the
 //!   first published value wins; the loser adopts it). The query path
 //!   never blocks on another builder.
@@ -72,28 +73,30 @@
 //!   the advance first seals the old cache: publishers hold `publishing`
 //!   shared, the seal takes it exclusively, and from then on the old cache
 //!   neither publishes nor serves a hit (a value read after the seal may be
-//!   its successor's) nor admits a query — its in-flight readers build
-//!   privately, bit-identically. At most one unsealed cache of a chain
-//!   writes the shared chunks: the pool's current one. A shared query
-//!   table's key list follows the same rule: a traversal on a sealed cache
-//!   publishes no keys (it may read a list; one built at another epoch is
-//!   checked against its epoch log).
+//!   its successor's) nor admits a query. An in-flight traversal that
+//!   meets the seal moves the object to a private record holding what it
+//!   has already looked up, and fills that from then on, so it still builds
+//!   each value at most once, bit-identically. At most one unsealed cache
+//!   of a chain writes the shared chunks: the pool's current one. A shared
+//!   query table's key list follows the same rule: a traversal on a sealed
+//!   cache publishes no keys (it may read a list; one built at another
+//!   epoch is checked against its epoch log).
 //! * **Memory.** Each query table keeps a gauge of the entries it holds
 //!   and of its bytes: published values, its chunk list, chunks and
 //!   records, its own key and its key list. [`WarmCache::resident_bytes`]
 //!   sums the gauges and [`WarmCache::audit`] recounts them chunk by
 //!   chunk. The footprint is at most [`QUERY_TABLES`] tables, each holding
 //!   a list of `n / CHUNK_SLOTS` chunk pointers, a record per object its
-//!   query read a distribution of and 16 bytes per object it pushed.
+//!   query read a query-keyed value of and 16 bytes per object it pushed.
 //! * **Never backwards.** A snapshot older than the pool's current cache
 //!   (a straggler still pinning an old epoch) gets a private, uninstalled
 //!   blank cache; the pool keeps its epoch, entries and counters.
-//! * **Bit-identity.** Every entry is built by the same deterministic
-//!   constructor as the cold path (`build_key`, `build_dist_q`,
-//!   `build_per_q`, `build_bounds_*`), so a warm-served value is
-//!   bit-for-bit the value the cold path would have built. Warm traffic
-//!   is counted in the dedicated `warm_hits` / `warm_misses` counters; the
-//!   per-query `cache_hits` / `cache_misses` semantics are untouched.
+//! * **Bit-identity.** Every value is built by the constructor the cold
+//!   path runs (`core::cache` holds them, the traversal key's included), so
+//!   a value served from a table is bit-for-bit the value a private record
+//!   would hold. Table traffic is counted in the dedicated `warm_hits` /
+//!   `warm_misses` counters; the per-query `cache_hits` / `cache_misses`
+//!   count the traversal's own lookups, served or built alike.
 //!
 //! A query table is found once per query, by the query's content
 //! fingerprint ([`PreparedQuery::fingerprint`]), into a [`WarmView`], and
@@ -112,10 +115,7 @@
 //!
 //! [`EpochLog::changes_since`]: osd_uncertain::EpochLog::changes_since
 
-use crate::cache::{
-    build_bounds_instance, build_bounds_whole, build_dist_q, build_key, build_per_q, BoundPair,
-    LevelSnapshot,
-};
+use crate::cache::{build_key, AggStats, BoundPair, MappedInstances};
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
 use osd_obs::{Counter, QueryMetrics};
@@ -151,7 +151,7 @@ const ARC_BYTES: u64 = 2 * size_of::<usize>() as u64;
 
 /// Entries and approximate bytes held by a slot, record or table.
 #[derive(Debug, Clone, Copy, Default)]
-struct Weight {
+pub(crate) struct Weight {
     entries: u64,
     bytes: u64,
 }
@@ -164,7 +164,7 @@ impl std::ops::AddAssign for Weight {
 }
 
 /// A value a warm slot can hold, with what it adds to the gauges.
-trait Resident: Clone {
+pub(crate) trait Resident: Clone {
     fn weight(&self) -> Weight;
 }
 
@@ -204,23 +204,55 @@ impl Resident for Arc<Vec<BoundPair>> {
     }
 }
 
+/// A statistic triple is held inline in its record: an entry, no bytes of
+/// its own.
+impl Resident for AggStats {
+    fn weight(&self) -> Weight {
+        one(0)
+    }
+}
+
+/// Flat lists: the vector header plus their elements.
+macro_rules! resident_flat_vec {
+    ($($t:ty),*) => {$(
+        impl Resident for Arc<Vec<$t>> {
+            fn weight(&self) -> Weight {
+                one(24 + (self.len() * size_of::<$t>()) as u64)
+            }
+        }
+    )*};
+}
+resident_flat_vec!(AggStats, f64, usize);
+
 /// The bound slots of one level: the whole-`U_Q` pair and the per-`U_q`
 /// pairs.
-type LevelBounds = (OnceLock<Arc<BoundPair>>, OnceLock<Arc<Vec<BoundPair>>>);
+pub(crate) type LevelBounds = (OnceLock<Arc<BoundPair>>, OnceLock<Arc<Vec<BoundPair>>>);
 
 /// The bound slots of each level of an object's local tree, indexed by
 /// clamped level.
-type LevelSlots = Arc<[LevelBounds]>;
+pub(crate) type LevelSlots = Arc<[LevelBounds]>;
 
-/// One object's entries in a query table: `U_Q`, the `U_q` list, and the
-/// bound slots of its levels (sized by the first bound lookup, which has
-/// the object's level snapshot at hand). A traversal finds a record once
-/// per object and holds it in its per-query memo ([`WarmView::record`]).
+/// The one home of every query-keyed value of one (query, object), each a
+/// slot filled on its first lookup. A traversal's per-query memo holds the
+/// record of each object it touches: the query table's when the query is
+/// admitted ([`WarmView::record`]), else a private one no table holds.
 #[derive(Default)]
 pub(crate) struct Record {
-    dist_q: OnceLock<Arc<DistanceDistribution>>,
-    per_q: OnceLock<Arc<Vec<DistanceDistribution>>>,
-    levels: OnceLock<LevelSlots>,
+    /// `U_Q`.
+    pub(crate) dist_q: OnceLock<Arc<DistanceDistribution>>,
+    /// `U_q` for every query instance, in query instance order.
+    pub(crate) per_q: OnceLock<Arc<Vec<DistanceDistribution>>>,
+    /// min/mean/max of `U_Q`.
+    pub(crate) agg: OnceLock<AggStats>,
+    /// min/mean/max of each `U_q`.
+    pub(crate) per_q_agg: OnceLock<Arc<Vec<AggStats>>>,
+    /// Distance-space image of the instances w.r.t. the query hull.
+    pub(crate) mapped: OnceLock<Arc<MappedInstances>>,
+    /// Indices of the instances inside `CH(Q)`.
+    pub(crate) in_hull: OnceLock<Arc<Vec<usize>>>,
+    /// The bound slots of each level, sized by the first bound lookup,
+    /// which has the object's level snapshot at hand.
+    pub(crate) levels: OnceLock<LevelSlots>,
 }
 
 /// Adds what `slot` holds, if filled, to `w`.
@@ -255,6 +287,10 @@ impl Resident for Arc<Record> {
         };
         add_filled(&mut w, &self.dist_q);
         add_filled(&mut w, &self.per_q);
+        add_filled(&mut w, &self.agg);
+        add_filled(&mut w, &self.per_q_agg);
+        add_filled(&mut w, &self.mapped);
+        add_filled(&mut w, &self.in_hull);
         add_filled(&mut w, &self.levels);
         w
     }
@@ -482,17 +518,16 @@ impl Keys {
 
 /// The query-keyed table of one admitted query: the traversal key of
 /// every object its traversals pushed, and a record per object they read
-/// a distribution or bound of, holding exactly the values the traversal
-/// key, `DominanceCache::dist_q`, `per_q` and `level_bounds_*` would build
-/// cold.
+/// a query-keyed value of, holding exactly the values a private record
+/// would (the `CheckCtx` getters fill both).
 pub struct QueryTable {
     /// Exact coordinate/probability bit pattern of the owning query, used
     /// to verify fingerprint matches (collision ⇒ no table).
     key: Vec<u64>,
     records: Table<Arc<Record>>,
     /// The traversal keys, read once per traversal ([`TraversalKeys`]).
-    /// An object whose checks all decide on MBRs reads no distribution,
-    /// so a key needs no record, and a dense list costs 16 bytes a key
+    /// An object whose checks all decide on MBRs reads no query-keyed
+    /// value, so a key needs no record, and a dense list costs 16 bytes a key
     /// where a chunk slot would cost its whole chunk (the ids a query
     /// pushes are scattered).
     keys: Mutex<Keys>,
@@ -650,7 +685,7 @@ impl WarmAudit {
 ///
 /// See the module docs for the keying / population / invalidation
 /// protocol. All tables span the snapshot's logical id space (`db.len()`,
-/// tombstones included), matching `DominanceCache`.
+/// tombstones included), matching a traversal's per-query memos.
 pub struct WarmCache {
     /// Pinned store snapshot: identity key half, ABA guard, and CoW
     /// forcing (a pinned refcount makes `Arc::make_mut` clone).
@@ -772,15 +807,15 @@ impl WarmCache {
     }
 
     /// Publishes `value` into the slot `find` resolves (allocating its
-    /// chunk, for a table slot) and counts it
-    /// into `gauge` — unless this cache is sealed, when the value stays
-    /// private to the caller. A lost race adopts the winner.
+    /// chunk, for a table slot) and counts it into `gauge`; a lost race
+    /// adopts the winner. `Err` with `value` when this cache is sealed:
+    /// the value stays private to the caller.
     fn publish<'s, V: Resident + 's>(
         &self,
         gauge: &Gauge,
         value: V,
         find: impl FnOnce() -> &'s OnceLock<V>,
-    ) -> V {
+    ) -> Result<V, V> {
         // The lock guards no data, so a poisoned one is still sound.
         let _open = self
             .publishing
@@ -788,39 +823,17 @@ impl WarmCache {
             .unwrap_or_else(PoisonError::into_inner);
         // `seal` stores under the write lock, so the read lock orders it.
         if self.sealed.load(Ordering::Relaxed) {
-            return value;
+            return Err(value);
         }
         let slot = find();
         // Weighed before it is visible: once published, a record's fields
         // are filled by other callers, which count themselves.
         let w = value.weight();
         if slot.set(value.clone()).is_err() {
-            return slot.get().cloned().unwrap_or(value);
+            return Ok(slot.get().cloned().unwrap_or(value));
         }
         gauge.add(w);
-        value
-    }
-
-    /// The entry of `id` in `t`, built by `build` on a miss; `true` on a
-    /// hit.
-    fn entry<V: Resident>(&self, t: &Table<V>, id: usize, build: impl FnOnce() -> V) -> (V, bool) {
-        match self.lookup(t.get(id)) {
-            Some(v) => (v, true),
-            None => (self.publish(&t.gauge, build(), || t.slot(id)), false),
-        }
-    }
-
-    /// The entry of a record field, counted into its table's `gauge`.
-    fn field<V: Resident>(
-        &self,
-        slot: &OnceLock<V>,
-        gauge: &Gauge,
-        build: impl FnOnce() -> V,
-    ) -> (V, bool) {
-        match self.lookup(slot.get()) {
-            Some(v) => (v, true),
-            None => (self.publish(gauge, build(), || slot), false),
-        }
+        Ok(value)
     }
 
     /// Stops this cache publishing, serving hits and admitting queries,
@@ -937,7 +950,9 @@ impl WarmView {
         &self.cache
     }
 
-    fn tally<V>(&self, (v, hit): (V, bool), metrics: &mut QueryMetrics) -> V {
+    /// Counts one lookup of a table record's field: a warm hit when the
+    /// table served it, else a warm miss.
+    pub(crate) fn tally(&self, hit: bool, metrics: &mut QueryMetrics) {
         if hit {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             metrics.incr(Counter::WarmHits);
@@ -945,7 +960,6 @@ impl WarmView {
             self.cache.misses.fetch_add(1, Ordering::Relaxed);
             metrics.incr(Counter::WarmMisses);
         }
-        v
     }
 
     /// Records the cache's eviction/resident gauges into `metrics`.
@@ -954,53 +968,39 @@ impl WarmView {
     }
 
     /// `id`'s record in the query table, created empty on first touch;
-    /// `None` for a query without a table. One chunk walk: a traversal
-    /// holds the record in its per-query memo and reads every field
-    /// through it.
+    /// `None` for a query without a table or on a sealed cache, whose
+    /// traversal fills a private record instead. One chunk walk: a
+    /// traversal holds the record in its per-query memo and reads every
+    /// field through it.
     pub(crate) fn record(&self, id: usize) -> Option<Arc<Record>> {
         let t = self.table.as_deref()?;
-        let (record, _) = self
-            .cache
-            .entry(&t.records, id, || Arc::new(Record::default()));
-        Some(record)
+        if let Some(r) = self.cache.lookup(t.records.get(id)) {
+            return Some(r);
+        }
+        let fresh = Arc::new(Record::default());
+        self.cache
+            .publish(&t.records.gauge, fresh, || t.records.slot(id))
+            .ok()
     }
 
-    /// A field of `record`, built by `build` on a miss. Without a record (a
-    /// query without a table) it is built privately and counts nothing.
-    fn record_field<V: Resident>(
+    /// The value of `slot`, a field of one of this view's table records:
+    /// served when published (`true`), else built by `build` and published
+    /// (`false`). `Err` with the built value when the cache is sealed (it
+    /// neither serves nor publishes) or the view has no table: the caller
+    /// keeps the value privately.
+    pub(crate) fn fill<V: Resident>(
         &self,
-        record: Option<&Record>,
-        field: impl FnOnce(&Record) -> &OnceLock<V>,
+        slot: &OnceLock<V>,
         build: impl FnOnce() -> V,
-        metrics: &mut QueryMetrics,
-    ) -> V {
-        let (Some(t), Some(record)) = (self.table.as_deref(), record) else {
-            return build();
+    ) -> Result<(V, bool), V> {
+        let Some(t) = self.table.as_deref() else {
+            return Err(build());
         };
-        let e = self.cache.field(field(record), &t.records.gauge, build);
-        self.tally(e, metrics)
-    }
-
-    /// A bound slot of `record` at `level`, built by `build` on a miss (the
-    /// level slots, sized by `snap`, on the first bound lookup).
-    fn level_field<V: Resident>(
-        &self,
-        record: Option<&Record>,
-        snap: &LevelSnapshot,
-        level: usize,
-        field: impl FnOnce(&LevelBounds) -> &OnceLock<V>,
-        build: impl FnOnce() -> V,
-        metrics: &mut QueryMetrics,
-    ) -> V {
-        let (Some(t), Some(record)) = (self.table.as_deref(), record) else {
-            return build();
-        };
-        let (levels, _) = self.cache.field(&record.levels, &t.records.gauge, || {
-            (0..snap.num_levels()).map(|_| Default::default()).collect()
-        });
-        let slot = field(&levels[snap.clamped(level)]);
-        let e = self.cache.field(slot, &t.records.gauge, build);
-        self.tally(e, metrics)
+        if let Some(v) = self.cache.lookup(slot.get()) {
+            return Ok((v, true));
+        }
+        let v = self.cache.publish(&t.records.gauge, build(), || slot)?;
+        Ok((v, false))
     }
 
     /// The traversal keys of this view's query table, for one traversal
@@ -1027,103 +1027,6 @@ impl WarmView {
             built: Vec::new(),
             served: 0,
         })
-    }
-
-    /// Warm `U_Q` of object `id`.
-    pub fn dist_q(
-        &self,
-        db: &dyn SpatialIndex,
-        query: &PreparedQuery,
-        id: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<DistanceDistribution> {
-        self.dist_q_of(self.record(id).as_deref(), db, query, id, metrics)
-    }
-
-    /// [`WarmView::dist_q`] from `id`'s already found `record`.
-    pub(crate) fn dist_q_of(
-        &self,
-        record: Option<&Record>,
-        db: &dyn SpatialIndex,
-        query: &PreparedQuery,
-        id: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<DistanceDistribution> {
-        self.record_field(
-            record,
-            |r| &r.dist_q,
-            || Arc::new(build_dist_q(db, query, id)),
-            metrics,
-        )
-    }
-
-    /// Warm `U_q` of object `id` for every query instance, in query
-    /// instance order.
-    pub fn per_q(
-        &self,
-        db: &dyn SpatialIndex,
-        query: &PreparedQuery,
-        id: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<Vec<DistanceDistribution>> {
-        self.per_q_of(self.record(id).as_deref(), db, query, id, metrics)
-    }
-
-    /// [`WarmView::per_q`] from `id`'s already found `record`.
-    pub(crate) fn per_q_of(
-        &self,
-        record: Option<&Record>,
-        db: &dyn SpatialIndex,
-        query: &PreparedQuery,
-        id: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<Vec<DistanceDistribution>> {
-        self.record_field(
-            record,
-            |r| &r.per_q,
-            || Arc::new(build_per_q(db, query, id)),
-            metrics,
-        )
-    }
-
-    /// Warm whole-`U_Q` bound pair at `level` of the object whose `record`
-    /// this is.
-    pub(crate) fn bounds_whole(
-        &self,
-        record: Option<&Record>,
-        query: &PreparedQuery,
-        snap: &LevelSnapshot,
-        level: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<BoundPair> {
-        self.level_field(
-            record,
-            snap,
-            level,
-            |l| &l.0,
-            || Arc::new(build_bounds_whole(query, snap.level(level))),
-            metrics,
-        )
-    }
-
-    /// Warm per-`U_q` bound pairs at `level` of the object whose `record`
-    /// this is.
-    pub(crate) fn bounds_instance(
-        &self,
-        record: Option<&Record>,
-        query: &PreparedQuery,
-        snap: &LevelSnapshot,
-        level: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Arc<Vec<BoundPair>> {
-        self.level_field(
-            record,
-            snap,
-            level,
-            |l| &l.1,
-            || Arc::new(build_bounds_instance(query, snap.level(level))),
-            metrics,
-        )
     }
 }
 
@@ -1213,7 +1116,8 @@ impl TraversalKeys {
 /// it has been shown. [`WarmPool::cache_for`] swaps in an advanced cache
 /// when the snapshot moves forward; queries still running against the old
 /// snapshot keep their pinned `Arc<WarmCache>` and stay consistent (a
-/// sealed cache builds privately, see the module docs).
+/// traversal on a sealed cache fills private records, see the module
+/// docs).
 #[derive(Debug, Default)]
 pub struct WarmPool {
     current: Mutex<Option<Arc<WarmCache>>>,
@@ -1266,6 +1170,7 @@ impl WarmPool {
 mod tests {
     use super::*;
     use crate::config::FilterConfig;
+    use crate::ctx::CheckCtx;
     use crate::db::Database;
     use crate::nnc::{nn_candidates, nn_candidates_warm, NncResult};
     use crate::ops::Operator;
@@ -1289,6 +1194,11 @@ mod tests {
         PreparedQuery::new(UncertainObject::uniform(vec![p2(x, 0.0), p2(x, 1.0)]))
     }
 
+    /// A fresh traversal context of `q` over `db` that reads through `view`.
+    fn ctx<'a>(db: &'a dyn SpatialIndex, q: &'a PreparedQuery, view: &WarmView) -> CheckCtx<'a> {
+        CheckCtx::with_warm(db, q, FilterConfig::all(), Some(view.clone()))
+    }
+
     /// The values of the [`Table`] fixtures below: `[id]` in slot `id`.
     impl Resident for Arc<Vec<u64>> {
         fn weight(&self) -> Weight {
@@ -1301,14 +1211,13 @@ mod tests {
         let db = Database::new(vec![obj(1.0), obj(5.0)]);
         let pool = WarmPool::new();
         let q = query();
-        let mut metrics = QueryMetrics::new();
         // The second sighting admits the query's table.
         pool.view_for(&db, &q);
         let v1 = pool.view_for(&db, &q);
-        let a = v1.dist_q(&db, &q, 0, &mut metrics);
+        let a = ctx(&db, &q, &v1).dist_q(0);
         let v2 = pool.view_for(&db, &q);
         assert!(Arc::ptr_eq(v1.cache(), v2.cache()), "same (ptr, epoch) key");
-        let b = v2.dist_q(&db, &q, 0, &mut metrics);
+        let b = ctx(&db, &q, &v2).dist_q(0);
         assert!(Arc::ptr_eq(&a, &b), "entry survives across views");
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -1340,11 +1249,10 @@ mod tests {
         let db = Database::new(vec![obj(1.0), obj(5.0)]);
         let pool = WarmPool::new();
         let queries: Vec<PreparedQuery> = (0..=QUERY_TABLES).map(|i| query_at(i as f64)).collect();
-        let mut metrics = QueryMetrics::new();
         for q in &queries[..QUERY_TABLES] {
             pool.view_for(&db, q);
             let v = pool.view_for(&db, q);
-            v.dist_q(&db, q, 0, &mut metrics);
+            ctx(&db, q, &v).dist_q(0);
         }
         // Query 0 is used again, so query 1 is the least recently used.
         assert!(pool.view_for(&db, &queries[0]).table.is_some());
@@ -1371,31 +1279,33 @@ mod tests {
         let db = Database::with_fanouts(objects, 4, 2);
         let pool = WarmPool::new();
         let q = query();
-        let mut m = QueryMetrics::new();
         pool.view_for(&db, &q);
         let v = pool.view_for(&db, &q);
         let cache = Arc::clone(v.cache());
-        let mut cold = crate::cache::DominanceCache::new(db.len());
-        let mut stats = crate::config::Stats::default();
+        let mut cold = CheckCtx::new(&db, &q, FilterConfig::all());
         for id in [3, 17, 39] {
-            let d = v.dist_q(&db, &q, id, &mut m);
-            let p = v.per_q(&db, &q, id, &mut m);
-            assert_eq!(*d, *cold.dist_q(&db, &q, id, &mut stats, &mut m));
-            assert_eq!(*p, *cold.per_q(&db, &q, id, &mut stats, &mut m));
-            let snap = db.level_snapshot(id);
-            let record = v.record(id);
-            for level in 1..=snap.num_levels() + 1 {
-                v.bounds_whole(record.as_deref(), &q, &snap, level, &mut m);
-                v.bounds_instance(record.as_deref(), &q, &snap, level, &mut m);
+            let mut warm = ctx(&db, &q, &v);
+            let d = warm.dist_q(id);
+            let p = warm.per_q(id);
+            assert_eq!(*d, *cold.dist_q(id));
+            assert_eq!(*p, *cold.per_q(id));
+            assert_eq!(warm.agg(id), cold.agg(id));
+            assert_eq!(warm.per_q_agg(id), cold.per_q_agg(id));
+            assert_eq!(warm.mapped(id), cold.mapped(id));
+            assert_eq!(warm.in_hull_instances(id), cold.in_hull_instances(id));
+            let levels = db.level_snapshot(id).num_levels();
+            for level in 1..=levels + 1 {
+                warm.level_bounds_whole(id, level);
+                warm.level_bounds_instance(id, level);
             }
-            assert!(Arc::ptr_eq(&d, &v.dist_q(&db, &q, id, &mut m)));
-            assert!(Arc::ptr_eq(&p, &v.per_q(&db, &q, id, &mut m)));
+            assert!(Arc::ptr_eq(&d, &ctx(&db, &q, &v).dist_q(id)));
+            assert!(Arc::ptr_eq(&p, &ctx(&db, &q, &v).per_q(id)));
         }
         let audit = cache.audit();
         assert_eq!(audit.tables.len(), 1, "one query table");
         assert_eq!(audit.tables[0].filled, vec![3, 17, 39]);
         assert_eq!(audit.resident_bytes, cache.resident_bytes());
-        let per_record = 2 + 2 * db.level_snapshot(3).num_levels() as u64;
+        let per_record = 6 + 2 * db.level_snapshot(3).num_levels() as u64;
         assert_eq!(audit.entries, 3 * per_record);
     }
 
@@ -1519,12 +1429,11 @@ mod tests {
         let idx = PublishedIndex::new(Database::new(vec![obj(1.0), obj(5.0)]));
         let pool = WarmPool::new();
         let q = query();
-        let mut metrics = QueryMetrics::new();
         let snap0 = idx.pin();
         pool.view_for(snap0.as_ref(), &q);
         let v0 = pool.view_for(snap0.as_ref(), &q);
-        let d0 = v0.dist_q(snap0.as_ref(), &q, 0, &mut metrics);
-        let d1 = v0.dist_q(snap0.as_ref(), &q, 1, &mut metrics);
+        let d0 = ctx(snap0.as_ref(), &q, &v0).dist_q(0);
+        let d1 = ctx(snap0.as_ref(), &q, &v0).dist_q(1);
         idx.update(1, obj(7.0)).expect("update");
         let snap1 = idx.pin();
         let v1 = pool.view_for(snap1.as_ref(), &q);
@@ -1532,9 +1441,9 @@ mod tests {
             !Arc::ptr_eq(v0.cache(), v1.cache()),
             "stale (ptr, epoch) key must not be served"
         );
-        let d0b = v1.dist_q(snap1.as_ref(), &q, 0, &mut metrics);
+        let d0b = ctx(snap1.as_ref(), &q, &v1).dist_q(0);
         assert!(Arc::ptr_eq(&d0, &d0b), "untouched object carried over");
-        let d1b = v1.dist_q(snap1.as_ref(), &q, 1, &mut metrics);
+        let d1b = ctx(snap1.as_ref(), &q, &v1).dist_q(1);
         assert!(!Arc::ptr_eq(&d1, &d1b), "touched object rebuilt");
         assert!(pool.stats().evictions >= 1);
     }
@@ -1545,14 +1454,16 @@ mod tests {
         let b = Database::new(vec![obj(2.0)]); // unrelated chain, same epoch 0
         let pool = WarmPool::new();
         let q = query();
-        let mut metrics = QueryMetrics::new();
         pool.view_for(&a, &q);
         let va = pool.view_for(&a, &q);
-        let held = va.dist_q(&a, &q, 0, &mut metrics);
+        let held = ctx(&a, &q, &va).dist_q(0);
         let vb = pool.view_for(&b, &q);
         assert!(!Arc::ptr_eq(va.cache(), vb.cache()));
-        let fresh = vb.dist_q(&b, &q, 0, &mut metrics);
-        assert_eq!(*fresh, build_dist_q(&b, &q, 0));
+        let fresh = ctx(&b, &q, &vb).dist_q(0);
+        assert_eq!(
+            *fresh,
+            *CheckCtx::new(&b, &q, FilterConfig::all()).dist_q(0)
+        );
         assert_ne!(*fresh, *held);
         assert_eq!(pool.stats().evictions, 1, "old entry counted as evicted");
     }
@@ -1597,34 +1508,64 @@ mod tests {
     fn a_sealed_cache_neither_publishes_nor_serves() {
         let idx = PublishedIndex::new(Database::new(vec![obj(1.0), obj(5.0)]));
         let q = query();
-        let mut metrics = QueryMetrics::new();
         let snap0 = idx.pin();
         idx.warm_pool().view_for(&*snap0, &q);
         let v0 = idx.warm_pool().view_for(&*snap0, &q);
-        let carried = v0.dist_q(&*snap0, &q, 0, &mut metrics);
+        let carried = ctx(&*snap0, &q, &v0).dist_q(0);
         idx.update(1, obj(7.0)).expect("update");
         let snap1 = idx.pin();
         let v1 = idx.warm_pool().view_for(&*snap1, &q);
         // Object 1's slot was empty: the table is shared, and the new
         // cache fills the slot with the e1 value.
-        let new1 = v1.dist_q(&*snap1, &q, 1, &mut metrics);
-        let old1 = v0.dist_q(&*snap0, &q, 1, &mut metrics);
+        let new1 = ctx(&*snap1, &q, &v1).dist_q(1);
+        let old1 = ctx(&*snap0, &q, &v0).dist_q(1);
         assert!(!Arc::ptr_eq(&new1, &old1), "e0 reader served an e1 entry");
-        assert_eq!(*old1, build_dist_q(&*snap0, &q, 1));
+        assert_eq!(
+            *old1,
+            *CheckCtx::new(&*snap0, &q, FilterConfig::all()).dist_q(1)
+        );
         // Nor does the sealed e0 cache publish what it builds, serve even
         // a carried entry, or admit a query.
-        assert!(!Arc::ptr_eq(
-            &v0.dist_q(&*snap0, &q, 1, &mut metrics),
-            &old1
-        ));
-        assert!(!Arc::ptr_eq(
-            &v0.dist_q(&*snap0, &q, 0, &mut metrics),
-            &carried
-        ));
-        assert!(Arc::ptr_eq(
-            &v1.dist_q(&*snap1, &q, 0, &mut metrics),
-            &carried
-        ));
+        assert!(!Arc::ptr_eq(&ctx(&*snap0, &q, &v0).dist_q(1), &old1));
+        assert!(!Arc::ptr_eq(&ctx(&*snap0, &q, &v0).dist_q(0), &carried));
+        assert!(Arc::ptr_eq(&ctx(&*snap1, &q, &v1).dist_q(0), &carried));
         assert!(v0.cache().table_for(&q).is_none());
+    }
+
+    #[test]
+    fn a_traversal_sealed_mid_run_builds_each_value_once() {
+        let idx = PublishedIndex::new(Database::new(vec![obj(1.0), obj(5.0)]));
+        let (q, pool) = (query(), idx.warm_pool());
+        let snap0 = idx.pin();
+        pool.view_for(&*snap0, &q);
+        let mut run = ctx(&*snap0, &q, &pool.view_for(&*snap0, &q));
+        let mut cold = CheckCtx::new(&*snap0, &q, FilterConfig::all());
+        let d = run.dist_q(0);
+        idx.update(1, obj(7.0)).expect("update");
+        let snap1 = idx.pin();
+        let v1 = pool.view_for(&*snap1, &q);
+        // The seal stops the e0 traversal publishing: object 0 moves to a
+        // private record that keeps its `U_Q`, and object 1 gets one.
+        let p = run.per_q(0);
+        let d1 = run.dist_q(1);
+        // The e1 cache shares object 0's record: it is served the carried
+        // `U_Q` and fills `U_q` with a value of its own.
+        let mut next = ctx(&*snap1, &q, &v1);
+        assert!(Arc::ptr_eq(&d, &next.dist_q(0)));
+        assert!(!Arc::ptr_eq(&p, &next.per_q(0)));
+        assert!(!Arc::ptr_eq(&d1, &next.dist_q(1)));
+        // Each value was built once: repeats hit, and `Stats` match a cold
+        // traversal's.
+        assert!(Arc::ptr_eq(&d, &run.dist_q(0)));
+        assert!(Arc::ptr_eq(&p, &run.per_q(0)));
+        assert!(Arc::ptr_eq(&d1, &run.dist_q(1)));
+        assert_eq!(*d, *cold.dist_q(0));
+        assert_eq!(*p, *cold.per_q(0));
+        assert_eq!(*d1, *cold.dist_q(1));
+        // The repeats, which hit.
+        cold.dist_q(0);
+        cold.per_q(0);
+        cold.dist_q(1);
+        assert_eq!(run.stats, cold.stats);
     }
 }

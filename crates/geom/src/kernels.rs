@@ -163,7 +163,7 @@ const PROBE_BLOCK: usize = 16;
 /// `min_q min_i δ²(row_i, q)` — an object's exact `δ_min(V, Q)²` from its
 /// contiguous instance rows and its bounding box `mbr`.
 ///
-/// The probes go in blocks of [`PROBE_BLOCK`]. Each probe's box bound
+/// The probes go in blocks of `PROBE_BLOCK` (16). Each probe's box bound
 /// `mbr.min_dist2_point(q)` is computed once, into a stack buffer; the
 /// block's probe with the smallest bound is scanned first, and every
 /// probe is scanned only if its bound is below the running best (`+∞`

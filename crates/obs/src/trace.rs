@@ -470,7 +470,7 @@ impl QueryTrace {
 /// **Ring semantics.** The ring retains the `capacity` traces with the
 /// *highest* sequence numbers — overwrite-oldest, stated as a pure
 /// function of the trace set. Because retention depends only on the set
-/// (never on arrival order), per-worker recorders [`merge`] to exactly
+/// (never on arrival order), per-worker recorders [`merge`](FlightRecorder::merge) to exactly
 /// the recorder a single worker would have produced, mirroring the
 /// `Stats::merge` order-independence contract.
 ///

@@ -165,17 +165,18 @@ static RULES: [Rule; 11] = [
         id: "no-warm-bypass",
         summary: "hot query paths never construct level snapshots or bound tables directly",
         scope: "crates/core/src/ops, crates/core/src/nnc.rs, crates/core/src/knnc.rs \
-                (test modules exempt; core::cache and core::warm own the constructors)",
+                (test modules exempt; core::cache owns the constructors)",
         intent: "level snapshots, group MBRs and bound-distribution tables are built by \
                  the shared constructors in core::cache; the index holds one level \
-                 snapshot per object entry and core::warm promotes the query-keyed bounds \
-                 to snapshot lifetime. A `LevelSnapshot { .. }`/`LevelGroups { .. }` \
-                 literal or a direct build_level_snapshot/build_bounds_* call in a hot path \
-                 bypasses the legacy hit/miss accounting, the index's shared copy and the \
-                 epoch-keyed invalidation protocol — a stale table could survive a publish \
-                 unnoticed. Snapshots and bounds flow through CheckCtx's DominanceCache, \
-                 which reads the index and consults the warm view.",
-        waiver: "never waived — add an accessor to DominanceCache instead.",
+                 snapshot per object entry, and every query-keyed value (distributions, \
+                 statistics, images, bounds) has one home, its object's record, which \
+                 is the query table's for an admitted query. A `LevelSnapshot { .. }`/\
+                 `LevelGroups { .. }` literal or a direct build_level_snapshot/build_bounds_* \
+                 call in a hot path bypasses the legacy hit/miss accounting, the index's \
+                 shared copy and the record, whose table the snapshot invalidates. \
+                 Snapshots and bounds flow through the CheckCtx getters, which read the \
+                 index and the object's record.",
+        waiver: "never waived — add a getter to CheckCtx (in core::cache) instead.",
         run: Run::PerFile(warm::no_warm_bypass),
     },
     Rule {

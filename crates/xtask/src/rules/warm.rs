@@ -5,12 +5,12 @@ use crate::model::{SourceFile, Workspace};
 
 /// Level snapshots, distance distributions (`U_Q`, `U_q`) and
 /// bound-distribution tables are built by the shared constructors in
-/// `core::cache`; the index holds each object's level snapshot and
-/// `core::warm` promotes the query-keyed state to snapshot lifetime. A
-/// hot-path file constructing them directly bypasses the per-query
-/// hit/miss accounting, the shared copies *and* the epoch-keyed
-/// invalidation protocol, so a stale table could silently survive a
-/// publish. `core::cache` is the only builder.
+/// `core::cache`; the index holds each object's level snapshot, and every
+/// query-keyed value has one home, the object's record, which the
+/// `CheckCtx` getters fill (a query table's record is invalidated with its
+/// snapshot). A hot-path file constructing them directly bypasses the
+/// per-query hit/miss accounting and the shared copies, and keeps a value
+/// outside its record. `core::cache` is the only builder.
 pub(super) fn no_warm_bypass(_ws: &Workspace, file: &SourceFile, out: &mut Vec<Violation>) {
     if !is_hot_path(&file.path) {
         return;
@@ -54,8 +54,8 @@ pub(super) fn no_warm_bypass(_ws: &Workspace, file: &SourceFile, out: &mut Vec<V
                 format!(
                     "`{}` constructed directly in a hot query path; obtain level \
                      snapshots, distance distributions and bound distributions \
-                     through `CheckCtx`'s `DominanceCache` so warm promotion and \
-                     epoch invalidation stay correct",
+                     through the `CheckCtx` getters, which keep each in its one \
+                     record and count every lookup",
                     t.text
                 ),
             );

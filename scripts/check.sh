@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The static-analysis gate: formatting, clippy (deny-by-default workspace
-# lints, and a negative gate proving the clippy.toml bans bite), the
-# repo-specific xtask analyzer, and the test suite — in both
-# the default and the strict-invariants configuration.
+# lints, and a negative gate proving the clippy.toml bans bite), rustdoc
+# (warnings denied), the repo-specific xtask analyzer, and the test suite
+# — in both the default and the strict-invariants configuration.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +12,13 @@ cargo fmt --all --check
 
 echo "== cargo clippy --workspace (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --no-deps (-D warnings) =="
+# Broken intra-doc links, and public docs linking to private items, fail
+# the gate. The vendored stand-ins (proptest, rand, criterion) are not
+# first-party code and carry warnings of their own, so they are excluded.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps \
+  --exclude proptest --exclude rand --exclude criterion
 
 echo "== clippy negative gate (seeded violations must be rejected) =="
 # The bans clippy carries for the analyzer (clippy.toml, print lints) must

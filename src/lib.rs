@@ -55,9 +55,9 @@ pub mod prelude {
     pub use osd_core::{
         batch_metrics, batch_stats, dominates, f_plus_sd, f_sd, k_nn_candidates,
         k_nn_candidates_bruteforce, nn_candidates, nn_candidates_bruteforce, p_sd, s_sd, ss_sd,
-        Candidate, CheckCtx, Database, DominanceCache, FilterConfig, FlightRecorder, KnncResult,
-        NncResult, Operator, PreparedQuery, ProgressiveNnc, QueryEngine, QueryMetrics, QueryTrace,
-        Stats, TraceData,
+        Candidate, CheckCtx, Database, FilterConfig, FlightRecorder, KnncResult, NncResult,
+        Operator, PreparedQuery, ProgressiveNnc, QueryEngine, QueryMetrics, QueryTrace, Stats,
+        TraceData,
     };
     pub use osd_geom::{Mbr, Point};
     pub use osd_nnfuncs::{

@@ -22,11 +22,12 @@
 
 use osd_core::warm::QUERY_TABLES;
 use osd_core::{
-    k_nn_candidates, k_nn_candidates_warm, nn_candidates, nn_candidates_warm, Database,
-    DominanceCache, FilterConfig, NncResult, Operator, PreparedQuery, QueryMetrics, Stats,
-    WarmAudit, WarmPool,
+    k_nn_candidates, k_nn_candidates_warm, nn_candidates, nn_candidates_warm, CheckCtx, Database,
+    FilterConfig, NncResult, Operator, PreparedQuery, SpatialIndex, Stats, WarmAudit, WarmPool,
+    WarmView,
 };
 use osd_datagen::{generate_objects, object_around, CenterDistribution, SynthParams};
+use osd_uncertain::DistanceDistribution;
 use osd_uncertain::UncertainObject;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,32 +207,172 @@ fn an_admitted_query_serves_its_distributions_warm_and_bit_identically() {
         let audit = pool.cache_for(&db).audit();
         let records = audit.tables.first().unwrap();
         assert!(!records.filled.is_empty(), "{op:?}: nothing recorded");
+        let warm = |v: &WarmView| CheckCtx::with_warm(&db, &q, cfg, Some(v.clone()));
         let (v1, v2) = (pool.view_for(&db, &q), pool.view_for(&db, &q));
-        let (mut stats, mut m) = (Stats::default(), QueryMetrics::new());
+        let (mut c1, mut c2) = (warm(&v1), warm(&v2));
         let before = pool.stats();
-        let served: Vec<_> = records
-            .filled
-            .iter()
-            .map(|&id| v1.dist_q(&db, &q, id, &mut m))
-            .collect();
+        let served: Vec<_> = records.filled.iter().map(|&id| c1.dist_q(id)).collect();
         assert_eq!(pool.stats().misses, before.misses, "{op:?}: U_Q missing");
         let mut per_q_hits = 0;
         for &id in &records.filled {
             let misses = pool.stats().misses;
-            v1.per_q(&db, &q, id, &mut m);
+            c1.per_q(id);
             per_q_hits += usize::from(pool.stats().misses == misses);
         }
         assert_eq!(per_q_hits > 0, op != Operator::SSd, "{op:?}: U_q");
         // They hold the cold values, shared.
-        let mut cold_cache = DominanceCache::new(db.len());
+        let mut cold = CheckCtx::new(&db, &q, cfg);
         for (&id, d) in records.filled.iter().zip(&served) {
-            assert!(Arc::ptr_eq(d, &v2.dist_q(&db, &q, id, &mut m)));
-            assert_eq!(**d, *cold_cache.dist_q(&db, &q, id, &mut stats, &mut m));
-            let p = v1.per_q(&db, &q, id, &mut m);
-            assert!(Arc::ptr_eq(&p, &v2.per_q(&db, &q, id, &mut m)));
-            assert_eq!(*p, *cold_cache.per_q(&db, &q, id, &mut stats, &mut m));
+            assert!(Arc::ptr_eq(d, &c2.dist_q(id)));
+            assert_eq!(**d, *cold.dist_q(id));
+            let p = c1.per_q(id);
+            assert!(Arc::ptr_eq(&p, &c2.per_q(id)));
+            assert_eq!(*p, *cold.per_q(id));
         }
     }
+}
+
+/// One query-keyed value as three contexts returned it: whether the two
+/// warm ones hold one shared copy, and the bits of each.
+struct Looked {
+    shared: bool,
+    bits: [Vec<u64>; 3],
+}
+
+/// Looks one value up in each of `ctxs` (cold, first-warm, served) with
+/// `get`, which returns the value's address and bits, and checks that every
+/// context charged `Stats` alike.
+fn look(
+    ctxs: &mut [CheckCtx<'_>; 3],
+    what: &str,
+    get: impl Fn(&mut CheckCtx<'_>) -> (usize, Vec<u64>),
+) -> Looked {
+    let [(_, cold), (a, first), (b, served)] = ctxs.each_mut().map(&get);
+    let stats = ctxs.each_ref().map(|c| c.stats);
+    assert!(
+        stats[1] == stats[0] && stats[2] == stats[0],
+        "{what}: Stats differ: {stats:?}"
+    );
+    Looked {
+        shared: a == b,
+        bits: [cold, first, served],
+    }
+}
+
+/// The address and bits of an `Arc`'d value.
+fn arc<T>(v: Arc<T>, bits: impl Fn(&T) -> Vec<u64>) -> (usize, Vec<u64>) {
+    (Arc::as_ptr(&v) as usize, bits(&v))
+}
+
+/// The bits of a distribution's atoms.
+fn dist_bits(d: &DistanceDistribution) -> Vec<u64> {
+    let atoms = d.atoms().iter();
+    atoms
+        .flat_map(|&(x, p)| [x.to_bits(), p.to_bits()])
+        .collect()
+}
+
+fn pair_bits((lo, hi): &(DistanceDistribution, DistanceDistribution)) -> Vec<u64> {
+    let mut v = dist_bits(lo);
+    v.extend(dist_bits(hi));
+    v
+}
+
+fn agg_bits(&(a, b, c): &(f64, f64, f64)) -> Vec<u64> {
+    vec![a.to_bits(), b.to_bits(), c.to_bits()]
+}
+
+/// Every query-keyed value of `id`, looked up in each of `ctxs`, derived
+/// values before the ones they are derived from so that the nested
+/// lookups of a served value are charged too.
+fn every_value(ctxs: &mut [CheckCtx<'_>; 3], db: &Database, id: usize) -> Vec<(String, Looked)> {
+    let levels = db.level_snapshot(id).num_levels();
+    let mut out = Vec::new();
+    for level in 1..=levels + 1 {
+        out.push((
+            format!("level_bounds_whole({id}, {level})"),
+            look(ctxs, "whole bounds", |c| {
+                arc(c.level_bounds_whole(id, level), pair_bits)
+            }),
+        ));
+        out.push((
+            format!("level_bounds_instance({id}, {level})"),
+            look(ctxs, "instance bounds", |c| {
+                let pairs = c.level_bounds_instance(id, level);
+                arc(pairs, |ps| ps.iter().flat_map(pair_bits).collect())
+            }),
+        ));
+    }
+    let mut push = |what: &str, get: &dyn Fn(&mut CheckCtx<'_>) -> (usize, Vec<u64>)| {
+        out.push((format!("{what}({id})"), look(ctxs, what, get)));
+    };
+    push("agg", &|c| (0, agg_bits(&c.agg(id))));
+    push("dist_q", &|c| arc(c.dist_q(id), dist_bits));
+    push("per_q_agg", &|c| {
+        arc(c.per_q_agg(id), |a| a.iter().flat_map(agg_bits).collect())
+    });
+    push("per_q", &|c| {
+        arc(c.per_q(id), |p| p.iter().flat_map(dist_bits).collect())
+    });
+    push("mapped", &|c| {
+        arc(c.mapped(id), |m| m.iter().map(|x| x.to_bits()).collect())
+    });
+    push("in_hull_instances", &|c| {
+        arc(c.in_hull_instances(id), |l| {
+            l.iter().map(|&i| i as u64).collect()
+        })
+    });
+    out
+}
+
+/// An admitted query's table is the one home of its query-keyed values:
+/// after its filling run, two fresh contexts share every value (`agg`, held
+/// inline, is equal), and each equals a cold context's bit for bit. Every
+/// getter charges `Stats` alike in a cold context, in one that fills what
+/// the table lacks and in one the table serves, nested lookups included.
+/// A context whose query has no table shares nothing.
+#[test]
+fn an_admitted_query_shares_every_query_keyed_value() {
+    let objects = objects();
+    let db = Database::with_fanouts(objects.clone(), 8, 2);
+    let cfg = FilterConfig::all();
+    let qs = queries(&objects, 2);
+    let q = &qs[0];
+    let pool = WarmPool::new();
+    for _ in 0..2 {
+        nn_candidates_warm(&db, q, Operator::PSd, &cfg, &pool);
+    }
+    let audit = pool.cache_for(&db).audit();
+    let filled = audit
+        .tables
+        .first()
+        .expect("an admitted table")
+        .filled
+        .clone();
+    assert!(!filled.is_empty(), "the filling run recorded nothing");
+    let warm = || CheckCtx::with_warm(&db, q, cfg, Some(pool.view_for(&db, q)));
+    let mut ctxs = [CheckCtx::new(&db, q, cfg), warm(), warm()];
+    for &id in &filled {
+        for (what, v) in every_value(&mut ctxs, &db, id) {
+            assert!(what.starts_with("agg") || v.shared, "{what}: not shared");
+            assert_eq!(v.bits[1], v.bits[0], "{what}: first-warm differs from cold");
+            assert_eq!(v.bits[2], v.bits[0], "{what}: served differs from cold");
+        }
+    }
+
+    // The other query is sighted once: its contexts share nothing, and it
+    // leaves the pool's tables as they were.
+    let before = pool.cache_for(&db).audit();
+    let other = pool.view_for(&db, &qs[1]);
+    let private = || CheckCtx::with_warm(&db, &qs[1], cfg, Some(other.clone()));
+    let mut ctxs = [CheckCtx::new(&db, &qs[1], cfg), private(), private()];
+    for &id in &filled {
+        for (what, v) in every_value(&mut ctxs, &db, id) {
+            assert!(!v.shared || what.starts_with("agg"), "{what}: shared");
+            assert_eq!(v.bits[1], v.bits[0], "{what}: private differs from cold");
+        }
+    }
+    assert_eq!(pool.cache_for(&db).audit(), before);
 }
 
 #[test]
@@ -242,14 +383,11 @@ fn a_first_sighting_publishes_nothing_shared() {
     let pool = WarmPool::new();
     let view = pool.view_for(&db, &q);
     let before = pool.stats();
-    let mut m = QueryMetrics::new();
-    let (a, b) = (
-        view.dist_q(&db, &q, 7, &mut m),
-        view.dist_q(&db, &q, 7, &mut m),
-    );
+    let warm = || CheckCtx::with_warm(&db, &q, FilterConfig::all(), Some(view.clone()));
+    let (a, b) = (warm().dist_q(7), warm().dist_q(7));
     assert!(!Arc::ptr_eq(&a, &b), "a private build was shared");
     assert_eq!(*a, *b);
-    view.per_q(&db, &q, 7, &mut m);
+    warm().per_q(7);
     assert_eq!(pool.stats(), before, "a private build was counted");
     let audit = pool.cache_for(&db).audit();
     assert_eq!(query_tables(&audit), 0);

@@ -31,9 +31,9 @@
 
 use osd_core::warm::CHUNK_SLOTS as CHUNK;
 use osd_core::{
-    nn_candidates, nn_candidates_warm, FilterConfig, FlatDatabase, Operator, PreparedQuery,
-    ProgressiveNnc, PublishedIndex, QueryMetrics, ShardConfig, ShardedDatabase, SpatialIndex,
-    TableAudit, WarmAudit,
+    nn_candidates, nn_candidates_warm, CheckCtx, FilterConfig, FlatDatabase, Operator,
+    PreparedQuery, ProgressiveNnc, PublishedIndex, ShardConfig, ShardedDatabase, SpatialIndex,
+    TableAudit, WarmAudit, WarmView,
 };
 use osd_geom::Point;
 use osd_uncertain::{DistanceDistribution, UncertainObject};
@@ -296,6 +296,17 @@ fn cold_dist_q(db: &dyn SpatialIndex, q: &PreparedQuery, id: usize) -> DistanceD
     DistanceDistribution::between_ref(db.object(id), q.object())
 }
 
+/// `U_Q` of `id` as a fresh traversal of `q` reading through `view` looks
+/// it up.
+fn warm_dist_q(
+    db: &dyn SpatialIndex,
+    q: &PreparedQuery,
+    view: &WarmView,
+    id: usize,
+) -> Arc<DistanceDistribution> {
+    CheckCtx::with_warm(db, q, FilterConfig::all(), Some(view.clone())).dist_q(id)
+}
+
 /// An old-snapshot reader fills records after the advance, concurrently
 /// with a new-snapshot reader.
 fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
@@ -348,9 +359,8 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     let mut old_built = Vec::new();
     let old_fill = |built: &mut Vec<_>| {
         let view = old_view.clone();
-        let mut m = QueryMetrics::new();
         for &id in &touched {
-            let dist = view.dist_q(&*snap0, &q, id, &mut m);
+            let dist = warm_dist_q(&*snap0, &q, &view, id);
             assert_eq!(*dist, cold_dist_q(&*snap0, &q, id));
             built.push(dist);
         }
@@ -374,9 +384,8 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
             start.wait();
             for _ in 0..20 {
                 let view = pool.view_for(&*snap1, &q);
-                let mut m = QueryMetrics::new();
                 for &id in &touched {
-                    let dist = view.dist_q(&*snap1, &q, id, &mut m);
+                    let dist = warm_dist_q(&*snap1, &q, &view, id);
                     assert_eq!(*dist, cold_dist_q(&*snap1, &q, id));
                 }
                 let r = nn_candidates_warm(&*snap1, &q, OP, &cfg, pool);
@@ -400,13 +409,12 @@ fn check_old_epoch_fills<D: SpatialIndex + Clone + Send + Sync>(db: D) {
     // Both tables are full now: the old one still serves only e0 values.
     let view = pool.view_for(&*snap1, &q);
     assert!(Arc::ptr_eq(view.cache(), &new_cache));
-    let mut m = QueryMetrics::new();
     for &id in &touched {
-        let dist = old_view.dist_q(&*snap0, &q, id, &mut m);
+        let dist = warm_dist_q(&*snap0, &q, &old_view, id);
         assert_eq!(*dist, cold_dist_q(&*snap0, &q, id), "id {id}");
     }
     for &id in &touched {
-        let dist = view.dist_q(&*snap1, &q, id, &mut m);
+        let dist = warm_dist_q(&*snap1, &q, &view, id);
         assert_eq!(*dist, cold_dist_q(&*snap1, &q, id), "id {id}");
         for d0 in &old_built {
             assert!(!Arc::ptr_eq(d0, &dist), "e0 U_Q of {id} at e1");
