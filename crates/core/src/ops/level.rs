@@ -20,6 +20,14 @@
 //!
 //! The check descends level by level and stops as soon as either rule
 //! fires; inconclusive descents fall through to the exact scan.
+//!
+//! The descent starts one level below the root, so a pair whose local
+//! trees are both single leaves (height 0: at most
+//! [`DEFAULT_LOCAL_FANOUT`](crate::db::DEFAULT_LOCAL_FANOUT) instances
+//! each) has no level to walk. [`run_filter`], the one entry point of both
+//! level filters (this module's S-SD/SS-SD bounds and P-SD's `G⁻` network),
+//! answers such a pair "inconclusive" before any phase timer, span or
+//! lookup, so no level snapshot is built for a single-leaf object.
 
 use crate::config::Stats;
 use crate::ctx::CheckCtx;
@@ -43,17 +51,41 @@ pub(crate) enum Granularity {
 /// Attempts to decide `U_Q ⪯_st V_Q` (strictly, for the SD side condition)
 /// from R-tree node bounds. `Some(true)` = validated, `Some(false)` =
 /// pruned, `None` = inconclusive.
-///
-/// The whole descent is recorded under the *level-prune* phase.
 pub(crate) fn try_decide(
     u: usize,
     v: usize,
     granularity: Granularity,
     ctx: &mut CheckCtx<'_>,
 ) -> Option<bool> {
+    run_filter(u, v, ctx, |ctx| {
+        if ctx.cfg.kernels {
+            try_decide_snapshot(u, v, granularity, ctx)
+        } else {
+            try_decide_scalar(u, v, granularity, ctx)
+        }
+    })
+}
+
+/// Runs one level filter on the pair `(u, v)` and returns its decision:
+/// `Some(true)` validated, `Some(false)` pruned, `None` inconclusive.
+///
+/// A pair with no level below the root (both local trees single leaves)
+/// is inconclusive at once: the filter's loop over levels `1..=height`
+/// would not run. Otherwise the whole descent is recorded under the
+/// *level-prune* phase and span.
+pub(super) fn run_filter(
+    u: usize,
+    v: usize,
+    ctx: &mut CheckCtx<'_>,
+    filter: impl FnOnce(&mut CheckCtx<'_>) -> Option<bool>,
+) -> Option<bool> {
+    let height = |id| ctx.db.local_tree(id).height().unwrap_or(0);
+    if height(u) == 0 && height(v) == 0 {
+        return None;
+    }
     let timer = PhaseTimer::start(Phase::LevelPrune);
     let span = ctx.trace.open("level-prune");
-    let decision = try_decide_inner(u, v, granularity, ctx);
+    let decision = filter(ctx);
     if span != SpanId::NONE {
         ctx.trace.attr(span, "u", AttrValue::U64(u as u64));
         ctx.trace.attr(span, "v", AttrValue::U64(v as u64));
@@ -72,15 +104,12 @@ pub(crate) fn try_decide(
     decision
 }
 
-fn try_decide_inner(
+fn try_decide_scalar(
     u: usize,
     v: usize,
     granularity: Granularity,
     ctx: &mut CheckCtx<'_>,
 ) -> Option<bool> {
-    if ctx.cfg.kernels {
-        return try_decide_snapshot(u, v, granularity, ctx);
-    }
     let db = ctx.db;
     let query = ctx.query;
     let stats = &mut ctx.stats;
@@ -148,22 +177,24 @@ fn try_decide_inner(
 /// traversal instead of being re-derived and re-sorted for every `(u, v)`
 /// pair. Each *use* of a memoized pair charges the same 2-per-(instance,
 /// group) comparison cost the scalar rebuild pays, keeping the frozen
-/// counters bit-identical.
+/// counters bit-identical. The instance counts of the early stop are the
+/// group counts of each snapshot's finest, all-singleton level.
 fn try_decide_snapshot(
     u: usize,
     v: usize,
     granularity: Granularity,
     ctx: &mut CheckCtx<'_>,
 ) -> Option<bool> {
-    let db = ctx.db;
     let m_q = ctx.query.len() as u64;
     let snap_u = ctx.level_snapshot(u);
     let snap_v = ctx.level_snapshot(v);
+    let len_u = snap_u.level(snap_u.num_levels()).len();
+    let len_v = snap_v.level(snap_v.num_levels()).len();
     let depth = snap_u.height().max(snap_v.height());
     for level in 1..=depth {
         let gu = snap_u.level(level).len();
         let gv = snap_v.level(level).len();
-        if gu == db.object(u).len() && gv == db.object(v).len() {
+        if gu == len_u && gv == len_v {
             return None;
         }
         match granularity {
@@ -278,4 +309,56 @@ fn validated(
     stats.instance_comparisons += 1;
     u_pes.mean() < v_opt.mean()
         && stochastically_dominates_counted(u_pes, v_opt, &mut stats.instance_comparisons)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::FilterConfig;
+    use crate::ctx::CheckCtx;
+    use crate::db::Database;
+    use crate::ops::Operator;
+    use crate::query::PreparedQuery;
+    use osd_geom::Point;
+    use osd_uncertain::UncertainObject;
+
+    /// Two 3-instance objects have single-leaf local trees, so the level
+    /// filter has no level to walk and is skipped before any lookup: an
+    /// S-SD check with validation and pruning off looks up only the two
+    /// `U_Q` of its exact scan (misses) and its strict guard (hits) — no
+    /// level snapshot and no quantised masses. The frozen counters equal
+    /// the scalar path's.
+    #[test]
+    fn a_single_leaf_pair_skips_the_level_filter_before_any_lookup() {
+        let pt = |x: f64, y: f64| Point::new(vec![x, y]);
+        let u = UncertainObject::uniform(vec![pt(0.0, 1.0), pt(0.5, 1.5), pt(1.0, 1.0)]);
+        let v = UncertainObject::uniform(vec![pt(0.0, 3.0), pt(0.5, 3.5), pt(1.0, 3.0)]);
+        let q = UncertainObject::uniform(vec![pt(0.0, 0.0), pt(1.0, 0.0)]);
+        let db = Database::new(vec![u, v]);
+        assert_eq!(db.local_tree(0).height(), Some(0));
+        assert_eq!(db.local_tree(1).height(), Some(0));
+        let query = PreparedQuery::new(q);
+        let cfg = FilterConfig {
+            mbr_validation: false,
+            pruning: false,
+            ..FilterConfig::all()
+        };
+        let run = |cfg: FilterConfig| {
+            let mut ctx = CheckCtx::new(&db, &query, cfg);
+            assert!(ctx.dominates(Operator::SSd, 0, 1), "U is nearer than V");
+            ctx.stats
+        };
+        let kernel = run(cfg);
+        let scalar = run(cfg.scalar());
+        assert_eq!(kernel.cache_misses, 2, "only the two U_Q are built");
+        assert_eq!(kernel.cache_hits, 2, "the strict guard reads them again");
+        let frozen = |s: crate::config::Stats| {
+            (
+                s.instance_comparisons,
+                s.dominance_checks,
+                s.flow_runs,
+                s.mbr_checks,
+            )
+        };
+        assert_eq!(frozen(kernel), frozen(scalar));
+    }
 }

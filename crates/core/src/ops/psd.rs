@@ -17,7 +17,9 @@
 //! 3. geometric early reject: an instance of `V` inside `CH(Q)` can only be
 //!    matched by a coincident instance of `U`;
 //! 4. level-by-level validation over local R-tree nodes with the
-//!    pessimistic (`G⁻`) network;
+//!    pessimistic (`G⁻`) network, skipped when neither local tree has a
+//!    level below its root (both single leaves, so no group is coarser
+//!    than an instance);
 //! 5. cover-based refutation through SS-SD's per-`U_q` scans
 //!    (`¬SS-SD ⇒ ¬P-SD`; S-SD is implied, so it is not run);
 //! 6. the exact instance network, built either by nested `⪯_Q` scans over
@@ -88,30 +90,16 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
         }
     }
 
-    // 4. Level-by-level validation over local R-tree nodes (recorded
-    //    under the *level-prune* phase and span, as S-SD and SS-SD's
-    //    level filter is; the embedded flow solves additionally record
-    //    *refine* samples).
-    if ctx.cfg.level_by_level {
-        let timer = PhaseTimer::start(Phase::LevelPrune);
-        let span = ctx.trace.open("level-prune");
-        let validated = level_validates(u, v, ctx);
-        if span != osd_obs::SpanId::NONE {
-            ctx.trace.attr(span, "u", osd_obs::AttrValue::U64(u as u64));
-            ctx.trace.attr(span, "v", osd_obs::AttrValue::U64(v as u64));
-            let decision = if validated {
-                "validated"
-            } else {
-                "inconclusive"
-            };
-            ctx.trace
-                .attr(span, "decision", osd_obs::AttrValue::Str(decision.into()));
-        }
-        ctx.trace.close(span);
-        ctx.metrics.record(timer);
-        if validated {
-            return ctx.strict_guard(u, v);
-        }
+    // 4. Level-by-level validation over local R-tree nodes, run (and
+    //    recorded under the *level-prune* phase and span) through the same
+    //    gate as S-SD and SS-SD's level filter: a pair of single-leaf
+    //    local trees has no level below the root and skips the step. The
+    //    embedded flow solves additionally record *refine* samples.
+    if ctx.cfg.level_by_level
+        && super::level::run_filter(u, v, ctx, |ctx| level_validates(u, v, ctx).then_some(true))
+            .is_some()
+    {
+        return ctx.strict_guard(u, v);
     }
 
     // 5. Cover-based refutation: ¬SS-SD ⇒ ¬P-SD (Theorem 2), and S-SD is

@@ -1146,11 +1146,16 @@ impl WarmPool {
                 return Arc::new(WarmCache::blank(db));
             }
         }
-        let next = Arc::new(match cur.take() {
-            Some(old) => WarmCache::advance(&old, db),
+        let old = cur.take();
+        let next = Arc::new(match &old {
+            Some(old) => WarmCache::advance(old, db),
             None => WarmCache::blank(db),
         });
         *cur = Some(Arc::clone(&next));
+        // Freeing the superseded cache costs more than the advance; do it
+        // after the lock is released, not while other readers wait on it.
+        drop(cur);
+        drop(old);
         next
     }
 

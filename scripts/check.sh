@@ -106,8 +106,11 @@ echo "== tracer purity =="
 # every traced query must yield a rooted span tree, and the obs-off build
 # must record nothing. Run with obs on, where traces are recorded.
 cargo test -q --features obs --test obs_purity
+# The core suite's pinned candidates and counters hold in both builds.
+cargo test -q -p osd-core --features obs --test obs_purity
 # The timers and the tracer agree: P-SD's level-prune samples and F-SD's
-# rtree-descent samples (its local-tree searches included) have spans.
+# rtree-descent samples (its local-tree searches included) have spans,
+# and pairs of single-leaf local trees record neither.
 cargo test -q --features obs --test trace_phases
 
 echo "== warm-cache bit-identity, eviction and sharing =="

@@ -1,17 +1,18 @@
 //! The two bookkeeping paths of the instrumented build agree: a traced
 //! P-SD query records one `level-prune` span per `level-prune` timer
 //! sample, and a traced F-SD query one `rtree-descent` span per
-//! `rtree-descent` sample, its local-tree searches included. A
-//! `cache-build` instant marks a `U_Q` that was built, never one a query
-//! table served. Runs with `--features obs`; without it the tracer records
-//! nothing and this file is empty.
+//! `rtree-descent` sample, its local-tree searches included. A pair of
+//! single-leaf local trees records neither a `level-prune` span nor a
+//! sample. A `cache-build` instant marks a `U_Q` that was built, never one
+//! a query table served. Runs with `--features obs`; without it the tracer
+//! records nothing and this file is empty.
 #![cfg(feature = "obs")]
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use osd::core::{nn_candidates_warm, WarmPool};
 use osd::datagen::{generate_objects, generate_queries, CenterDistribution, SynthParams};
-use osd::obs::{AttrValue, Phase};
+use osd::obs::{AttrValue, Phase, SpanRecord};
 use osd::prelude::*;
 
 #[test]
@@ -45,6 +46,92 @@ fn psd_level_prune_samples_have_trace_spans() {
     assert!(
         sampled > 0,
         "the workload never reached the P-SD level filter"
+    );
+}
+
+/// The `u` or `v` operand attribute of a `level-prune` span.
+fn operand(span: &SpanRecord, key: &str) -> usize {
+    let id = span.attrs().find_map(|(k, v)| match v {
+        AttrValue::U64(id) if k == key => Some(*id as usize),
+        _ => None,
+    });
+    id.expect("a level-prune span carries its operands")
+}
+
+/// An object with at most 4 instances (the local fan-out) has a
+/// single-leaf local tree, with no level below its root: the level filter
+/// of S-SD, SS-SD and P-SD skips such a pair before its timer and span.
+/// Over m = 3 objects no traced query records either. Over a mix of m = 3
+/// and m = 12 objects the filter runs exactly on pairs with a taller tree,
+/// one span per sample. On both, tracing changes no id or frozen counter.
+#[test]
+fn single_leaf_pairs_record_no_level_prune() {
+    let params = |instances, seed| SynthParams {
+        n: 60,
+        dim: 2,
+        instances,
+        edge: 400.0,
+        centers: CenterDistribution::AntiCorrelated,
+        seed,
+    };
+    let small = generate_objects(&params(3, 26));
+    let large = generate_objects(&params(12, 27));
+    let mixed: Vec<_> = small
+        .iter()
+        .zip(&large)
+        .flat_map(|(a, b)| [a.clone(), b.clone()])
+        .collect();
+    let frozen = |s: &Stats| {
+        (
+            s.instance_comparisons,
+            s.dominance_checks,
+            s.flow_runs,
+            s.mbr_checks,
+        )
+    };
+    let queries: Vec<_> = generate_queries(&params(3, 26), 6, 4, 200.0, 7)
+        .into_iter()
+        .map(PreparedQuery::new)
+        .collect();
+    let cfg = FilterConfig::all().traced();
+    let mut sampled = 0;
+    for (objects, single_leaf) in [(small, true), (mixed, false)] {
+        let db = Database::new(objects);
+        for q in &queries {
+            for op in [Operator::SSd, Operator::SsSd, Operator::PSd] {
+                let r = nn_candidates(&db, q, op, &cfg);
+                let samples = r.metrics.phase_count(Phase::LevelPrune);
+                let trace = r
+                    .trace
+                    .as_ref()
+                    .expect("obs build records a requested trace");
+                assert_eq!(trace.dropped, 0, "the workload fits the trace arena");
+                let spans: Vec<_> = trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.name == "level-prune")
+                    .collect();
+                assert_eq!(spans.len() as u64, samples, "{op:?}: one span per sample");
+                for s in &spans {
+                    let (u, v) = (operand(s, "u"), operand(s, "v"));
+                    assert!(
+                        db.object(u).len() > 4 || db.object(v).len() > 4,
+                        "{op:?}: level filter ran on single-leaf pair ({u}, {v})"
+                    );
+                }
+                if single_leaf {
+                    assert_eq!(samples, 0, "{op:?}: level filter ran on m = 3 objects");
+                }
+                sampled += samples;
+                let bare = nn_candidates(&db, q, op, &FilterConfig::all());
+                assert_eq!(r.ids(), bare.ids(), "{op:?}: tracing changed the ids");
+                assert_eq!(frozen(&r.stats), frozen(&bare.stats), "{op:?} counters");
+            }
+        }
+    }
+    assert!(
+        sampled > 0,
+        "the mixed workload never reached a level filter"
     );
 }
 
