@@ -739,7 +739,8 @@ pub fn cmd_score(flags: &Flags) -> Result<(), CliError> {
 /// `osd gen`: generate a synthetic/surrogate dataset into a CSV file.
 ///
 /// # Errors
-/// Returns a [`CliError`] on bad flags or write failures.
+/// Returns a [`CliError`] on bad flags (an `--n`, `--m` or `--dim` of 0,
+/// a non-finite `--edge`) or write failures.
 pub fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
     let out = flags.required("--out")?;
     let kind = flags.value("--dataset").unwrap_or("anti");
@@ -748,6 +749,14 @@ pub fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
     let dim: usize = flags.parsed_or("--dim", 3)?;
     let edge: f64 = flags.parsed_or("--edge", 400.0)?;
     let seed: u64 = flags.parsed_or("--seed", 42)?;
+    for (flag, value) in [("--n", n), ("--m", m), ("--dim", dim)] {
+        if value == 0 {
+            return Err(CliError::BadArgument(format!("{flag} must be at least 1")));
+        }
+    }
+    if !edge.is_finite() {
+        return Err(CliError::BadArgument("--edge must be finite".into()));
+    }
 
     let objects = match kind {
         "anti" | "indep" => {
@@ -1208,6 +1217,30 @@ mod tests {
         std::fs::remove_file(&out).ok();
         assert!(matches!(err, CliError::BadArgument(_)), "got {err:?}");
         assert!(err.to_string().contains("--k"), "got {err}");
+    }
+
+    #[test]
+    fn gen_rejects_degenerate_flags() {
+        let out = tmp("degenerate.csv");
+        for (flag, args) in [
+            ("--n", &["--n", "0"][..]),
+            ("--m", &["--m", "0"]),
+            ("--dim", &["--dim", "0"]),
+            ("--edge", &["--edge", "nan"]),
+            ("--edge", &["--edge", "inf"]),
+            ("--n", &["--dataset", "gw", "--n", "0"]),
+            ("--m", &["--dataset", "nba", "--m", "0"]),
+        ] {
+            let mut kv = vec!["--out", out.as_str()];
+            kv.extend_from_slice(args);
+            let err = cmd_gen(&flags(&kv)).unwrap_err();
+            assert!(
+                matches!(err, CliError::BadArgument(_)),
+                "{args:?}: got {err:?}"
+            );
+            assert!(err.to_string().contains(flag), "{args:?}: got {err}");
+        }
+        assert!(!Path::new(&out).exists(), "no generator may run");
     }
 
     #[test]

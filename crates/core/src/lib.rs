@@ -92,10 +92,7 @@ pub use explain::{dominance_matrix, dominators_of, dominators_of_with};
 pub use index::{IndexStats, ShardStats, SpatialIndex};
 pub use knnc::{k_nn_candidates, k_nn_candidates_bruteforce, k_nn_candidates_warm, KnncResult};
 pub use nnc::{nn_candidates, nn_candidates_warm, Candidate, NncResult, ProgressiveNnc};
-pub use ops::{
-    dominates, enclosing_ball, f_plus_sd, f_sd, p_sd, peer_network_flow, s_sd, sphere_validate,
-    ss_sd, Operator,
-};
+pub use ops::{dominates, f_plus_sd, f_sd, p_sd, peer_network_flow, s_sd, ss_sd, Operator};
 pub use osd_obs::{FlightRecorder, QueryMetrics, QueryTrace, TraceData};
 pub use osd_uncertain::{Change, EpochLog};
 pub use publish::PublishedIndex;

@@ -9,7 +9,6 @@
 mod fsd;
 mod level;
 mod psd;
-pub mod sphere;
 mod ssd;
 mod sssd;
 
@@ -21,7 +20,6 @@ use crate::query::PreparedQuery;
 use osd_uncertain::UncertainObject;
 
 pub use psd::peer_network_flow;
-pub use sphere::{enclosing_ball, sphere_validate};
 
 /// The spatial dominance operators, ordered from strongest dominance
 /// condition (fewest dominations, most candidates) to weakest.

@@ -11,12 +11,10 @@
 //! * [`hull`] — convex-hull vertex extraction (monotone chain in 2-D, LP
 //!   based in higher dimensions) plus point-in-hull tests;
 //! * [`closer`] — the `u ⪯_Q v` relation and its bisector side test;
-//! * [`lp`] — a small dense two-phase simplex solver backing the hull code;
-//! * [`sphere`] — Welzl minimal enclosing balls and the hypersphere
-//!   dominance filter of Long et al.
+//! * [`lp`] — a small dense two-phase simplex solver backing the hull code.
 //!
 //! ```
-//! use osd_geom::{hull_vertices, mbr_dominates, min_enclosing_ball, Mbr, Point};
+//! use osd_geom::{hull_vertices, mbr_dominates, Mbr, Point};
 //!
 //! // Convex hull: the interior point is dropped.
 //! let pts = vec![
@@ -33,10 +31,6 @@
 //! let v = Mbr::new(vec![10.0, 10.0], vec![11.0, 11.0]);
 //! let q = Mbr::new(vec![0.0, 0.0], vec![2.0, 2.0]);
 //! assert!(mbr_dominates(&u, &v, &q));
-//!
-//! // Minimal enclosing ball (Welzl).
-//! let ball = min_enclosing_ball(&pts);
-//! assert!((ball.radius - 8f64.sqrt()).abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]
@@ -48,7 +42,6 @@ pub mod kernels;
 pub mod lp;
 pub mod mbr;
 pub mod point;
-pub mod sphere;
 
 pub use closer::{closer_to_all, closer_to_all_rows, on_near_side};
 pub use dominance::{mbr_dominates, mbr_dominates_strict};
@@ -56,7 +49,6 @@ pub use hull::{hull_vertex_indices, hull_vertices, point_in_hull, point_in_hull_
 pub use kernels::{dist2_rows_batch, max_dist2_rows, min_dist2_rows, min_dist2_rows_multi};
 pub use mbr::Mbr;
 pub use point::{dist2_slice, dist_slice, Point, MAX_INPUT_COORD};
-pub use sphere::{min_enclosing_ball, sphere_dominates_sufficient, Sphere};
 
 // Compile-time auto-trait surface: the geometry primitives are shared
 // read-only across query-engine worker threads, so losing `Send + Sync`
@@ -65,4 +57,3 @@ pub use sphere::{min_enclosing_ball, sphere_dominates_sufficient, Sphere};
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<Point>();
 const _: () = _assert_send_sync::<Mbr>();
-const _: () = _assert_send_sync::<Sphere>();

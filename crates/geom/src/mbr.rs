@@ -154,11 +154,6 @@ impl Mbr {
             .product()
     }
 
-    /// Half-perimeter (sum of edge lengths) — the R*-tree margin measure.
-    pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
-    }
-
     /// Whether `self` fully contains `other`.
     pub fn contains(&self, other: &Mbr) -> bool {
         debug_assert_eq!(self.dim(), other.dim());
@@ -216,32 +211,6 @@ impl Mbr {
         self.min_dist2_point(p).sqrt()
     }
 
-    /// Squared minimal distance from a coordinate row to this box — the
-    /// borrowed-slice twin of [`Mbr::min_dist2_point`] (same per-dimension
-    /// fold, bit-identical results).
-    pub fn min_dist2_row(&self, row: &[f64]) -> f64 {
-        debug_assert_eq!(self.dim(), row.len());
-        row.iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let d = if c < self.lo[i] {
-                    self.lo[i] - c
-                } else if c > self.hi[i] {
-                    c - self.hi[i]
-                } else {
-                    0.0
-                };
-                d * d
-            })
-            .sum()
-    }
-
-    /// Minimal distance from a coordinate row to this box.
-    #[inline]
-    pub fn min_dist_row(&self, row: &[f64]) -> f64 {
-        self.min_dist2_row(row).sqrt()
-    }
-
     /// Squared maximal distance from a point to this box (distance to the
     /// farthest corner).
     pub fn max_dist2_point(&self, p: &Point) -> f64 {
@@ -260,25 +229,6 @@ impl Mbr {
     #[inline]
     pub fn max_dist_point(&self, p: &Point) -> f64 {
         self.max_dist2_point(p).sqrt()
-    }
-
-    /// Squared maximal distance from a coordinate row to this box — the
-    /// borrowed-slice twin of [`Mbr::max_dist2_point`].
-    pub fn max_dist2_row(&self, row: &[f64]) -> f64 {
-        debug_assert_eq!(self.dim(), row.len());
-        row.iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let d = (c - self.lo[i]).abs().max((c - self.hi[i]).abs());
-                d * d
-            })
-            .sum()
-    }
-
-    /// Maximal distance from a coordinate row to this box.
-    #[inline]
-    pub fn max_dist_row(&self, row: &[f64]) -> f64 {
-        self.max_dist2_row(row).sqrt()
     }
 
     /// Squared minimal distance between two boxes (0 if they intersect).
@@ -302,25 +252,6 @@ impl Mbr {
     #[inline]
     pub fn min_dist(&self, other: &Mbr) -> f64 {
         self.min_dist2(other).sqrt()
-    }
-
-    /// Squared maximal distance between two boxes (farthest corner pair).
-    pub fn max_dist2(&self, other: &Mbr) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        (0..self.dim())
-            .map(|i| {
-                let d = (other.hi[i] - self.lo[i])
-                    .abs()
-                    .max((self.hi[i] - other.lo[i]).abs());
-                d * d
-            })
-            .sum()
-    }
-
-    /// Maximal distance between two boxes.
-    #[inline]
-    pub fn max_dist(&self, other: &Mbr) -> f64 {
-        self.max_dist2(other).sqrt()
     }
 }
 
@@ -403,10 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn volume_and_margin() {
+    fn volume_basics() {
         let m = b(&[0.0, 0.0], &[2.0, 3.0]);
         assert_eq!(m.volume(), 6.0);
-        assert_eq!(m.margin(), 5.0);
         assert_eq!(Mbr::from_point(&p(&[1.0, 1.0])).volume(), 0.0);
     }
 
@@ -424,7 +354,6 @@ mod tests {
         let a = b(&[0.0, 0.0], &[1.0, 1.0]);
         let c = b(&[4.0, 0.0], &[5.0, 1.0]);
         assert_eq!(a.min_dist(&c), 3.0);
-        assert!((a.max_dist(&c) - (25f64 + 1.0).sqrt()).abs() < 1e-12);
         assert_eq!(a.min_dist(&a), 0.0);
     }
 
@@ -462,22 +391,6 @@ mod tests {
         let m = b(&[0.0, 0.0], &[4.0, 4.0]);
         for q in [p(&[2.0, 2.0]), p(&[6.0, 2.0]), p(&[-1.5, 7.25])] {
             assert_eq!(m.contains_row(q.coords()), m.contains_point(&q));
-            assert_eq!(
-                m.min_dist2_row(q.coords()).to_bits(),
-                m.min_dist2_point(&q).to_bits()
-            );
-            assert_eq!(
-                m.max_dist2_row(q.coords()).to_bits(),
-                m.max_dist2_point(&q).to_bits()
-            );
-            assert_eq!(
-                m.min_dist_row(q.coords()).to_bits(),
-                m.min_dist_point(&q).to_bits()
-            );
-            assert_eq!(
-                m.max_dist_row(q.coords()).to_bits(),
-                m.max_dist_point(&q).to_bits()
-            );
         }
     }
 

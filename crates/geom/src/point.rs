@@ -1,8 +1,7 @@
 //! d-dimensional points and Euclidean distance primitives.
 //!
-//! The paper assumes Euclidean distance throughout (§2.1) but notes the
-//! techniques extend to other metrics; we keep the point representation
-//! metric-agnostic and expose squared/plain Euclidean helpers.
+//! The paper assumes Euclidean distance throughout (§2.1); points expose
+//! squared and plain Euclidean helpers.
 
 use std::fmt;
 
@@ -79,44 +78,6 @@ impl Point {
         self.dist2(other).sqrt()
     }
 
-    /// Manhattan (L1) distance. The paper's techniques extend to other
-    /// metrics (§2.1); the dominance operators as shipped use L2, but the
-    /// metric helpers are provided for downstream distance distributions.
-    pub fn dist_l1(&self, other: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.coords
-            .iter()
-            .zip(other.coords.iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum()
-    }
-
-    /// Chebyshev (L∞) distance.
-    pub fn dist_linf(&self, other: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.coords
-            .iter()
-            .zip(other.coords.iter())
-            .map(|(a, b)| (a - b).abs())
-            .max_by(f64::total_cmp)
-            .unwrap_or(0.0)
-    }
-
-    /// Minkowski distance of order `p ≥ 1`.
-    ///
-    /// # Panics
-    /// Panics if `p < 1` (not a metric below 1).
-    pub fn dist_minkowski(&self, other: &Point, p: f64) -> f64 {
-        assert!(p >= 1.0, "Minkowski order must be at least 1");
-        debug_assert_eq!(self.dim(), other.dim());
-        self.coords
-            .iter()
-            .zip(other.coords.iter())
-            .map(|(a, b)| (a - b).abs().powf(p))
-            .sum::<f64>()
-            .powf(1.0 / p)
-    }
-
     /// Minimal Euclidean distance from this point to a non-empty set of
     /// points: `δ_min(x, S) = min_{y ∈ S} δ(x, y)`.
     ///
@@ -128,19 +89,6 @@ impl Point {
             .map(|y| self.dist(y))
             .min_by(f64::total_cmp)
             .unwrap_or(f64::INFINITY)
-    }
-
-    /// Maximal Euclidean distance from this point to a non-empty set of
-    /// points: `δ_max(x, S) = max_{y ∈ S} δ(x, y)`.
-    ///
-    /// # Panics
-    /// Panics if `set` is empty.
-    pub fn dist_max(&self, set: &[Point]) -> f64 {
-        assert!(!set.is_empty(), "δ_max of an empty set is undefined");
-        set.iter()
-            .map(|y| self.dist(y))
-            .max_by(f64::total_cmp)
-            .unwrap_or(0.0)
     }
 }
 
@@ -218,11 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_set_distance() {
+    fn min_set_distance() {
         let x = p(&[0.0, 0.0]);
         let set = vec![p(&[1.0, 0.0]), p(&[0.0, 2.0]), p(&[3.0, 4.0])];
         assert_eq!(x.dist_min(&set), 1.0);
-        assert_eq!(x.dist_max(&set), 5.0);
     }
 
     #[test]
@@ -235,25 +182,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let _ = p(&[0.0, f64::NAN]);
-    }
-
-    #[test]
-    fn minkowski_family_consistent() {
-        let a = p(&[0.0, 0.0]);
-        let b = p(&[3.0, 4.0]);
-        assert_eq!(a.dist_l1(&b), 7.0);
-        assert_eq!(a.dist_linf(&b), 4.0);
-        assert!((a.dist_minkowski(&b, 1.0) - 7.0).abs() < 1e-12);
-        assert!((a.dist_minkowski(&b, 2.0) - 5.0).abs() < 1e-12);
-        // L∞ is the p → ∞ limit; p = 64 is already close.
-        assert!((a.dist_minkowski(&b, 64.0) - 4.0).abs() < 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn minkowski_below_one_rejected() {
-        let a = p(&[0.0]);
-        let _ = a.dist_minkowski(&p(&[1.0]), 0.5);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod distribution;
 pub mod epoch;
 pub mod error;
 pub mod matching;
-pub mod metric;
 pub mod object;
 pub mod quantize;
 pub mod stochastic;
@@ -60,7 +59,6 @@ pub use distribution::DistanceDistribution;
 pub use epoch::{touched_ids, Change, EpochLog, DEFAULT_LOG_CAP};
 pub use error::ObjectError;
 pub use matching::{construct_match, is_valid_match, match_dominates, MatchTuple};
-pub use metric::{s_sd_metric, ss_sd_metric, Metric};
 pub use object::{Instance, UncertainObject};
 pub use quantize::{quantize, SCALE};
 pub use stochastic::{

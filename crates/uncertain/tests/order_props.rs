@@ -1,10 +1,8 @@
 //! Property tests for the stochastic order, match order and quantisation.
 
-use osd_geom::Point;
 use osd_uncertain::{
-    construct_match, is_valid_match, match_dominates, quantize, s_sd_metric,
-    stochastically_dominates, strictly_dominates, DistanceDistribution, Metric, UncertainObject,
-    SCALE,
+    construct_match, is_valid_match, match_dominates, quantize, stochastically_dominates,
+    DistanceDistribution, SCALE,
 };
 use proptest::prelude::*;
 
@@ -86,47 +84,6 @@ proptest! {
             prop_assert!(x.max() <= y.max() + 1e-9);
             for phi in [0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
                 prop_assert!(x.quantile(phi) <= y.quantile(phi) + 1e-9);
-            }
-        }
-    }
-
-    /// The L2 metric-generalised S-SD equals the default (strict) check.
-    #[test]
-    fn prop_l2_metric_matches_default(
-        upts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..5),
-        vpts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..5),
-        qpts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..4),
-    ) {
-        let mk = |pts: &Vec<(f64, f64)>| {
-            UncertainObject::uniform(pts.iter().map(|&(x, y)| Point::new(vec![x, y])).collect())
-        };
-        let (u, v, q) = (mk(&upts), mk(&vpts), mk(&qpts));
-        let metric = s_sd_metric(&u, &v, &q, Metric::L2);
-        let du = DistanceDistribution::between(&u, &q);
-        let dv = DistanceDistribution::between(&v, &q);
-        prop_assert_eq!(metric, strictly_dominates(&du, &dv));
-    }
-
-    /// Under every metric, dominance still implies the ordering of the
-    /// distribution statistics (stability is metric-independent).
-    #[test]
-    fn prop_metric_dominance_orders_means(
-        upts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..5),
-        vpts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..5),
-        qpts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..4),
-    ) {
-        use osd_uncertain::metric::distribution_between;
-        let mk = |pts: &Vec<(f64, f64)>| {
-            UncertainObject::uniform(pts.iter().map(|&(x, y)| Point::new(vec![x, y])).collect())
-        };
-        let (u, v, q) = (mk(&upts), mk(&vpts), mk(&qpts));
-        for m in [Metric::L1, Metric::LInf, Metric::Minkowski(3.0)] {
-            if s_sd_metric(&u, &v, &q, m) {
-                let du = distribution_between(&u, &q, m);
-                let dv = distribution_between(&v, &q, m);
-                prop_assert!(du.mean() <= dv.mean() + 1e-9, "{:?}", m);
-                prop_assert!(du.min() <= dv.min() + 1e-9, "{:?}", m);
-                prop_assert!(du.max() <= dv.max() + 1e-9, "{:?}", m);
             }
         }
     }

@@ -110,8 +110,14 @@ cargo test -q --features obs --test obs_purity
 cargo test -q -p osd-core --features obs --test obs_purity
 # The timers and the tracer agree: P-SD's level-prune samples and F-SD's
 # rtree-descent samples (its local-tree searches included) have spans,
-# and pairs of single-leaf local trees record neither.
+# every phase sample of every operator has a span, and pairs of
+# single-leaf local trees record no level-prune.
 cargo test -q --features obs --test trace_phases
+# osd-obs on its own: the workspace build turns `osd-obs/enabled` on
+# (through osd-cli's default `obs` feature), so only a package-scoped run
+# tests and lints the obs-off half of the crate.
+cargo test -q -p osd-obs
+cargo clippy -q -p osd-obs --all-targets -- -D warnings
 
 echo "== warm-cache bit-identity, eviction and sharing =="
 # The epoch-keyed warm cache is a pure memoisation layer: warm answers

@@ -152,8 +152,3 @@
 //! other presets exist for the Appendix C ablation. All presets return
 //! identical candidate sets — only the work differs — which the test suite
 //! enforces (`prop_filter_config_invariance`, the `stress` binary).
-//!
-//! For data that does not fit the Euclidean assumption,
-//! [`Metric`](osd_uncertain::Metric)-parameterised variants of the
-//! stochastic operators live in
-//! [`osd::uncertain::metric`](osd_uncertain::metric).

@@ -1,7 +1,9 @@
-//! The two bookkeeping paths of the instrumented build agree: a traced
-//! P-SD query records one `level-prune` span per `level-prune` timer
-//! sample, and a traced F-SD query one `rtree-descent` span per
-//! `rtree-descent` sample, its local-tree searches included. A pair of
+//! The two bookkeeping paths of the instrumented build agree: every
+//! operator's traced NNC and k-NNC queries record one span per timer
+//! sample of every phase. A traced P-SD query records one `level-prune`
+//! span per `level-prune` timer sample, and a traced F-SD query one
+//! `rtree-descent` span per `rtree-descent` sample, its local-tree
+//! searches included. A pair of
 //! single-leaf local trees records neither a `level-prune` span nor a
 //! sample. A `cache-build` instant marks a `U_Q` that was built, never one
 //! a query table served. Runs with `--features obs`; without it the tracer
@@ -14,6 +16,77 @@ use osd::core::{nn_candidates_warm, WarmPool};
 use osd::datagen::{generate_objects, generate_queries, CenterDistribution, SynthParams};
 use osd::obs::{AttrValue, Phase, SpanRecord};
 use osd::prelude::*;
+
+/// The span names that the timer samples of `phase` open.
+fn phase_spans(phase: Phase) -> &'static [&'static str] {
+    match phase {
+        Phase::Prepare => &["prepare"],
+        Phase::RtreeDescent => &["rtree-descent"],
+        Phase::LevelPrune => &["level-prune"],
+        Phase::Validate => &["validate", "strict-guard"],
+        Phase::Refine => &["flow"],
+    }
+}
+
+/// Every phase sample has a span: over anti-correlated m = 30 objects
+/// (tall local trees) and independent m = 12 and m = 3 objects, each
+/// operator's traced NNC (k = 1) and k-NNC (k = 2) queries record, per
+/// phase, exactly as many spans as the phase has timer samples. Every
+/// phase is sampled somewhere, and no trace is truncated.
+#[test]
+fn every_phase_sample_has_a_span() {
+    let shapes = [
+        (30, CenterDistribution::AntiCorrelated, 26),
+        (12, CenterDistribution::Independent, 27),
+        (3, CenterDistribution::Independent, 28),
+    ];
+    let cfg = FilterConfig::all().traced();
+    let mut sampled = [0u64; Phase::COUNT];
+    for (instances, centers, seed) in shapes {
+        let params = SynthParams {
+            n: 60,
+            dim: 2,
+            instances,
+            edge: 400.0,
+            centers,
+            seed,
+        };
+        let db = Database::new(generate_objects(&params));
+        for q in generate_queries(&params, 6, 4, 200.0, 7) {
+            let q = PreparedQuery::new(q);
+            for op in Operator::ALL {
+                let nnc = nn_candidates(&db, &q, op, &cfg);
+                let knnc = k_nn_candidates(&db, &q, op, 2, &cfg);
+                for (k, metrics, trace) in
+                    [(1, nnc.metrics, nnc.trace), (2, knnc.metrics, knnc.trace)]
+                {
+                    let trace = trace.expect("obs build records a requested trace");
+                    assert_eq!(
+                        trace.dropped, 0,
+                        "{op:?} k = {k}: the workload fits the trace arena"
+                    );
+                    for (i, phase) in Phase::ALL.into_iter().enumerate() {
+                        let names = phase_spans(phase);
+                        let spans = trace
+                            .spans
+                            .iter()
+                            .filter(|s| names.contains(&s.name.as_ref()))
+                            .count();
+                        let samples = metrics.phase_count(phase);
+                        assert_eq!(
+                            spans as u64, samples,
+                            "{op:?} k = {k}, m = {instances}: one span per {phase:?} sample"
+                        );
+                        sampled[i] += samples;
+                    }
+                }
+            }
+        }
+    }
+    for (phase, n) in Phase::ALL.into_iter().zip(sampled) {
+        assert!(n > 0, "the workload never sampled {phase:?}");
+    }
+}
 
 #[test]
 fn psd_level_prune_samples_have_trace_spans() {
