@@ -740,7 +740,7 @@ pub fn cmd_score(flags: &Flags) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Returns a [`CliError`] on bad flags (an `--n`, `--m` or `--dim` of 0,
-/// a non-finite `--edge`) or write failures.
+/// a non-finite or negative `--edge`) or write failures.
 pub fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
     let out = flags.required("--out")?;
     let kind = flags.value("--dataset").unwrap_or("anti");
@@ -756,6 +756,9 @@ pub fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
     }
     if !edge.is_finite() {
         return Err(CliError::BadArgument("--edge must be finite".into()));
+    }
+    if edge < 0.0 {
+        return Err(CliError::BadArgument("--edge must not be negative".into()));
     }
 
     let objects = match kind {
@@ -1228,6 +1231,7 @@ mod tests {
             ("--dim", &["--dim", "0"]),
             ("--edge", &["--edge", "nan"]),
             ("--edge", &["--edge", "inf"]),
+            ("--edge", &["--edge", "-5"]),
             ("--n", &["--dataset", "gw", "--n", "0"]),
             ("--m", &["--dataset", "nba", "--m", "0"]),
         ] {

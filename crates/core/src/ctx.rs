@@ -21,7 +21,8 @@ use crate::query::PreparedQuery;
 use crate::warm::WarmView;
 use osd_flow::Transport;
 use osd_obs::{
-    trace::DEFAULT_TRACE_EVENTS, AttrValue, Phase, PhaseTimer, QueryMetrics, QueryTrace,
+    trace::DEFAULT_TRACE_EVENTS, AttrValue, Phase, PhaseSample, PhaseTimer, QueryMetrics,
+    QueryTrace, SpanId,
 };
 #[cfg(test)]
 use std::sync::Arc;
@@ -46,6 +47,18 @@ pub(crate) struct CheckScratch {
     pub(crate) dist_u: Vec<f64>,
     /// Blocked distance table `δ²(v_j, q)`, query-major.
     pub(crate) dist_v: Vec<f64>,
+}
+
+/// One timed phase sample in flight, opened by [`CheckCtx::phase`] and
+/// closed by [`CheckCtx::end_phase`]: the sample's timer and, on a traced
+/// query, its span.
+///
+/// Not a RAII guard: it would hold the context borrowed across the timed
+/// region. Dropping it without [`CheckCtx::end_phase`] discards the sample.
+pub(crate) struct PhaseGuard {
+    timer: PhaseTimer,
+    /// The sample's span ([`SpanId::NONE`] untraced); attributes go here.
+    pub(crate) span: SpanId,
 }
 
 /// The environment of one query's dominance checks: shared read-only data
@@ -125,7 +138,7 @@ impl<'a> CheckCtx<'a> {
         let span = self.trace.open("check");
         let flows_before = self.stats.flow_runs;
         let result = crate::ops::dominates(op, u, v, self);
-        if span != osd_obs::SpanId::NONE {
+        if span != SpanId::NONE {
             self.trace.attr(span, "u", AttrValue::U64(u as u64));
             self.trace.attr(span, "v", AttrValue::U64(v as u64));
             self.trace.attr(
@@ -140,26 +153,44 @@ impl<'a> CheckCtx<'a> {
         result
     }
 
+    /// Starts one timed sample of `phase`, traced as a span named `span`.
+    /// This is the sample's entry clock read, and [`Self::end_phase`] its
+    /// exit read: the two readings feed the phase total and histogram and,
+    /// on a traced query, the span's start and duration.
+    #[inline]
+    pub(crate) fn phase(&mut self, phase: Phase, span: &'static str) -> PhaseGuard {
+        let timer = PhaseTimer::start(phase);
+        let span = self.trace.open_at(span, &timer);
+        PhaseGuard { timer, span }
+    }
+
+    /// Ends the sample `guard` started (see [`Self::phase`]) and returns
+    /// it, for a caller that records it once more (a labelled tally).
+    #[inline]
+    pub(crate) fn end_phase(&mut self, guard: PhaseGuard) -> PhaseSample {
+        let sample = guard.timer.stop();
+        self.trace.close_at(guard.span, &sample);
+        self.metrics.record(&sample);
+        sample
+    }
+
     /// Cover-based validation (Theorem 4), shared by the strict operators:
     /// the *strict* MBR dominance test guarantees `U_Q ≠ V_Q` on top of
     /// full spatial dominance, so it validates S-SD, SS-SD and P-SD exactly.
+    ///
+    /// Counted (`Stats::mbr_checks`), not timed: the O(d) test costs less
+    /// than the two clock reads a phase sample takes. A traced query marks
+    /// a pair it validates with an `mbr-validated` instant.
     pub(crate) fn validate_mbr(&mut self, u: usize, v: usize) -> bool {
-        let timer = PhaseTimer::start(Phase::Validate);
-        let span = self.trace.open("validate");
         self.stats.mbr_checks += 1;
         let validated = osd_geom::mbr_dominates_strict(
             self.db.object(u).mbr(),
             self.db.object(v).mbr(),
             self.query.mbr(),
         );
-        if span != osd_obs::SpanId::NONE {
-            self.trace.attr(span, "u", AttrValue::U64(u as u64));
-            self.trace.attr(span, "v", AttrValue::U64(v as u64));
-            self.trace
-                .attr(span, "validated", AttrValue::U64(validated as u64));
+        if validated {
+            self.trace.instant("mbr-validated");
         }
-        self.trace.close(span);
-        self.metrics.record(timer);
         validated
     }
 
@@ -168,18 +199,16 @@ impl<'a> CheckCtx<'a> {
     /// path, so the extra distribution build amortises to at most one per
     /// discarded object.
     pub(crate) fn strict_guard(&mut self, u: usize, v: usize) -> bool {
-        let timer = PhaseTimer::start(Phase::Validate);
-        let span = self.trace.open("strict-guard");
+        let guard = self.phase(Phase::Validate, "strict-guard");
         let du = self.dist_q(u);
         let dv = self.dist_q(v);
         self.stats.instance_comparisons += du.support_size().min(dv.support_size()) as u64;
         let distinct = !du.approx_eq(&dv, osd_uncertain::CDF_EPS);
-        if span != osd_obs::SpanId::NONE {
+        if guard.span != SpanId::NONE {
             self.trace
-                .attr(span, "distinct", AttrValue::U64(distinct as u64));
+                .attr(guard.span, "distinct", AttrValue::U64(distinct as u64));
         }
-        self.trace.close(span);
-        self.metrics.record(timer);
+        self.end_phase(guard);
         distinct
     }
 }

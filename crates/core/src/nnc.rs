@@ -34,7 +34,7 @@ use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::{TraversalKeys, WarmPool, WarmView};
 use osd_geom::{mbr_dominates, mbr_dominates_strict, Mbr};
-use osd_obs::{AttrValue, Counter, Phase, PhaseTimer, QueryMetrics, SpanId, Stopwatch, TraceData};
+use osd_obs::{AttrValue, Counter, Phase, QueryMetrics, SpanId, Stopwatch, TraceData};
 use osd_rtree::Node;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -266,9 +266,9 @@ impl<'a> ProgressiveNnc<'a> {
         warm: Option<WarmView>,
     ) -> Self {
         assert!(k >= 1, "k must be at least 1");
-        let timer = PhaseTimer::start(Phase::Prepare);
         let mut ctx = CheckCtx::with_warm(db, query, *cfg, warm);
-        let prep = ctx.trace.open("prepare");
+        let guard = ctx.phase(Phase::Prepare, "prepare");
+        let prep = guard.span;
         ctx.metrics.snapshot(
             db.epoch(),
             db.live_len() as u64,
@@ -300,8 +300,7 @@ impl<'a> ProgressiveNnc<'a> {
                 ctx.trace.attr(prep, "k", AttrValue::U64(k as u64));
             }
         }
-        ctx.trace.close(prep);
-        ctx.metrics.record(timer);
+        ctx.end_phase(guard);
         let warm = ctx.warm.as_ref().filter(|_| cfg.kernels);
         let warm_keys = warm.and_then(|w| w.traversal_keys(db));
         ProgressiveNnc {
@@ -404,8 +403,8 @@ impl<'a> ProgressiveNnc<'a> {
                     }
                 }
                 Slot::Node(node, mbr, shard) => {
-                    let timer = PhaseTimer::start(Phase::RtreeDescent);
-                    let span = self.ctx.trace.open("rtree-descent");
+                    let guard = self.ctx.phase(Phase::RtreeDescent, "rtree-descent");
+                    let span = guard.span;
                     if span != SpanId::NONE {
                         self.ctx
                             .trace
@@ -457,8 +456,7 @@ impl<'a> ProgressiveNnc<'a> {
                             AttrValue::Str(Cow::Borrowed("mbr-dominated")),
                         );
                     }
-                    self.ctx.trace.close(span);
-                    self.ctx.metrics.record(timer);
+                    self.ctx.end_phase(guard);
                 }
             }
         }

@@ -17,7 +17,7 @@
 
 use crate::ctx::CheckCtx;
 use osd_geom::mbr_dominates;
-use osd_obs::{Phase, PhaseTimer};
+use osd_obs::Phase;
 
 pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
     let db = ctx.db;
@@ -44,8 +44,7 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
         // the (conservative) MBR bounds if a tree were ever empty. The
         // local-tree searches are the traversal primitives of this check,
         // so they count as *rtree-descent* work, timed and traced alike.
-        let timer = PhaseTimer::start(Phase::RtreeDescent);
-        let span = ctx.trace.open("rtree-descent");
+        let guard = ctx.phase(Phase::RtreeDescent, "rtree-descent");
         let mut visits = 0u64;
         let d_max_u = tree_u
             .furthest_counting(q, &mut visits)
@@ -54,8 +53,7 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
             .nearest_counting(q, &mut visits)
             .map_or(min_v_bound, |(_, d)| d);
         ctx.stats.rtree_nodes_visited += visits;
-        ctx.trace.close(span);
-        ctx.metrics.record(timer);
+        ctx.end_phase(guard);
         ctx.stats.instance_comparisons += (db.object(u).len() + db.object(v).len()) as u64;
         if d_max_u > d_min_v {
             return false;

@@ -34,7 +34,7 @@ use crate::ctx::CheckCtx;
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
 use osd_geom::Mbr;
-use osd_obs::{AttrValue, Phase, PhaseTimer, SpanId};
+use osd_obs::{AttrValue, Phase, SpanId};
 use osd_uncertain::stochastic::stochastically_dominates_counted;
 use osd_uncertain::DistanceDistribution;
 use std::borrow::Cow;
@@ -83,9 +83,9 @@ pub(super) fn run_filter(
     if height(u) == 0 && height(v) == 0 {
         return None;
     }
-    let timer = PhaseTimer::start(Phase::LevelPrune);
-    let span = ctx.trace.open("level-prune");
+    let guard = ctx.phase(Phase::LevelPrune, "level-prune");
     let decision = filter(ctx);
+    let span = guard.span;
     if span != SpanId::NONE {
         ctx.trace.attr(span, "u", AttrValue::U64(u as u64));
         ctx.trace.attr(span, "v", AttrValue::U64(v as u64));
@@ -99,8 +99,7 @@ pub(super) fn run_filter(
             })),
         );
     }
-    ctx.trace.close(span);
-    ctx.metrics.record(timer);
+    ctx.end_phase(guard);
     decision
 }
 

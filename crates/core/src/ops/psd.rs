@@ -36,7 +36,7 @@ use crate::config::Stats;
 use crate::ctx::{CheckCtx, CheckScratch};
 use osd_flow::MaxFlow;
 use osd_geom::{dist2_rows_batch, dist2_slice, mbr_dominates, Mbr, Point};
-use osd_obs::{Phase, PhaseTimer};
+use osd_obs::Phase;
 use osd_rtree::{Entry, RTree};
 use osd_uncertain::{UncertainObject, SCALE};
 
@@ -412,23 +412,21 @@ fn saturates(
     edges: &[(usize, usize)],
     ctx: &mut CheckCtx<'_>,
 ) -> bool {
-    let timer = PhaseTimer::start(Phase::Refine);
-    let named = osd_obs::Span::enter("flow-solve");
-    let span = ctx.trace.open("flow");
+    let guard = ctx.phase(Phase::Refine, "flow");
     let saturated = if ctx.cfg.kernels {
         saturates_scratch(caps_u, caps_v, edges, &mut ctx.scratch, &mut ctx.stats)
     } else {
         saturates_alloc(caps_u, caps_v, edges, &mut ctx.stats)
     };
+    let span = guard.span;
     if span != osd_obs::SpanId::NONE {
         ctx.trace
             .attr(span, "edges", osd_obs::AttrValue::U64(edges.len() as u64));
         ctx.trace
             .attr(span, "saturated", osd_obs::AttrValue::U64(saturated as u64));
     }
-    ctx.trace.close(span);
-    ctx.metrics.record_span(named);
-    ctx.metrics.record(timer);
+    let sample = ctx.end_phase(guard);
+    ctx.metrics.tally("flow-solve", &sample);
     saturated
 }
 

@@ -369,7 +369,10 @@ mod tests {
     #[test]
     fn prometheus_families_are_well_formed() {
         let mut m = sample();
-        m.record_span(crate::Span::enter("flow-solve"));
+        m.tally(
+            "flow-solve",
+            &crate::PhaseTimer::start(Phase::Refine).stop(),
+        );
         let prom = to_prometheus(&m, &[("dominance_checks", 3)]);
 
         // Every # TYPE line is immediately preceded by the matching # HELP

@@ -11,8 +11,9 @@
 //!
 //! * [`Phase`] — the five-phase taxonomy of one NNC query (*prepare*,
 //!   *rtree-descent*, *level-prune*, *validate*, *refine*);
-//! * [`PhaseTimer`] / [`Span`] — monotonic-clock timers recorded into a
-//!   [`QueryMetrics`];
+//! * [`PhaseTimer`] — the phase timer: two clock reads per sample, one
+//!   [`PhaseSample`] that feeds the phase total and histogram, a labelled
+//!   tally and the trace span alike;
 //! * [`QueryMetrics`] — the per-query registry: counters ([`Counter`]),
 //!   the heap high-water gauge, per-phase totals and [`Histogram`]s, and
 //!   labelled per-operator/per-span tallies. Merging is exact and
@@ -28,11 +29,11 @@
 //! ## Zero overhead when disabled
 //!
 //! Everything is gated on the `enabled` cargo feature. Without it,
-//! [`QueryMetrics`], [`PhaseTimer`], [`Span`] and [`QueryTrace`] are
-//! zero-sized types whose methods are empty `#[inline]` bodies: no clock
-//! reads, no counter arithmetic, no allocation — the instrumented pipeline
-//! compiles to the uninstrumented one, keeping tier-1 results and counters
-//! bit-identical.
+//! [`QueryMetrics`] and [`QueryTrace`] are zero-sized types, [`PhaseTimer`]
+//! and [`PhaseSample`] carry only their phase, and every method is an
+//! empty `#[inline]` body: no clock reads, no counter arithmetic, no
+//! allocation — the instrumented pipeline compiles to the uninstrumented
+//! one, keeping tier-1 results and counters bit-identical.
 //!
 //! The exception is [`Stopwatch`], which is always live: it backs the
 //! progressive traversal's `Candidate::elapsed` timestamps, a result field
@@ -40,17 +41,23 @@
 //! build. It is also the single sanctioned clock shim of the workspace:
 //! `clippy.toml` bans raw `std::time::Instant` / `SystemTime` in every
 //! crate and target, and only `Stopwatch` carries the scoped `allow`, so
-//! the timers, the tracer and the bench harness all read time through it.
+//! the phase timer, the tracer and the bench harness all read time
+//! through it.
+//!
+//! A step cheaper than a clock pair is counted, not timed: the O(d) MBR
+//! cover validation costs 42–52 ns at d = 2–3, less than the 72–90 ns of
+//! the two reads that would time it, so it has a `Stats` counter in
+//! `osd-core` and no phase sample.
 
 pub mod expo;
 pub mod metrics;
-pub mod span;
+pub mod timer;
 pub mod trace;
 
 pub use metrics::{
     Counter, Histogram, QueryMetrics, BUCKET_BOUNDS_NS, MAX_TRACKED_SHARDS, NUM_BUCKETS,
 };
-pub use span::{PhaseTimer, Span};
+pub use timer::{PhaseSample, PhaseTimer};
 pub use trace::{
     chrome_trace, render_text, AttrValue, FlightRecorder, QueryTrace, SpanId, SpanKind, SpanRecord,
     TraceData,
@@ -61,11 +68,11 @@ use std::time::Duration;
 /// The phases of one NNC query, in pipeline order.
 ///
 /// The taxonomy follows Algorithm 1 and the §5.1 filter stack: *prepare*
-/// (per-query context/heap construction), *rtree-descent* (global best-first
+/// (per-query heap seeding), *rtree-descent* (global best-first
 /// traversal plus local-tree distance primitives), *level-prune*
 /// (level-by-level bounds over local R-tree nodes, §5.1.1–5.1.2),
-/// *validate* (cover-based MBR validation and the strictness guard,
-/// Theorem 4) and *refine* (the exact P-SD max-flow machinery, Theorem 12).
+/// *validate* (the `U_Q ≠ V_Q` strictness guard of Definitions 2, 3 and
+/// 5) and *refine* (the exact P-SD max-flow machinery, Theorem 12).
 ///
 /// Phases are recorded where the work happens, so a phase nested inside
 /// another (a flow solve fired from inside level pruning, a strictness
@@ -74,14 +81,18 @@ use std::time::Duration;
 /// disjoint partition of wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Per-query setup: context allocation, cache vectors, heap seeding.
+    /// Per-query setup once the context exists: snapshot gauges and heap
+    /// seeding.
     Prepare,
     /// Best-first descent of the global R-tree and the local-tree
     /// nearest/furthest primitives keying the traversal.
     RtreeDescent,
     /// Level-by-level pruning/validation over local R-tree node bounds.
     LevelPrune,
-    /// Cover-based MBR validation and the `U_Q ≠ V_Q` strictness guard.
+    /// The `U_Q ≠ V_Q` strictness guard of the exact dominance paths.
+    /// Cover-based MBR validation (Theorem 4) is cheaper than the two
+    /// clock reads that would time it, so it is counted
+    /// (`Stats::mbr_checks` in `osd-core`), not timed.
     Validate,
     /// Exact P-SD refinement: bipartite network construction + max-flow.
     Refine,
@@ -154,6 +165,14 @@ impl Stopwatch {
     /// Elapsed nanoseconds, saturating at `u64::MAX` (~584 years).
     pub fn elapsed_nanos(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Nanoseconds from `earlier`'s start to this stopwatch's start (0 if
+    /// this one started first) — no clock read.
+    #[cfg(feature = "enabled")]
+    pub(crate) fn nanos_since(&self, earlier: &Stopwatch) -> u64 {
+        let gap = self.started.saturating_duration_since(earlier.started);
+        u64::try_from(gap.as_nanos()).unwrap_or(u64::MAX)
     }
 }
 

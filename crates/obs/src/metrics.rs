@@ -8,7 +8,7 @@
 //! folded totals of an N-thread batch are identical to the sequential run
 //! — the same exactness contract as `Stats::merge` in `osd-core`.
 
-use crate::span::{PhaseTimer, Span};
+use crate::timer::PhaseSample;
 use crate::Phase;
 
 /// Number of finite histogram bucket bounds (one overflow bucket follows).
@@ -367,21 +367,19 @@ impl QueryMetrics {
         self.shard_visits[shard.min(MAX_TRACKED_SHARDS)] += 1;
     }
 
-    /// Stops `timer` and folds its elapsed time into the phase totals and
-    /// the phase latency histogram.
+    /// Folds `sample` into its phase's total and latency histogram.
     #[inline]
-    pub fn record(&mut self, timer: PhaseTimer) {
-        let (phase, ns) = timer.stop();
-        self.phase_nanos[phase.idx()] = self.phase_nanos[phase.idx()].saturating_add(ns);
-        self.phase_hist[phase.idx()].observe(ns);
+    pub fn record(&mut self, sample: &PhaseSample) {
+        let (idx, ns) = (sample.phase().idx(), sample.nanos());
+        self.phase_nanos[idx] = self.phase_nanos[idx].saturating_add(ns);
+        self.phase_hist[idx].observe(ns);
     }
 
-    /// Stops `span` and folds its elapsed time into the labelled span
-    /// totals.
+    /// Folds `sample` into the labelled totals under `label`, as one entry
+    /// of its length — no clock read of its own.
     #[inline]
-    pub fn record_span(&mut self, span: Span) {
-        let (label, ns) = span.stop();
-        self.spans.add(label, 1, ns);
+    pub fn tally(&mut self, label: &'static str, sample: &PhaseSample) {
+        self.spans.add(label, 1, sample.nanos());
     }
 
     /// Merges another registry into this one, field by exact field:
@@ -525,13 +523,13 @@ impl QueryMetrics {
     #[inline(always)]
     pub fn shard_visit(&mut self, _shard: usize) {}
 
-    /// No-op (the timer is zero-sized and never read a clock).
+    /// No-op (the sample never read a clock).
     #[inline(always)]
-    pub fn record(&mut self, _timer: PhaseTimer) {}
+    pub fn record(&mut self, _sample: &PhaseSample) {}
 
-    /// No-op (the span is zero-sized and never read a clock).
+    /// No-op (the sample never read a clock).
     #[inline(always)]
-    pub fn record_span(&mut self, _span: Span) {}
+    pub fn tally(&mut self, _label: &'static str, _sample: &PhaseSample) {}
 
     /// No-op.
     #[inline(always)]

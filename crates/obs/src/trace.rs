@@ -4,10 +4,10 @@
 //! Where [`QueryMetrics`](crate::QueryMetrics) *aggregates* (counters,
 //! phase totals, histograms), this module *narrates*: one [`TraceData`] is
 //! the tree of timed spans a single query walked — prepare, every
-//! rtree-descent node pop, each level-prune decision, validation, flow
-//! refinement — with per-span monotonic timestamps and a bounded set of
-//! key/value attributes (candidate id, shard id, prune reason, counter
-//! deltas). Traces answer "why was *this* query slow?", which no
+//! rtree-descent node pop, each check with its level-prune decision,
+//! strictness guard and flow refinement — with per-span monotonic
+//! timestamps and a bounded set of key/value attributes (candidate id,
+//! shard id, prune reason, counter deltas). Traces answer "why was *this* query slow?", which no
 //! aggregate can.
 //!
 //! The moving parts:
@@ -44,6 +44,7 @@
 
 #[cfg(feature = "enabled")]
 use crate::Stopwatch;
+use crate::{PhaseSample, PhaseTimer};
 use std::borrow::Cow;
 
 /// Attribute slots per span. Fixed so a span record never allocates;
@@ -314,7 +315,24 @@ impl QueryTrace {
         let Some(active) = self.inner.as_deref_mut() else {
             return SpanId::NONE;
         };
-        let Some(idx) = active.push_record(name, SpanKind::Span) else {
+        let Some(idx) = active.push_record(name, SpanKind::Span, None) else {
+            return SpanId::NONE;
+        };
+        active.stack.push(idx);
+        SpanId(idx)
+    }
+
+    /// Opens a child span of the innermost open span that starts at
+    /// `timer`'s entry reading — no clock read of its own. Close it with
+    /// [`close_at`](Self::close_at) and the sample the timer stops into,
+    /// so the span and the phase records share both readings.
+    #[inline]
+    pub fn open_at(&mut self, name: &'static str, timer: &PhaseTimer) -> SpanId {
+        let Some(active) = self.inner.as_deref_mut() else {
+            return SpanId::NONE;
+        };
+        let start_ns = timer.started().nanos_since(&active.clock);
+        let Some(idx) = active.push_record(name, SpanKind::Span, Some(start_ns)) else {
             return SpanId::NONE;
         };
         active.stack.push(idx);
@@ -327,7 +345,7 @@ impl QueryTrace {
         let Some(active) = self.inner.as_deref_mut() else {
             return SpanId::NONE;
         };
-        match active.push_record(name, SpanKind::Instant) {
+        match active.push_record(name, SpanKind::Instant, None) {
             Some(idx) => SpanId(idx),
             None => SpanId::NONE,
         }
@@ -362,13 +380,28 @@ impl QueryTrace {
             return; // already closed, or never a region span
         };
         let now = active.clock.elapsed_nanos();
-        while active.stack.len() > pos {
-            if let Some(idx) = active.stack.pop() {
-                if let Some(record) = active.data.spans.get_mut(idx as usize) {
-                    record.dur_ns = now.saturating_sub(record.start_ns);
-                }
-            }
+        active.unwind(pos, now);
+    }
+
+    /// Closes span `id` (opened by [`open_at`](Self::open_at)) with
+    /// `sample`'s length as its duration — no clock read of its own.
+    /// Spans opened after `id` and still open end with it, as in
+    /// [`close`](Self::close).
+    #[inline]
+    pub fn close_at(&mut self, id: SpanId, sample: &PhaseSample) {
+        let Some(active) = self.inner.as_deref_mut() else {
+            return;
+        };
+        if id == SpanId::NONE {
+            return;
         }
+        let Some(pos) = active.stack.iter().rposition(|&i| i == id.0) else {
+            return;
+        };
+        let Some(start_ns) = active.data.spans.get(id.0 as usize).map(|r| r.start_ns) else {
+            return;
+        };
+        active.unwind(pos, start_ns.saturating_add(sample.nanos()));
     }
 
     /// Finishes the trace: closes every open span (the root last), stamps
@@ -389,10 +422,16 @@ impl QueryTrace {
 
 #[cfg(feature = "enabled")]
 impl ActiveTrace {
-    /// Appends a record under the innermost open span; `None` (counted as
-    /// a drop) when the arena is at capacity.
+    /// Appends a record under the innermost open span, starting at
+    /// `start_ns` or, if `None`, now; `None` (counted as a drop) when the
+    /// arena is at capacity.
     #[inline]
-    fn push_record(&mut self, name: &'static str, kind: SpanKind) -> Option<u32> {
+    fn push_record(
+        &mut self,
+        name: &'static str,
+        kind: SpanKind,
+        start_ns: Option<u64>,
+    ) -> Option<u32> {
         if self.data.spans.len() >= self.capacity {
             self.data.dropped = self.data.dropped.saturating_add(1);
             return None;
@@ -405,11 +444,24 @@ impl ActiveTrace {
             parent,
             depth,
             kind,
-            start_ns: self.clock.elapsed_nanos(),
+            start_ns: start_ns.unwrap_or_else(|| self.clock.elapsed_nanos()),
             dur_ns: 0,
             attrs: Default::default(),
         });
         Some(idx)
+    }
+
+    /// Pops every open span from stack position `pos` up, stamping each
+    /// one's duration to `end_ns`.
+    #[inline]
+    fn unwind(&mut self, pos: usize, end_ns: u64) {
+        while self.stack.len() > pos {
+            if let Some(idx) = self.stack.pop() {
+                if let Some(record) = self.data.spans.get_mut(idx as usize) {
+                    record.dur_ns = end_ns.saturating_sub(record.start_ns);
+                }
+            }
+        }
     }
 }
 
@@ -446,6 +498,12 @@ impl QueryTrace {
 
     /// No-op; always [`SpanId::NONE`].
     #[inline(always)]
+    pub fn open_at(&mut self, _name: &'static str, _timer: &PhaseTimer) -> SpanId {
+        SpanId::NONE
+    }
+
+    /// No-op; always [`SpanId::NONE`].
+    #[inline(always)]
     pub fn instant(&mut self, _name: &'static str) -> SpanId {
         SpanId::NONE
     }
@@ -457,6 +515,10 @@ impl QueryTrace {
     /// No-op.
     #[inline(always)]
     pub fn close(&mut self, _id: SpanId) {}
+
+    /// No-op.
+    #[inline(always)]
+    pub fn close_at(&mut self, _id: SpanId, _sample: &PhaseSample) {}
 
     /// Always `None` in the disabled build.
     #[inline(always)]
@@ -1037,6 +1099,37 @@ mod tests {
         let data = tr.finish().expect("active");
         assert!(data.spans.iter().all(|s| s.dur_ns <= data.total_ns));
         let _ = inner;
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn a_timed_span_takes_both_readings_of_its_sample() {
+        let mut tr = QueryTrace::start("PSD", 8);
+        let timer = PhaseTimer::start(crate::Phase::Refine);
+        let span = tr.open_at("flow", &timer);
+        let inner = tr.open("inner");
+        let sample = timer.stop();
+        tr.close_at(span, &sample); // closes inner too, at the sample's end
+        let data = tr.finish().expect("active");
+        let (flow, inner) = (&data.spans[1], &data.spans[inner.0 as usize]);
+        assert_eq!(
+            flow.dur_ns,
+            sample.nanos(),
+            "the span's duration is the sample"
+        );
+        assert!(flow.start_ns <= inner.start_ns);
+        assert_eq!(
+            inner.start_ns + inner.dur_ns,
+            flow.start_ns + flow.dur_ns,
+            "a span left open ends with its parent"
+        );
+        // An untraced query's tracer takes neither reading.
+        let mut off = QueryTrace::off();
+        let timer = PhaseTimer::start(crate::Phase::Refine);
+        let span = off.open_at("flow", &timer);
+        assert_eq!(span, SpanId::NONE);
+        off.close_at(span, &timer.stop());
+        assert!(off.finish().is_none());
     }
 
     #[test]

@@ -172,13 +172,16 @@ done
 echo "== osd query --trace=chrome smoke (trace-event schema) =="
 # The Chrome trace export must be loadable by chrome://tracing: a JSON
 # array of complete/instant events with the trace-event keys, plus the
-# span names of the query taxonomy. The same run must append to the
+# span names of the query taxonomy and the `check` span, which carries
+# the MBR-validation verdict (an `mbr-validated` instant; cover
+# validation opens no span of its own). The same run must append to the
 # flight-recorder file and `osd trace` must read it back.
 cargo run -q -p osd-cli --bin osd -- query --data "$SMOKE_DIR/smoke.csv" \
   --query "5000,5000;5100,5100" --op psd --trace=chrome \
   --recorder "$SMOKE_DIR/flight.log" > "$SMOKE_DIR/trace.out"
 for key in '"traceEvents"' '"ph":"X"' '"ph":"i"' '"ts":' '"dur":' '"pid":0' \
-           '"tid":0' '"name":"query"' '"name":"prepare"' '"name":"rtree-descent"'; do
+           '"tid":0' '"name":"query"' '"name":"prepare"' '"name":"rtree-descent"' \
+           '"name":"check"'; do
   grep -qF "$key" "$SMOKE_DIR/trace.out" \
     || { echo "trace smoke: missing $key"; exit 1; }
 done

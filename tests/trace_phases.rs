@@ -6,15 +6,19 @@
 //! searches included. A pair of
 //! single-leaf local trees records neither a `level-prune` span nor a
 //! sample. A `cache-build` instant marks a `U_Q` that was built, never one
-//! a query table served. Runs with `--features obs`; without it the tracer
-//! records nothing and this file is empty.
+//! a query table served. One pair of clock readings feeds every record of
+//! a phase sample: the spans of a phase last exactly its recorded time,
+//! the `flow-solve` tally is the refine phase, and tracing changes no
+//! sample count. MBR cover validation is counted, not timed; a traced
+//! query marks the pairs it validates. Runs with `--features obs`;
+//! without it the tracer records nothing and this file is empty.
 #![cfg(feature = "obs")]
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use osd::core::{nn_candidates_warm, WarmPool};
 use osd::datagen::{generate_objects, generate_queries, CenterDistribution, SynthParams};
-use osd::obs::{AttrValue, Phase, SpanRecord};
+use osd::obs::{AttrValue, Phase, SpanKind, SpanRecord};
 use osd::prelude::*;
 
 /// The span names that the timer samples of `phase` open.
@@ -300,4 +304,189 @@ fn a_served_dist_q_records_no_cache_build() {
         filled += filling.len();
     }
     assert!(filled > 0, "no run read a U_Q");
+}
+
+/// The databases and queries of `every_phase_sample_has_a_span`: tall
+/// anti-correlated m = 30 objects and independent m = 12 and m = 3 ones,
+/// six queries each.
+fn phase_workloads() -> Vec<(Database, Vec<PreparedQuery>)> {
+    let shapes = [
+        (30, CenterDistribution::AntiCorrelated, 26),
+        (12, CenterDistribution::Independent, 27),
+        (3, CenterDistribution::Independent, 28),
+    ];
+    shapes
+        .into_iter()
+        .map(|(instances, centers, seed)| {
+            let params = SynthParams {
+                n: 60,
+                dim: 2,
+                instances,
+                edge: 400.0,
+                centers,
+                seed,
+            };
+            let queries = generate_queries(&params, 6, 4, 200.0, 7)
+                .into_iter()
+                .map(PreparedQuery::new)
+                .collect();
+            (Database::new(generate_objects(&params)), queries)
+        })
+        .collect()
+}
+
+/// Runs `op`'s NNC (k = 1) and k-NNC (k = 2) query of `q` under `cfg`,
+/// yielding `(k, metrics, trace)` per run.
+fn both_ks(
+    db: &Database,
+    q: &PreparedQuery,
+    op: Operator,
+    cfg: &FilterConfig,
+) -> [(usize, QueryMetrics, Option<TraceData>); 2] {
+    let nnc = nn_candidates(db, q, op, cfg);
+    let knnc = k_nn_candidates(db, q, op, 2, cfg);
+    [(1, nnc.metrics, nnc.trace), (2, knnc.metrics, knnc.trace)]
+}
+
+/// One reading feeds the flow tally: an untraced P-SD query's
+/// `flow-solve` tally holds exactly the refine phase's samples and
+/// nanoseconds, because both are records of the same flow-solve sample.
+#[test]
+fn flow_solve_tally_is_the_refine_phase() {
+    let mut solves = 0;
+    for (db, queries) in phase_workloads() {
+        for q in &queries {
+            for (k, metrics, _) in both_ks(&db, q, Operator::PSd, &FilterConfig::all()) {
+                let tally = metrics
+                    .spans()
+                    .into_iter()
+                    .find(|(label, _, _)| *label == "flow-solve")
+                    .map_or((0, 0), |(_, count, ns)| (count, ns));
+                assert_eq!(
+                    tally,
+                    (
+                        metrics.phase_count(Phase::Refine),
+                        metrics.phase_nanos(Phase::Refine)
+                    ),
+                    "k = {k}: flow-solve tally (count, ns) against the refine phase"
+                );
+                solves += tally.0;
+            }
+        }
+    }
+    assert!(solves > 0, "the workload never solved a flow");
+}
+
+/// One reading feeds the trace: on traced queries of every operator at
+/// k ∈ {1, 2}, the spans of each phase last, summed, exactly the phase's
+/// recorded nanoseconds.
+#[test]
+fn phase_spans_last_exactly_the_phase_time() {
+    let cfg = FilterConfig::all().traced();
+    for (db, queries) in phase_workloads() {
+        for q in &queries {
+            for op in Operator::ALL {
+                for (k, metrics, trace) in both_ks(&db, q, op, &cfg) {
+                    let trace = trace.expect("obs build records a requested trace");
+                    assert_eq!(trace.dropped, 0, "{op:?} k = {k}: fits the trace arena");
+                    for phase in Phase::ALL {
+                        let names = phase_spans(phase);
+                        let dur: u64 = trace
+                            .spans
+                            .iter()
+                            .filter(|s| names.contains(&s.name.as_ref()))
+                            .map(|s| s.dur_ns)
+                            .sum();
+                        assert_eq!(
+                            dur,
+                            metrics.phase_nanos(phase),
+                            "{op:?} k = {k}: {phase:?} spans against the phase total"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Tracing adds no phase sample and drops none: every operator's query
+/// records, per phase, as many samples traced as untraced.
+#[test]
+fn tracing_keeps_the_phase_sample_counts() {
+    for (db, queries) in phase_workloads() {
+        for q in &queries {
+            for op in Operator::ALL {
+                let bare = both_ks(&db, q, op, &FilterConfig::all());
+                let traced = both_ks(&db, q, op, &FilterConfig::all().traced());
+                for ((k, bare, _), (_, traced, _)) in bare.into_iter().zip(traced) {
+                    for phase in Phase::ALL {
+                        assert_eq!(
+                            traced.phase_count(phase),
+                            bare.phase_count(phase),
+                            "{op:?} k = {k}: {phase:?} samples traced against untraced"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn obj(pts: &[(f64, f64)]) -> UncertainObject {
+    UncertainObject::uniform(pts.iter().map(|&(x, y)| Point::new(vec![x, y])).collect())
+}
+
+/// Cover validation is counted, not timed: a pair that the strict MBR
+/// test decides costs one `mbr_checks` and no `Validate` sample, traced
+/// or not. Traced, it opens no `validate` span, and an `mbr-validated`
+/// instant under its `check` span says that validation decided it. A pair
+/// the test does not validate records no such instant.
+#[test]
+fn cover_validation_is_counted_not_timed() {
+    let db = Database::new(vec![
+        obj(&[(0.0, 0.0), (1.0, 1.0), (0.5, 0.8)]),
+        obj(&[(500.0, 500.0), (501.0, 499.0), (500.5, 500.5)]),
+    ]);
+    let q = PreparedQuery::new(obj(&[(0.0, 1.0), (1.0, 0.0)]));
+    for op in [Operator::SSd, Operator::SsSd, Operator::PSd] {
+        for traced in [false, true] {
+            let cfg = if traced {
+                FilterConfig::all().traced()
+            } else {
+                FilterConfig::all()
+            };
+            for (u, v, validated) in [(0, 1, true), (1, 0, false)] {
+                let mut ctx = CheckCtx::new(&db, &q, cfg);
+                assert_eq!(ctx.dominates(op, u, v), validated, "{op:?} ({u}, {v})");
+                assert_eq!(ctx.stats.mbr_checks, 1, "{op:?}: one counted MBR test");
+                if validated {
+                    assert_eq!(ctx.stats.instance_comparisons, 0, "{op:?}");
+                    assert_eq!(
+                        ctx.metrics.phase_count(Phase::Validate),
+                        0,
+                        "{op:?}: cover validation is not timed"
+                    );
+                }
+                let trace = ctx.trace.finish();
+                if !traced {
+                    assert!(trace.is_none());
+                    continue;
+                }
+                let trace = trace.expect("obs build records a requested trace");
+                assert_eq!(trace.count("validate"), 0, "{op:?}: no validate span");
+                let marks: Vec<_> = trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.name == "mbr-validated")
+                    .collect();
+                if validated {
+                    assert_eq!(marks.len(), 1, "{op:?}: the trace shows the validation");
+                    assert_eq!(marks[0].kind, SpanKind::Instant);
+                    assert_eq!(trace.spans[marks[0].parent as usize].name, "check");
+                } else {
+                    assert!(marks.is_empty(), "{op:?}: ({u}, {v}) was not validated");
+                }
+            }
+        }
+    }
 }
