@@ -83,6 +83,27 @@ fn build_index(
     ShardedDatabase::try_new(objects, shards).map_err(|e| CliError::Data(e.to_string()))
 }
 
+/// Reads the CSV dataset at `data` and returns its objects and their
+/// dimensionality. An empty dataset, and a `query` of another
+/// dimensionality, are data errors.
+fn load_dataset(
+    data: &str,
+    query: Option<&osd_uncertain::UncertainObject>,
+) -> Result<(Vec<osd_uncertain::UncertainObject>, usize), CliError> {
+    let objects = read_objects_csv(Path::new(data)).map_err(|e| CliError::Data(e.to_string()))?;
+    let dim = objects
+        .first()
+        .map(osd_uncertain::UncertainObject::dim)
+        .ok_or_else(|| CliError::Data(format!("{data}: dataset is empty")))?;
+    if let Some(query) = query.filter(|q| q.dim() != dim) {
+        return Err(CliError::Data(format!(
+            "query dimensionality {} does not match the dataset's {dim}",
+            query.dim()
+        )));
+    }
+    Ok((objects, dim))
+}
+
 /// One line of an `--ops` script.
 enum MutOp {
     Insert(osd_uncertain::UncertainObject),
@@ -179,11 +200,7 @@ pub fn cmd_mutate(flags: &Flags) -> Result<(), CliError> {
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let out = flags.value("--out");
 
-    let objects = read_objects_csv(Path::new(data)).map_err(|e| CliError::Data(e.to_string()))?;
-    let dim = objects
-        .first()
-        .map(osd_uncertain::UncertainObject::dim)
-        .ok_or_else(|| CliError::Data(format!("{data}: dataset is empty")))?;
+    let (objects, dim) = load_dataset(data, None)?;
     let ops = read_ops_file(Path::new(ops_file), dim)?;
     // Shadow copy of the logical id space, for `--out`: store rows follow
     // the shard layout, not ids, so surviving objects are re-emitted from
@@ -251,18 +268,7 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
 
-    let objects = read_objects_csv(Path::new(data)).map_err(|e| CliError::Data(e.to_string()))?;
-    let dim = objects
-        .first()
-        .map(osd_uncertain::UncertainObject::dim)
-        .ok_or_else(|| CliError::Data(format!("{data}: dataset is empty")))?;
-    if dim != query.dim() {
-        return Err(CliError::Data(format!(
-            "query dimensionality {} does not match the dataset's {}",
-            query.dim(),
-            dim
-        )));
-    }
+    let (objects, dim) = load_dataset(data, Some(&query))?;
     let ops = read_ops_file(Path::new(ops_file), dim)?;
     let published = PublishedIndex::new(build_index(objects, shards)?);
 
@@ -351,12 +357,6 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         FilterConfig::all()
     };
 
-    let objects = read_objects_csv(Path::new(data)).map_err(|e| CliError::Data(e.to_string()))?;
-    let dim = objects
-        .first()
-        .map(osd_uncertain::UncertainObject::dim)
-        .ok_or_else(|| CliError::Data(format!("{data}: dataset is empty")))?;
-
     if let Some(file) = flags.value("--queries") {
         if flags.value("--query").is_some() {
             return Err(CliError::BadArgument(
@@ -368,6 +368,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
                 "--queries batch mode supports neither --progressive nor --k".into(),
             ));
         }
+        let (objects, dim) = load_dataset(data, None)?;
         let queries = read_query_file(Path::new(file), dim)?;
         let db = build_index(objects, shards)?;
         let pool = WarmPool::new();
@@ -403,13 +404,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     }
 
     let query = parse_query_spec(flags.required("--query")?)?;
-    if dim != query.dim() {
-        return Err(CliError::Data(format!(
-            "query dimensionality {} does not match the dataset's {}",
-            query.dim(),
-            dim
-        )));
-    }
+    let (objects, _) = load_dataset(data, Some(&query))?;
     let db = build_index(objects, shards)?;
     let pq = PreparedQuery::new(query);
 
@@ -626,18 +621,7 @@ pub fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
         return Err(CliError::Missing("--object (or --matrix)".into()));
     }
 
-    let objects = read_objects_csv(Path::new(data)).map_err(|e| CliError::Data(e.to_string()))?;
-    let dim = objects
-        .first()
-        .map(osd_uncertain::UncertainObject::dim)
-        .ok_or_else(|| CliError::Data(format!("{data}: dataset is empty")))?;
-    if dim != query.dim() {
-        return Err(CliError::Data(format!(
-            "query dimensionality {} does not match the dataset's {}",
-            query.dim(),
-            dim
-        )));
-    }
+    let (objects, _) = load_dataset(data, Some(&query))?;
     let db = build_index(objects, shards)?;
     let pq = PreparedQuery::new(query);
     let cfg = FilterConfig::all();
@@ -714,7 +698,7 @@ pub fn cmd_score(flags: &Flags) -> Result<(), CliError> {
         .required("--object")?
         .parse()
         .map_err(|_| CliError::BadArgument("--object must be an id".into()))?;
-    let objects = read_objects_csv(Path::new(data)).map_err(|e| CliError::Data(e.to_string()))?;
+    let (objects, _) = load_dataset(data, Some(&query))?;
     let obj = objects.get(id).ok_or_else(|| {
         CliError::Data(format!("object {id} out of range (n = {})", objects.len()))
     })?;
@@ -1048,9 +1032,18 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        let err = cmd_query(&flags(&["--data", &out, "--query", "1,2,3"])).unwrap_err();
+        let query = ["--data", &out, "--query", "1,2,3"];
+        let errs = [
+            cmd_query(&flags(&query)),
+            cmd_score(&flags(&[&query[..], &["--object", "0"]].concat())),
+            cmd_explain(&flags(&[&query[..], &["--object", "0"]].concat())),
+            cmd_watch(&flags(&[&query[..], &["--ops", "unread.ops"]].concat())),
+        ];
         std::fs::remove_file(&out).ok();
-        assert!(err.to_string().contains("dimensionality"));
+        for err in errs.map(Result::unwrap_err) {
+            assert!(matches!(err, CliError::Data(_)), "got {err:?}");
+            assert!(err.to_string().contains("dimensionality"), "got {err}");
+        }
     }
 
     #[test]

@@ -19,17 +19,40 @@ pub fn nn_candidates_bruteforce(
     op: Operator,
     cfg: &FilterConfig,
 ) -> (Vec<usize>, Stats) {
+    dominated_fewer_than(db, query, op, 1, cfg)
+}
+
+/// The live objects dominated by fewer than `k` other live objects, in
+/// ascending id order, plus the accumulated counters: the one oracle loop
+/// behind [`nn_candidates_bruteforce`] (`k = 1`) and
+/// [`k_nn_candidates_bruteforce`](crate::k_nn_candidates_bruteforce). An
+/// object's scan stops at its `k`-th dominator.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub(crate) fn dominated_fewer_than(
+    db: &dyn SpatialIndex,
+    query: &PreparedQuery,
+    op: Operator,
+    k: usize,
+    cfg: &FilterConfig,
+) -> (Vec<usize>, Stats) {
+    assert!(k >= 1, "k must be at least 1");
     let mut ctx = CheckCtx::new(db, query, *cfg);
-    let mut out = Vec::new();
     // Tombstoned ids are skipped: the dominance relation ranges over the
     // live objects of the pinned snapshot only.
-    'outer: for v in (0..db.len()).filter(|&v| db.is_live(v)) {
-        for u in (0..db.len()).filter(|&u| db.is_live(u)) {
-            if u != v && ctx.dominates(op, u, v) {
-                continue 'outer;
-            }
-        }
-        out.push(v);
-    }
+    let live: Vec<usize> = (0..db.len()).filter(|&id| db.is_live(id)).collect();
+    let out = live
+        .iter()
+        .copied()
+        .filter(|&v| {
+            let dominators = live
+                .iter()
+                .filter(|&&u| u != v && ctx.dominates(op, u, v))
+                .take(k)
+                .count();
+            dominators < k
+        })
+        .collect();
     (out, ctx.stats)
 }

@@ -11,7 +11,7 @@
 //!
 //! Two tables are built on it: the local-tree entries (each tree with the
 //! state derived from its object alone) and the logical-id → row `slot`
-//! map of [`ShardedDatabase`](crate::ShardedDatabase). Every id of
+//! map of [`ObjectIndex`](crate::ObjectIndex). Every id of
 //! both holds a value, so the chunks are dense; the warm cache, whose
 //! tables hold entries only for the ids queries touch, keeps the same
 //! chunks but allocates each on its first write. Like the store's chunks

@@ -21,8 +21,7 @@ use crate::query::PreparedQuery;
 use crate::warm::WarmView;
 use osd_flow::Transport;
 use osd_obs::{
-    trace::DEFAULT_TRACE_EVENTS, AttrValue, Phase, PhaseSample, PhaseTimer, QueryMetrics,
-    QueryTrace, SpanId,
+    trace::DEFAULT_TRACE_EVENTS, AttrValue, Phase, PhaseTimer, QueryMetrics, QueryTrace, SpanId,
 };
 #[cfg(test)]
 use std::sync::Arc;
@@ -164,14 +163,12 @@ impl<'a> CheckCtx<'a> {
         PhaseGuard { timer, span }
     }
 
-    /// Ends the sample `guard` started (see [`Self::phase`]) and returns
-    /// it, for a caller that records it once more (a labelled tally).
+    /// Ends the sample `guard` started (see [`Self::phase`]).
     #[inline]
-    pub(crate) fn end_phase(&mut self, guard: PhaseGuard) -> PhaseSample {
+    pub(crate) fn end_phase(&mut self, guard: PhaseGuard) {
         let sample = guard.timer.stop();
         self.trace.close_at(guard.span, &sample);
         self.metrics.record(&sample);
-        sample
     }
 
     /// Cover-based validation (Theorem 4), shared by the strict operators:

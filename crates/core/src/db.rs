@@ -3,16 +3,17 @@
 //! local R-tree per object (fan-out 4 in the paper) — over a columnar
 //! [`InstanceStore`] snapshot shared behind an `Arc`.
 //!
-//! That is exactly a one-tile STR partition, so [`FlatDatabase`] is a
-//! stateless front over a one-shard [`ShardedDatabase`], the single index
-//! implementation: its constructors build `ShardConfig { shards: 1, .. }`
-//! and every other method forwards.
+//! That is exactly a one-tile STR partition, so [`FlatDatabase`] is the one
+//! index type, [`ObjectIndex`], under its [`Flat`] layout marker. This
+//! module holds its flat constructors, which build
+//! `ShardConfig { shards: 1, .. }`, and the inherent accessors that callers
+//! use without importing [`SpatialIndex`]; the build, the mutators and the
+//! trait impl live on [`ObjectIndex`] in `core::sharded`.
 
-use crate::cache::LevelSnapshot;
-use crate::index::{IndexStats, SpatialIndex};
-use crate::sharded::{invalid, ShardConfig, ShardedDatabase};
+use crate::index::SpatialIndex;
+use crate::sharded::{invalid, Flat, ObjectIndex, ShardConfig};
 use osd_rtree::RTree;
-use osd_uncertain::{Change, InstanceStore, ObjectRef, UncertainObject};
+use osd_uncertain::{InstanceStore, ObjectRef, UncertainObject};
 use std::sync::Arc;
 
 // `DbError` lives with the `SpatialIndex` trait (whose default mutators
@@ -24,12 +25,11 @@ pub use crate::sharded::{DEFAULT_GLOBAL_FANOUT, DEFAULT_LOCAL_FANOUT};
 /// A set of multi-instance objects indexed for NN-candidate search with
 /// **one** global R-tree — the flat (unsharded) [`SpatialIndex`] layout.
 ///
-/// A one-shard [`ShardedDatabase`] under the historical constructors: the
+/// The one-shard [`ObjectIndex`] under the historical constructors: the
 /// identity STR order reuses the store `Arc` uncopied and bulk-loads the
 /// one global tree over the objects in id order. Mutations, epochs and
-/// tombstones behave exactly as documented on [`ShardedDatabase`].
-#[derive(Debug, Clone)]
-pub struct FlatDatabase(ShardedDatabase);
+/// tombstones behave exactly as documented on [`ObjectIndex`].
+pub type FlatDatabase = ObjectIndex<Flat>;
 
 /// The historical name of [`FlatDatabase`] — the default database layout.
 pub type Database = FlatDatabase;
@@ -91,8 +91,7 @@ impl FlatDatabase {
         global_fanout: usize,
         local_fanout: usize,
     ) -> Result<Self, DbError> {
-        ShardedDatabase::try_with_config(objects, one_shard(global_fanout, local_fanout))
-            .map(FlatDatabase)
+        Self::build(objects, one_shard(global_fanout, local_fanout))
     }
 
     /// Indexes an existing columnar snapshot directly — no instance data is
@@ -106,12 +105,12 @@ impl FlatDatabase {
         global_fanout: usize,
         local_fanout: usize,
     ) -> Result<Self, DbError> {
-        ShardedDatabase::from_store(store, one_shard(global_fanout, local_fanout)).map(FlatDatabase)
+        Self::build_from_store(store, one_shard(global_fanout, local_fanout))
     }
 
     /// Size of the logical id space (live objects + tombstones).
     pub fn len(&self) -> usize {
-        self.0.len()
+        SpatialIndex::len(self)
     }
 
     /// Never true: databases are non-empty by construction.
@@ -121,143 +120,23 @@ impl FlatDatabase {
 
     /// Dimensionality of the instance space.
     pub fn dim(&self) -> usize {
-        self.0.dim()
+        SpatialIndex::dim(self)
     }
 
     /// The columnar instance snapshot this database indexes.
     pub fn store(&self) -> &Arc<InstanceStore> {
-        self.0.store()
+        SpatialIndex::store(self)
     }
 
     /// Zero-copy view of live object `id` (panics if `id` is not live).
     pub fn object(&self, id: usize) -> ObjectRef<'_> {
-        self.0.object(id)
+        SpatialIndex::object(self, id)
     }
 
     /// Local R-tree over the instances of live object `id` (panics if `id`
     /// is not live).
     pub fn local_tree(&self, id: usize) -> &RTree<usize> {
-        self.0.local_tree(id)
-    }
-
-    /// As [`ShardedDatabase::insert_object`]: appends an object and
-    /// returns its id.
-    #[track_caller]
-    pub fn insert_object(&mut self, object: UncertainObject) -> usize {
-        self.0.insert_object(object)
-    }
-
-    /// As [`ShardedDatabase::try_insert_object`].
-    ///
-    /// # Errors
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
-    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
-    /// coordinate.
-    pub fn try_insert_object(&mut self, object: UncertainObject) -> Result<usize, DbError> {
-        self.0.try_insert_object(object)
-    }
-
-    /// As [`ShardedDatabase::delete_object`]: deletes live object `id`.
-    #[track_caller]
-    pub fn delete_object(&mut self, id: usize) {
-        self.0.delete_object(id);
-    }
-
-    /// As [`ShardedDatabase::try_delete_object`].
-    ///
-    /// # Errors
-    /// [`DbError::Dead`] if `id` is not live; [`DbError::Empty`] when the
-    /// delete would leave no live objects.
-    pub fn try_delete_object(&mut self, id: usize) -> Result<(), DbError> {
-        self.0.try_delete_object(id)
-    }
-
-    /// As [`ShardedDatabase::update_object`]: replaces live object `id`
-    /// in place.
-    #[track_caller]
-    pub fn update_object(&mut self, id: usize, object: UncertainObject) {
-        self.0.update_object(id, object);
-    }
-
-    /// As [`ShardedDatabase::try_update_object`].
-    ///
-    /// # Errors
-    /// [`DbError::Dead`] if `id` is not live;
-    /// [`DbError::DimensionMismatch`] on dimensionality mismatch;
-    /// [`DbError::CoordinateOutOfRange`] on a non-finite or out-of-range
-    /// coordinate.
-    pub fn try_update_object(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
-        self.0.try_update_object(id, object)
-    }
-}
-
-impl SpatialIndex for FlatDatabase {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.0.epoch()
-    }
-
-    fn live_len(&self) -> usize {
-        self.0.live_len()
-    }
-
-    fn is_live(&self, id: usize) -> bool {
-        self.0.is_live(id)
-    }
-
-    fn changes_since(&self, since: u64) -> Option<Vec<Change>> {
-        self.0.changes_since(since)
-    }
-
-    fn try_insert(&mut self, object: UncertainObject) -> Result<usize, DbError> {
-        self.0.try_insert(object)
-    }
-
-    fn try_delete(&mut self, id: usize) -> Result<(), DbError> {
-        self.0.try_delete(id)
-    }
-
-    fn try_update(&mut self, id: usize, object: UncertainObject) -> Result<(), DbError> {
-        self.0.try_update(id, object)
-    }
-
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-
-    fn store(&self) -> &Arc<InstanceStore> {
-        self.0.store()
-    }
-
-    fn object(&self, id: usize) -> ObjectRef<'_> {
-        self.0.object(id)
-    }
-
-    fn local_tree(&self, id: usize) -> &RTree<usize> {
-        self.0.local_tree(id)
-    }
-
-    fn quanta(&self, id: usize) -> Arc<Vec<u64>> {
-        self.0.quanta(id)
-    }
-
-    fn level_snapshot(&self, id: usize) -> Arc<LevelSnapshot> {
-        self.0.level_snapshot(id)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.0.shard_count()
-    }
-
-    fn shard_tree(&self, shard: usize) -> &RTree<usize> {
-        self.0.shard_tree(shard)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        self.0.index_stats()
+        SpatialIndex::local_tree(self, id)
     }
 }
 
@@ -268,6 +147,7 @@ mod tests {
 
     use super::*;
     use osd_geom::{Mbr, Point};
+    use osd_uncertain::Change;
 
     fn obj(pts: &[(f64, f64)]) -> UncertainObject {
         UncertainObject::uniform(pts.iter().map(|&(x, y)| Point::new(vec![x, y])).collect())

@@ -1,12 +1,13 @@
 //! The [`SpatialIndex`] trait: what the dominance search needs from a
 //! database, abstracted over its physical layout.
 //!
-//! One implementation exists, [`ShardedDatabase`](crate::ShardedDatabase):
-//! the columnar store space-partitioned into STR tiles, each tile owning
-//! its own global R-tree. With one tile it is §6's flat layout — one
-//! global R-tree over every object MBR — which
-//! [`FlatDatabase`](crate::FlatDatabase) (alias `Database`, the default)
-//! fronts.
+//! One implementation exists, [`ObjectIndex`](crate::ObjectIndex): the
+//! columnar store space-partitioned into STR tiles, each tile owning its
+//! own global R-tree. With one tile it is §6's flat layout — one global
+//! R-tree over every object MBR. Its layout marker picks only the
+//! constructors: [`ShardedDatabase`](crate::ShardedDatabase) takes a shard
+//! configuration, and [`FlatDatabase`](crate::FlatDatabase) (alias
+//! `Database`, the default) the fan-outs of a one-tile build.
 //!
 //! The search algorithms ([`nn_candidates`](crate::nn_candidates),
 //! [`k_nn_candidates`](crate::k_nn_candidates), the caches and the check

@@ -11,8 +11,8 @@
 //! doc carries the k-skyband correctness argument). This module holds the
 //! result type, its entry points and the brute-force oracle.
 
+use crate::brute::dominated_fewer_than;
 use crate::config::{FilterConfig, Stats};
-use crate::ctx::CheckCtx;
 #[cfg(test)]
 use crate::db::Database;
 use crate::index::SpatialIndex;
@@ -109,7 +109,11 @@ pub fn k_nn_candidates_warm(
     KnncResult::from_run(run_with(db, query, op, k, cfg, Some(view)))
 }
 
-/// Brute-force oracle: objects dominated by fewer than `k` others.
+/// Brute-force oracle: the live objects dominated by fewer than `k` other
+/// live objects, in ascending id order.
+///
+/// # Panics
+/// Panics if `k == 0`.
 pub fn k_nn_candidates_bruteforce(
     db: &dyn SpatialIndex,
     query: &PreparedQuery,
@@ -117,16 +121,7 @@ pub fn k_nn_candidates_bruteforce(
     k: usize,
     cfg: &FilterConfig,
 ) -> Vec<usize> {
-    assert!(k >= 1, "k must be at least 1");
-    let mut ctx = CheckCtx::new(db, query, *cfg);
-    (0..db.len())
-        .filter(|&v| {
-            let dominators = (0..db.len())
-                .filter(|&u| u != v && ctx.dominates(op, u, v))
-                .count();
-            dominators < k
-        })
-        .collect()
+    dominated_fewer_than(db, query, op, k, cfg).0
 }
 
 #[cfg(test)]
@@ -135,9 +130,12 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use crate::brute::nn_candidates_bruteforce;
     use crate::nnc::nn_candidates;
+    use crate::sharded::{ShardConfig, ShardedDatabase};
     use osd_geom::Point;
     use osd_uncertain::UncertainObject;
+    use std::sync::Arc;
 
     fn obj(pts: &[(f64, f64)]) -> UncertainObject {
         UncertainObject::uniform(pts.iter().map(|&(x, y)| Point::new(vec![x, y])).collect())
@@ -228,6 +226,38 @@ mod tests {
                 algo.sort_unstable();
                 let brute = k_nn_candidates_bruteforce(&db, &q, op, k, &FilterConfig::all());
                 assert_eq!(algo, brute, "k-NNC mismatch for {op:?}, k = {k}");
+            }
+        }
+    }
+
+    /// The oracles range over live ids only: on flat and 3-shard indexes
+    /// with deleted and updated ids they equal the traversal for every
+    /// operator and k.
+    #[test]
+    fn bruteforce_skips_tombstones() {
+        let (flat, q) = random_db();
+        let cfg = FilterConfig::all();
+        let sharded =
+            ShardedDatabase::from_store(Arc::clone(flat.store()), ShardConfig::with_shards(3))
+                .unwrap();
+        let indexes: [Box<dyn SpatialIndex>; 2] = [Box::new(flat), Box::new(sharded)];
+        for (name, mut db) in ["flat", "sharded"].into_iter().zip(indexes) {
+            for id in [0, 7, 19] {
+                db.try_delete(id).unwrap();
+            }
+            db.try_update(3, obj(&[(49.0, 51.0), (50.5, 50.5)]))
+                .unwrap();
+            db.try_update(11, obj(&[(90.0, 10.0)])).unwrap();
+            for op in Operator::ALL {
+                for k in 1..=3 {
+                    let mut algo = k_nn_candidates(&*db, &q, op, k, &cfg).ids();
+                    algo.sort_unstable();
+                    let brute = k_nn_candidates_bruteforce(&*db, &q, op, k, &cfg);
+                    assert_eq!(algo, brute, "{name} {op:?}, k = {k}");
+                    if k == 1 {
+                        assert_eq!(nn_candidates_bruteforce(&*db, &q, op, &cfg).0, brute);
+                    }
+                }
             }
         }
     }

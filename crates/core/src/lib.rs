@@ -28,11 +28,13 @@
 //!
 //! * [`SpatialIndex`] — what the search needs from a database, abstracted
 //!   over its physical layout;
-//! * [`ShardedDatabase`] — the index: per-object local R-trees plus the
-//!   store space-partitioned into STR tiles, one global R-tree per tile,
-//!   searched as one merged forest with a shared prune bound;
-//! * [`Database`] / [`FlatDatabase`] — its one-shard configuration: a
-//!   global R-tree plus per-object local R-trees (§6's n+1-tree layout);
+//! * [`ObjectIndex`] — the one index type: per-object local R-trees plus
+//!   the store space-partitioned into STR tiles, one global R-tree per
+//!   tile, searched as one merged forest with a shared prune bound. Its
+//!   zero-sized layout marker picks the constructors only:
+//!   [`ShardedDatabase`] is built from a [`ShardConfig`], and
+//!   [`Database`] / [`FlatDatabase`] by fan-outs into one tile — a global
+//!   R-tree plus per-object local R-trees (§6's n+1-tree layout);
 //! * [`PreparedQuery`] — the query with its convex hull cached;
 //! * [`Operator`] / [`dominates`] — the five dominance checks with the
 //!   §5.1 filtering techniques, switchable via [`FilterConfig`];
@@ -97,5 +99,5 @@ pub use osd_obs::{FlightRecorder, QueryMetrics, QueryTrace, TraceData};
 pub use osd_uncertain::{Change, EpochLog};
 pub use publish::PublishedIndex;
 pub use query::PreparedQuery;
-pub use sharded::{ShardConfig, ShardedDatabase};
+pub use sharded::{ObjectIndex, ShardConfig, ShardedDatabase};
 pub use warm::{TableAudit, WarmAudit, WarmCache, WarmPool, WarmStats, WarmView};

@@ -425,8 +425,7 @@ fn saturates(
         ctx.trace
             .attr(span, "saturated", osd_obs::AttrValue::U64(saturated as u64));
     }
-    let sample = ctx.end_phase(guard);
-    ctx.metrics.tally("flow-solve", &sample);
+    ctx.end_phase(guard);
     saturated
 }
 

@@ -42,9 +42,10 @@ const MUTATION_TRACE_EVENTS: usize = 16;
 
 /// A concurrently readable, snapshot-published index.
 ///
-/// `D` is any clonable [`SpatialIndex`] — in this crate,
-/// [`FlatDatabase`](crate::FlatDatabase) and
-/// [`ShardedDatabase`](crate::ShardedDatabase).
+/// `D` is any clonable [`SpatialIndex`] — in this crate, the one index
+/// type [`ObjectIndex`](crate::ObjectIndex) under either layout marker
+/// ([`FlatDatabase`](crate::FlatDatabase) or
+/// [`ShardedDatabase`](crate::ShardedDatabase)).
 #[derive(Debug)]
 pub struct PublishedIndex<D> {
     /// The current snapshot. The lock is held only for the duration of an

@@ -1,4 +1,4 @@
-//! [`ShardedDatabase`]: the index — §6's `n + 1` R-trees over a
+//! [`ObjectIndex`]: the index — §6's `n + 1` R-trees over a
 //! columnar store, with the object set space-partitioned into STR tiles,
 //! each tile owning its own global R-tree.
 //!
@@ -24,9 +24,13 @@
 //! **One shard is the flat layout.** With `shards <= 1` the STR order is
 //! the identity: the base `Arc<InstanceStore>` is reused uncopied and the
 //! one tree is bulk-loaded over the objects in id order — the paper's
-//! global R-tree. [`FlatDatabase`](crate::FlatDatabase) is this
-//! configuration behind the historical constructors; this module is the
-//! only place an index is built or mutated.
+//! global R-tree. So both layouts are one type, whose zero-sized layout
+//! marker picks only the constructor family: [`ShardedDatabase`]
+//! (`ObjectIndex<Sharded>`) is built from a [`ShardConfig`], and
+//! [`FlatDatabase`](crate::FlatDatabase) (`ObjectIndex<Flat>`) by the
+//! historical fan-out constructors of `core::db`, which build one shard.
+//! The build, the mutators and the [`SpatialIndex`] impl are written once,
+//! here; this module is the only place an index is built or mutated.
 //!
 //! **Per-id tables.** The local R-trees and the `slot` map are
 //! `core::chunked::ChunkedVec`s, the one chunked table type of the index:
@@ -56,6 +60,7 @@ use crate::index::{DbError, IndexStats, ShardStats, SpatialIndex};
 use osd_geom::Mbr;
 use osd_rtree::{str_partition, Entry, RTree};
 use osd_uncertain::{epoch, quantize, Change, EpochLog, InstanceStore, ObjectRef, UncertainObject};
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// Default fan-out of the global (per-shard) R-trees.
@@ -108,7 +113,7 @@ fn fill<T: Clone>(slot: &OnceLock<T>, build: impl FnOnce() -> T) -> T {
     }
 }
 
-/// Layout parameters of a [`ShardedDatabase`].
+/// Layout parameters of an [`ObjectIndex`] build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Requested number of STR tiles. The slicing may produce a few more
@@ -132,8 +137,21 @@ impl ShardConfig {
     }
 }
 
+/// Layout marker of [`ShardedDatabase`]: an index built from a
+/// [`ShardConfig`].
+#[derive(Debug, Clone)]
+pub struct Sharded;
+
+/// Layout marker of [`FlatDatabase`](crate::FlatDatabase): an index of one
+/// global R-tree, built by the fan-out constructors of `core::db`.
+#[derive(Debug, Clone)]
+pub struct Flat;
+
 /// A set of multi-instance objects indexed as STR tiles, each with its own
 /// global R-tree, over a shard-major-permuted columnar store.
+///
+/// The layout marker `L` ([`Sharded`] or [`Flat`]) selects the
+/// constructors and nothing else: every other method is shared.
 ///
 /// Instance data is held in an `Arc<InstanceStore>` snapshot; the database
 /// itself only owns the index structures.
@@ -146,7 +164,7 @@ impl ShardConfig {
 /// (id-space size) and `live_len()` (live objects) diverge after the
 /// first delete.
 #[derive(Debug, Clone)]
-pub struct ShardedDatabase {
+pub struct ObjectIndex<L> {
     /// Shard-major permutation of the input store (or the input `Arc`
     /// itself when the permutation is the identity).
     store: Arc<InstanceStore>,
@@ -166,7 +184,13 @@ pub struct ShardedDatabase {
     local_fanout: usize,
     /// Published-mutation log; its length is the snapshot epoch.
     epochs: EpochLog,
+    /// The constructor family; `fn() -> L` keeps the index `Send + Sync`
+    /// whatever the marker.
+    layout: PhantomData<fn() -> L>,
 }
+
+/// The index built into STR tiles by a [`ShardConfig`].
+pub type ShardedDatabase = ObjectIndex<Sharded>;
 
 impl ShardedDatabase {
     /// Indexes `objects` into (about) `shards` STR tiles with default
@@ -199,19 +223,7 @@ impl ShardedDatabase {
         objects: Vec<UncertainObject>,
         cfg: ShardConfig,
     ) -> Result<Self, DbError> {
-        if objects.is_empty() {
-            return Err(DbError::Empty);
-        }
-        let store = InstanceStore::from_objects(&objects).map_err(|e| {
-            // The store reports what is wrong; find which input tripped it.
-            let dim = objects[0].dim();
-            let object = objects
-                .iter()
-                .position(|o| InstanceStore::check_object(dim, o).is_err())
-                .unwrap_or(0);
-            DbError::from_store(e, object)
-        })?;
-        Self::from_store(Arc::new(store), cfg)
+        Self::build(objects, cfg)
     }
 
     /// Indexes the live objects of an existing columnar snapshot; logical
@@ -224,6 +236,42 @@ impl ShardedDatabase {
     /// # Errors
     /// [`DbError::Empty`] if the store holds no objects.
     pub fn from_store(store: Arc<InstanceStore>, cfg: ShardConfig) -> Result<Self, DbError> {
+        Self::build_from_store(store, cfg)
+    }
+}
+
+impl<L> ObjectIndex<L> {
+    /// Indexes `objects` under `cfg`: the build behind every constructor
+    /// taking objects.
+    ///
+    /// # Errors
+    /// Returns a [`DbError`] describing the first violated invariant.
+    pub(crate) fn build(objects: Vec<UncertainObject>, cfg: ShardConfig) -> Result<Self, DbError> {
+        if objects.is_empty() {
+            return Err(DbError::Empty);
+        }
+        let store = InstanceStore::from_objects(&objects).map_err(|e| {
+            // The store reports what is wrong; find which input tripped it.
+            let dim = objects[0].dim();
+            let object = objects
+                .iter()
+                .position(|o| InstanceStore::check_object(dim, o).is_err())
+                .unwrap_or(0);
+            DbError::from_store(e, object)
+        })?;
+        Self::build_from_store(Arc::new(store), cfg)
+    }
+
+    /// Indexes the live objects of `store` under `cfg` (see
+    /// [`ShardedDatabase::from_store`]): the build behind every
+    /// constructor.
+    ///
+    /// # Errors
+    /// [`DbError::Empty`] if the store holds no objects.
+    pub(crate) fn build_from_store(
+        store: Arc<InstanceStore>,
+        cfg: ShardConfig,
+    ) -> Result<Self, DbError> {
         if store.is_empty() {
             return Err(DbError::Empty);
         }
@@ -262,13 +310,14 @@ impl ShardedDatabase {
                 RTree::bulk_load(cfg.global_fanout, entries)
             })
             .collect();
-        Ok(ShardedDatabase {
+        Ok(ObjectIndex {
             store,
             local: ChunkedVec::from_fn(ids.len(), |id| local[id].take()),
             shards,
             slot: ChunkedVec::from_fn(ids.len(), |id| slot[id]),
             local_fanout: cfg.local_fanout,
             epochs: EpochLog::default(),
+            layout: PhantomData,
         })
     }
 
@@ -300,7 +349,7 @@ impl ShardedDatabase {
     ///
     /// # Panics
     /// Panics if the object's dimensionality differs from the database's.
-    /// Use [`ShardedDatabase::try_insert_object`] for untrusted data.
+    /// Use [`Self::try_insert_object`] for untrusted data.
     #[track_caller]
     pub fn insert_object(&mut self, object: UncertainObject) -> usize {
         match self.try_insert_object(object) {
@@ -309,7 +358,7 @@ impl ShardedDatabase {
         }
     }
 
-    /// Fallible variant of [`ShardedDatabase::insert_object`].
+    /// Fallible variant of [`Self::insert_object`].
     ///
     /// The object takes a new store row; only the store's last chunk is
     /// copied, and existing readers keep the old snapshot unchanged. The
@@ -342,7 +391,7 @@ impl ShardedDatabase {
     ///
     /// # Panics
     /// Panics if `id` is not live or the delete would empty the database.
-    /// Use [`ShardedDatabase::try_delete_object`] for untrusted input.
+    /// Use [`Self::try_delete_object`] for untrusted input.
     #[track_caller]
     pub fn delete_object(&mut self, id: usize) {
         if let Err(e) = self.try_delete_object(id) {
@@ -350,7 +399,7 @@ impl ShardedDatabase {
         }
     }
 
-    /// Fallible variant of [`ShardedDatabase::delete_object`].
+    /// Fallible variant of [`Self::delete_object`].
     ///
     /// # Errors
     /// [`DbError::Dead`] if `id` is tombstoned or out of range;
@@ -376,7 +425,7 @@ impl ShardedDatabase {
     ///
     /// # Panics
     /// Panics if `id` is not live or dimensionalities mismatch. Use
-    /// [`ShardedDatabase::try_update_object`] for untrusted input.
+    /// [`Self::try_update_object`] for untrusted input.
     #[track_caller]
     pub fn update_object(&mut self, id: usize, object: UncertainObject) {
         if let Err(e) = self.try_update_object(id, object) {
@@ -384,7 +433,7 @@ impl ShardedDatabase {
         }
     }
 
-    /// Fallible variant of [`ShardedDatabase::update_object`].
+    /// Fallible variant of [`Self::update_object`].
     ///
     /// # Errors
     /// [`DbError::Dead`] if `id` is tombstoned or out of range;
@@ -454,7 +503,7 @@ impl ShardedDatabase {
     }
 }
 
-impl SpatialIndex for ShardedDatabase {
+impl<L> SpatialIndex for ObjectIndex<L> {
     fn len(&self) -> usize {
         self.slot.len()
     }
@@ -539,7 +588,7 @@ impl SpatialIndex for ShardedDatabase {
 
 /// Computes the [`ShardStats`] of one shard's global tree over the objects
 /// it indexes.
-fn shard_stats_of(db: &ShardedDatabase, tree: &RTree<usize>) -> ShardStats {
+fn shard_stats_of<L>(db: &ObjectIndex<L>, tree: &RTree<usize>) -> ShardStats {
     let mut instances = 0;
     let mut approx_bytes = 0;
     for &id in tree.items() {
@@ -595,6 +644,101 @@ mod tests {
             lo += rows.len();
         }
         assert_eq!(lo, db.live_len());
+    }
+
+    /// Every observable of an index: epoch, id-space sizes, the change
+    /// log, the stats, each shard tree's entries (id and MBR bits, in tree
+    /// order), and each live id's coordinate and probability bits and
+    /// local-tree height.
+    #[allow(clippy::type_complexity)]
+    fn observables<L>(
+        db: &ObjectIndex<L>,
+    ) -> (
+        (u64, usize, usize, Option<Vec<Change>>, IndexStats),
+        Vec<Vec<(usize, Vec<u64>)>>,
+        Vec<(usize, Vec<u64>, Vec<u64>, Option<usize>)>,
+    ) {
+        fn bits(xs: &[f64]) -> Vec<u64> {
+            xs.iter().map(|x| x.to_bits()).collect()
+        }
+        fn walk(node: &osd_rtree::Node<usize>, out: &mut Vec<(usize, Vec<u64>)>) {
+            match node {
+                osd_rtree::Node::Leaf(es) => out.extend(
+                    es.iter()
+                        .map(|e| (e.item, [bits(e.mbr.lo()), bits(e.mbr.hi())].concat())),
+                ),
+                osd_rtree::Node::Inner(cs) => cs.iter().for_each(|c| walk(&c.node, out)),
+            }
+        }
+        let trees = (0..db.shard_count())
+            .map(|s| {
+                let mut entries = Vec::new();
+                if let Some(root) = db.shard_tree(s).root() {
+                    walk(root, &mut entries);
+                }
+                entries
+            })
+            .collect();
+        let objects = (0..db.len())
+            .filter(|&id| db.is_live(id))
+            .map(|id| {
+                let o = db.object(id);
+                let height = db.local_tree(id).height();
+                (id, bits(o.coords()), bits(o.probs()), height)
+            })
+            .collect();
+        let header = (
+            db.epoch(),
+            db.len(),
+            db.live_len(),
+            db.changes_since(0),
+            db.index_stats(),
+        );
+        (header, trees, objects)
+    }
+
+    /// The flat constructors build the one-shard index, and the same
+    /// mutation script keeps the two equal after every step.
+    #[test]
+    fn flat_constructors_build_the_one_shard_index() {
+        let store = Arc::new(InstanceStore::from_objects(&grid(30)).unwrap());
+        let mut flat = crate::FlatDatabase::from_store(Arc::clone(&store), 32, 4).unwrap();
+        let cfg = ShardConfig {
+            shards: 1,
+            global_fanout: 32,
+            local_fanout: 4,
+        };
+        let mut sharded = ShardedDatabase::from_store(store, cfg).unwrap();
+        assert_eq!(observables(&flat), observables(&sharded), "built");
+        // Five instances: local trees of fan-out 4 get a second level.
+        fn wide(x: f64) -> UncertainObject {
+            obj(&[
+                (x, x),
+                (x + 0.5, x),
+                (x, x + 0.5),
+                (x + 0.5, x + 0.5),
+                (x, 0.0),
+            ])
+        }
+        type Step = fn(&mut dyn SpatialIndex) -> Result<(), DbError>;
+        let script: [(&str, Step); 7] = [
+            ("insert", |db| db.try_insert(wide(40.0)).map(drop)),
+            ("insert", |db| db.try_insert(obj(&[(-5.0, 1.0)])).map(drop)),
+            ("update", |db| db.try_update(3, wide(12.0))),
+            ("delete", |db| db.try_delete(7)),
+            ("update an insert", |db| {
+                db.try_update(30, obj(&[(2.0, 2.0)]))
+            }),
+            ("delete an insert", |db| db.try_delete(31)),
+            ("delete dead", |db| db.try_delete(7)),
+        ];
+        for (step, run) in script {
+            let a = run(&mut flat);
+            let b = run(&mut sharded);
+            assert_eq!(a, b, "{step}");
+            assert_eq!(a.is_err(), step == "delete dead", "{step}");
+            assert_eq!(observables(&flat), observables(&sharded), "{step}");
+        }
     }
 
     #[test]

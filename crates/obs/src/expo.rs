@@ -17,7 +17,7 @@
 //!   "counters": { "candidates_emitted": 11, .., "rtree_node_visits": 7, .. },
 //!   "gauges": { "heap_high_water": 5, "snapshot_epoch": 0, "live_objects": 9, "tombstones": 0 },
 //!   "candidates_by_op": { "PSD": 11 },
-//!   "spans": { "flow-rebuild": {"count": 2, "total_ns": 99} }
+//!   "spans": { "flow-solve": {"count": 2, "total_ns": 99} }
 //! }
 //! ```
 
@@ -369,10 +369,7 @@ mod tests {
     #[test]
     fn prometheus_families_are_well_formed() {
         let mut m = sample();
-        m.tally(
-            "flow-solve",
-            &crate::PhaseTimer::start(Phase::Refine).stop(),
-        );
+        m.record(&crate::PhaseTimer::start(Phase::Refine).stop());
         let prom = to_prometheus(&m, &[("dominance_checks", 3)]);
 
         // Every # TYPE line is immediately preceded by the matching # HELP

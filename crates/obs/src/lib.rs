@@ -12,11 +12,12 @@
 //! * [`Phase`] — the five-phase taxonomy of one NNC query (*prepare*,
 //!   *rtree-descent*, *level-prune*, *validate*, *refine*);
 //! * [`PhaseTimer`] — the phase timer: two clock reads per sample, one
-//!   [`PhaseSample`] that feeds the phase total and histogram, a labelled
-//!   tally and the trace span alike;
+//!   [`PhaseSample`] that feeds the phase total and histogram and the
+//!   trace span alike;
 //! * [`QueryMetrics`] — the per-query registry: counters ([`Counter`]),
 //!   the heap high-water gauge, per-phase totals and [`Histogram`]s, and
-//!   labelled per-operator/per-span tallies. Merging is exact and
+//!   labelled per-operator tallies (the `flow-solve` span total is read
+//!   off the refine phase, not kept twice). Merging is exact and
 //!   order-independent (field-wise `u64` addition, `max` for gauges), so
 //!   per-worker registries fold to the same totals regardless of thread
 //!   count — mirroring `Stats::merge` in `osd-core`;

@@ -270,7 +270,6 @@ pub struct QueryMetrics {
     /// (merged by `max`, like the snapshot gauges).
     warm_resident_bytes: u64,
     per_op: LabelSet,
-    spans: LabelSet,
     /// Global-traversal node visits attributed to their source shard;
     /// the trailing cell tallies shards ≥ [`MAX_TRACKED_SHARDS`].
     shard_visits: [u64; MAX_TRACKED_SHARDS + 1],
@@ -291,7 +290,6 @@ impl Default for QueryMetrics {
             warm_evictions: 0,
             warm_resident_bytes: 0,
             per_op: LabelSet::default(),
-            spans: LabelSet::default(),
             shard_visits: [0; MAX_TRACKED_SHARDS + 1],
         }
     }
@@ -375,13 +373,6 @@ impl QueryMetrics {
         self.phase_hist[idx].observe(ns);
     }
 
-    /// Folds `sample` into the labelled totals under `label`, as one entry
-    /// of its length — no clock read of its own.
-    #[inline]
-    pub fn tally(&mut self, label: &'static str, sample: &PhaseSample) {
-        self.spans.add(label, 1, sample.nanos());
-    }
-
     /// Merges another registry into this one, field by exact field:
     /// counters, phase totals and histogram buckets add; the heap gauge
     /// takes the `max`; labelled tallies add per label (kept label-sorted).
@@ -404,7 +395,6 @@ impl QueryMetrics {
         self.warm_evictions = self.warm_evictions.max(other.warm_evictions);
         self.warm_resident_bytes = self.warm_resident_bytes.max(other.warm_resident_bytes);
         self.per_op.merge(&other.per_op);
-        self.spans.merge(&other.spans);
         for (a, b) in self.shard_visits.iter_mut().zip(other.shard_visits.iter()) {
             *a += b;
         }
@@ -470,9 +460,16 @@ impl QueryMetrics {
             .collect()
     }
 
-    /// Named span totals as `(label, count, total_ns)`, label-sorted.
+    /// Named span totals as `(label, count, total_ns)`: the flow solves,
+    /// as `flow-solve`. Every refine-phase sample is one flow solve, so
+    /// this reads the refine phase's count and nanoseconds (and nothing
+    /// when it has no samples) rather than keeping a second record.
     pub fn spans(&self) -> Vec<(&'static str, u64, u64)> {
-        self.spans.entries()
+        let solves = self.phase_count(Phase::Refine);
+        if solves == 0 {
+            return Vec::new();
+        }
+        vec![("flow-solve", solves, self.phase_nanos(Phase::Refine))]
     }
 
     /// Per-shard global-traversal node visits: [`MAX_TRACKED_SHARDS`]
@@ -526,10 +523,6 @@ impl QueryMetrics {
     /// No-op (the sample never read a clock).
     #[inline(always)]
     pub fn record(&mut self, _sample: &PhaseSample) {}
-
-    /// No-op (the sample never read a clock).
-    #[inline(always)]
-    pub fn tally(&mut self, _label: &'static str, _sample: &PhaseSample) {}
 
     /// No-op.
     #[inline(always)]

@@ -1,8 +1,7 @@
 //! The phase timer: [`PhaseTimer`] reads the clock when a phase sample
 //! starts, [`PhaseTimer::stop`] reads it again when it ends, and the
 //! resulting [`PhaseSample`] feeds every record of that sample — the phase
-//! total and histogram ([`QueryMetrics::record`](crate::QueryMetrics::record)),
-//! a labelled tally ([`QueryMetrics::tally`](crate::QueryMetrics::tally))
+//! total and histogram ([`QueryMetrics::record`](crate::QueryMetrics::record))
 //! and, on a traced query, the span's start and duration
 //! ([`QueryTrace::open_at`](crate::QueryTrace::open_at) /
 //! [`close_at`](crate::QueryTrace::close_at)). Two clock reads per
@@ -117,16 +116,20 @@ mod tests {
     }
 
     #[test]
-    fn tally_records_the_sample_under_its_label() {
+    fn refine_samples_read_as_the_flow_solve_span() {
         let mut m = QueryMetrics::new();
+        m.record(&PhaseTimer::start(Phase::Validate).stop());
+        assert!(
+            m.spans().is_empty(),
+            "no refine sample, no flow-solve entry"
+        );
         let sample = PhaseTimer::start(Phase::Refine).stop();
         m.record(&sample);
-        m.tally("flow-solve", &sample);
         if QueryMetrics::enabled() {
             assert_eq!(
                 m.spans(),
-                vec![("flow-solve", 1, m.phase_nanos(Phase::Refine))],
-                "the tally and the phase total read the same sample"
+                vec![("flow-solve", 1, sample.nanos())],
+                "the flow-solve entry is the refine phase's one record"
             );
         } else {
             assert!(m.spans().is_empty());

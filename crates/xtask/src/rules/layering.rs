@@ -37,8 +37,8 @@ const LEAVES: &[&str] = &["osd-cli", "osd-bench", "osd"];
 
 /// Intra-crate layering of the index modules inside osd-core, bottom up:
 /// `index` (the `SpatialIndex` trait every query operator compiles
-/// against) → `sharded` (the one index implementation) → `db` (the flat
-/// one-shard front). Each entry is a module file, the sibling modules its
+/// against) → `sharded` (the one index type) → `db` (that type's flat
+/// constructors). Each entry is a module file, the sibling modules its
 /// non-test code may not reference, and why.
 const INDEX_LAYERS: &[(&str, &[&str], &str)] = &[
     (
@@ -50,9 +50,9 @@ const INDEX_LAYERS: &[(&str, &[&str], &str)] = &[
     (
         "crates/core/src/sharded.rs",
         &["db"],
-        "`db` is the one-shard front above the single index implementation — \
-         move shared code into sharded.rs or index.rs instead of growing a second \
-         implementation there",
+        "`db` holds the flat constructors of the one index type (its one-shard \
+         front) — move shared code into sharded.rs or index.rs instead of growing \
+         a second implementation there",
     ),
 ];
 

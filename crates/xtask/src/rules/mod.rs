@@ -191,8 +191,8 @@ static RULES: [Rule; 11] = [
                  the build may tolerate today and a refactor breaks tomorrow; the DAG is \
                  enforced on both the manifests and the import graph. Inside osd-core the \
                  index modules layer the same way: index.rs (the trait) may not import \
-                 db/sharded, and sharded.rs (the one implementation) may not import db \
-                 (its one-shard front).",
+                 db/sharded, and sharded.rs (the one index type) may not import db \
+                 (which holds that type's flat constructors).",
         waiver: "acceptable only during a staged refactor that temporarily inverts an edge; \
                  the waiver must name the PR that removes it.",
         run: Run::Workspace(layering::crate_layering),
