@@ -390,11 +390,12 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         }
         if let Some(fmt) = profile {
             // Per-worker registries fold exactly, so the batch profile is
-            // identical regardless of --threads.
-            print!(
-                "{}",
-                render_profile(fmt, &batch_metrics(&results), &batch_stats(&results))
-            );
+            // identical regardless of --threads. The warm cache's footprint
+            // is the pool's, stamped once after the batch.
+            let mut metrics = batch_metrics(&results);
+            let ws = pool.stats();
+            metrics.warm_cache(ws.evictions, ws.resident_bytes);
+            print!("{}", render_profile(fmt, &metrics, &batch_stats(&results)));
         }
         if let Some(fmt) = trace_fmt {
             let traces: Vec<&TraceData> = results.iter().filter_map(|r| r.trace.as_ref()).collect();

@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![allow(clippy::print_stderr)]
 
-use osd_cli::args::Flags;
+use osd_cli::args::{CliError, Flags};
 use osd_cli::commands::{run, usage};
 
 fn main() {
@@ -17,7 +17,10 @@ fn main() {
     let sub = args.remove(0);
     if let Err(e) = run(&sub, &Flags::new(args)) {
         eprintln!("error: {e}");
-        eprint!("{}", usage());
+        // The usage helps with a malformed or missing flag, not with bad data.
+        if !matches!(e, CliError::Data(_)) {
+            eprint!("{}", usage());
+        }
         std::process::exit(2);
     }
 }

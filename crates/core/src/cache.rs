@@ -34,7 +34,7 @@
 use crate::ctx::CheckCtx;
 use crate::index::SpatialIndex;
 use crate::query::PreparedQuery;
-use crate::warm::{LevelBounds, LevelSlots, Record, Resident};
+use crate::warm::{LevelBounds, LevelSlots, Record};
 use osd_geom::{dist_slice, min_dist2_rows_multi, Mbr};
 use osd_obs::AttrValue;
 use osd_uncertain::DistanceDistribution;
@@ -271,7 +271,7 @@ impl CheckCtx<'_> {
     /// or miss when `tally` is set. When the view refuses, its cache being
     /// sealed, the object moves to a private copy of the record holding the
     /// values this traversal looked up, so none of them is built twice.
-    fn fill<V: Resident>(
+    fn fill<V: Clone>(
         &mut self,
         id: usize,
         field: impl Fn(&Record) -> Option<&OnceLock<V>>,
@@ -316,7 +316,7 @@ impl CheckCtx<'_> {
     /// miss that first runs `miss` (the value's frozen charge and nested
     /// lookups, made whether the value is then built or served) and hands
     /// its result to `build`. Returns the value and whether it was built.
-    fn lookup<A, V: Resident>(
+    fn lookup<A, V: Clone>(
         &mut self,
         id: usize,
         bit: u128,
@@ -415,7 +415,7 @@ impl CheckCtx<'_> {
     /// A bound pair of object `id` at R-tree `level`: `kind` 0 is the
     /// whole-`U_Q` pair, 1 the per-`U_q` pairs. Looks the level snapshot up
     /// first; a miss makes room for the object's level slots.
-    fn level_bounds<V: Resident>(
+    fn level_bounds<V: Clone>(
         &mut self,
         id: usize,
         level: usize,

@@ -348,11 +348,6 @@ impl<'a> ProgressiveNnc<'a> {
     /// so far.
     pub fn into_result(mut self) -> NncResult {
         self.finish_keys();
-        // Stamp the warm gauges at completion, when resident bytes reflect
-        // everything this query published (max-merged, so late is safe).
-        if let Some(w) = &self.ctx.warm {
-            w.record_gauges(&mut self.ctx.metrics);
-        }
         let mut trace = self.ctx.trace.finish();
         if let Some(t) = trace.as_mut() {
             t.label = Cow::Borrowed(self.op.label());

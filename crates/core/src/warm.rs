@@ -55,10 +55,10 @@
 //!   record, with the slot cleared and a chunk that leaves empty dropped;
 //!   every other chunk is shared with the old cache. The records of
 //!   untouched ids are bit-identical in both epochs, so sharing them is the
-//!   carry argument one level up. Evictions and gauges are kept by
-//!   subtracting the evicted entries, so an advance costs
-//!   O(tables · touched) plus a list copy of `n / CHUNK_SLOTS` pointers per
-//!   table it evicts from, never a slot per id. A key list is carried as
+//!   carry argument one level up. The evicted entries are counted as they
+//!   go, so an advance costs O(tables · touched) plus a list copy of
+//!   `n / CHUNK_SLOTS` pointers per table it evicts from, never a slot per
+//!   id. A key list is carried as
 //!   it is, at the epoch it was built: a traversal checks it against the
 //!   epoch log when it reads it, and the first traversal of the new epoch
 //!   publishes it without the touched ids' keys. When the
@@ -81,11 +81,12 @@
 //!   query table's key list follows the same rule: a traversal on a sealed
 //!   cache publishes no keys (it may read a list; one built at another
 //!   epoch is checked against its epoch log).
-//! * **Memory.** Each query table keeps a gauge of the entries it holds
-//!   and of its bytes: published values, its chunk list, chunks and
-//!   records, its own key and its key list. [`WarmCache::resident_bytes`]
-//!   sums the gauges and [`WarmCache::audit`] recounts them chunk by
-//!   chunk. The footprint is at most [`QUERY_TABLES`] tables, each holding
+//! * **Memory.** A query table's entries and bytes — published values,
+//!   its chunk list, chunks and records, its own key and its key list —
+//!   are counted by one walk of its chunks, on demand: read by
+//!   [`WarmCache::resident_bytes`], [`WarmCache::audit`] and the eviction
+//!   count of a table the bound drops; nothing is kept as the table
+//!   fills. The footprint is at most [`QUERY_TABLES`] tables, each holding
 //!   a list of `n / CHUNK_SLOTS` chunk pointers, a record per object its
 //!   query read a query-keyed value of and 16 bytes per object it pushed.
 //! * **Never backwards.** A snapshot older than the pool's current cache
@@ -147,7 +148,7 @@ pub const CHUNK_SLOTS: usize = 16;
 /// Bytes of an `Arc`'s two counts.
 const ARC_BYTES: u64 = 2 * size_of::<usize>() as u64;
 
-// ---- approximate resident sizes (gauge accounting, not allocator truth) ----
+// ---- approximate resident sizes (a recount, not allocator truth) ----
 
 /// Entries and approximate bytes held by a slot, record or table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -163,7 +164,7 @@ impl std::ops::AddAssign for Weight {
     }
 }
 
-/// A value a warm slot can hold, with what it adds to the gauges.
+/// A value a warm slot can hold, with what it adds to its table's weight.
 pub(crate) trait Resident: Clone {
     fn weight(&self) -> Weight;
 }
@@ -296,45 +297,16 @@ impl Resident for Arc<Record> {
     }
 }
 
-/// The entries and bytes one table holds, kept as it fills.
-#[derive(Debug, Default)]
-struct Gauge {
-    entries: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl Gauge {
-    fn new(w: Weight) -> Gauge {
-        Gauge {
-            entries: AtomicU64::new(w.entries),
-            bytes: AtomicU64::new(w.bytes),
-        }
-    }
-
-    fn add(&self, w: Weight) {
-        self.entries.fetch_add(w.entries, Ordering::Relaxed);
-        self.bytes.fetch_add(w.bytes, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> Weight {
-        Weight {
-            entries: self.entries.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The lazily published slots of `CHUNK_SLOTS` consecutive ids.
 type Chunk<V> = Arc<[OnceLock<V>]>;
 
 /// One warm table: a chunk of slots per `CHUNK_SLOTS` logical ids, each
-/// allocated on its first write, and the gauge of what it holds.
+/// allocated on its first write.
 struct Table<V> {
     /// Chunk `c` holds the slots of ids `c * CHUNK_SLOTS ..`; an
     /// unallocated one stands for empty slots. Shared by a successor that
     /// evicts nothing from this table.
     chunks: Arc<[OnceLock<Chunk<V>>]>,
-    gauge: Gauge,
 }
 
 impl<V: Resident> Table<V> {
@@ -351,11 +323,19 @@ impl<V: Resident> Table<V> {
         let len = n.div_ceil(CHUNK_SLOTS);
         Table {
             chunks: (0..len).map(|_| OnceLock::new()).collect(),
-            gauge: Gauge::new(Weight {
-                entries: 0,
-                bytes: Self::list_bytes(len),
-            }),
         }
+    }
+
+    /// What the table holds, recounted: its chunk list, its allocated
+    /// chunks and the values in their filled slots. O(chunks).
+    fn weight(&self) -> Weight {
+        let allocated = self.chunks.iter().filter(|c| c.get().is_some()).count();
+        let mut w = Weight {
+            entries: 0,
+            bytes: Self::list_bytes(self.chunks.len()) + allocated as u64 * Self::CHUNK_BYTES,
+        };
+        self.for_each(|_, v| w += v.weight());
+        w
     }
 
     /// The value in `id`'s slot; `None` if it is empty or past the end.
@@ -363,20 +343,11 @@ impl<V: Resident> Table<V> {
         self.chunks.get(id / CHUNK_SLOTS)?.get()?[id % CHUNK_SLOTS].get()
     }
 
-    /// `id`'s slot, allocating its chunk (counted into the gauge) on first
-    /// write; a chunk another caller allocated first is adopted.
+    /// `id`'s slot, allocating its chunk on first write; a chunk another
+    /// caller allocated first is adopted.
     fn slot(&self, id: usize) -> &OnceLock<V> {
-        let mut made = false;
-        let chunk = self.chunks[id / CHUNK_SLOTS].get_or_init(|| {
-            made = true;
-            (0..CHUNK_SLOTS).map(|_| OnceLock::new()).collect()
-        });
-        if made {
-            self.gauge.add(Weight {
-                entries: 0,
-                bytes: Self::CHUNK_BYTES,
-            });
-        }
+        let chunk = self.chunks[id / CHUNK_SLOTS]
+            .get_or_init(|| (0..CHUNK_SLOTS).map(|_| OnceLock::new()).collect());
         &chunk[id % CHUNK_SLOTS]
     }
 
@@ -409,8 +380,6 @@ impl<V: Resident> Table<V> {
         }
         let mut chunks = self.chunks.to_vec();
         chunks.resize_with(len, OnceLock::new);
-        let mut gone = Weight::default();
-        let mut dropped = 0;
         for ids in held.chunk_by(|a, b| a / CHUNK_SLOTS == b / CHUNK_SLOTS) {
             let c = ids[0] / CHUNK_SLOTS;
             // A held id's chunk is allocated.
@@ -420,7 +389,7 @@ impl<V: Resident> Table<V> {
             let mut copy = Vec::with_capacity(CHUNK_SLOTS);
             for (k, slot) in old.iter().enumerate() {
                 if ids.contains(&(c * CHUNK_SLOTS + k)) {
-                    gone += slot.get().map(Resident::weight).unwrap_or_default();
+                    *evicted += slot.get().map(Resident::weight).unwrap_or_default();
                     copy.push(OnceLock::new());
                 } else {
                     copy.push(slot.clone());
@@ -428,22 +397,10 @@ impl<V: Resident> Table<V> {
             }
             if copy.iter().any(|s| s.get().is_some()) {
                 chunks[c] = OnceLock::from(Chunk::<V>::from(copy));
-            } else {
-                dropped += 1;
             }
         }
-        *evicted += gone;
-        let was = self.gauge.get();
-        let gauge = Gauge::new(Weight {
-            entries: was.entries - gone.entries,
-            bytes: was.bytes + Self::list_bytes(len)
-                - Self::list_bytes(self.chunks.len())
-                - gone.bytes
-                - dropped * Self::CHUNK_BYTES,
-        });
         Some(Table {
             chunks: chunks.into(),
-            gauge,
         })
     }
 }
@@ -476,8 +433,8 @@ struct Keys {
 }
 
 impl Keys {
-    /// What the keys add to the gauges: an entry per key, and the list's
-    /// storage.
+    /// What the keys add to their table's weight: an entry per key, and
+    /// the list's storage.
     fn weight(&self) -> Weight {
         let slots = self.list.capacity() * size_of::<(usize, f64)>();
         Weight {
@@ -536,28 +493,29 @@ pub struct QueryTable {
 impl std::fmt::Debug for QueryTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryTable")
-            .field("entries", &self.held().entries)
+            .field("entries", &self.weight().entries)
             .finish_non_exhaustive()
     }
 }
 
 impl QueryTable {
     fn new(key: Vec<u64>, n: usize) -> QueryTable {
-        let table = QueryTable {
+        QueryTable {
             key,
             records: Table::new(n),
             keys: Mutex::default(),
-        };
-        table.records.gauge.add(Weight {
-            entries: 0,
-            bytes: table.own_bytes(),
-        });
-        table
+        }
     }
 
-    /// Bytes of the table itself: its header and its query's key.
-    fn own_bytes(&self) -> u64 {
-        ARC_BYTES + (size_of::<QueryTable>() + 8 * self.key.len()) as u64
+    /// What the table holds, recounted: its header and its query's key,
+    /// its records' table and its key list. The one count of a table's
+    /// footprint: resident bytes, audits and the eviction count of a
+    /// dropped table all read it.
+    fn weight(&self) -> Weight {
+        let mut w = self.records.weight();
+        w.bytes += ARC_BYTES + (size_of::<QueryTable>() + 8 * self.key.len()) as u64;
+        w += self.keys().weight();
+        w
     }
 
     /// The current keys.
@@ -566,14 +524,6 @@ impl QueryTable {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-    }
-
-    /// What the table holds: its records' gauge (which counts the table's
-    /// own bytes) plus its key list.
-    fn held(&self) -> Weight {
-        let mut w = self.records.gauge.get();
-        w += self.keys().weight();
-        w
     }
 
     /// This table's successor (see [`Table::carry`]): the same table when
@@ -655,15 +605,8 @@ impl WarmAudit {
     fn walk(&mut self, fp: u64, t: &QueryTable, n: usize) {
         let records = &t.records;
         let mut filled = Vec::new();
-        let keys = t.keys();
-        let mut held = keys.weight();
-        held.bytes += t.own_bytes() + Table::<Arc<Record>>::list_bytes(records.chunks.len());
-        let allocated = records.chunks.iter().filter(|c| c.get().is_some()).count();
-        held.bytes += allocated as u64 * Table::<Arc<Record>>::CHUNK_BYTES;
-        records.for_each(|id, v| {
-            filled.push(id);
-            held += v.weight();
-        });
+        records.for_each(|id, _| filled.push(id));
+        let held = t.weight();
         self.entries += held.entries;
         self.resident_bytes += held.bytes;
         self.tables.push(TableAudit {
@@ -675,7 +618,7 @@ impl WarmAudit {
                 })
                 .collect(),
             filled,
-            keys: keys.list.iter().map(|&(id, _)| id).collect(),
+            keys: t.keys().list.iter().map(|&(id, _)| id).collect(),
             bytes: held.bytes,
         });
     }
@@ -764,11 +707,30 @@ impl WarmCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Approximate bytes resident in this cache: the sum of its query
-    /// tables' gauges, O(tables).
-    pub fn resident_bytes(&self) -> u64 {
+    /// The admitted query tables by fingerprint, read under the lock and
+    /// walked after it is released.
+    fn tables(&self) -> Vec<(u64, Arc<QueryTable>)> {
         let queries = self.queries();
-        queries.tables.values().map(|(t, _)| t.held().bytes).sum()
+        queries
+            .tables
+            .iter()
+            .map(|(&fp, (t, _))| (fp, Arc::clone(t)))
+            .collect()
+    }
+
+    /// What this cache holds, recounted table by table. O(chunks).
+    fn weight(&self) -> Weight {
+        let mut w = Weight::default();
+        for (_, t) in self.tables() {
+            w += t.weight();
+        }
+        w
+    }
+
+    /// Approximate bytes resident in this cache, as [`WarmCache::audit`]
+    /// counts them. O(chunks).
+    pub fn resident_bytes(&self) -> u64 {
+        self.weight().bytes
     }
 
     fn stats(&self) -> WarmStats {
@@ -782,16 +744,15 @@ impl WarmCache {
     }
 
     /// Walks every chunk of every query table: the layout and the
-    /// recounted gauges. O(chunks); [`WarmCache::resident_bytes`] and
-    /// [`WarmCache::evictions`] keep the same figures incrementally.
+    /// recounted entries and bytes. O(chunks).
     pub fn audit(&self) -> WarmAudit {
         let mut audit = WarmAudit {
             tables: Vec::new(),
             entries: 0,
             resident_bytes: 0,
         };
-        for (&fp, (t, _)) in &self.queries().tables {
-            audit.walk(fp, t, self.len);
+        for (fp, t) in self.tables() {
+            audit.walk(fp, &t, self.len);
         }
         audit
     }
@@ -807,12 +768,11 @@ impl WarmCache {
     }
 
     /// Publishes `value` into the slot `find` resolves (allocating its
-    /// chunk, for a table slot) and counts it into `gauge`; a lost race
-    /// adopts the winner. `Err` with `value` when this cache is sealed:
-    /// the value stays private to the caller.
-    fn publish<'s, V: Resident + 's>(
+    /// chunk, for a table slot); a lost race adopts the winner. `Err` with
+    /// `value` when this cache is sealed: the value stays private to the
+    /// caller.
+    fn publish<'s, V: Clone + 's>(
         &self,
-        gauge: &Gauge,
         value: V,
         find: impl FnOnce() -> &'s OnceLock<V>,
     ) -> Result<V, V> {
@@ -826,13 +786,9 @@ impl WarmCache {
             return Err(value);
         }
         let slot = find();
-        // Weighed before it is visible: once published, a record's fields
-        // are filled by other callers, which count themselves.
-        let w = value.weight();
         if slot.set(value.clone()).is_err() {
             return Ok(slot.get().cloned().unwrap_or(value));
         }
-        gauge.add(w);
         Ok(value)
     }
 
@@ -871,16 +827,20 @@ impl WarmCache {
             return None;
         };
         queries.sighted.remove(at);
+        let mut dropped = None;
         if queries.tables.len() >= QUERY_TABLES {
             let lru = queries.tables.iter().min_by_key(|(_, (_, used))| *used);
             let lru = lru.map(|(&f, _)| f);
-            if let Some((t, _)) = lru.and_then(|f| queries.tables.remove(&f)) {
-                let dropped = t.held().entries;
-                self.evictions.fetch_add(dropped, Ordering::Relaxed);
-            }
+            dropped = lru.and_then(|f| queries.tables.remove(&f));
         }
         let t = Arc::new(QueryTable::new(key, self.len));
         queries.tables.insert(fp, (Arc::clone(&t), now));
+        // The dropped table is weighed and freed off the lock.
+        drop(queries);
+        if let Some((old, _)) = dropped {
+            let entries = old.weight().entries;
+            self.evictions.fetch_add(entries, Ordering::Relaxed);
+        }
         Some(t)
     }
 
@@ -900,12 +860,12 @@ impl WarmCache {
             let next = WarmCache::blank(db);
             next.hits.store(old.hits(), Ordering::Relaxed);
             next.misses.store(old.misses(), Ordering::Relaxed);
-            let evicted = old.evictions() + old.audit().entries;
+            let evicted = old.evictions() + old.weight().entries;
             next.evictions.store(evicted, Ordering::Relaxed);
             return next;
         };
         // Sealing waits out every publish in flight, so the old cache's
-        // gauges and slots read below are final.
+        // slots read below are final.
         old.seal();
         let touched = touched_ids(&changes);
         let mut evicted = Weight::default();
@@ -962,11 +922,6 @@ impl WarmView {
         }
     }
 
-    /// Records the cache's eviction/resident gauges into `metrics`.
-    pub fn record_gauges(&self, metrics: &mut QueryMetrics) {
-        metrics.warm_cache(self.cache.evictions(), self.cache.resident_bytes());
-    }
-
     /// `id`'s record in the query table, created empty on first touch;
     /// `None` for a query without a table or on a sealed cache, whose
     /// traversal fills a private record instead. One chunk walk: a
@@ -978,9 +933,7 @@ impl WarmView {
             return Some(r);
         }
         let fresh = Arc::new(Record::default());
-        self.cache
-            .publish(&t.records.gauge, fresh, || t.records.slot(id))
-            .ok()
+        self.cache.publish(fresh, || t.records.slot(id)).ok()
     }
 
     /// The value of `slot`, a field of one of this view's table records:
@@ -988,18 +941,18 @@ impl WarmView {
     /// (`false`). `Err` with the built value when the cache is sealed (it
     /// neither serves nor publishes) or the view has no table: the caller
     /// keeps the value privately.
-    pub(crate) fn fill<V: Resident>(
+    pub(crate) fn fill<V: Clone>(
         &self,
         slot: &OnceLock<V>,
         build: impl FnOnce() -> V,
     ) -> Result<(V, bool), V> {
-        let Some(t) = self.table.as_deref() else {
+        if self.table.is_none() {
             return Err(build());
-        };
+        }
         if let Some(v) = self.cache.lookup(slot.get()) {
             return Ok((v, true));
         }
-        let v = self.cache.publish(&t.records.gauge, build(), || slot)?;
+        let v = self.cache.publish(build(), || slot)?;
         Ok((v, false))
     }
 
@@ -1355,9 +1308,7 @@ mod tests {
     fn filled(ids: &[usize], n: usize) -> Table<Arc<Vec<u64>>> {
         let t = Table::new(n);
         for &id in ids {
-            let v = Arc::new(vec![id as u64]);
-            t.gauge.add(v.weight());
-            let _ = t.slot(id).set(v);
+            let _ = t.slot(id).set(Arc::new(vec![id as u64]));
         }
         t
     }
@@ -1379,12 +1330,12 @@ mod tests {
     fn storage_follows_the_entries() {
         let t = filled(&[], 20_000);
         let list = Table::<Arc<Vec<u64>>>::list_bytes(20_000usize.div_ceil(CHUNK_SLOTS));
-        assert_eq!(t.gauge.get().bytes, list);
+        assert_eq!(t.weight().bytes, list);
         let t = filled(&[12_345, 12_346], 20_000);
         assert_eq!(allocated(&t).iter().filter(|&&a| a).count(), 1);
         let chunk = Table::<Arc<Vec<u64>>>::CHUNK_BYTES;
         let values = 2 * Arc::new(vec![0u64]).weight().bytes;
-        assert_eq!(t.gauge.get().bytes, list + chunk + values);
+        assert_eq!(t.weight().bytes, list + chunk + values);
         assert!(t.get(12_347).is_none() && t.get(1 << 20).is_none());
         assert_eq!(contents(&t), vec![12_345, 12_346]);
     }
@@ -1417,7 +1368,7 @@ mod tests {
         assert_eq!(allocated(&new), vec![true, true, false, false]);
         let chunk = Table::<Arc<Vec<u64>>>::CHUNK_BYTES;
         assert_eq!(
-            old.gauge.get().bytes - new.gauge.get().bytes,
+            old.weight().bytes - new.weight().bytes,
             evicted.bytes + chunk
         );
         // Growing past the last chunk copies the list and shares the chunks.

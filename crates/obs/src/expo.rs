@@ -15,9 +15,11 @@
 //!   "enabled": true,
 //!   "phases": { "prepare": {"count": 1, "total_ns": 42, "buckets": [..]}, .. },
 //!   "counters": { "candidates_emitted": 11, .., "rtree_node_visits": 7, .. },
-//!   "gauges": { "heap_high_water": 5, "snapshot_epoch": 0, "live_objects": 9, "tombstones": 0 },
+//!   "gauges": { "heap_high_water": 5, "snapshot_epoch": 0, "live_objects": 9, "tombstones": 0,
+//!               "warm_evictions": 0, "warm_resident_bytes": 2328 },
 //!   "candidates_by_op": { "PSD": 11 },
-//!   "spans": { "flow-solve": {"count": 2, "total_ns": 99} }
+//!   "spans": { "flow-solve": {"count": 2, "total_ns": 99} },
+//!   "shard_node_visits": [7, 0, .., 0]
 //! }
 //! ```
 
@@ -123,8 +125,10 @@ pub fn to_json(m: &QueryMetrics, extra: &[(&str, u64)]) -> String {
 /// exposition format (metric families `osd_phase_duration_ns`,
 /// `osd_phase_latency_bucket` with cumulative `le` buckets, `osd_counter`,
 /// `osd_heap_high_water`, the snapshot gauges `osd_snapshot_epoch` /
-/// `osd_live_objects` / `osd_tombstones`, `osd_candidates_emitted`,
-/// `osd_span_ns` / `osd_span_count`). Every family carries a `# HELP`
+/// `osd_live_objects` / `osd_tombstones`, the warm gauges
+/// `osd_warm_evictions` / `osd_warm_resident_bytes`,
+/// `osd_candidates_emitted`, `osd_span_ns` / `osd_span_count`,
+/// `osd_shard_node_visits`). Every family carries a `# HELP`
 /// line immediately before its `# TYPE` line, as the exposition format
 /// prescribes.
 pub fn to_prometheus(m: &QueryMetrics, extra: &[(&str, u64)]) -> String {

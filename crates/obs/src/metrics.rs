@@ -161,14 +161,14 @@ impl Counter {
     }
 }
 
-/// A small set of `(label, count, nanos)` cells kept sorted by label, so
-/// that merge results are independent of insertion order and `PartialEq`
+/// A small set of `(label, count)` cells kept sorted by label, so that
+/// merge results are independent of insertion order and `PartialEq`
 /// compares canonically. Capacity is fixed (no allocation on the query
 /// path); overflow tallies under `"__other"`.
 #[cfg(feature = "enabled")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct LabelSet {
-    cells: [Option<(&'static str, u64, u64)>; LabelSet::CAPACITY],
+    cells: [Option<(&'static str, u64)>; LabelSet::CAPACITY],
 }
 
 #[cfg(feature = "enabled")]
@@ -176,69 +176,67 @@ impl LabelSet {
     const CAPACITY: usize = 8;
     const OVERFLOW: &'static str = "__other";
 
-    fn add(&mut self, label: &'static str, count: u64, nanos: u64) {
+    fn add(&mut self, label: &'static str, count: u64) {
         // Find the insertion point in label-sorted order.
         let mut i = 0;
         while i < Self::CAPACITY {
             match self.cells[i] {
                 None => {
-                    self.cells[i] = Some((label, count, nanos));
+                    self.cells[i] = Some((label, count));
                     return;
                 }
-                Some((l, ref mut c, ref mut n)) if l == label => {
+                Some((l, ref mut c)) if l == label => {
                     *c += count;
-                    *n = n.saturating_add(nanos);
                     return;
                 }
-                Some((l, _, _)) if label < l => break,
+                Some((l, _)) if label < l => break,
                 Some(_) => i += 1,
             }
         }
         if i >= Self::CAPACITY {
             // Full and the label sorts past the end: fold into overflow.
-            self.add_overflow(count, nanos);
+            self.add_overflow(count);
             return;
         }
         // Shift the tail right to keep sorted order; a displaced last cell
         // folds into the overflow tally.
-        if let Some(displaced) = self.cells[Self::CAPACITY - 1] {
-            self.add_overflow(displaced.1, displaced.2);
+        if let Some((_, displaced)) = self.cells[Self::CAPACITY - 1] {
+            self.add_overflow(displaced);
         }
         for j in (i + 1..Self::CAPACITY).rev() {
             self.cells[j] = self.cells[j - 1];
         }
-        self.cells[i] = Some((label, count, nanos));
+        self.cells[i] = Some((label, count));
     }
 
-    fn add_overflow(&mut self, count: u64, nanos: u64) {
+    fn add_overflow(&mut self, count: u64) {
         // The overflow label starts with '_', sorting before alphabetic
         // labels, so a plain `add` would recurse; update it directly.
-        for (l, c, n) in self.cells.iter_mut().flatten() {
+        for (l, c) in self.cells.iter_mut().flatten() {
             if *l == Self::OVERFLOW {
                 *c += count;
-                *n = n.saturating_add(nanos);
                 return;
             }
         }
         // No overflow cell yet: steal the last slot (we only get here when
         // the set is full of distinct labels).
-        if let Some((_, c0, n0)) = self.cells[Self::CAPACITY - 1] {
+        if let Some((_, c0)) = self.cells[Self::CAPACITY - 1] {
             for j in (1..Self::CAPACITY).rev() {
                 self.cells[j] = self.cells[j - 1];
             }
-            self.cells[0] = Some((Self::OVERFLOW, count + c0, nanos.saturating_add(n0)));
+            self.cells[0] = Some((Self::OVERFLOW, count + c0));
         } else {
-            self.cells[0] = Some((Self::OVERFLOW, count, nanos));
+            self.cells[0] = Some((Self::OVERFLOW, count));
         }
     }
 
     fn merge(&mut self, other: &LabelSet) {
-        for cell in other.cells.into_iter().flatten() {
-            self.add(cell.0, cell.1, cell.2);
+        for (label, count) in other.cells.into_iter().flatten() {
+            self.add(label, count);
         }
     }
 
-    fn entries(&self) -> Vec<(&'static str, u64, u64)> {
+    fn entries(&self) -> Vec<(&'static str, u64)> {
         self.cells.iter().flatten().copied().collect()
     }
 }
@@ -262,11 +260,11 @@ pub struct QueryMetrics {
     live_objects: u64,
     /// Tombstoned ids of that snapshot (merged by `max`, like the epoch).
     tombstones: u64,
-    /// Cumulative warm-cache entries discarded by epoch invalidation, as
-    /// observed by this query's warm view (merged by `max`: the count is
-    /// already cumulative per pool, so adding would double-count).
+    /// Cumulative warm-cache entries discarded, as stamped from a warm
+    /// pool's counters (merged by `max`: the count is already cumulative
+    /// per pool, so adding would double-count).
     warm_evictions: u64,
-    /// Approximate bytes resident in the warm cache this query ran against
+    /// Approximate bytes resident in a warm pool's cache, as stamped
     /// (merged by `max`, like the snapshot gauges).
     warm_resident_bytes: u64,
     per_op: LabelSet,
@@ -341,10 +339,10 @@ impl QueryMetrics {
         self.tombstones = self.tombstones.max(tombstones);
     }
 
-    /// Records the state of the warm cache the query ran against: its
-    /// cumulative eviction count and approximate resident bytes. Both
-    /// gauges merge by `max` (the values are pool-cumulative snapshots,
-    /// not per-query deltas).
+    /// Records the state of a warm pool's cache: its cumulative eviction
+    /// count and approximate resident bytes. A warm batch stamps them once,
+    /// into its merged registry. Both gauges merge by `max` (the values are
+    /// pool-cumulative snapshots, not per-query deltas).
     #[inline]
     pub fn warm_cache(&mut self, evictions: u64, resident_bytes: u64) {
         self.warm_evictions = self.warm_evictions.max(evictions);
@@ -355,7 +353,7 @@ impl QueryMetrics {
     #[inline]
     pub fn candidate_emitted(&mut self, op_label: &'static str) {
         self.incr(Counter::CandidatesEmitted);
-        self.per_op.add(op_label, 1, 0);
+        self.per_op.add(op_label, 1);
     }
 
     /// Records one global-traversal node visit attributed to `shard`
@@ -453,11 +451,7 @@ impl QueryMetrics {
 
     /// Candidates emitted per operator label, label-sorted.
     pub fn candidates_by_op(&self) -> Vec<(&'static str, u64)> {
-        self.per_op
-            .entries()
-            .into_iter()
-            .map(|(l, c, _)| (l, c))
-            .collect()
+        self.per_op.entries()
     }
 
     /// Named span totals as `(label, count, total_ns)`: the flow solves,
@@ -646,13 +640,13 @@ mod tests {
     #[test]
     fn label_set_is_order_independent() {
         let mut a = LabelSet::default();
-        a.add("psd", 1, 10);
-        a.add("ssd", 2, 20);
+        a.add("psd", 1);
+        a.add("ssd", 2);
         let mut b = LabelSet::default();
-        b.add("ssd", 2, 20);
-        b.add("psd", 1, 10);
+        b.add("ssd", 2);
+        b.add("psd", 1);
         assert_eq!(a, b, "insertion order must not matter");
-        assert_eq!(a.entries(), vec![("psd", 1, 10), ("ssd", 2, 20)]);
+        assert_eq!(a.entries(), vec![("psd", 1), ("ssd", 2)]);
     }
 
     #[cfg(feature = "enabled")]
@@ -661,15 +655,15 @@ mod tests {
         let labels = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
         let mut s = LabelSet::default();
         for (i, l) in labels.iter().enumerate() {
-            s.add(l, (i + 1) as u64, 0);
+            s.add(l, (i + 1) as u64);
         }
-        let total: u64 = s.entries().iter().map(|&(_, c, _)| c).sum();
+        let total: u64 = s.entries().iter().map(|&(_, c)| c).sum();
         assert_eq!(
             total,
             (1..=labels.len() as u64).sum::<u64>(),
             "no count lost"
         );
-        assert!(s.entries().iter().any(|&(l, _, _)| l == "__other"));
+        assert!(s.entries().iter().any(|&(l, _)| l == "__other"));
     }
 
     #[test]

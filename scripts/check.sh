@@ -124,8 +124,8 @@ echo "== warm-cache bit-identity, eviction and sharing =="
 # must be bit-identical to cold (flat, sharded, and at every churn
 # epoch), a repeated workload must hit, and epoch invalidation must
 # evict touched entries. The roll-forward shares every untouched chunk,
-# keeps exact gauges, and never lets an old-epoch fill reach the new
-# cache; query tables are admitted on repeat and bounded in number,
+# counts exactly what it evicts, and never lets an old-epoch fill reach
+# the new cache; query tables are admitted on repeat and bounded in number,
 # with and without the audit layer (and with obs on, where the warm
 # counters are live).
 cargo test -q --test warm_identity
@@ -156,6 +156,14 @@ cargo run -q -p osd-cli --bin osd -- query --data "$SMOKE_DIR/smoke.csv" \
   --query "5000,5000;5100,5100" --op psd --k 2 --profile=json > "$SMOKE_DIR/profile-k2.out"
 grep -qF '"live_objects": 60' "$SMOKE_DIR/profile-k2.out" \
   || { echo "profile smoke: --k 2 must report \"live_objects\": 60"; exit 1; }
+# A warm batch stamps the pool's footprint into its profile: one query
+# repeated three times is admitted on its second sighting and fills its
+# table, so the resident bytes cannot read 0.
+printf '5000,5000;5100,5100\n%.0s' 1 2 3 > "$SMOKE_DIR/repeat.q"
+cargo run -q -p osd-cli --bin osd -- query --data "$SMOKE_DIR/smoke.csv" \
+  --queries "$SMOKE_DIR/repeat.q" --op psd --profile=json > "$SMOKE_DIR/profile-warm.out"
+grep -qE '"warm_resident_bytes": [1-9]' "$SMOKE_DIR/profile-warm.out" \
+  || { echo "profile smoke: a warm batch must report warm_resident_bytes"; exit 1; }
 
 echo "== osd query --profile=json smoke, obs-off build (Stats counters) =="
 # With obs compiled out the registry records nothing, but the counters that

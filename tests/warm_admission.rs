@@ -4,8 +4,9 @@
 //!
 //! * A stream of distinct queries, each asked twice as a fresh query is
 //!   (NNC, then k-NNC), never holds more than [`QUERY_TABLES`] tables, and
-//!   the pool's gauge equals a recount after every step. Asked once each,
-//!   they leave no query table at all.
+//!   the pool's resident bytes equal an audit after every step. Asked once
+//!   each, they leave no query table at all. A table the bound drops
+//!   counts exactly its entries as evicted.
 //! * An admitted query serves `U_Q` and `U_q` warm from its third run on
 //!   (its second run fills its table), with answers and [`Stats`]
 //!   bit-identical to cold runs, under every operator that reads them.
@@ -121,6 +122,40 @@ fn distinct_queries_stay_under_the_table_bound() {
             .collect::<Vec<_>>()
     };
     assert_eq!(held(&pool), held(&reference));
+}
+
+#[test]
+fn a_dropped_table_counts_exactly_its_entries_as_evicted() {
+    let objects = objects();
+    let db = Database::new(objects.clone());
+    let (op, cfg) = (Operator::PSd, FilterConfig::all());
+    let qs = queries(&objects, QUERY_TABLES + 1);
+    let pool = WarmPool::new();
+    for q in &qs[..QUERY_TABLES] {
+        nn_candidates_warm(&db, q, op, &cfg, &pool);
+        nn_candidates_warm(&db, q, op, &cfg, &pool);
+    }
+    let cache = pool.cache_for(&db);
+    let (before, evicted) = (cache.audit(), pool.stats().evictions);
+    assert_eq!(query_tables(&before), QUERY_TABLES);
+    // One more query, sighted and then admitted without a run: its table
+    // is empty, so the audits differ by exactly the dropped table.
+    let last = &qs[QUERY_TABLES];
+    pool.view_for(&db, last);
+    pool.view_for(&db, last);
+    let after = cache.audit();
+    assert_eq!(query_tables(&after), QUERY_TABLES);
+    let admitted = after.tables.iter().find(|t| t.query == last.fingerprint());
+    assert!(admitted.is_some_and(|t| t.filled.is_empty() && t.keys.is_empty()));
+    assert!(
+        after.entries < before.entries,
+        "the dropped table was empty"
+    );
+    assert_eq!(
+        pool.stats().evictions - evicted,
+        before.entries - after.entries
+    );
+    assert_eq!(pool.stats().resident_bytes, after.resident_bytes);
 }
 
 /// For each lookup of `order` (indices into `qs`), whether it found an

@@ -12,7 +12,7 @@
 //!
 //! After an insert, the new id starts empty and every full chunk is shared.
 //!
-//! The gauges are kept incrementally — an advance subtracts what it
+//! Evictions are counted as they happen — an advance counts what it
 //! evicts instead of recounting — so over a seeded 30-publish
 //! insert/delete/update script, the pool's `evictions` and
 //! `resident_bytes` must equal a from-scratch recount
@@ -237,7 +237,7 @@ fn sharded_advance_shares_every_untouched_chunk() {
 }
 
 /// Thirty seeded publishes, each followed by warm reads; after every
-/// advance and every read the incremental gauges equal a recount.
+/// advance and every read the pool's counters equal a recount.
 fn check_gauges<D: SpatialIndex + Clone>(db: D, seed: u64) {
     let published = PublishedIndex::new(db);
     let pool = published.warm_pool();
